@@ -1,10 +1,27 @@
-"""Lindblad generators, their duals, propagation and stationary states.
+"""Lindblad generators, their duals, grid propagation and stationary states.
 
 Superoperators act on column-stacked operators, so a generator on a
-d-dimensional system is a d^2 x d^2 matrix.  Propagation uses a full
-matrix exponential for small systems and sparse Krylov-style actions
-(``expm_multiply``) beyond that.
+d-dimensional system is a d^2 x d^2 matrix.  Each job has one route:
+
+* Storage.  A generator is kept dense when at least ``DENSE_FILL`` of its
+  entries can be non-zero (a bound read off its Kronecker factors) and
+  sparse otherwise: below that fill the sparse form is the smaller one
+  and its products and LU are the cheaper ones.
+* Propagation.  ``propagate_series`` steps from one grid time to the
+  next.  A dense generator takes one ``expm(G dt)`` per distinct step and
+  reuses it for every repeat of that step (a uniform grid costs one
+  exponential plus matrix-vector products) whenever that is cheaper than
+  ``expm_multiply`` (Al-Mohy & Higham 2011) on every step; otherwise, and
+  always for sparse generators, each step is one ``expm_multiply``.
+  ``propagate`` is the one-point case.
+* Stationary state.  ``stationary_state`` solves ``L x = 0`` with its first
+  row replaced by the trace functional scaled to ``||L||_1``, by a dense LU
+  or by ``splu``.  Uniqueness is gated by the relative margin
+  ``1/(||A||_1 ||A^-1||_1)`` of that bordered matrix, so every gate scales
+  with the generator and ``D_Q`` is invariant under a rescaling of time.
 """
+
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -16,13 +33,17 @@ from .qcore import (
     DegenerateSteadyStateError,
     QuantumState,
     as_operator,
+    require_finite,
     require_hermitian,
     unvec,
     vec,
 )
 
-DENSE_PROPAGATION_DIM = 12   # largest system dimension kept dense
-STATIONARY_GAP_TOL = 1e-9    # uniqueness gate on the second-smallest |eigenvalue|
+DENSE_FILL = 1.0 / 16.0      # generators at least this full are stored dense
+# Uniqueness gate on 1/cond_1 of the bordered generator: the solve loses
+# about log10(1/margin) digits, so 1e-10 keeps six.  A weak decay at rate
+# r against an O(1) Hamiltonian reads margin ~ r/2.
+STATIONARY_MARGIN = 1e-10
 
 
 class LindbladModel:
@@ -31,11 +52,13 @@ class LindbladModel:
     The rate matrix must be Hermitian positive semidefinite; ``rates``
     may be given as a 1d array of diagonal rates or omitted entirely
     (identity) when the jump operators already absorb their rates.
+    Every entry of every input must be finite.
     """
 
     def __init__(self, h_bar, jump_ops, rates=None):
-        self.h_bar = require_hermitian(h_bar, name="h_bar")
-        self.jump_ops = [as_operator(v, "jump operator") for v in jump_ops]
+        self.h_bar = require_hermitian(require_finite(h_bar, "h_bar"), name="h_bar")
+        self.jump_ops = [as_operator(require_finite(v, "jump operator"), "jump operator")
+                         for v in jump_ops]
         d = self.h_bar.shape[0]
         for v in self.jump_ops:
             if v.shape[0] != d:
@@ -43,7 +66,7 @@ class LindbladModel:
         n = len(self.jump_ops)
         if rates is None:
             rates = np.eye(n)
-        rates = np.asarray(rates, dtype=complex)
+        rates = require_finite(rates, "rate matrix")
         if rates.ndim == 1:
             rates = np.diag(rates)
         if rates.shape != (n, n):
@@ -72,6 +95,11 @@ class Superoperator:
     def is_sparse(self):
         return scipy.sparse.issparse(self.matrix)
 
+    @cached_property
+    def norm(self):
+        """Induced 1-norm (largest column sum), the scale of every gate."""
+        return float(abs(self.matrix).sum(axis=0).max()) if self.matrix.size else 0.0
+
     def dense(self):
         return self.matrix.toarray() if self.is_sparse else self.matrix
 
@@ -79,76 +107,135 @@ class Superoperator:
         return unvec(self.matrix @ vec(operator), self.dim)
 
 
-def _generator(model, dual, sparse):
+def _generator(model, sparse):
+    """Forward generator I (x) J + conj(J) (x) I + sum a_mu_nu conj(V_nu) (x) V_mu.
+
+    J = -i h_bar - M/2 with M = sum a_mu_nu V_nu^dag V_mu.  ``sparse=None``
+    stores it dense when a bound on its non-zero count, read off the
+    Kronecker factors, reaches ``DENSE_FILL`` of its d^4 entries.
+    """
     d = model.dim
-    eye = scipy.sparse.identity(d, format="csr") if sparse else np.eye(d)
-    kron = scipy.sparse.kron if sparse else np.kron
-    h = scipy.sparse.csr_matrix(model.h_bar) if sparse else model.h_bar
-    sign = 1j if dual else -1j
-    gen = sign * (kron(eye, h) - kron(h.T, eye))
-    for mu, v_mu in enumerate(model.jump_ops):
-        vm = scipy.sparse.csr_matrix(v_mu) if sparse else v_mu
-        for nu, v_nu in enumerate(model.jump_ops):
-            a = model.rates[mu, nu]
-            if a == 0:
-                continue
-            vn = scipy.sparse.csr_matrix(v_nu) if sparse else v_nu
-            vdv = vn.conj().T @ vm
-            if dual:
-                sandwich = kron(vm.T, vn.conj().T)
-            else:
-                sandwich = kron(vn.conj(), vm)
-            gen = gen + a * (sandwich - 0.5 * (kron(eye, vdv) + kron(vdv.T, eye)))
+    pairs = [(model.rates[mu, nu], model.jump_ops[mu], model.jump_ops[nu])
+             for mu, nu in zip(*np.nonzero(model.rates))]
+    j = -1j * model.h_bar
+    for a, v_mu, v_nu in pairs:
+        j = j - 0.5 * a * (v_nu.conj().T @ v_mu)
+    if sparse is None:
+        nz = np.count_nonzero
+        bound = 2 * d * nz(j) + sum(nz(v_nu) * nz(v_mu) for _, v_mu, v_nu in pairs)
+        sparse = bound < DENSE_FILL * d ** 4
     if sparse:
-        gen = scipy.sparse.csr_matrix(gen)
+        csr = scipy.sparse.csr_matrix
+        eye = scipy.sparse.identity(d, format="csr")
+        gen = scipy.sparse.kron(eye, csr(j)) + scipy.sparse.kron(csr(j.conj()), eye)
+        for a, v_mu, v_nu in pairs:
+            gen = gen + a * scipy.sparse.kron(csr(v_nu.conj()), csr(v_mu))
+        return scipy.sparse.csr_matrix(gen)
+    # gen[c, r, c', r'] is the entry between vec indices r + d c and r' + d c'
+    gen = np.zeros((d, d, d, d), dtype=complex)
+    k = np.arange(d)
+    gen[k, :, k, :] += j
+    gen[:, k, :, k] += j.conj()
+    gen = gen.reshape(d * d, d * d)
+    for a, v_mu, v_nu in pairs:
+        gen += np.kron(a * v_nu.conj(), v_mu)
     return gen
 
 
 def liouvillian(model, sparse=None):
-    """Forward generator of d(rho)/dt; annihilates the trace functional."""
-    if sparse is None:
-        sparse = model.dim > DENSE_PROPAGATION_DIM
-    return Superoperator(_generator(model, dual=False, sparse=sparse), model.dim, kind="forward")
+    """Forward generator of d(rho)/dt; annihilates the trace functional.
+
+    ``sparse=None`` picks the storage by fill (``DENSE_FILL``).
+    """
+    return Superoperator(_generator(model, sparse), model.dim, kind="forward")
 
 
 def dual_liouvillian(model, sparse=None):
     """Adjoint generator for Heisenberg-picture operators.
 
     dA/dt = +i[h_bar, A] + sum a_mu_nu (V_nu^dag A V_mu
-    - (V_nu^dag V_mu A + A V_nu^dag V_mu)/2).  It annihilates the
-    identity but generally does not preserve the trace.
+    - (V_nu^dag V_mu A + A V_nu^dag V_mu)/2).  It is the conjugate
+    transpose of the forward generator (the Hilbert-Schmidt adjoint), so
+    it annihilates the identity but generally does not preserve the trace.
     """
-    if sparse is None:
-        sparse = model.dim > DENSE_PROPAGATION_DIM
-    return Superoperator(_generator(model, dual=True, sparse=sparse), model.dim, kind="dual")
+    gen = _generator(model, sparse).conj().T
+    gen = gen.tocsr() if scipy.sparse.issparse(gen) else np.ascontiguousarray(gen)
+    return Superoperator(gen, model.dim, kind="dual")
 
 
-def propagate(g, x0, t, trace_tol=1e-10):
-    """exp(t G) applied to an operator, devectorized.
+def _time_grid(times):
+    """Validated 1d grid of finite, non-negative, ascending times."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1d sequence, got shape {times.shape}")
+    bad = ~np.isfinite(times) | (times < 0.0)
+    if bad.any():
+        raise ValueError(f"times must be finite and non-negative, got {times[bad][0]}")
+    back = np.flatnonzero(np.diff(times) < 0.0)
+    if back.size:
+        k = back[0]
+        raise ValueError(f"times must be ascending: {times[k + 1]} follows {times[k]}")
+    return times
 
-    Forward generators must preserve the trace of ``x0`` to
-    ``trace_tol``; a violation signals a broken generator.
+
+def _expm_pays(g, steps, distinct):
+    """Whether one dense expm per distinct step beats expm_multiply on every step.
+
+    Costs are counted in dense matrix-vector entries, fitted to scipy on one
+    core for d^2 = 64..576: a dense expm of an n x n generator costs about
+    6 n^3 of them, one expm_multiply call about 3e5 of fixed overhead plus
+    (6 |G dt|_1 + 25) products with the generator.
+    """
+    if g.is_sparse:
+        return False
+    n = g.matrix.shape[0]
+    moving = steps[steps > 0.0]
+    expm_cost = distinct * 6.0 * n ** 3 + moving.size * n ** 2
+    krylov_cost = np.sum(3e5 + (6.0 * g.norm * moving + 25.0) * n ** 2)
+    return expm_cost <= krylov_cost
+
+
+def propagate_series(g, x0, times, trace_tol=1e-10):
+    """exp(t G) applied to an operator at every time of an ascending grid.
+
+    The operator is stepped from 0 to ``times[0]`` and then from one grid
+    time to the next; steps that agree to 1e-12 of the longest share one
+    exponential.  ``times`` must be finite, non-negative and ascending.
+    Forward generators must preserve the trace of ``x0`` to ``trace_tol``
+    at every time; a violation signals a broken generator.
     """
     x0 = as_operator(x0, "x0")
     if x0.shape[0] != g.dim:
         raise ValueError(f"operator dimension {x0.shape[0]} != superoperator dim {g.dim}")
+    times = _time_grid(times)
+    steps = np.diff(times, prepend=0.0)
+    longest = steps.max(initial=0.0)
+    keys = np.round(steps / longest, 12) if longest > 0.0 else steps
+    use_expm = _expm_pays(g, steps, np.unique(keys[steps > 0.0]).size)
+    exponentials = {}
     v = vec(x0)
-    if g.is_sparse:
-        out = scipy.sparse.linalg.expm_multiply(g.matrix * t, v)
-    else:
-        out = scipy.linalg.expm(g.matrix * t) @ v
-    result = unvec(out, g.dim)
-    if g.kind == "forward":
-        drift = abs(np.trace(result) - np.trace(x0))
-        if drift > trace_tol * max(1.0, abs(np.trace(x0))):
-            raise RuntimeError(f"forward propagation changed the trace by {drift:.3e}")
-    return result
+    trace0 = np.trace(x0)
+    out = []
+    for dt, key in zip(steps, keys):
+        if dt > 0.0:
+            if not use_expm:
+                v = scipy.sparse.linalg.expm_multiply(g.matrix * dt, v)
+            else:
+                if key not in exponentials:
+                    exponentials[key] = scipy.linalg.expm(g.matrix * dt)
+                v = exponentials[key] @ v
+        result = unvec(v, g.dim).copy()
+        if g.kind == "forward":
+            drift = abs(np.trace(result) - trace0)
+            if drift > trace_tol * max(1.0, abs(trace0)):
+                raise RuntimeError(f"forward propagation changed the trace by {drift:.3e}")
+        out.append(result)
+    return out
 
 
-def propagate_series(g, x0, times, trace_tol=1e-10):
-    """Propagate one operator to every time in ``times`` (ascending)."""
-    times = np.asarray(times, dtype=float)
-    return [propagate(g, x0, t, trace_tol=trace_tol) for t in times]
+def propagate(g, x0, t, trace_tol=1e-10):
+    """exp(t G) applied to an operator: the one-point ``propagate_series``."""
+    return propagate_series(g, x0, [t], trace_tol=trace_tol)[0]
 
 
 def generator_spectrum(g):
@@ -157,43 +244,80 @@ def generator_spectrum(g):
 
 
 def spectral_gap(g, zero_tol=1e-9):
-    """Slowest nonzero relaxation rate |Re lambda| of the generator."""
+    """Slowest nonzero relaxation rate |Re lambda| of the generator.
+
+    Eigenvalues within ``zero_tol * ||G||_1`` of zero count as zero.
+    """
     evals = generator_spectrum(g)
-    rates = np.abs(evals.real[np.abs(evals) > zero_tol])
+    rates = np.abs(evals.real[np.abs(evals) > zero_tol * g.norm])
     if rates.size == 0:
         raise ValueError("generator has no decaying modes")
     return float(rates.min())
 
 
-def stationary_state(g, gap_tol=STATIONARY_GAP_TOL, residual_tol=1e-9):
+def _bordered_lu(g, scale):
+    """LU of the generator with row 0 replaced by ``scale`` times the trace functional.
+
+    Returns (solve, adjoint_solve, ||A||_1); raises DegenerateSteadyStateError
+    when A is exactly singular.  Row 0 is the (0, 0) population equation,
+    which trace preservation makes minus the sum of the other population rows.
+    """
+    trace_row = scale * vec(np.eye(g.dim))
+    if g.is_sparse:
+        a = scipy.sparse.vstack([scipy.sparse.csr_matrix(trace_row), g.matrix[1:]], format="csc")
+        try:
+            lu = scipy.sparse.linalg.splu(a)
+        except RuntimeError as exc:
+            raise DegenerateSteadyStateError(f"bordered generator is singular: {exc}") from None
+        return lu.solve, lambda b: lu.solve(b, trans="H"), float(abs(a).sum(axis=0).max())
+    a = np.array(g.matrix, dtype=complex)
+    a[0] = trace_row
+    a_norm = float(np.abs(a).sum(axis=0).max())
+    getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (a,))
+    lu, piv, info = getrf(a, overwrite_a=True)
+    if info > 0:
+        raise DegenerateSteadyStateError(
+            f"bordered generator is singular: pivot {info} is exactly zero"
+        )
+    return (lambda b: scipy.linalg.lu_solve((lu, piv), b),
+            lambda b: scipy.linalg.lu_solve((lu, piv), b, trans=2), a_norm)
+
+
+def stationary_state(g, margin_tol=STATIONARY_MARGIN, residual_tol=1e-9):
     """Unique unit-trace null vector of a forward generator.
 
-    Raises DegenerateSteadyStateError when a second eigenvalue sits
-    inside the uniqueness gate, since the degree of quantumness is only
-    defined for dynamics whose stationary state is independent of the
-    initial condition.
+    Solves L x = 0 with one row replaced by the trace functional (see
+    ``_bordered_lu``).  Raises DegenerateSteadyStateError when that
+    bordered matrix A is singular or its uniqueness margin
+    1/(||A||_1 ||A^-1||_1), with ||A^-1||_1 estimated on the LU, falls
+    below ``margin_tol``, since the degree of quantumness is only defined
+    for dynamics whose stationary state is independent of the initial
+    condition.  The residual max|L[rho]| must stay below
+    ``residual_tol * ||L||_1``.
     """
-    if g.dim > 2 * DENSE_PROPAGATION_DIM:
-        raise ValueError(
-            f"stationary_state needs the dense eigenproblem; dim {g.dim} is too large"
-        )
-    mat = g.dense()
-    evals, evecs = scipy.linalg.eig(mat)
-    order = np.argsort(np.abs(evals))
-    if len(order) > 1 and np.abs(evals[order[1]]) < gap_tol:
+    n = g.dim ** 2
+    scale = g.norm or 1.0
+    solve, adjoint_solve, a_norm = _bordered_lu(g, scale)
+    inverse = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=solve, rmatvec=adjoint_solve, matmat=solve, rmatmat=adjoint_solve,
+        dtype=complex,
+    )
+    # t=1 keeps the estimate deterministic and off numpy's global random state
+    margin = 1.0 / (a_norm * scipy.sparse.linalg.onenormest(inverse, t=1))
+    if not margin >= margin_tol:
         raise DegenerateSteadyStateError(
-            f"two generator eigenvalues below {gap_tol:.0e}: "
-            f"{evals[order[0]]:.2e}, {evals[order[1]]:.2e}"
+            f"stationary state is not unique: margin {margin:.3e} below {margin_tol:.0e}"
         )
-    rho = unvec(evecs[:, order[0]], g.dim)
+    rhs = np.zeros(n, dtype=complex)
+    rhs[0] = scale
+    rho = unvec(solve(rhs), g.dim)
     rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-12:
-        raise DegenerateSteadyStateError("null vector is traceless; no stationary state")
-    rho = rho / tr
+    rho = rho / np.trace(rho).real
     residual = np.abs(g.apply(rho)).max()
-    if residual > residual_tol:
-        raise RuntimeError(f"stationary-state residual {residual:.3e} exceeds {residual_tol:.0e}")
+    if residual > residual_tol * scale:
+        raise RuntimeError(
+            f"stationary-state residual {residual:.3e} exceeds {residual_tol:.0e} * {scale:.3e}"
+        )
     return QuantumState(rho, tol=1e-8)
 
 

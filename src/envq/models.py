@@ -526,7 +526,7 @@ def oscillator_q_numeric(model_or_params, rho0, times, alarm_tol=1e-3):
         if isinstance(model_or_params, OscillatorParams)
         else model_or_params
     )
-    gd = dynamics.dual_liouvillian(model, sparse=True)
+    gd = dynamics.dual_liouvillian(model)
     rho0 = qcore.state_matrix(rho0)
     values = []
     for a_t in dynamics.propagate_series(gd, rho0, times):
@@ -558,7 +558,7 @@ def oscillator_q_extrapolated(p, times, cutoffs=None, trust_tol=0.02):
         model = thermal_oscillator_model(p.kappa, p.zeta, n)
         ground = np.zeros((n + 1, n + 1), dtype=complex)
         ground[0, 0] = 1.0
-        gd = dynamics.dual_liouvillian(model, sparse=True)
+        gd = dynamics.dual_liouvillian(model)
         runs.append(
             np.asarray([np.trace(a).real for a in dynamics.propagate_series(gd, ground, times)])
         )

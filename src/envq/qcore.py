@@ -74,6 +74,16 @@ def as_operator(m, name="operator"):
     return a
 
 
+def require_finite(m, name="operator"):
+    """Coerce to a complex ndarray, raising ValueError on a NaN or infinite entry."""
+    a = np.asarray(getattr(m, "matrix", m), dtype=complex)
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        index = tuple(int(i) for i in bad[0])
+        raise ValueError(f"{name} has a non-finite entry {a[index]} at {index}")
+    return a
+
+
 def is_hermitian(m, tol=VALID_TOL):
     m = np.asarray(m)
     return np.abs(m - m.conj().T).max() <= tol

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from envq import dynamics, models, qcore
 from envq.qcore import DegenerateSteadyStateError, QuantumState
@@ -21,6 +22,13 @@ def test_model_validation():
     with pytest.raises(ValueError, match="Hermitian"):
         dynamics.LindbladModel(qcore.sigma_z, [qcore.sigma_minus, qcore.sigma_plus],
                                rates=np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # non-finite input is rejected at construction, naming the entry
+    with pytest.raises(ValueError, match=r"h_bar has a non-finite entry \(nan"):
+        dynamics.LindbladModel(np.full((2, 2), np.nan), [])
+    with pytest.raises(ValueError, match=r"jump operator has a non-finite entry \(inf"):
+        dynamics.LindbladModel(qcore.sigma_z, [np.diag([1.0, np.inf])])
+    with pytest.raises(ValueError, match=r"rate matrix has a non-finite entry \(inf"):
+        dynamics.LindbladModel(qcore.sigma_z, [qcore.sigma_minus], rates=[np.inf])
 
 
 def test_liouvillian_annihilates_trace():
@@ -136,8 +144,23 @@ def test_stationary_two_qubit_closed_form():
 def test_stationary_rejects_degenerate_manifold():
     # no dissipation: every energy eigenprojector is stationary
     m = dynamics.LindbladModel(0.5 * qcore.sigma_z, [])
-    with pytest.raises(DegenerateSteadyStateError):
-        dynamics.stationary_state(dynamics.liouvillian(m))
+    for sparse in (False, True):
+        with pytest.raises(DegenerateSteadyStateError, match="singular"):
+            dynamics.stationary_state(dynamics.liouvillian(m, sparse=sparse))
+    # decay 1e-12 times slower than the precession: unique in exact
+    # arithmetic, but inside the relative uniqueness margin
+    weak = dynamics.LindbladModel(0.5 * qcore.sigma_z, [qcore.sigma_minus], rates=[1e-12])
+    with pytest.raises(DegenerateSteadyStateError, match="margin"):
+        dynamics.stationary_state(dynamics.liouvillian(weak))
+
+
+@pytest.mark.parametrize("n_max", [41, 61])
+def test_stationary_truncated_oscillator_is_thermal_ladder(n_max):
+    p = models.OscillatorParams(0.7, 2.85, n_max)
+    g = dynamics.liouvillian(p.lindblad_model())
+    assert g.is_sparse
+    rho = dynamics.stationary_state(g)
+    assert np.abs(rho.matrix - models.truncated_thermal_state(p).matrix).max() < 1e-12
 
 
 def test_time_reversed_state():
@@ -190,9 +213,14 @@ def test_kraus_extraction_reconstructs_channel():
 
 def test_spectral_gap_thermal():
     p = models.ThermalTlsParams(1.0, 2.0)
-    gap = dynamics.spectral_gap(dynamics.liouvillian(p.lindblad_model()))
+    g = dynamics.liouvillian(p.lindblad_model())
+    gap = dynamics.spectral_gap(g)
     # slowest mode is the coherence decay at (kappa + zeta) / 2
     assert abs(gap - 0.5 * (p.kappa + p.zeta)) < 1e-10
+    # the zero test scales with the generator, so a rescaled clock rescales the gap
+    for s in (1e-12, 1e12):
+        scaled = dynamics.Superoperator(s * g.matrix, g.dim, kind="forward")
+        assert dynamics.spectral_gap(scaled) == pytest.approx(s * gap, rel=1e-12)
 
 
 def test_unital_jump_conditions_annihilate_identity():
@@ -209,3 +237,67 @@ def test_unital_jump_conditions_annihilate_identity():
     for m in (m1, m2):
         g = dynamics.liouvillian(m)
         assert np.abs(g.apply(np.eye(3))).max() < 1e-12
+
+
+def random_lindblad(rng, d):
+    h = rand_op(rng, d)
+    jumps = [rand_op(rng, d) / np.sqrt(2.0 * d) for _ in range(2)]
+    return dynamics.LindbladModel(0.5 * (h + h.conj().T) / d, jumps, rates=[0.7, 0.4])
+
+
+def time_grid(kind, t_max, n):
+    if kind == "uniform":
+        return np.linspace(0.0, t_max, n)
+    return np.concatenate([[0.0], np.geomspace(t_max / 50.0, t_max, n - 1)])
+
+
+@pytest.mark.parametrize("grid", ["uniform", "log"])
+@pytest.mark.parametrize("d", [2, 4, 12])
+def test_propagate_series_matches_expm_reference(d, grid):
+    # the dense generators reuse exponentials except on the d = 12 log grid,
+    # where expm_multiply is cheaper; their sparse copies always take it
+    rng = np.random.default_rng(10 + d)
+    model = random_lindblad(rng, d)
+    rho = qcore.random_state(d, rng).matrix
+    times = time_grid(grid, 2.0, 41)
+    dense = dynamics.liouvillian(model)
+    assert not dense.is_sparse
+    exact = [qcore.unvec(scipy.linalg.expm(dense.matrix * t) @ qcore.vec(rho), d) for t in times]
+    for g in (dense, dynamics.liouvillian(model, sparse=True)):
+        series = dynamics.propagate_series(g, rho, times)
+        assert max(np.abs(out - ref).max() for out, ref in zip(series, exact)) < 1e-12
+
+
+@pytest.mark.parametrize("grid", ["uniform", "log"])
+def test_propagate_series_oscillator_matches_expm_reference(grid):
+    # the thermal generator maps diagonal operators to diagonal operators,
+    # so the dual flow of the ground state is the exponential of that block
+    p = models.OscillatorParams(0.7, 2.85, 41)
+    gd = dynamics.dual_liouvillian(p.lindblad_model())
+    assert gd.is_sparse
+    diag = np.arange(p.dim) * (p.dim + 1)
+    off = np.setdiff1d(np.arange(p.dim ** 2), diag)
+    assert abs(gd.matrix[off][:, diag]).max() == 0.0
+    block = gd.matrix[diag][:, diag].toarray()
+    ground = np.zeros(p.dim, dtype=complex)
+    ground[0] = 1.0
+    times = time_grid(grid, 1.0, 13)
+    for t, out in zip(times, dynamics.propagate_series(gd, np.diag(ground), times)):
+        exact = scipy.linalg.expm(block * t) @ ground
+        assert np.abs(out - np.diag(exact)).max() < 1e-12 * np.abs(exact).max()
+
+
+def test_propagate_series_rejects_bad_grid():
+    g = dynamics.liouvillian(thermal_model())
+    rho = np.eye(2) / 2.0
+    with pytest.raises(ValueError, match="-1.0"):
+        dynamics.propagate_series(g, rho, [1.0, 0.5, -1.0])
+    with pytest.raises(ValueError, match="0.5 follows 1.0"):
+        dynamics.propagate_series(g, rho, [0.0, 1.0, 0.5, 2.0])
+    with pytest.raises(ValueError, match="nan"):
+        dynamics.propagate_series(g, rho, [0.0, np.nan])
+    with pytest.raises(ValueError, match="-0.3"):
+        dynamics.propagate(g, rho, -0.3)
+    # repeated times are allowed and return the same operator
+    a, b = dynamics.propagate_series(g, rho, [0.7, 0.7])
+    assert np.array_equal(a, b)

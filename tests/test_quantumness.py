@@ -149,6 +149,19 @@ def test_renormalized_degree():
     assert models.oscillator_dqr(hot) < 0.05
 
 
+def test_degree_of_quantumness_truncated_oscillator():
+    # the numeric degree reaches the truncated oscillator (d = 61) and
+    # cross-checks its renormalized degree
+    p = models.OscillatorParams(1.0, 1.0, 60)
+    report = quantumness.degree_of_quantumness(p.lindblad_model())
+    top = quantumness.renormalized_degree(report.stationary)
+    ladder = quantumness.renormalized_degree(models.truncated_thermal_state(p))
+    assert top == pytest.approx(ladder, abs=1e-12)
+    assert top == pytest.approx(models.oscillator_dqr(p), abs=1e-12)
+    assert report.dq == pytest.approx(p.dim * top - 1.0, abs=1e-10)
+    assert abs(report.optimal_state.matrix[0, 0] - 1.0) < 1e-12
+
+
 def test_unitality_check():
     p = 0.3
     dephasing = [np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * qcore.sigma_z]
