@@ -56,7 +56,6 @@ from .stochastic import (
     WaitingTime,
     collisional_q,
     collisional_state,
-    dual_trace_check,
     sample_noise_path,
     stochastic_q,
 )

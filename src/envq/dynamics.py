@@ -56,7 +56,7 @@ class LindbladModel:
     """
 
     def __init__(self, h_bar, jump_ops, rates=None):
-        self.h_bar = require_hermitian(require_finite(h_bar, "h_bar"), name="h_bar")
+        self.h_bar = require_hermitian(h_bar, name="h_bar")
         self.jump_ops = [as_operator(require_finite(v, "jump operator"), "jump operator")
                          for v in jump_ops]
         d = self.h_bar.shape[0]

@@ -77,9 +77,9 @@ def as_operator(m, name="operator"):
 def require_finite(m, name="operator"):
     """Coerce to a complex ndarray, raising ValueError on a NaN or infinite entry."""
     a = np.asarray(getattr(m, "matrix", m), dtype=complex)
-    bad = np.argwhere(~np.isfinite(a))
-    if bad.size:
-        index = tuple(int(i) for i in bad[0])
+    finite = np.isfinite(a)
+    if not finite.all():
+        index = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise ValueError(f"{name} has a non-finite entry {a[index]} at {index}")
     return a
 
@@ -90,7 +90,7 @@ def is_hermitian(m, tol=VALID_TOL):
 
 
 def require_hermitian(m, tol=VALID_TOL, name="operator"):
-    m = as_operator(m, name)
+    m = require_finite(as_operator(m, name), name)
     dev = np.abs(m - m.conj().T).max()
     if dev > tol:
         raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e} > {tol:.0e})")
@@ -258,7 +258,7 @@ class QuantumState:
     """
 
     def __init__(self, matrix, dims=None, tol=VALID_TOL):
-        m = as_operator(matrix, "state")
+        m = require_finite(as_operator(matrix, "state"), "state")
         dev = np.abs(m - m.conj().T).max()
         if dev > tol:
             raise ValueError(f"state not Hermitian (deviation {dev:.3e})")

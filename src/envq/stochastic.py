@@ -10,6 +10,19 @@ tests are deliberate counterexamples, not part of that guarantee.
 Randomness is counter-based: every path owns a Philox stream derived
 from (seed, path index), so results are independent of evaluation
 order and bitwise reproducible.
+
+Monte Carlo runs in blocks of PATH_BLOCK paths, so memory does not grow
+with the path count.  Paths are still sampled one at a time from their
+own streams; the linear algebra is batched across the block.  A noise
+block is cut at the requested times and padded to equal length with
+zero-length segments; every segment unitary exp(-i tau (h0 + x C))
+comes from one batched eigh, the chain is multiplied one segment index
+at a time for all paths, and the unitaries at the requested times are
+gathered as one (paths, times, d, d) array that stochastic_q and
+stochastic_average_state reduce.  A collisional block merges each path's
+collision times with the grid (a collision at a grid time acts before
+the snapshot there), builds the free unitaries from the model's cached
+eigensystem, and applies the j-th collision of every path in one step.
 """
 
 from dataclasses import dataclass, field
@@ -18,16 +31,25 @@ import numpy as np
 import scipy.stats
 
 from . import qcore, quantumness
-from .qcore import QuantumState, as_operator, require_hermitian, state_matrix, unvec, vec
+from .qcore import (
+    QuantumState, as_operator, require_finite, require_hermitian, state_matrix, unvec, vec,
+)
 
 NOISE_FAMILIES = ("gaussian-white", "ornstein-uhlenbeck", "telegraph")
 WAITING_FAMILIES = ("exponential", "gamma", "deterministic")
+PATH_BLOCK = 128  # paths whose segment stacks are held in memory at once
 
 
 def path_rng(seed, path_index):
     """Philox generator for one path of one seeded run."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(path_index),))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _require_finite_parameter(obj, name):
+    value = getattr(obj, name)
+    if not np.isfinite(value):
+        raise ValueError(f"{type(obj).__name__} {name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +67,8 @@ class NoiseProcess:
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
+        for name in ("amplitude", "correlation_time"):
+            _require_finite_parameter(self, name)
         if self.correlation_time < 0:
             raise ValueError("correlation_time must be nonnegative")
         if self.family != "gaussian-white" and self.correlation_time <= 0:
@@ -111,34 +135,80 @@ def sample_noise_path(process, t_max, dt, seed, path_index=0):
     return NoisePath(durations, values)
 
 
-def _segment_unitary(h0, coupling, value, duration, diag_fast):
-    if diag_fast:
-        phases = np.exp(-1j * duration * (np.diag(h0).real + value * np.diag(coupling).real))
-        return np.diag(phases)
-    return qcore.matrix_exponential(-1j * duration * (h0 + value * coupling))
+def _dagger(m):
+    return np.swapaxes(m.conj(), -1, -2)
 
 
-def _unitaries_on_grid(h0, coupling, path, times):
-    """Cumulative path unitaries evaluated at the requested times."""
-    d = h0.shape[0]
-    diag_fast = (
-        np.abs(h0 - np.diag(np.diag(h0))).max() < 1e-14
-        and np.abs(coupling - np.diag(np.diag(coupling))).max() < 1e-14
-    )
-    out = np.empty((len(times), d, d), dtype=complex)
-    u = np.eye(d, dtype=complex)
-    k = 0
-    start = 0.0
-    eps = 1e-12 * max(path.t_max, 1.0)
-    for dur, x in zip(path.durations, path.values):
-        while k < len(times) and times[k] <= start + dur + eps:
-            out[k] = _segment_unitary(h0, coupling, x, times[k] - start, diag_fast) @ u
-            k += 1
-        u = _segment_unitary(h0, coupling, x, dur, diag_fast) @ u
-        start += dur
-    if k < len(times):
-        raise ValueError("requested times extend beyond the sampled path")
+def _spectral_unitary(w, v, t):
+    """exp(-i t H) from the eigensystem (w, v) of H, batched over leading axes of t."""
+    phase = np.exp(-1j * w * np.asarray(t)[..., None])
+    return (v * phase[..., None, :]) @ _dagger(v)
+
+
+def _path_blocks(n_paths):
+    """Consecutive path-index ranges of at most PATH_BLOCK paths each."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+    return [range(s, min(s + PATH_BLOCK, n_paths)) for s in range(0, n_paths, PATH_BLOCK)]
+
+
+def _padded(rows, fill):
+    """Stack 1-D rows of unequal length into one (len(rows), longest) array."""
+    out = np.full((len(rows), max(len(r) for r in rows)), fill, dtype=float)
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
     return out
+
+
+def _path_unitaries(process, h0, times, n_paths, seed, dt):
+    """Path unitaries U_p(times[k]), yielded block by block as (paths, times, d, d).
+
+    A requested time belongs to the first segment ending no earlier than
+    1e-12 * max(t_max, 1) before it; paths are padded to equal length
+    with zero-length segments, which no requested time reaches.
+    """
+    t_max = max(float(times.max()) if times.size else dt, dt)
+    # eigh reads one triangle; Hermitian inputs pass validation only to a tolerance
+    h0 = 0.5 * (h0 + h0.conj().T)
+    coupling = 0.5 * (process.coupling + process.coupling.conj().T)
+    for block in _path_blocks(n_paths):
+        paths = [sample_noise_path(process, t_max, dt, seed, path_index=p) for p in block]
+        tau = _padded([path.durations for path in paths], 0.0)
+        ends = np.cumsum(tau, axis=1)
+        starts = np.concatenate([np.zeros((len(paths), 1)), ends[:, :-1]], axis=1)
+        eps = 1e-12 * np.maximum([path.t_max for path in paths], 1.0)
+        seg = (ends[:, None, :] + eps[:, None, None] < times[:, None]).sum(axis=2)
+        if np.any(seg >= np.array([[len(path.durations)] for path in paths])):
+            raise ValueError("requested times extend beyond the sampled path")
+        x = _padded([path.values for path in paths], 0.0)
+        w, v = np.linalg.eigh(h0 + x[..., None, None] * coupling)
+        full = _spectral_unitary(w, v, tau)
+        prefix = np.empty((len(paths), tau.shape[1] + 1) + h0.shape, dtype=complex)
+        prefix[:, 0] = np.eye(h0.shape[0])
+        for j in range(tau.shape[1]):
+            prefix[:, j + 1] = full[:, j] @ prefix[:, j]
+        rows = np.arange(len(paths))[:, None]
+        partial = _spectral_unitary(w[rows, seg], v[rows, seg], times - starts[rows, seg])
+        yield partial @ prefix[rows, seg]
+
+
+def _ensemble_inputs(process, base_h, rho0, times, dt):
+    h0 = require_hermitian(base_h, name="base Hamiltonian")
+    times = np.asarray(times, dtype=float)
+    return h0, state_matrix(rho0), times, _default_dt(process, times) if dt is None else dt
+
+
+def _ensemble_moments(blocks, n_paths):
+    """Hermitized means over (paths, times, d, d) blocks and the aggregate
+    stderr sqrt(sum_ij Var / n_paths) per time."""
+    acc = acc_sq = 0.0
+    for r in blocks:
+        acc = acc + r.sum(axis=0)
+        acc_sq = acc_sq + (r.real ** 2 + r.imag ** 2).sum(axis=0)
+    mean = acc / n_paths
+    var = acc_sq / n_paths - (mean.real ** 2 + mean.imag ** 2)
+    stderr = np.sqrt(np.clip(var, 0.0, None).sum(axis=(1, 2)) / max(n_paths - 1, 1))
+    return [0.5 * (m + m.conj().T) for m in mean], stderr
 
 
 def stochastic_q(process, base_h, rho0, times, n_paths, seed, dt=None):
@@ -148,17 +218,11 @@ def stochastic_q(process, base_h, rho0, times, n_paths, seed, dt=None):
     contributes exactly 1; the returned standard error is the honest
     (vanishing) spread of the path values.
     """
-    h0 = require_hermitian(base_h, name="base Hamiltonian")
-    rho0 = state_matrix(rho0)
-    times = np.asarray(times, dtype=float)
-    if dt is None:
-        dt = _default_dt(process, times)
-    t_max = float(times.max()) if times.size else dt
-    samples = np.empty((n_paths, times.size))
-    for p in range(n_paths):
-        path = sample_noise_path(process, max(t_max, dt), dt, seed, path_index=p)
-        us = _unitaries_on_grid(h0, process.coupling, path, times)
-        samples[p] = [np.trace(u.conj().T @ rho0 @ u).real for u in us]
+    h0, rho0, times, dt = _ensemble_inputs(process, base_h, rho0, times, dt)
+    samples = np.concatenate([
+        np.trace(_dagger(u) @ rho0 @ u, axis1=-2, axis2=-1).real
+        for u in _path_unitaries(process, h0, times, n_paths, seed, dt)
+    ])
     mean = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_paths) if n_paths > 1 else np.zeros_like(mean)
     series = quantumness.QuantumnessSeries(times, mean, h0.shape[0])
@@ -172,27 +236,9 @@ def stochastic_average_state(process, base_h, rho0, times, n_paths, seed, dt=Non
     density matrix at times[k] and stderr[k] collects
     sqrt(sum_ij Var[rho_ij] / n_paths).
     """
-    h0 = require_hermitian(base_h, name="base Hamiltonian")
-    rho0 = state_matrix(rho0)
-    times = np.asarray(times, dtype=float)
-    if dt is None:
-        dt = _default_dt(process, times)
-    t_max = float(times.max()) if times.size else dt
-    d = h0.shape[0]
-    acc = np.zeros((times.size, d, d), dtype=complex)
-    acc_sq = np.zeros((times.size, d, d))
-    for p in range(n_paths):
-        path = sample_noise_path(process, max(t_max, dt), dt, seed, path_index=p)
-        us = _unitaries_on_grid(h0, process.coupling, path, times)
-        for k, u in enumerate(us):
-            r = u @ rho0 @ u.conj().T
-            acc[k] += r
-            acc_sq[k] += r.real ** 2 + r.imag ** 2
-    mean = acc / n_paths
-    var = acc_sq / n_paths - (mean.real ** 2 + mean.imag ** 2)
-    stderr = np.sqrt(np.clip(var, 0.0, None).sum(axis=(1, 2)) / max(n_paths - 1, 1))
-    states = [0.5 * (m + m.conj().T) for m in mean]
-    return states, stderr
+    h0, rho0, times, dt = _ensemble_inputs(process, base_h, rho0, times, dt)
+    states = (u @ rho0 @ _dagger(u) for u in _path_unitaries(process, h0, times, n_paths, seed, dt))
+    return _ensemble_moments(states, n_paths)
 
 
 def _default_dt(process, times):
@@ -217,6 +263,9 @@ class WaitingTime:
     def __post_init__(self):
         if self.family not in WAITING_FAMILIES:
             raise ValueError(f"unknown waiting family {self.family!r}")
+        for name in ("rate", "shape", "period"):
+            if getattr(self, name) is not None:
+                _require_finite_parameter(self, name)
         if self.family == "exponential" and not (self.rate and self.rate > 0):
             raise ValueError("exponential waiting needs rate > 0")
         if self.family == "gamma":
@@ -277,7 +326,8 @@ class CollisionalModel:
 
     def __post_init__(self):
         self.free_hamiltonian = require_hermitian(self.free_hamiltonian, name="free Hamiltonian")
-        self.collision = [as_operator(t, "Kraus operator") for t in self.collision]
+        self.collision = [require_finite(as_operator(t, "Kraus operator"), "Kraus operator")
+                          for t in self.collision]
         d = self.dim
         comp = sum(t.conj().T @ t for t in self.collision)
         dev = np.abs(comp - np.eye(d)).max()
@@ -289,26 +339,17 @@ class CollisionalModel:
         return self.free_hamiltonian.shape[0]
 
     def free_unitary(self, t):
+        """exp(-i t H), batched over the axes of an array t."""
         if self._eig is None:
             spec = qcore.hermitian_eigensystem(self.free_hamiltonian)
             self._eig = (spec.eigenvalues, spec.eigenvectors)
-        w, v = self._eig
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
+        return _spectral_unitary(*self._eig, t)
 
     def apply_collision(self, x):
         return sum(t @ x @ t.conj().T for t in self.collision)
 
     def collision_superoperator(self):
         return sum(np.kron(t.conj(), t) for t in self.collision)
-
-
-def dual_trace_check(kraus, channel_tol=1e-8, unital_tol=1e-10):
-    """Trace preservation of the dual collision map.
-
-    Tr[E*[A]] = Tr[A] on an operator basis is equivalent to
-    sum T T^dag = I, so this simply delegates to the unitality check.
-    """
-    return quantumness.unitality_check(kraus, channel_tol=channel_tol, unital_tol=unital_tol)
 
 
 def _series_chain(model, x0, times, step=None, n_max=None, tail_tol=1e-8):
@@ -407,41 +448,61 @@ def _deterministic_chain(model, x0, times):
     return out
 
 
+def _event_times(waiting, rng, t_max):
+    """Collision times of one renewal path up to and including t_max."""
+    events = []
+    elapsed = waiting.sample(rng)
+    while elapsed <= t_max:
+        events.append(elapsed)
+        elapsed += waiting.sample(rng)
+    return np.asarray(events, dtype=float)
+
+
+def _chain_snapshots(model, x0, times, n_paths, seed):
+    """Collision-chain snapshots, yielded block by block as (paths, times, d, d).
+
+    Each block steps through its collisions together, x[:, j] holding
+    the state after j collisions; a snapshot at time t takes the state
+    after every collision at or before t, evolved freely since the last
+    of them.  Padded steps past a path's last collision are computed
+    but never read.
+    """
+    t_max = float(times.max()) if times.size else 0.0
+    for block in _path_blocks(n_paths):
+        events = [_event_times(model.waiting, path_rng(seed, p), t_max) for p in block]
+        # time of the j-th collision, 0 for j = 0
+        hit = np.concatenate([np.zeros((len(block), 1)), _padded(events, 0.0)], axis=1)
+        x = np.empty(hit.shape + x0.shape, dtype=complex)
+        x[:, 0] = x0
+        for j in range(1, hit.shape[1]):
+            u = model.free_unitary(hit[:, j] - hit[:, j - 1])
+            x[:, j] = model.apply_collision(u @ x[:, j - 1] @ _dagger(u))
+        applied = (_padded(events, np.inf)[:, None, :] <= times[:, None]).sum(axis=2)
+        rows = np.arange(len(block))[:, None]
+        u = model.free_unitary(times - hit[rows, applied])
+        yield u @ x[rows, applied] @ _dagger(u)
+
+
 def _monte_carlo_chain(model, x0, times, n_paths, seed):
     """Average of the random collision chain applied to x0.
 
     Returns (means, stderr) with stderr the aggregate elementwise
     standard-error scale sqrt(sum_ij Var / n_paths).
     """
-    times = np.asarray(times, dtype=float)
-    t_max = float(times.max()) if times.size else 0.0
-    d = model.dim
-    acc = np.zeros((times.size, d, d), dtype=complex)
-    acc_sq = np.zeros((times.size, d, d))
-    for p in range(n_paths):
-        rng = path_rng(seed, p)
-        event_times = []
-        elapsed = model.waiting.sample(rng)
-        while elapsed <= t_max:
-            event_times.append(elapsed)
-            elapsed += model.waiting.sample(rng)
-        x = np.asarray(x0, dtype=complex)
-        now = 0.0
-        ev = 0
-        for k, t in enumerate(times):
-            while ev < len(event_times) and event_times[ev] <= t:
-                u = model.free_unitary(event_times[ev] - now)
-                x = model.apply_collision(u @ x @ u.conj().T)
-                now = event_times[ev]
-                ev += 1
-            u = model.free_unitary(t - now)
-            snapshot = u @ x @ u.conj().T
-            acc[k] += snapshot
-            acc_sq[k] += snapshot.real ** 2 + snapshot.imag ** 2
-    mean = acc / n_paths
-    var = acc_sq / n_paths - (mean.real ** 2 + mean.imag ** 2)
-    stderr = np.sqrt(np.clip(var, 0.0, None).sum(axis=(1, 2)) / max(n_paths - 1, 1))
-    return [0.5 * (m + m.conj().T) for m in mean], stderr
+    x0 = np.asarray(x0, dtype=complex)
+    snapshots = _chain_snapshots(model, x0, np.asarray(times, dtype=float), n_paths, seed)
+    return _ensemble_moments(snapshots, n_paths)
+
+
+def _chain(model, x0, times, mode, n_paths, seed, step, n_max, tail_tol):
+    """The collision chain applied to x0 on a time grid, by series or Monte Carlo."""
+    if mode == "series":
+        return _series_chain(model, x0, times, step=step, n_max=n_max, tail_tol=tail_tol)
+    if mode == "monte-carlo":
+        if n_paths is None or seed is None:
+            raise ValueError("monte-carlo mode needs n_paths and seed")
+        return _monte_carlo_chain(model, x0, times, n_paths, seed)[0]
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def collisional_state(model, rho0, t, mode="series", n_paths=None, seed=None,
@@ -457,15 +518,7 @@ def collisional_state(model, rho0, t, mode="series", n_paths=None, seed=None,
 def collisional_states(model, rho0, times, mode="series", n_paths=None, seed=None,
                        step=None, n_max=None, tail_tol=1e-8):
     """States on a time grid, by deterministic series or Monte Carlo."""
-    rho0 = state_matrix(rho0)
-    if mode == "series":
-        mats = _series_chain(model, rho0, times, step=step, n_max=n_max, tail_tol=tail_tol)
-    elif mode == "monte-carlo":
-        if n_paths is None or seed is None:
-            raise ValueError("monte-carlo mode needs n_paths and seed")
-        mats, _ = _monte_carlo_chain(model, rho0, times, n_paths, seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    mats = _chain(model, state_matrix(rho0), times, mode, n_paths, seed, step, n_max, tail_tol)
     # series-mode snapshots carry the quadrature error of the chain
     return [QuantumState(0.5 * (m + m.conj().T), tol=2e-4) for m in mats]
 
@@ -480,13 +533,6 @@ def collisional_q(model, rho0, times, mode="series", n_paths=None, seed=None,
     """
     rho0 = state_matrix(rho0)
     eye = np.eye(model.dim, dtype=complex)
-    if mode == "series":
-        mats = _series_chain(model, eye, times, step=step, n_max=n_max, tail_tol=tail_tol)
-    elif mode == "monte-carlo":
-        if n_paths is None or seed is None:
-            raise ValueError("monte-carlo mode needs n_paths and seed")
-        mats, _ = _monte_carlo_chain(model, eye, times, n_paths, seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    mats = _chain(model, eye, times, mode, n_paths, seed, step, n_max, tail_tol)
     values = [np.trace(rho0 @ m).real for m in mats]
     return quantumness.QuantumnessSeries(times, values, model.dim, bound_tol=bound_tol)

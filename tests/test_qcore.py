@@ -194,6 +194,21 @@ def test_state_validation():
         QuantumState(np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         QuantumState(np.diag([1.5, -0.5]))  # negative eigenvalue
+    with pytest.raises(ValueError, match="non-finite"):
+        QuantumState(np.array([[0.5, np.nan], [np.nan, 0.5]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        QuantumState(np.diag([np.inf, 1.0]))
+
+
+def test_require_hermitian():
+    m = np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -0.5]])
+    assert np.array_equal(qcore.require_hermitian(m), m)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        qcore.require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        qcore.require_hermitian(np.diag([np.inf, 1.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        qcore.require_hermitian(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def test_vectorization_convention():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from envq import dynamics, qcore, stochastic
+from envq import dynamics, qcore, quantumness, stochastic
 from envq.qcore import QuantumState
 
 
@@ -11,6 +11,19 @@ def unitary(angle, axis):
 
 # ---------------------------------------------------------------------------
 # noise paths
+
+def test_noise_process_validation():
+    with pytest.raises(ValueError, match="unknown noise family"):
+        stochastic.NoiseProcess("pink", 1.0, 0.5, qcore.sigma_z)
+    with pytest.raises(ValueError, match="nonnegative"):
+        stochastic.NoiseProcess("gaussian-white", 1.0, -0.5, qcore.sigma_z)
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        stochastic.NoiseProcess("gaussian-white", np.nan, 0.0, qcore.sigma_z)
+    with pytest.raises(ValueError, match="correlation_time must be finite"):
+        stochastic.NoiseProcess("telegraph", 1.0, np.inf, qcore.sigma_z)
+    with pytest.raises(ValueError, match="non-finite"):
+        stochastic.NoiseProcess("telegraph", 1.0, 0.5, np.diag([np.nan, 1.0]))
+
 
 def test_zero_amplitude_path_is_zero():
     proc = stochastic.NoiseProcess("gaussian-white", 0.0, 0.0, qcore.sigma_x)
@@ -120,6 +133,79 @@ def test_white_noise_dephasing_matches_lindblad():
         assert qcore.trace_distance(states[k], exact) <= 3.0 * stderr[k]
 
 
+def reference_path_unitaries(h0, coupling, path, times):
+    """Per-path, per-segment expm loop the batched engine must reproduce."""
+    out = np.empty((len(times),) + h0.shape, dtype=complex)
+    u = np.eye(h0.shape[0], dtype=complex)
+    k = 0
+    start = 0.0
+    eps = 1e-12 * max(path.t_max, 1.0)
+    for dur, x in zip(path.durations, path.values):
+        while k < len(times) and times[k] <= start + dur + eps:
+            out[k] = qcore.matrix_exponential(-1j * (times[k] - start) * (h0 + x * coupling)) @ u
+            k += 1
+        u = qcore.matrix_exponential(-1j * dur * (h0 + x * coupling)) @ u
+        start += dur
+    assert k == len(times)
+    return out
+
+
+def noise_setup(family, commuting):
+    tc = 0.0 if family == "gaussian-white" else 0.5
+    if commuting:
+        h0, coupling = 0.45 * qcore.sigma_z, qcore.sigma_z
+    else:
+        h0 = 0.45 * qcore.sigma_z + 0.3 * qcore.sigma_x
+        coupling = np.cos(0.7) * qcore.sigma_x + np.sin(0.7) * qcore.sigma_y
+    return stochastic.NoiseProcess(family, 1.3, tc, coupling), h0
+
+
+@pytest.mark.parametrize("commuting", [True, False], ids=["commuting", "non-commuting"])
+@pytest.mark.parametrize("family", stochastic.NOISE_FAMILIES)
+def test_path_engine_matches_segment_loop(family, commuting, monkeypatch):
+    # blocks of 3 over 7 paths: unequal padding within and across blocks
+    monkeypatch.setattr(stochastic, "PATH_BLOCK", 3)
+    proc, h0 = noise_setup(family, commuting)
+    rho0 = qcore.random_state(2, np.random.default_rng(8)).matrix
+    dt, t_max, n_paths, seed = 0.05, 1.0, 7, 32  # telegraph paths of 1 to 4 segments
+    first = stochastic.sample_noise_path(proc, t_max, dt, seed, path_index=0)
+    assert first.durations.size > 1
+    boundary = np.cumsum(first.durations)[0]  # on a segment end of path 0
+    times = np.array(sorted([0.0, 0.123, 0.35, boundary, 0.61, t_max]))
+    paths = [stochastic.sample_noise_path(proc, t_max, dt, seed, path_index=p)
+             for p in range(n_paths)]
+    ref = np.array([reference_path_unitaries(h0, proc.coupling, path, times) for path in paths])
+    got = np.concatenate(list(stochastic._path_unitaries(proc, h0, times, n_paths, seed, dt)))
+    assert np.abs(got - ref).max() < 1e-12
+    # both reductions against the reference unitaries
+    series, stderr = stochastic.stochastic_q(proc, h0, rho0, times, n_paths, seed, dt=dt)
+    q_ref = np.trace(np.swapaxes(ref.conj(), -1, -2) @ rho0 @ ref, axis1=-2, axis2=-1).real
+    assert np.abs(series.values - q_ref.mean(axis=0)).max() < 1e-12
+    assert np.abs(stderr - q_ref.std(axis=0, ddof=1) / np.sqrt(n_paths)).max() < 1e-12
+    states, stderr = stochastic.stochastic_average_state(proc, h0, rho0, times, n_paths, seed,
+                                                         dt=dt)
+    r = ref @ rho0 @ np.swapaxes(ref.conj(), -1, -2)
+    mean = r.mean(axis=0)
+    var = np.clip((np.abs(r) ** 2).mean(axis=0) - np.abs(mean) ** 2, 0.0, None)
+    assert np.abs(np.array(states) - mean).max() < 1e-12
+    # squared: the square root amplifies roundoff where the spread vanishes (t = 0)
+    assert np.abs(stderr ** 2 - var.sum(axis=(1, 2)) / (n_paths - 1)).max() < 1e-12
+    # the same seed gives the same bits
+    again, _ = stochastic.stochastic_average_state(proc, h0, rho0, times, n_paths, seed, dt=dt)
+    assert all(np.array_equal(a, b) for a, b in zip(states, again))
+
+
+def test_monte_carlo_rejects_empty_ensemble():
+    proc, h0 = noise_setup("telegraph", False)
+    rho0 = QuantumState.maximally_mixed(2)
+    times = np.linspace(0.0, 1.0, 3)
+    for fn in (stochastic.stochastic_q, stochastic.stochastic_average_state):
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            fn(proc, h0, rho0, times, 0, seed=1)
+    with pytest.raises(ValueError, match="n_paths must be at least 1"):
+        stochastic.collisional_q(exp_model(), rho0, times, mode="monte-carlo", n_paths=0, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # waiting times
 
@@ -145,12 +231,23 @@ def test_waiting_time_statistics():
     )
     with pytest.raises(ValueError):
         stochastic.WaitingTime("gamma", rate=1.0, shape=0.5)
+    with pytest.raises(ValueError, match="rate must be finite"):
+        stochastic.WaitingTime("exponential", rate=np.inf)
+    with pytest.raises(ValueError, match="shape must be finite"):
+        stochastic.WaitingTime("gamma", rate=1.0, shape=np.nan)
+    with pytest.raises(ValueError, match="period must be finite"):
+        stochastic.WaitingTime("deterministic", period=np.inf)
 
 
 def test_collisional_model_validates_channel():
     with pytest.raises(ValueError, match="not a channel"):
         stochastic.CollisionalModel(
             0.5 * qcore.sigma_z, [0.9 * np.eye(2)],
+            stochastic.WaitingTime("exponential", rate=1.0),
+        )
+    with pytest.raises(ValueError, match="Kraus operator has a non-finite entry"):
+        stochastic.CollisionalModel(
+            0.5 * qcore.sigma_z, [np.diag([1.0, np.nan])],
             stochastic.WaitingTime("exponential", rate=1.0),
         )
 
@@ -241,6 +338,63 @@ def test_collisional_q_amplitude_damping_departs():
     assert series.values[-1] == pytest.approx(1.63212, abs=2e-3)
 
 
+def reference_monte_carlo_chain(model, x0, times, n_paths, seed):
+    """Per-path collision loop the batched chain must reproduce."""
+    t_max = float(times.max())
+    d = model.dim
+    snapshots = np.empty((n_paths, times.size, d, d), dtype=complex)
+    for p in range(n_paths):
+        rng = stochastic.path_rng(seed, p)
+        event_times = []
+        elapsed = model.waiting.sample(rng)
+        while elapsed <= t_max:
+            event_times.append(elapsed)
+            elapsed += model.waiting.sample(rng)
+        x = np.asarray(x0, dtype=complex)
+        now = 0.0
+        ev = 0
+        for k, t in enumerate(times):
+            while ev < len(event_times) and event_times[ev] <= t:
+                u = model.free_unitary(event_times[ev] - now)
+                x = model.apply_collision(u @ x @ u.conj().T)
+                now = event_times[ev]
+                ev += 1
+            u = model.free_unitary(t - now)
+            snapshots[p, k] = u @ x @ u.conj().T
+    mean = snapshots.mean(axis=0)
+    var = (np.abs(snapshots) ** 2).mean(axis=0) - np.abs(mean) ** 2
+    return mean, np.sqrt(np.clip(var, 0.0, None).sum(axis=(1, 2)) / max(n_paths - 1, 1))
+
+
+@pytest.mark.parametrize("waiting", ["exponential", "gamma", "deterministic"])
+def test_monte_carlo_chain_matches_path_loop(waiting, monkeypatch):
+    monkeypatch.setattr(stochastic, "PATH_BLOCK", 3)
+    damping = [np.array([[1.0, 0.0], [0.0, np.sqrt(0.6)]]),
+               np.array([[0.0, np.sqrt(0.4)], [0.0, 0.0]])]
+    model = stochastic.CollisionalModel(
+        0.45 * qcore.sigma_z + 0.2 * qcore.sigma_x,
+        damping if waiting == "gamma" else [unitary(0.8, qcore.sigma_y)],
+        {"exponential": stochastic.WaitingTime("exponential", rate=1.5),
+         "gamma": stochastic.WaitingTime("gamma", rate=2.0, shape=2.0),
+         "deterministic": stochastic.WaitingTime("deterministic", period=0.5)}[waiting],
+    )
+    rho0 = qcore.random_state(2, np.random.default_rng(9)).matrix
+    n_paths, seed = 7, 13
+    # deterministic collisions land exactly on the grid; otherwise put one
+    # grid time exactly on the second collision of path 0
+    times = np.linspace(0.0, 2.0, 5)
+    if waiting != "deterministic":
+        rng = stochastic.path_rng(seed, 0)
+        hit = model.waiting.sample(rng) + model.waiting.sample(rng)
+        times = np.sort(np.append(times[:-1], [hit, 2.0]))
+    ref_mean, ref_stderr = reference_monte_carlo_chain(model, rho0, times, n_paths, seed)
+    means, stderr = stochastic._monte_carlo_chain(model, rho0, times, n_paths, seed)
+    assert np.abs(np.array(means) - ref_mean).max() < 1e-12
+    assert np.abs(stderr ** 2 - ref_stderr ** 2).max() < 1e-12
+    again, _ = stochastic._monte_carlo_chain(model, rho0, times, n_paths, seed)
+    assert all(np.array_equal(a, b) for a, b in zip(means, again))
+
+
 def test_collisional_q_monte_carlo_mode():
     rng = np.random.default_rng(6)
     rho0 = qcore.random_state(2, rng)
@@ -271,12 +425,12 @@ def test_series_truncation_controls():
 
 
 def test_dual_trace_check():
-    ok, _ = stochastic.dual_trace_check([unitary(0.4, qcore.sigma_z)])
+    ok, _ = quantumness.unitality_check([unitary(0.4, qcore.sigma_z)])
     assert ok
     mix = [np.sqrt(0.4) * unitary(0.3, qcore.sigma_x), np.sqrt(0.6) * unitary(1.1, qcore.sigma_y)]
-    ok, _ = stochastic.dual_trace_check(mix)
+    ok, _ = quantumness.unitality_check(mix)
     assert ok
     damping = [np.array([[1.0, 0.0], [0.0, np.sqrt(0.5)]]),
                np.array([[0.0, np.sqrt(0.5)], [0.0, 0.0]])]
-    ok, resid = stochastic.dual_trace_check(damping)
+    ok, resid = quantumness.unitality_check(damping)
     assert not ok and resid > 0.1
