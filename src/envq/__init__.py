@@ -22,7 +22,6 @@ from .microscopic import (
     JointModel,
     dual_map_apply,
     hamiltonian_ensemble_reduction,
-    joint_hamiltonian,
     q_derivative,
     quantumness_direct,
     quantumness_via_dual,

@@ -286,7 +286,7 @@ def criterion_classicality(seed=107):
             cm = stochastic.CollisionalModel(0.5 * qcore.sigma_z, kraus, waiting)
             qs = stochastic.collisional_q(
                 cm, rho0b, np.linspace(0.0, 3.0, 13),
-                mode="series", step=waiting.mean() / 200.0, tail_tol=1e-11,
+                mode="series", step=waiting.mean() / 200.0,
             )
             worst_coll = max(worst_coll, np.abs(qs.values - 1.0).max())
     # (d) unitality check <-> flat series, on generated channel families

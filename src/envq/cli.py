@@ -10,7 +10,6 @@ acceptance suite).  Exit codes: 0 success, 1 failed verification,
 import argparse
 import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -132,8 +131,7 @@ def cmd_sweep(cfg, out_path):
     if param not in {f.name for f in dataclasses.fields(obj)}:
         raise ConfigError(f"unknown sweep parameter {param!r} for {kind}")
     values = cfg.sweep_values or []
-    with ThreadPoolExecutor() as pool:
-        rows = list(pool.map(lambda v: _sweep_point(kind, obj, param, v), values))
+    rows = [_sweep_point(kind, obj, param, v) for v in values]
     with_conc = any(c is not None for _, c in rows)
     header = f"{param},dq,concurrence" if with_conc else f"{param},dq"
     lines = [header]

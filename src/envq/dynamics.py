@@ -163,21 +163,6 @@ def dual_liouvillian(model, sparse=None):
     return Superoperator(gen, model.dim, kind="dual")
 
 
-def _time_grid(times):
-    """Validated 1d grid of finite, non-negative, ascending times."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError(f"times must be a 1d sequence, got shape {times.shape}")
-    bad = ~np.isfinite(times) | (times < 0.0)
-    if bad.any():
-        raise ValueError(f"times must be finite and non-negative, got {times[bad][0]}")
-    back = np.flatnonzero(np.diff(times) < 0.0)
-    if back.size:
-        k = back[0]
-        raise ValueError(f"times must be ascending: {times[k + 1]} follows {times[k]}")
-    return times
-
-
 def _expm_pays(g, steps, distinct):
     """Whether one dense expm per distinct step beats expm_multiply on every step.
 
@@ -207,7 +192,7 @@ def propagate_series(g, x0, times, trace_tol=1e-10):
     x0 = as_operator(x0, "x0")
     if x0.shape[0] != g.dim:
         raise ValueError(f"operator dimension {x0.shape[0]} != superoperator dim {g.dim}")
-    times = _time_grid(times)
+    times = qcore.time_grid(times)
     steps = np.diff(times, prepend=0.0)
     longest = steps.max(initial=0.0)
     keys = np.round(steps / longest, 12) if longest > 0.0 else steps

@@ -69,11 +69,6 @@ class JointModel:
         return (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T
 
 
-def joint_hamiltonian(model):
-    """Total Hamiltonian of a :class:`JointModel`."""
-    return model.hamiltonian()
-
-
 def _embed_system(model, a):
     return tensor_product(as_operator(a, "system operator"), identity(model.dim_e))
 

@@ -149,12 +149,12 @@ def memory_c(p, t):
     return out
 
 
-def volterra_solve(kernel, t_max, step, richardson=True):
+def volterra_solve(kernel, t_max, step):
     """Product-trapezoidal solution of the memory-kernel equation.
 
-    Returns (grid, c) on a uniform grid of spacing ``step``.  With
-    ``richardson=True`` the solver runs at step and step/2 and
-    extrapolates, which upgrades the trapezoidal order by two.
+    Returns (grid, c) on a uniform grid of spacing ``step``.  The solver
+    runs at step and step/2 and Richardson-extrapolates, which upgrades
+    the trapezoidal order by two.
     """
     def run(h, n):
         ts = h * np.arange(n + 1)
@@ -174,8 +174,6 @@ def volterra_solve(kernel, t_max, step, richardson=True):
 
     n = max(1, int(round(t_max / step)))
     ts, coarse = run(step, n)
-    if not richardson:
-        return ts, coarse
     _, fine = run(step / 2.0, 2 * n)
     return ts, (4.0 * fine[::2] - coarse) / 3.0
 

@@ -84,6 +84,21 @@ def require_finite(m, name="operator"):
     return a
 
 
+def time_grid(times):
+    """Validated 1d grid of finite, non-negative, ascending times."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1d sequence, got shape {times.shape}")
+    bad = ~np.isfinite(times) | (times < 0.0)
+    if bad.any():
+        raise ValueError(f"times must be finite and non-negative, got {times[bad][0]}")
+    back = np.flatnonzero(np.diff(times) < 0.0)
+    if back.size:
+        k = back[0]
+        raise ValueError(f"times must be ascending: {times[k + 1]} follows {times[k]}")
+    return times
+
+
 def is_hermitian(m, tol=VALID_TOL):
     m = np.asarray(m)
     return np.abs(m - m.conj().T).max() <= tol

@@ -23,6 +23,11 @@ stochastic_average_state reduce.  A collisional block merges each path's
 collision times with the grid (a collision at a grid time acts before
 the snapshot there), builds the free unitaries from the model's cached
 eigensystem, and applies the j-th collision of every path in one step.
+
+The deterministic series mode solves the renewal (second-kind Volterra)
+equation for the collision-arrival density by one product-trapezoid
+forward substitution on a uniform grid, which sums every collision
+count at once, so there is no truncated tail to bound.
 """
 
 from dataclasses import dataclass, field
@@ -198,16 +203,27 @@ def _ensemble_inputs(process, base_h, rho0, times, dt):
     return h0, state_matrix(rho0), times, _default_dt(process, times) if dt is None else dt
 
 
-def _ensemble_moments(blocks, n_paths):
+def _ensemble_moments(blocks):
     """Hermitized means over (paths, times, d, d) blocks and the aggregate
-    stderr sqrt(sum_ij Var / n_paths) per time."""
-    acc = acc_sq = 0.0
+    stderr sqrt(sum_ij Var / n_paths) per time.
+
+    Deviations are taken from each block's mean and the blocks merged by
+    Chan's update: a one-pass E|r|^2 - |E r|^2 reports about 1e-9 of
+    spread, from cancellation roundoff, where every path agrees.
+    """
+    n = 0
+    acc = m2 = 0.0
     for r in blocks:
-        acc = acc + r.sum(axis=0)
-        acc_sq = acc_sq + (r.real ** 2 + r.imag ** 2).sum(axis=0)
-    mean = acc / n_paths
-    var = acc_sq / n_paths - (mean.real ** 2 + mean.imag ** 2)
-    stderr = np.sqrt(np.clip(var, 0.0, None).sum(axis=(1, 2)) / max(n_paths - 1, 1))
+        nb = r.shape[0]
+        sb = r.sum(axis=0)
+        dev = r - sb / nb
+        m2b = (dev.real ** 2 + dev.imag ** 2).sum(axis=0)
+        if n:
+            delta = sb / nb - acc / n
+            m2b += (delta.real ** 2 + delta.imag ** 2) * (n * nb / (n + nb))
+        acc, m2, n = acc + sb, m2 + m2b, n + nb
+    mean = acc / n
+    stderr = np.sqrt(m2.sum(axis=(1, 2)) / n / max(n - 1, 1))
     return [0.5 * (m + m.conj().T) for m in mean], stderr
 
 
@@ -238,7 +254,7 @@ def stochastic_average_state(process, base_h, rho0, times, n_paths, seed, dt=Non
     """
     h0, rho0, times, dt = _ensemble_inputs(process, base_h, rho0, times, dt)
     states = (u @ rho0 @ _dagger(u) for u in _path_unitaries(process, h0, times, n_paths, seed, dt))
-    return _ensemble_moments(states, n_paths)
+    return _ensemble_moments(states)
 
 
 def _default_dt(process, times):
@@ -304,13 +320,6 @@ class WaitingTime:
             return scipy.stats.gamma.sf(t, a=self.shape, scale=1.0 / self.rate)
         return (t < self.period).astype(float)
 
-    def excess_event_prob(self, t, n):
-        """P(more than n collisions happen by time t)."""
-        if self.family == "deterministic":
-            return 1.0 if t >= (n + 1) * self.period else 0.0
-        a = (n + 1) * (self.shape if self.family == "gamma" else 1.0)
-        return float(scipy.stats.gamma.cdf(t, a=a, scale=1.0 / self.rate))
-
 
 # ---------------------------------------------------------------------------
 # collisional models
@@ -352,45 +361,35 @@ class CollisionalModel:
         return sum(np.kron(t.conj(), t) for t in self.collision)
 
 
-def _series_chain(model, x0, times, step=None, n_max=None, tail_tol=1e-8):
+def _series_chain(model, x0, times, step=None):
     """Deterministic renewal average of the collision chain applied to x0.
 
     Works on an internal uniform grid with a product-trapezoidal
-    convolution.  The survival weight is the discrete complement of the
-    quadrature cumulative, which makes the renewal telescoping exact on
-    the grid; with a trace-preserving dual collision the chain applied
-    to the identity then stays the identity to roundoff.
+    convolution.  The collision-arrival density solves the second-kind
+    Volterra equation b = b_1 + K*b; the trapezoid rule turns it into a
+    forward substitution, one application of (I - h/2 K_0)^-1 per grid
+    step, which is the sum of every iterated convolution of the rule.  The survival
+    weight is the discrete complement of the quadrature cumulative.
+    With a trace-preserving dual collision the chain applied to the
+    identity stays the identity only up to the quadrature error of the
+    rule, not to roundoff: where the waiting density is nonzero at 0,
+    |Tr C_t[I] - d| up to t = 3 is 1.2e-9 for exponential waiting at
+    step = mean/100 and 7.8e-11 at mean/200; for gamma waiting of shape
+    2 it is about 1e-15.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be nonnegative")
     t_max = float(times.max()) if times.size else 0.0
     w = model.waiting
     if w.family == "deterministic":
         return _deterministic_chain(model, x0, times)
-    mean = w.mean()
     if step is None:
-        step = mean / 100.0
+        step = w.mean() / 100.0
     n_grid = max(2, int(np.ceil(t_max / step)))
     if n_grid > 60000:
         raise ValueError("series grid too fine; raise step or lower t_max")
     grid = step * np.arange(n_grid + 1)
-    if n_max is None:
-        n_max = 1
-        while w.excess_event_prob(grid[-1], n_max) > tail_tol:
-            n_max += 1
-            if n_max > 500:
-                raise ValueError("waiting tail does not close below the tolerance")
-    elif w.excess_event_prob(grid[-1], n_max) > tail_tol:
-        raise ValueError(
-            f"n_max={n_max} leaves tail probability "
-            f"{w.excess_event_prob(grid[-1], n_max):.2e} > {tail_tol:.0e}"
-        )
     d = model.dim
-    free = np.empty((n_grid + 1, d * d, d * d), dtype=complex)
-    for k, t in enumerate(grid):
-        u = model.free_unitary(t)
-        free[k] = np.kron(u.conj(), u)
+    u = model.free_unitary(grid)
+    free = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, d * d, d * d)
     wk = w.pdf(grid)
     # discrete complement of the trapezoidal cumulative
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (wk[1:] + wk[:-1]) * step)])
@@ -398,19 +397,13 @@ def _series_chain(model, x0, times, step=None, n_max=None, tail_tol=1e-8):
     e_mat = model.collision_superoperator()
     kern = wk[:, None, None] * np.einsum("ab,kbc->kac", e_mat, free)
     v0 = vec(x0)
-    b = np.einsum("kab,b->ka", kern, v0)  # collision-arrival density on the grid
-    b_total = b.copy()
-    for _ in range(1, n_max):
-        nxt = np.zeros_like(b)
-        for k in range(1, n_grid + 1):
-            # trapezoid over j of kern[k-j] b[j]: interior sum plus half-endpoints
-            conv = np.einsum("jab,jb->a", kern[k - 1::-1], b[1:k + 1])
-            conv += 0.5 * (kern[k] @ b[0] - kern[0] @ b[k])
-            nxt[k] = step * conv
-        b = nxt
-        b_total += b
-        if np.abs(b).max() * mean < 1e-14 * max(np.abs(v0).max(), 1.0):
-            break
+    b = np.einsum("kab,b->ka", kern, v0)  # first arrivals; overwritten by all arrivals
+    # d^2 x d^2 and, at h w(0) << 1, close to the identity: one inverse serves every step
+    implicit = np.linalg.inv(np.eye(d * d) - 0.5 * step * kern[0])
+    for k in range(1, n_grid + 1):
+        # trapezoid over j of kern[k-j] b[j], the unknown j = k endpoint moved left
+        conv = 0.5 * kern[k] @ b[0] + np.einsum("jab,jb->a", kern[k - 1:0:-1], b[1:k])
+        b[k] = implicit @ (b[k] + step * conv)
     out = np.empty((n_grid + 1, d * d), dtype=complex)
     for k in range(n_grid + 1):
         direct = surv[k] * (free[k] @ v0)
@@ -418,8 +411,8 @@ def _series_chain(model, x0, times, step=None, n_max=None, tail_tol=1e-8):
             out[k] = direct
             continue
         sk = surv[: k + 1][::-1, None, None] * free[k::-1]
-        conv = np.einsum("jab,jb->a", sk[: k + 1], b_total[: k + 1])
-        conv -= 0.5 * (sk[0] @ b_total[0] + sk[k] @ b_total[k])
+        conv = np.einsum("jab,jb->a", sk[: k + 1], b[: k + 1])
+        conv -= 0.5 * (sk[0] @ b[0] + sk[k] @ b[k])
         out[k] = direct + step * conv
     result = np.empty((times.size, d * d), dtype=complex)
     for c in range(d * d):
@@ -491,13 +484,16 @@ def _monte_carlo_chain(model, x0, times, n_paths, seed):
     """
     x0 = np.asarray(x0, dtype=complex)
     snapshots = _chain_snapshots(model, x0, np.asarray(times, dtype=float), n_paths, seed)
-    return _ensemble_moments(snapshots, n_paths)
+    return _ensemble_moments(snapshots)
 
 
-def _chain(model, x0, times, mode, n_paths, seed, step, n_max, tail_tol):
+def _chain(model, x0, times, mode, n_paths, seed, step):
     """The collision chain applied to x0 on a time grid, by series or Monte Carlo."""
+    times = qcore.time_grid(times)
+    if step is not None and not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
     if mode == "series":
-        return _series_chain(model, x0, times, step=step, n_max=n_max, tail_tol=tail_tol)
+        return _series_chain(model, x0, times, step=step)
     if mode == "monte-carlo":
         if n_paths is None or seed is None:
             raise ValueError("monte-carlo mode needs n_paths and seed")
@@ -505,34 +501,31 @@ def _chain(model, x0, times, mode, n_paths, seed, step, n_max, tail_tol):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def collisional_state(model, rho0, t, mode="series", n_paths=None, seed=None,
-                      step=None, n_max=None, tail_tol=1e-8):
+def collisional_state(model, rho0, t, mode="series", n_paths=None, seed=None, step=None):
     """System state of the collisional dynamics at one time."""
-    states = collisional_states(
-        model, rho0, [t], mode=mode, n_paths=n_paths, seed=seed, step=step,
-        n_max=n_max, tail_tol=tail_tol,
-    )
-    return states[0]
+    return collisional_states(model, rho0, [t], mode=mode, n_paths=n_paths, seed=seed,
+                              step=step)[0]
 
 
-def collisional_states(model, rho0, times, mode="series", n_paths=None, seed=None,
-                       step=None, n_max=None, tail_tol=1e-8):
+def collisional_states(model, rho0, times, mode="series", n_paths=None, seed=None, step=None):
     """States on a time grid, by deterministic series or Monte Carlo."""
-    mats = _chain(model, state_matrix(rho0), times, mode, n_paths, seed, step, n_max, tail_tol)
+    mats = _chain(model, state_matrix(rho0), times, mode, n_paths, seed, step)
     # series-mode snapshots carry the quadrature error of the chain
     return [QuantumState(0.5 * (m + m.conj().T), tol=2e-4) for m in mats]
 
 
 def collisional_q(model, rho0, times, mode="series", n_paths=None, seed=None,
-                  step=None, n_max=None, tail_tol=1e-8, bound_tol=1e-8):
+                  step=None, tail_tol=None, bound_tol=1e-8):
     """Quantumness series of the collisional dynamics.
 
     Uses the trace pairing: the dual-chain trace of rho0 equals
     Tr[rho0 C_t[I]] with C_t the forward chain applied to the identity,
-    so a single chain evaluation serves the whole series.
+    so a single chain evaluation serves the whole series.  ``tail_tol``
+    is accepted and ignored: the series mode solves the renewal equation
+    exactly on its grid, so there is no truncated tail left to bound.
     """
     rho0 = state_matrix(rho0)
     eye = np.eye(model.dim, dtype=complex)
-    mats = _chain(model, eye, times, mode, n_paths, seed, step, n_max, tail_tol)
+    mats = _chain(model, eye, times, mode, n_paths, seed, step)
     values = [np.trace(rho0 @ m).real for m in mats]
     return quantumness.QuantumnessSeries(times, values, model.dim, bound_tol=bound_tol)

@@ -221,14 +221,6 @@ def test_waiting_time_statistics():
     det = stochastic.WaitingTime("deterministic", period=0.8)
     assert det.sample(rng) == 0.8
     assert det.survival(0.5) == 1.0 and det.survival(0.9) == 0.0
-    assert det.excess_event_prob(1.7, 1) == 1.0
-    assert det.excess_event_prob(1.5, 1) == 0.0
-    # exponential excess probability equals the Poisson tail
-    from scipy.stats import poisson
-    t, n = 2.5, 4
-    assert exp.excess_event_prob(t, n) == pytest.approx(
-        1.0 - poisson.cdf(n, 2.0 * t), abs=1e-12
-    )
     with pytest.raises(ValueError):
         stochastic.WaitingTime("gamma", rate=1.0, shape=0.5)
     with pytest.raises(ValueError, match="rate must be finite"):
@@ -316,26 +308,34 @@ def test_collisional_q_unital_families():
     ):
         m = stochastic.CollisionalModel(0.45 * qcore.sigma_z, [qcore.sigma_x], waiting)
         series = stochastic.collisional_q(m, rho0, times, mode="series",
-                                          step=waiting.mean() / 200.0, tail_tol=1e-11)
+                                          step=waiting.mean() / 200.0)
         assert np.abs(series.values - 1.0).max() < 1e-9
         assert series.values[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def amplitude_damping(eta):
+    return [np.array([[1.0, 0.0], [0.0, np.sqrt(1 - eta)]]),
+            np.array([[0.0, np.sqrt(eta)], [0.0, 0.0]])]
+
+
 def test_collisional_q_amplitude_damping_departs():
-    # non-unital collision: the dual chain loses trace; frozen reference
-    # values come from the series oracle itself
-    eta = 0.5
-    damping = [np.array([[1.0, 0.0], [0.0, np.sqrt(1 - eta)]]),
-               np.array([[0.0, np.sqrt(eta)], [0.0, 0.0]])]
+    # non-unital collision with diagonal H: after n collisions C[I] =
+    # diag(2 - (1 - eta)^n, (1 - eta)^n), and the Poisson average gives
+    # Q_t = 1 + (p0 - p1)(1 - exp(-rate eta t)) exactly
+    eta, rate = 0.5, 1.0
     m = stochastic.CollisionalModel(
-        0.45 * qcore.sigma_z, damping, stochastic.WaitingTime("exponential", rate=1.0)
+        0.45 * qcore.sigma_z, amplitude_damping(eta),
+        stochastic.WaitingTime("exponential", rate=rate),
     )
+    times = np.linspace(0.0, 3.0, 13)
     excited = QuantumState.pure(qcore.ket(2, 0))
-    series = stochastic.collisional_q(m, excited, np.array([0.0, 2.0]), mode="series")
-    assert abs(series.values[-1] - 1.0) > 0.05
-    # frozen from the series oracle, cross-checked against the
-    # Poisson-limit generator route (1.6321206)
-    assert series.values[-1] == pytest.approx(1.63212, abs=2e-3)
+    for rho0 in (excited, qcore.random_state(2, np.random.default_rng(7))):
+        p0, p1 = rho0.matrix[0, 0].real, rho0.matrix[1, 1].real
+        series = stochastic.collisional_q(m, rho0, times, mode="series")
+        exact = 1.0 + (p0 - p1) * (1.0 - np.exp(-rate * eta * times))
+        assert np.abs(series.values - exact).max() < 5e-4
+        if rho0 is excited:
+            assert series.values[-1] - 1.0 > 0.05
 
 
 def reference_monte_carlo_chain(model, x0, times, n_paths, seed):
@@ -395,6 +395,35 @@ def test_monte_carlo_chain_matches_path_loop(waiting, monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(means, again))
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"step": 0.0}, "step must be finite and positive, got 0.0"),
+    ({"step": np.nan}, "step must be finite and positive, got nan"),
+    ({"step": -0.01}, "step must be finite and positive, got -0.01"),
+    ({"step": np.inf}, "step must be finite and positive, got inf"),
+    ({"times": [0.0, np.nan, 1.0]}, "times must be finite and non-negative, got nan"),
+    ({"times": [0.0, np.inf]}, "times must be finite and non-negative, got inf"),
+    ({"times": [-0.5, 1.0]}, "times must be finite and non-negative, got -0.5"),
+])
+@pytest.mark.parametrize("mode", ["series", "monte-carlo"])
+def test_collisional_rejects_bad_step_and_times(kwargs, match, mode):
+    args = {"times": np.linspace(0.0, 1.0, 3), "mode": mode, "n_paths": 5, "seed": 1, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        stochastic.collisional_q(exp_model(), QuantumState.maximally_mixed(2), **args)
+
+
+def test_agreeing_paths_report_no_spread():
+    # at t = 0 every chain snapshot is x0; without noise every path is the
+    # same unitary, so the true spread is 0 in both
+    rho0 = qcore.random_state(2, np.random.default_rng(3)).matrix
+    _, stderr = stochastic._monte_carlo_chain(exp_model(), rho0, np.array([0.0]), 7, seed=2)
+    assert stderr[0] <= 1e-14
+    proc = stochastic.NoiseProcess("gaussian-white", 0.0, 0.0, qcore.sigma_x)
+    _, stderr = stochastic.stochastic_average_state(
+        proc, 0.5 * qcore.sigma_z, rho0, np.linspace(0.0, 1.0, 5), 300, seed=4
+    )
+    assert stderr.max() <= 1e-14
+
+
 def test_collisional_q_monte_carlo_mode():
     rng = np.random.default_rng(6)
     rho0 = qcore.random_state(2, rng)
@@ -405,23 +434,67 @@ def test_collisional_q_monte_carlo_mode():
     assert np.abs(series.values - 1.0).max() < 1e-12
 
 
-def test_series_truncation_controls():
-    rng = np.random.default_rng(7)
-    rho0 = qcore.random_state(2, rng)
-    m = exp_model()
-    times = np.linspace(0.0, 3.0, 7)
-    with pytest.raises(ValueError, match="tail probability"):
-        stochastic.collisional_q(m, rho0, times, mode="series", n_max=2)
-    # n_max vs n_max + 5: difference bounded by the analytic tail
-    damping = [np.array([[1.0, 0.0], [0.0, np.sqrt(0.5)]]),
-               np.array([[0.0, np.sqrt(0.5)], [0.0, 0.0]])]
-    md = stochastic.CollisionalModel(
-        0.45 * qcore.sigma_z, damping, stochastic.WaitingTime("exponential", rate=1.0)
+def reference_neumann_chain(model, x0s, times, step):
+    """The renewal series as a sum of iterated product-trapezoid convolutions.
+
+    Orders are added until the last one falls below 1e-16, so the sum is
+    the limit the one-pass forward substitution must reproduce.  Returns
+    the chain applied to each operator of x0s, as (len(x0s), times, d, d).
+    """
+    w = model.waiting
+    n_grid = int(np.ceil(times.max() / step))
+    grid = step * np.arange(n_grid + 1)
+    d = model.dim
+    free = np.array([np.kron(model.free_unitary(t).conj(), model.free_unitary(t)) for t in grid])
+    wk = w.pdf(grid)
+    surv = np.clip(1.0 - np.concatenate([[0.0], np.cumsum(0.5 * (wk[1:] + wk[:-1]) * step)]),
+                   0.0, None)
+    kern = wk[:, None, None] * (model.collision_superoperator() @ free)
+    v0 = np.array([qcore.vec(x) for x in x0s]).T
+    b = kern @ v0
+    b_total = b.copy()
+    rev = np.ascontiguousarray(kern[::-1])  # rev[n_grid - i] = kern[i]
+    while np.abs(b).max() >= 1e-16:
+        nxt = np.zeros_like(b)
+        for k in range(1, n_grid + 1):
+            conv = np.tensordot(rev[n_grid - k + 1:], b[1:k + 1], axes=([0, 2], [0, 1]))
+            conv += 0.5 * (kern[k] @ b[0] - kern[0] @ b[k])
+            nxt[k] = step * conv
+        b = nxt
+        b_total += b
+    out = np.empty_like(b)
+    out[0] = surv[0] * free[0] @ v0
+    for k in range(1, n_grid + 1):
+        sk = surv[k::-1, None, None] * free[k::-1]
+        conv = np.tensordot(sk, b_total[:k + 1], axes=([0, 2], [0, 1]))
+        conv -= 0.5 * (sk[0] @ b_total[0] + sk[k] @ b_total[k])
+        out[k] = surv[k] * free[k] @ v0 + step * conv
+    at_times = np.empty((len(times),) + out.shape[1:], dtype=complex)
+    for c, m in np.ndindex(*out.shape[1:]):
+        at_times[:, c, m] = (np.interp(times, grid, out[:, c, m].real)
+                             + 1j * np.interp(times, grid, out[:, c, m].imag))
+    return np.array([[qcore.unvec(v, d) for v in at_times[:, :, m]] for m in range(len(x0s))])
+
+
+@pytest.mark.parametrize("collision", ["unital", "damping"])
+@pytest.mark.parametrize("waiting", ["exponential", "gamma"])
+def test_series_chain_matches_neumann_reference(waiting, collision):
+    model = stochastic.CollisionalModel(
+        0.45 * qcore.sigma_z + 0.2 * qcore.sigma_x,
+        [unitary(0.8, qcore.sigma_x)] if collision == "unital" else amplitude_damping(0.4),
+        {"exponential": stochastic.WaitingTime("exponential", rate=1.0),
+         "gamma": stochastic.WaitingTime("gamma", rate=2.0, shape=2.0)}[waiting],
     )
-    tail = md.waiting.excess_event_prob(3.0, 12)
-    a = stochastic.collisional_q(md, rho0, times, mode="series", n_max=12, tail_tol=tail * 1.01)
-    b = stochastic.collisional_q(md, rho0, times, mode="series", n_max=17)
-    assert np.abs(a.values - b.values).max() <= 2.0 * tail + 1e-12
+    step = model.waiting.mean() / 100.0
+    x0s = [np.eye(2, dtype=complex), qcore.random_state(2, np.random.default_rng(1)).matrix]
+    # the grid up to t = 3 is a prefix of the one up to t = 6, and the
+    # first 13 of these times are linspace(0, 3, 13)
+    times = np.linspace(0.0, 6.0, 25)
+    ref = reference_neumann_chain(model, x0s, times, step)
+    for x0, r in zip(x0s, ref):
+        for n in (13, 25):
+            got = stochastic._series_chain(model, x0, times[:n], step=step)
+            assert np.abs(np.array(got) - r[:n]).max() < 1e-11
 
 
 def test_dual_trace_check():
