@@ -159,17 +159,19 @@ def volterra_solve(kernel, t_max, step):
     def run(h, n):
         ts = h * np.arange(n + 1)
         f = np.asarray(kernel(ts), dtype=complex)
+        rev = np.ascontiguousarray(f[::-1])  # rev[n - i] = f[i]
         c = np.empty(n + 1, dtype=complex)
-        dc = np.empty(n + 1, dtype=complex)
-        c[0], dc[0] = 1.0, 0.0
-        denom = 1.0 + h * h * f[0] / 4.0
-        for k in range(1, n + 1):
-            s = 0.5 * f[k] * c[0]
-            if k > 1:
-                s += np.dot(f[k - 1:0:-1], c[1:k])
-            s *= -h
-            c[k] = (c[k - 1] + 0.5 * h * (dc[k - 1] + s)) / denom
-            dc[k] = s - 0.5 * h * f[0] * c[k]
+        c[0] = 1.0
+        # c_k and dc_k carried as Python scalars: numpy scalar arithmetic costs more
+        ck, dck, f0 = 1.0 + 0j, 0j, complex(f[0])
+        # numpy divides by a complex scalar through its reciprocal: so does this
+        scale = 1.0 / (1.0 + h * h * f0 / 4.0)
+        for k, fk in enumerate(f[1:].tolist(), start=1):
+            # sum_{j=1}^{k-1} f[k - j] c[j], then the trapezoid end term at j = 0
+            s = -h * (0.5 * fk + complex(np.dot(rev[n - k + 1:n], c[1:k])))
+            ck = (ck + 0.5 * h * (dck + s)) * scale
+            dck = s - 0.5 * h * f0 * ck
+            c[k] = ck
         return ts, c
 
     n = max(1, int(round(t_max / step)))

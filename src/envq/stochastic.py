@@ -129,14 +129,15 @@ def sample_noise_path(process, t_max, dt, seed, path_index=0):
         z = rng.standard_normal(n)
         values = a * z / np.sqrt(durations)
     else:  # ornstein-uhlenbeck, exact discretization from stationarity
-        tau = process.correlation_time
-        decay = np.exp(-durations / tau)
+        # imported here: scipy.signal adds about 0.13 s to every import of envq
+        from scipy.signal import lfilter
+        decay = np.exp(-durations / process.correlation_time)
         z = rng.standard_normal(n)
-        values = np.empty(n)
-        x = a * rng.standard_normal()
-        for k in range(n):
-            values[k] = x
-            x = x * decay[k] + a * np.sqrt(1.0 - decay[k] ** 2) * z[k]
+        kicks = a * np.sqrt(1.0 - decay ** 2) * z
+        # x[k+1] = decay x[k] + kicks[k]; only the steps before the last are
+        # read, and all of them last dt
+        start = a * rng.standard_normal()
+        values = lfilter([1.0], [1.0, -decay[0]], np.concatenate([[start], kicks[:-1]]))
     return NoisePath(durations, values)
 
 
@@ -376,8 +377,18 @@ def _series_chain(model, x0, times, step=None):
     |Tr C_t[I] - d| up to t = 3 is 1.2e-9 for exponential waiting at
     step = mean/100 and 7.8e-11 at mean/200; for gamma waiting of shape
     2 it is about 1e-15.
+
+    Both convolution stacks are held reversed and side by side, as
+    (d^2, (n+1) d^2) arrays whose column block i is the grid step n - i,
+    so every history sum is one matrix-vector product with a contiguous
+    column slice; h and the inverse are multiplied into the kernel stack
+    once.  The output is read only through linear interpolation at
+    ``times``, so it is convolved only at the grid nodes that bracket
+    them.
     """
-    t_max = float(times.max()) if times.size else 0.0
+    if not times.size:
+        return []
+    t_max = float(times.max())
     w = model.waiting
     if w.family == "deterministic":
         return _deterministic_chain(model, x0, times)
@@ -388,56 +399,64 @@ def _series_chain(model, x0, times, step=None):
         raise ValueError("series grid too fine; raise step or lower t_max")
     grid = step * np.arange(n_grid + 1)
     d = model.dim
-    u = model.free_unitary(grid)
-    free = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, d * d, d * d)
+    dd = d * d
+    u = model.free_unitary(grid[::-1])
+    free = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, dd, dd)
     wk = w.pdf(grid)
     # discrete complement of the trapezoidal cumulative
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (wk[1:] + wk[:-1]) * step)])
     surv = np.clip(1.0 - cdf, 0.0, None)
-    e_mat = model.collision_superoperator()
-    kern = wk[:, None, None] * np.einsum("ab,kbc->kac", e_mat, free)
+    # kern[:, i] = w(t) E free(t) and sfree[:, i] = surv(t) free(t) at t = grid[n - i]
+    kern = np.empty((dd, n_grid + 1, dd), dtype=complex)
+    np.einsum("k,ab,kbc->akc", wk[::-1], model.collision_superoperator(), free, out=kern)
+    sfree = np.empty_like(kern)
+    np.einsum("k,kbc->bkc", surv[::-1], free, out=sfree)
     v0 = vec(x0)
-    b = np.einsum("kab,b->ka", kern, v0)  # first arrivals; overwritten by all arrivals
+    first = (kern @ v0)[:, ::-1]  # first-arrival density, column k at grid[k]
+    half = 0.5 * (kern @ first[:, 0])[:, ::-1]  # trapezoid end terms K_k b_0 / 2
     # d^2 x d^2 and, at h w(0) << 1, close to the identity: one inverse serves every step
-    implicit = np.linalg.inv(np.eye(d * d) - 0.5 * step * kern[0])
+    implicit = np.linalg.inv(np.eye(dd) - 0.5 * step * kern[:, n_grid])
+    # b_k = implicit (first_k + h half_k + h sum_{j=1}^{k-1} K_{k-j} b_j): the
+    # trapezoid over j with the unknown j = k endpoint moved left
+    b = np.ascontiguousarray((implicit @ (first + step * half)).T)
+    b[0] = first[:, 0]
+    kern = step * (implicit @ kern.reshape(dd, -1))
     for k in range(1, n_grid + 1):
-        # trapezoid over j of kern[k-j] b[j], the unknown j = k endpoint moved left
-        conv = 0.5 * kern[k] @ b[0] + np.einsum("jab,jb->a", kern[k - 1:0:-1], b[1:k])
-        b[k] = implicit @ (b[k] + step * conv)
-    out = np.empty((n_grid + 1, d * d), dtype=complex)
-    for k in range(n_grid + 1):
-        direct = surv[k] * (free[k] @ v0)
-        if k == 0:
-            out[k] = direct
-            continue
-        sk = surv[: k + 1][::-1, None, None] * free[k::-1]
-        conv = np.einsum("jab,jb->a", sk[: k + 1], b[: k + 1])
-        conv -= 0.5 * (sk[0] @ b[0] + sk[k] @ b[k])
-        out[k] = direct + step * conv
-    result = np.empty((times.size, d * d), dtype=complex)
-    for c in range(d * d):
-        result[:, c] = np.interp(times, grid, out[:, c].real) + 1j * np.interp(
-            times, grid, out[:, c].imag
+        b[k] += kern[:, (n_grid - k + 1) * dd:n_grid * dd] @ b[1:k].ravel()
+    # np.interp reads a time's value from the node at or below it and the next
+    below = np.searchsorted(grid, times, side="right") - 1
+    nodes = np.unique(np.concatenate([below, np.minimum(below + 1, n_grid)]))
+    out = np.empty((nodes.size, dd), dtype=complex)
+    sfree_flat = sfree.reshape(dd, -1)
+    for i, k in enumerate(nodes):
+        out[i] = sfree[:, n_grid - k] @ v0
+        if k:
+            conv = sfree_flat[:, (n_grid - k) * dd:] @ b[:k + 1].ravel()
+            conv -= 0.5 * (sfree[:, n_grid - k] @ b[0] + sfree[:, n_grid] @ b[k])
+            out[i] += step * conv
+    result = np.empty((times.size, dd), dtype=complex)
+    xp = grid[nodes]
+    for c in range(dd):
+        result[:, c] = np.interp(times, xp, out[:, c].real) + 1j * np.interp(
+            times, xp, out[:, c].imag
         )
     return [unvec(r, d) for r in result]
 
 
 def _deterministic_chain(model, x0, times):
+    """The chain at ascending times, with a collision at every whole period."""
     period = model.waiting.period
+    u = model.free_unitary(period)
+    x, count = np.asarray(x0, dtype=complex), 0
     out = []
-    step_map_cache = {}
-    for t in np.asarray(times, dtype=float):
+    for t in times:
         n = int(np.floor((t + 1e-12 * period) / period))
-        if n not in step_map_cache:
-            x = np.asarray(x0, dtype=complex)
-            u = model.free_unitary(period)
-            for _ in range(n):
-                x = model.apply_collision(u @ x @ u.conj().T)
-            step_map_cache[n] = x
-        x = step_map_cache[n]
-        rest = t - n * period
-        u = model.free_unitary(rest)
-        out.append(u @ x @ u.conj().T)
+        # the counts ascend with the times, so step on from the last one
+        for _ in range(count, n):
+            x = model.apply_collision(u @ x @ u.conj().T)
+        count = n
+        v = model.free_unitary(t - n * period)
+        out.append(v @ x @ v.conj().T)
     return out
 
 

@@ -72,6 +72,44 @@ def test_volterra_against_closed_form():
     assert np.abs(c - closed).max() < 1e-6
 
 
+def reference_volterra_solve(kernel, t_max, step):
+    """The memory-kernel recursion on numpy arrays, one strided dot per step."""
+    def run(h, n):
+        ts = h * np.arange(n + 1)
+        f = np.asarray(kernel(ts), dtype=complex)
+        c = np.empty(n + 1, dtype=complex)
+        dc = np.empty(n + 1, dtype=complex)
+        c[0], dc[0] = 1.0, 0.0
+        denom = 1.0 + h * h * f[0] / 4.0
+        for k in range(1, n + 1):
+            s = 0.5 * f[k] * c[0]
+            if k > 1:
+                s += np.dot(f[k - 1:0:-1], c[1:k])
+            s *= -h
+            c[k] = (c[k - 1] + 0.5 * h * (dc[k - 1] + s)) / denom
+            dc[k] = s - 0.5 * h * f[0] * c[k]
+        return ts, c
+
+    n = max(1, int(round(t_max / step)))
+    ts, coarse = run(step, n)
+    _, fine = run(step / 2.0, 2 * n)
+    return ts, (4.0 * fine[::2] - coarse) / 3.0
+
+
+@pytest.mark.parametrize("params, t_max", [
+    (models.NonMarkovParams(1.0, 2.0), 8.0),
+    (models.NonMarkovParams(0.7, 0.45), 3.0),
+    (models.NonMarkovParams(1.3, 0.4), 6.0),
+    (models.NonMarkovParams(1.0, kernel="single-mode", coupling=0.9), 5.0),
+], ids=["lorentzian-t8", "lorentzian-t3", "lorentzian-t6", "single-mode"])
+def test_volterra_matches_array_loop(params, t_max):
+    step = params.tau_c / 100.0
+    grid, c = models.volterra_solve(params.kernel_function(), t_max, step)
+    ref_grid, ref = reference_volterra_solve(params.kernel_function(), t_max, step)
+    assert np.array_equal(grid, ref_grid)
+    assert np.abs(c - ref).max() < 1e-14
+
+
 def test_single_mode_kernel():
     p = models.NonMarkovParams(1.0, kernel="single-mode", coupling=0.9)
     t = np.linspace(0.0, 5.0, 21)

@@ -62,6 +62,32 @@ def test_ou_stationary_variance():
     assert abs(values.var() - amp ** 2) < 3.0 * stderr
 
 
+def reference_ou_values(process, t_max, dt, seed, path_index):
+    """Step-by-step Ornstein-Uhlenbeck recursion the filtered sampler must reproduce."""
+    rng = stochastic.path_rng(seed, path_index)
+    a = process.amplitude
+    n = int(np.ceil(t_max / dt))
+    durations = np.full(n, dt)
+    durations[-1] = t_max - dt * (n - 1)
+    decay = np.exp(-durations / process.correlation_time)
+    z = rng.standard_normal(n)
+    values = np.empty(n)
+    x = a * rng.standard_normal()
+    for k in range(n):
+        values[k] = x
+        x = x * decay[k] + a * np.sqrt(1.0 - decay[k] ** 2) * z[k]
+    return values
+
+
+@pytest.mark.parametrize("t_max, dt", [(3.0, 0.025), (2.0, 0.0297), (0.01, 0.05)],
+                         ids=["whole-steps", "short-last-step", "one-step"])
+def test_ou_sampler_matches_step_loop(t_max, dt):
+    proc = stochastic.NoiseProcess("ornstein-uhlenbeck", 1.3, 0.5, qcore.sigma_x)
+    for p in range(20):
+        path = stochastic.sample_noise_path(proc, t_max, dt, seed=17, path_index=p)
+        assert np.array_equal(path.values, reference_ou_values(proc, t_max, dt, 17, p))
+
+
 def test_white_noise_integral_variance():
     amp = 0.8
     proc = stochastic.NoiseProcess("gaussian-white", amp, 0.0, qcore.sigma_z)
@@ -495,6 +521,106 @@ def test_series_chain_matches_neumann_reference(waiting, collision):
         for n in (13, 25):
             got = stochastic._series_chain(model, x0, times[:n], step=step)
             assert np.abs(np.array(got) - r[:n]).max() < 1e-11
+
+
+def reference_series_chain(model, x0, times, step):
+    """The series chain with the output convolution evaluated at every grid node.
+
+    The forward substitution sums its history with one einsum per step,
+    and the output is interpolated from the full grid.
+    """
+    n_grid = max(2, int(np.ceil(times.max() / step)))
+    grid = step * np.arange(n_grid + 1)
+    d = model.dim
+    u = model.free_unitary(grid)
+    free = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, d * d, d * d)
+    wk = model.waiting.pdf(grid)
+    surv = np.clip(1.0 - np.concatenate([[0.0], np.cumsum(0.5 * (wk[1:] + wk[:-1]) * step)]),
+                   0.0, None)
+    kern = wk[:, None, None] * np.einsum("ab,kbc->kac", model.collision_superoperator(), free)
+    v0 = qcore.vec(x0)
+    b = np.einsum("kab,b->ka", kern, v0)
+    implicit = np.linalg.inv(np.eye(d * d) - 0.5 * step * kern[0])
+    for k in range(1, n_grid + 1):
+        conv = 0.5 * kern[k] @ b[0] + np.einsum("jab,jb->a", kern[k - 1:0:-1], b[1:k])
+        b[k] = implicit @ (b[k] + step * conv)
+    out = np.empty((n_grid + 1, d * d), dtype=complex)
+    out[0] = surv[0] * (free[0] @ v0)
+    for k in range(1, n_grid + 1):
+        sk = surv[k::-1, None, None] * free[k::-1]
+        conv = np.einsum("jab,jb->a", sk, b[:k + 1]) - 0.5 * (sk[0] @ b[0] + sk[k] @ b[k])
+        out[k] = surv[k] * (free[k] @ v0) + step * conv
+    at_times = [np.interp(times, grid, c.real) + 1j * np.interp(times, grid, c.imag)
+                for c in out.T]
+    return [qcore.unvec(v, d) for v in np.array(at_times).T]
+
+
+SERIES_STEP = 2.0 ** -6  # binary, so k * step is exactly grid node k and 3.0 is node 192
+
+
+@pytest.mark.parametrize("times", [
+    SERIES_STEP * np.array([0.0, 7.0, 50.0, 123.0, 192.0]),
+    np.array([0.003, 0.71, 1.2345, 2.9]),
+    np.array([0.0]),
+    np.array([1.7]),
+    np.linspace(0.0, 3.0, 13),
+], ids=["on-nodes", "between-nodes", "zero", "single", "last-node"])
+@pytest.mark.parametrize("collision", ["unital", "damping"])
+@pytest.mark.parametrize("waiting", ["exponential", "gamma"])
+def test_series_chain_matches_full_grid_output(waiting, collision, times, monkeypatch):
+    model = stochastic.CollisionalModel(
+        0.45 * qcore.sigma_z + 0.2 * qcore.sigma_x,
+        [unitary(0.8, qcore.sigma_x)] if collision == "unital" else amplitude_damping(0.4),
+        {"exponential": stochastic.WaitingTime("exponential", rate=1.0),
+         "gamma": stochastic.WaitingTime("gamma", rate=2.0, shape=2.0)}[waiting],
+    )
+    assert np.ceil(3.0 / SERIES_STEP) * SERIES_STEP == 3.0
+    rho0 = qcore.random_state(2, np.random.default_rng(1))
+    for x0 in (np.eye(2, dtype=complex), rho0.matrix):
+        got = stochastic._series_chain(model, x0, times, step=SERIES_STEP)
+        ref = reference_series_chain(model, x0, times, SERIES_STEP)
+        assert np.abs(np.array(got) - np.array(ref)).max() < 1e-13
+    states = stochastic.collisional_states(model, rho0, times, step=SERIES_STEP)
+    q = stochastic.collisional_q(model, rho0, times, step=SERIES_STEP).values
+    monkeypatch.setattr(stochastic, "_series_chain", reference_series_chain)
+    ref_states = stochastic.collisional_states(model, rho0, times, step=SERIES_STEP)
+    assert max(np.abs(a.matrix - b.matrix).max() for a, b in zip(states, ref_states)) < 1e-13
+    ref_q = stochastic.collisional_q(model, rho0, times, step=SERIES_STEP).values
+    assert np.abs(q - ref_q).max() < 1e-13
+
+
+def test_series_value_does_not_depend_on_other_times():
+    model = stochastic.CollisionalModel(
+        0.45 * qcore.sigma_z + 0.2 * qcore.sigma_x, amplitude_damping(0.4),
+        stochastic.WaitingTime("gamma", rate=2.0, shape=2.0),
+    )
+    x0 = qcore.random_state(2, np.random.default_rng(2)).matrix
+    times = np.sort(np.concatenate([np.linspace(0.0, 3.0, 13), [0.003, 1.2345, 2.9]]))
+    full = stochastic._series_chain(model, x0, times, step=0.01)
+    for t, expect in zip(times, full):
+        # the last time fixes the grid, so it stays in every request
+        alone = stochastic._series_chain(model, x0, np.array([t, times[-1]]), step=0.01)
+        assert np.array_equal(alone[0], expect)
+
+
+def test_deterministic_chain_matches_restarted_loop():
+    # stepping on from the last collision count gives the bits of
+    # restarting from x0 at every time
+    period = 0.6
+    model = stochastic.CollisionalModel(
+        0.45 * qcore.sigma_z + 0.2 * qcore.sigma_x, amplitude_damping(0.3),
+        stochastic.WaitingTime("deterministic", period=period),
+    )
+    x0 = qcore.random_state(2, np.random.default_rng(4)).matrix
+    times = np.array([0.0, 0.3, period, 2 * period, 2 * period + 0.1, 3.0, 3.0])
+    u = model.free_unitary(period)
+    for t, got in zip(times, stochastic._series_chain(model, x0, times)):
+        n = int(np.floor((t + 1e-12 * period) / period))
+        x = np.asarray(x0, dtype=complex)
+        for _ in range(n):
+            x = model.apply_collision(u @ x @ u.conj().T)
+        v = model.free_unitary(t - n * period)
+        assert np.array_equal(got, v @ x @ v.conj().T)
 
 
 def test_dual_trace_check():
