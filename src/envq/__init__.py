@@ -8,7 +8,7 @@ cross-validates closed forms against exact joint-space and superoperator
 propagation.
 """
 
-from . import cli, dynamics, microscopic, models, qcore, quantumness, stochastic
+from . import dynamics, microscopic, models, qcore, quantumness, stochastic
 from .dynamics import (
     LindbladModel,
     Superoperator,

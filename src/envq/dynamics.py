@@ -6,13 +6,20 @@ d-dimensional system is a d^2 x d^2 matrix.  Each job has one route:
 * Storage.  A generator is kept dense when at least ``DENSE_FILL`` of its
   entries can be non-zero (a bound read off its Kronecker factors) and
   sparse otherwise: below that fill the sparse form is the smaller one
-  and its products and LU are the cheaper ones.
-* Propagation.  ``propagate_series`` steps from one grid time to the
-  next.  A dense generator takes one ``expm(G dt)`` per distinct step and
-  reuses it for every repeat of that step (a uniform grid costs one
-  exponential plus matrix-vector products) whenever that is cheaper than
-  ``expm_multiply`` (Al-Mohy & Higham 2011) on every step; otherwise, and
-  always for sparse generators, each step is one ``expm_multiply``.
+  and its products and LU are the cheaper ones.  A model builds its
+  forward generator once; the dual is its conjugate transpose.
+* Propagation.  ``propagate_series`` first closes the support of the
+  initial operator under the generator's stored non-zero pattern.  That
+  set S is invariant under every ``exp(t G)``, so when it is a proper
+  subset the series runs on the principal block ``G[S, S]`` (stored by
+  fill) and is scattered back into zeros; a phase-covariant dissipator
+  keeps a diagonal operator diagonal, so the thermal oscillator's d^2
+  space shrinks to d (Albert & Jiang, PRA 89, 022118 (2014)).  The series
+  steps from one grid time to the next.  One ``expm(G dt)`` per distinct
+  step, densified and reused for every repeat of that step (a uniform grid
+  costs one exponential plus matrix-vector products), is taken whenever a
+  fitted cost model prices it below ``expm_multiply`` (Al-Mohy & Higham
+  2011) on every step; otherwise each step is one ``expm_multiply``.
   ``propagate`` is the one-point case.
 * Stationary state.  ``stationary_state`` solves ``L x = 0`` with its first
   row replaced by the trace functional scaled to ``||L||_1``, by a dense LU
@@ -27,6 +34,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import breadth_first_order
 
 from . import qcore
 from .qcore import (
@@ -52,7 +60,8 @@ class LindbladModel:
     The rate matrix must be Hermitian positive semidefinite; ``rates``
     may be given as a 1d array of diagonal rates or omitted entirely
     (identity) when the jump operators already absorb their rates.
-    Every entry of every input must be finite.
+    Every entry of every input must be finite.  The forward generator is
+    built once, on first use, so the inputs must not change after that.
     """
 
     def __init__(self, h_bar, jump_ops, rates=None):
@@ -82,6 +91,14 @@ class LindbladModel:
     def dim(self):
         return self.h_bar.shape[0]
 
+    @cached_property
+    def _forward(self):
+        """Forward generator stored by fill, built on first use and read-only."""
+        gen = _generator(self, None)
+        for array in (gen.data, gen.indices, gen.indptr) if scipy.sparse.issparse(gen) else (gen,):
+            array.flags.writeable = False
+        return gen
+
 
 class Superoperator:
     """Matrix representation of a map on column-stacked operators."""
@@ -98,13 +115,17 @@ class Superoperator:
     @cached_property
     def norm(self):
         """Induced 1-norm (largest column sum), the scale of every gate."""
-        return float(abs(self.matrix).sum(axis=0).max()) if self.matrix.size else 0.0
+        return _one_norm(self.matrix)
 
     def dense(self):
         return self.matrix.toarray() if self.is_sparse else self.matrix
 
     def apply(self, operator):
         return unvec(self.matrix @ vec(operator), self.dim)
+
+
+def _one_norm(a):
+    return float(abs(a).sum(axis=0).max()) if a.size else 0.0
 
 
 def _generator(model, sparse):
@@ -142,12 +163,18 @@ def _generator(model, sparse):
     return gen
 
 
+def _forward_matrix(model, sparse):
+    return model._forward if sparse is None else _generator(model, sparse)
+
+
 def liouvillian(model, sparse=None):
     """Forward generator of d(rho)/dt; annihilates the trace functional.
 
-    ``sparse=None`` picks the storage by fill (``DENSE_FILL``).
+    ``sparse=None`` picks the storage by fill (``DENSE_FILL``) and returns
+    the model's generator, built once per model; an explicit ``sparse``
+    builds a fresh one in that storage.
     """
-    return Superoperator(_generator(model, sparse), model.dim, kind="forward")
+    return Superoperator(_forward_matrix(model, sparse), model.dim, kind="forward")
 
 
 def dual_liouvillian(model, sparse=None):
@@ -158,25 +185,66 @@ def dual_liouvillian(model, sparse=None):
     transpose of the forward generator (the Hilbert-Schmidt adjoint), so
     it annihilates the identity but generally does not preserve the trace.
     """
-    gen = _generator(model, sparse).conj().T
-    gen = gen.tocsr() if scipy.sparse.issparse(gen) else np.ascontiguousarray(gen)
+    gen = _forward_matrix(model, sparse)
+    gen = gen.conj().T.tocsr() if scipy.sparse.issparse(gen) else np.conjugate(gen.T, order="C")
     return Superoperator(gen, model.dim, kind="dual")
 
 
-def _expm_pays(g, steps, distinct):
+def _by_fill(a):
+    """``a`` stored dense when at least ``DENSE_FILL`` of its entries are stored, else CSR."""
+    full = np.prod(a.shape) * DENSE_FILL
+    if scipy.sparse.issparse(a):
+        return a.toarray() if a.nnz >= full else a
+    return a if np.count_nonzero(a) >= full else scipy.sparse.csr_matrix(a)
+
+
+def _reachable(a, v):
+    """Indices that the stored pattern of ``a`` reaches from the support of v.
+
+    Column j of ``a`` feeds every row i with a stored entry a[i, j], so the
+    closure S of supp(v) under that pattern holds a^k v for every k, and
+    with it exp(t a) v.  Returns None when S is the whole space.
+    """
+    reached = v != 0
+    if reached.all():
+        return None
+    if scipy.sparse.issparse(a):
+        n = reached.size
+        csc = a.tocsc()
+        sources = np.flatnonzero(reached)
+        # one breadth-first search from a virtual node n joined to every source
+        indptr = np.append(csc.indptr, csc.indptr[-1] + sources.size)
+        indices = np.concatenate([csc.indices, sources])
+        graph = scipy.sparse.csr_matrix((np.ones(indices.size), indices, indptr),
+                                        shape=(n + 1, n + 1))
+        reached[breadth_first_order(graph, n, return_predecessors=False)[1:]] = True
+    else:
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            new = (a[:, frontier] != 0).any(axis=1) & ~reached
+            reached |= new
+            frontier = np.flatnonzero(new)
+    return None if reached.all() else np.flatnonzero(reached)
+
+
+def _expm_pays(a, norm, steps, distinct):
     """Whether one dense expm per distinct step beats expm_multiply on every step.
 
-    Costs are counted in dense matrix-vector entries, fitted to scipy on one
-    core for d^2 = 64..576: a dense expm of an n x n generator costs about
-    6 n^3 of them, one expm_multiply call about 3e5 of fixed overhead plus
-    (6 |G dt|_1 + 25) products with the generator.
+    Costs are in nanoseconds, fitted to scipy on one core for dense n x n
+    matrices with n = 4..576 and sparse ones with 34..11286 stored entries.
+    A dense expm costs about 2.2e4 + 134 n^2 + 1.18 n^3, and densifying a
+    sparse ``a`` or one product with the dense exponential 0.83 n^2.  One
+    expm_multiply call costs a fixed 1.4e5 (dense) or 6.4e5 (sparse) plus
+    (6 |a dt|_1 + 25) products of 3.2e3 + 0.43 n^2 (dense) or
+    4.0e3 + 2.7 nnz (sparse).
     """
-    if g.is_sparse:
-        return False
-    n = g.matrix.shape[0]
+    n = a.shape[0]
+    sparse = scipy.sparse.issparse(a)
     moving = steps[steps > 0.0]
-    expm_cost = distinct * 6.0 * n ** 3 + moving.size * n ** 2
-    krylov_cost = np.sum(3e5 + (6.0 * g.norm * moving + 25.0) * n ** 2)
+    expm_cost = (distinct * (2.2e4 + 134.0 * n ** 2 + 1.18 * n ** 3)
+                 + (moving.size + sparse) * 0.83 * n ** 2)
+    call, product = (6.4e5, 4.0e3 + 2.7 * a.nnz) if sparse else (1.4e5, 3.2e3 + 0.43 * n ** 2)
+    krylov_cost = np.sum(call + (6.0 * norm * moving + 25.0) * product)
     return expm_cost <= krylov_cost
 
 
@@ -185,9 +253,11 @@ def propagate_series(g, x0, times, trace_tol=1e-10):
 
     The operator is stepped from 0 to ``times[0]`` and then from one grid
     time to the next; steps that agree to 1e-12 of the longest share one
-    exponential.  ``times`` must be finite, non-negative and ascending.
-    Forward generators must preserve the trace of ``x0`` to ``trace_tol``
-    at every time; a violation signals a broken generator.
+    exponential.  Only the block of G on the entries reachable from x0 is
+    propagated (see ``_reachable``); the others stay exactly 0.  ``times``
+    must be finite, non-negative and ascending.  Forward generators must
+    preserve the trace of ``x0`` to ``trace_tol`` at every time; a
+    violation signals a broken generator.
     """
     x0 = as_operator(x0, "x0")
     if x0.shape[0] != g.dim:
@@ -196,20 +266,31 @@ def propagate_series(g, x0, times, trace_tol=1e-10):
     steps = np.diff(times, prepend=0.0)
     longest = steps.max(initial=0.0)
     keys = np.round(steps / longest, 12) if longest > 0.0 else steps
-    use_expm = _expm_pays(g, steps, np.unique(keys[steps > 0.0]).size)
+    full = vec(x0)
+    index = _reachable(g.matrix, full)
+    if index is None:
+        a, norm, index = g.matrix, g.norm, slice(None)
+    else:
+        a = _by_fill(g.matrix[np.ix_(index, index)])
+        norm = _one_norm(a)
+    v = full[index]
+    full = np.zeros_like(full)
+    use_expm = _expm_pays(a, norm, steps, np.unique(keys[steps > 0.0]).size)
+    if use_expm and scipy.sparse.issparse(a):
+        a = a.toarray()
     exponentials = {}
-    v = vec(x0)
     trace0 = np.trace(x0)
     out = []
     for dt, key in zip(steps, keys):
         if dt > 0.0:
             if not use_expm:
-                v = scipy.sparse.linalg.expm_multiply(g.matrix * dt, v)
+                v = scipy.sparse.linalg.expm_multiply(a * dt, v)
             else:
                 if key not in exponentials:
-                    exponentials[key] = scipy.linalg.expm(g.matrix * dt)
+                    exponentials[key] = scipy.linalg.expm(a * dt)
                 v = exponentials[key] @ v
-        result = unvec(v, g.dim).copy()
+        full[index] = v
+        result = unvec(full, g.dim).copy()
         if g.kind == "forward":
             drift = abs(np.trace(result) - trace0)
             if drift > trace_tol * max(1.0, abs(trace0)):

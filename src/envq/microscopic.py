@@ -261,23 +261,6 @@ def spin_boson_decay(coupling, omega0=1.0, cutoff=2, mode_frequency=None):
     return JointModel(h_s, h_e, h_i, vacuum)
 
 
-def dephasing_spin_bath(couplings, omega0=1.0, bath_state=None):
-    """Qubit coupled through sigma_z to a register of bath qubits."""
-    couplings = list(couplings)
-    n = len(couplings)
-    dim_e = 2 ** n
-    h_s = 0.5 * omega0 * qcore.sigma_z
-    h_e = np.zeros((dim_e, dim_e), dtype=complex)
-    h_i = np.zeros((2 * dim_e, 2 * dim_e), dtype=complex)
-    for k, g in enumerate(couplings):
-        ops = [identity(2)] * n
-        ops[k] = qcore.sigma_x
-        h_i += g * tensor_product(qcore.sigma_z, tensor_product(*ops))
-    if bath_state is None:
-        bath_state = QuantumState.maximally_mixed(dim_e)
-    return JointModel(h_s, h_e, h_i, bath_state)
-
-
 def random_joint_model(dim_s, dim_e, rng, commuting=False, scale=1.0):
     """Random JointModel for oracle tests.
 

@@ -84,6 +84,16 @@ def require_finite(m, name="operator"):
     return a
 
 
+def require_channel(kraus, dim, tol, name="Kraus family"):
+    """Raise ValueError unless sum T^dag T equals the dim x dim identity to ``tol``.
+
+    The deviation is the largest entry of |sum T^dag T - I|; the message carries it.
+    """
+    dev = np.abs(sum(t.conj().T @ t for t in kraus) - np.eye(dim)).max()
+    if not dev <= tol:
+        raise ValueError(f"{name} is not a channel: sum T^dag T deviates from I by {dev:.3e}")
+
+
 def time_grid(times):
     """Validated 1d grid of finite, non-negative, ascending times."""
     times = np.asarray(times, dtype=float)

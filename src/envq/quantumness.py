@@ -173,10 +173,6 @@ def unitality_check(kraus, channel_tol=1e-8, unital_tol=1e-10):
     if not kraus:
         raise ValueError("empty Kraus list")
     d = kraus[0].shape[0]
-    eye = np.eye(d)
-    complete = sum(t.conj().T @ t for t in kraus)
-    dev = np.abs(complete - eye).max()
-    if dev > channel_tol:
-        raise ValueError(f"not a channel: sum T^dag T deviates from I by {dev:.3e}")
-    residual = float(np.abs(sum(t @ t.conj().T for t in kraus) - eye).max())
+    qcore.require_channel(kraus, d, channel_tol)
+    residual = float(np.abs(sum(t @ t.conj().T for t in kraus) - np.eye(d)).max())
     return residual <= unital_tol, residual

@@ -338,11 +338,7 @@ class CollisionalModel:
         self.free_hamiltonian = require_hermitian(self.free_hamiltonian, name="free Hamiltonian")
         self.collision = [require_finite(as_operator(t, "Kraus operator"), "Kraus operator")
                           for t in self.collision]
-        d = self.dim
-        comp = sum(t.conj().T @ t for t in self.collision)
-        dev = np.abs(comp - np.eye(d)).max()
-        if dev > 1e-10:
-            raise ValueError(f"collision is not a channel (sum T^dag T off by {dev:.3e})")
+        qcore.require_channel(self.collision, self.dim, 1e-10, name="collision")
 
     @property
     def dim(self):

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import envq
 from envq import cli, config, models, qcore, quantumness
 
 THERMAL_CFG = """
@@ -346,3 +351,12 @@ def test_cli_optimal_state_reaches_max(tmp_path):
     report = quantumness.degree_of_quantumness(m)
     q_inf = quantumness.q_stationary(m, state)
     assert q_inf == pytest.approx(1.0 + report.dq, abs=1e-10)
+
+
+def test_module_entry_point_imports_cleanly():
+    # runpy warns when the package has imported envq.cli before running it
+    src = os.path.dirname(os.path.dirname(envq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "envq.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
-from envq import dynamics, models, qcore
+from envq import dynamics, models, qcore, quantumness
 from envq.qcore import DegenerateSteadyStateError, QuantumState
 
 
@@ -189,6 +191,32 @@ def test_sparse_dense_generators_agree():
     assert np.abs(dense_d - sparse_d).max() < 1e-14
 
 
+def test_model_builds_its_generator_once(monkeypatch):
+    calls = []
+    build = dynamics._generator
+
+    def counted(model, sparse):
+        calls.append(sparse)
+        return build(model, sparse)
+
+    monkeypatch.setattr(dynamics, "_generator", counted)
+    rng = np.random.default_rng(12)
+    for model in (random_lindblad(rng, 3), models.OscillatorParams(0.7, 2.85, 11).lindblad_model()):
+        calls.clear()
+        g = dynamics.liouvillian(model)
+        gd = dynamics.dual_liouvillian(model)
+        quantumness.degree_of_quantumness(model)
+        quantumness.q_series(model, np.eye(model.dim) / model.dim, [0.0, 0.5])
+        assert calls == [None]
+        forward = g.dense() if g.is_sparse else g.matrix
+        assert np.array_equal(gd.dense(), forward.conj().T)
+        with pytest.raises(ValueError, match="read-only"):
+            (g.matrix.data if g.is_sparse else g.matrix)[0] = 0.0
+        # an explicit storage builds a fresh generator
+        assert dynamics.liouvillian(model, sparse=not g.is_sparse).is_sparse != g.is_sparse
+        assert calls == [None, not g.is_sparse]
+
+
 def test_propagate_sparse_route_matches_dense():
     rng = np.random.default_rng(7)
     m = models.FluorescenceParams(1.0, 1.2).lindblad_model()
@@ -255,7 +283,7 @@ def time_grid(kind, t_max, n):
 @pytest.mark.parametrize("d", [2, 4, 12])
 def test_propagate_series_matches_expm_reference(d, grid):
     # the dense generators reuse exponentials except on the d = 12 log grid,
-    # where expm_multiply is cheaper; their sparse copies always take it
+    # where expm_multiply is cheaper; so do their sparse copies, densified
     rng = np.random.default_rng(10 + d)
     model = random_lindblad(rng, d)
     rho = qcore.random_state(d, rng).matrix
@@ -268,23 +296,102 @@ def test_propagate_series_matches_expm_reference(d, grid):
         assert max(np.abs(out - ref).max() for out, ref in zip(series, exact)) < 1e-12
 
 
+def band_expm_reference(g, x0, t):
+    """exp(t G) vec(x0) over the full space, one scipy.linalg.expm per band n - m.
+
+    The thermal generator couples |n><m| only to operators of the same band
+    n - m (asserted on every stored entry), so exp(t G) is the direct sum
+    of the band exponentials and a band where x0 vanishes stays 0.
+    """
+    d = g.dim
+    band = np.arange(d * d) % d - np.arange(d * d) // d
+    rows, cols = g.matrix.nonzero()
+    assert np.array_equal(band[rows], band[cols])
+    v = qcore.vec(x0)
+    out = np.zeros_like(v)
+    for k in np.unique(band[v != 0]):
+        idx = np.flatnonzero(band == k)
+        out[idx] = scipy.linalg.expm(g.matrix[np.ix_(idx, idx)].toarray() * t) @ v[idx]
+    return qcore.unvec(out, d)
+
+
 @pytest.mark.parametrize("grid", ["uniform", "log"])
 def test_propagate_series_oscillator_matches_expm_reference(grid):
-    # the thermal generator maps diagonal operators to diagonal operators,
-    # so the dual flow of the ground state is the exponential of that block
+    # the ground state's dual flow stays diagonal and one coherence |0><1|
+    # fills its band; both start on fewer entries than they reach, and the
+    # forward flow of I stays diagonal under the trace check
+    times = time_grid(grid, 1.0, 7)
+    for n_max in (41, 61):
+        p = models.OscillatorParams(0.7, 2.85, n_max)
+        model = p.lindblad_model()
+        ground = np.zeros((p.dim, p.dim), dtype=complex)
+        ground[0, 0] = 1.0
+        coherent = np.zeros_like(ground)
+        coherent[:2, :2] = 0.5
+        gd = dynamics.dual_liouvillian(model)
+        g = dynamics.liouvillian(model)
+        assert gd.is_sparse and g.is_sparse
+        for gen, x0, bands in ((gd, ground, 1), (gd, coherent, 2), (g, np.eye(p.dim), 1)):
+            outside = np.abs(np.subtract.outer(np.arange(p.dim), np.arange(p.dim))) >= bands
+            for t, out in zip(times, dynamics.propagate_series(gen, x0, times)):
+                exact = band_expm_reference(gen, x0, t)
+                assert np.abs(out - exact).max() < 1e-12 * np.abs(exact).max()
+                assert not out[outside].any()
+
+
+def test_propagate_series_trace_check_guards_the_block():
+    # a forward generator that scales every operator by e^{1e-6 t} leaves
+    # the reachable block intact, and the check still reads the full trace
     p = models.OscillatorParams(0.7, 2.85, 41)
-    gd = dynamics.dual_liouvillian(p.lindblad_model())
-    assert gd.is_sparse
-    diag = np.arange(p.dim) * (p.dim + 1)
-    off = np.setdiff1d(np.arange(p.dim ** 2), diag)
-    assert abs(gd.matrix[off][:, diag]).max() == 0.0
-    block = gd.matrix[diag][:, diag].toarray()
-    ground = np.zeros(p.dim, dtype=complex)
-    ground[0] = 1.0
-    times = time_grid(grid, 1.0, 13)
-    for t, out in zip(times, dynamics.propagate_series(gd, np.diag(ground), times)):
-        exact = scipy.linalg.expm(block * t) @ ground
-        assert np.abs(out - np.diag(exact)).max() < 1e-12 * np.abs(exact).max()
+    g = dynamics.liouvillian(p.lindblad_model())
+    shifted = dynamics.Superoperator(g.matrix + 1e-6 * scipy.sparse.identity(p.dim ** 2),
+                                     p.dim, kind="forward")
+    with pytest.raises(RuntimeError, match="changed the trace"):
+        dynamics.propagate_series(shifted, np.eye(p.dim), [0.0, 1.0])
+
+
+def test_propagate_series_dense_block_diagonal_model():
+    # two decoupled sectors of C^3 + C^3: |0><0| reaches only the 9 entries
+    # of its own corner, which the block route must reproduce exactly
+    rng = np.random.default_rng(11)
+    sector = np.zeros((6, 6), dtype=complex)
+    h = np.zeros((6, 6), dtype=complex)
+    jumps = []
+    for block in (slice(0, 3), slice(3, 6)):
+        a = rand_op(rng, 3)
+        h[block, block] = 0.5 * (a + a.conj().T)
+        v = np.zeros((6, 6), dtype=complex)
+        v[block, block] = rand_op(rng, 3) / 3.0
+        jumps.append(v)
+    sector[:3, :3] = 1.0
+    g = dynamics.liouvillian(dynamics.LindbladModel(h, jumps, rates=[0.6, 0.9]))
+    assert not g.is_sparse
+    x0 = np.zeros((6, 6), dtype=complex)
+    x0[0, 0] = 1.0
+    times = time_grid("log", 2.0, 21)
+    for t, out in zip(times, dynamics.propagate_series(g, x0, times)):
+        exact = qcore.unvec(scipy.linalg.expm(g.matrix * t) @ qcore.vec(x0), 6)
+        assert np.abs(out - exact).max() < 1e-12
+        assert not out[sector == 0].any()
+        assert t == 0.0 or np.abs(out[sector == 1]).min() > 0.0
+
+
+@pytest.mark.parametrize("d, grid", [(4, "uniform"), (12, "log")])
+def test_propagate_series_whole_closure_keeps_the_full_route(d, grid):
+    # from I a random generator reaches every entry, so the series is the
+    # full-space route bit for bit: exponentials reused on the uniform d = 4
+    # grid, one expm_multiply per step on the d = 12 log grid
+    rng = np.random.default_rng(20 + d)
+    g = dynamics.liouvillian(random_lindblad(rng, d))
+    assert not g.is_sparse
+    times = np.arange(41) * 0.0625 if grid == "uniform" else time_grid(grid, 2.0, 41)
+    v = qcore.vec(np.eye(d))
+    step = scipy.linalg.expm(g.matrix * 0.0625)
+    for dt, out in zip(np.diff(times, prepend=0.0), dynamics.propagate_series(g, np.eye(d), times)):
+        if dt > 0.0:
+            v = (step @ v if grid == "uniform"
+                 else scipy.sparse.linalg.expm_multiply(g.matrix * dt, v))
+        assert np.array_equal(out, qcore.unvec(v, d))
 
 
 def test_propagate_series_rejects_bad_grid():

@@ -211,6 +211,17 @@ def test_require_hermitian():
         qcore.require_hermitian(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
+def test_require_channel():
+    damping = [np.array([[1.0, 0.0], [0.0, np.sqrt(0.6)]]), np.array([[0.0, np.sqrt(0.4)], [0.0, 0.0]])]
+    qcore.require_channel(damping, 2, 1e-12)
+    off = [np.sqrt(1.0 + 5e-9) * np.eye(2)]
+    qcore.require_channel(off, 2, 1e-8)
+    with pytest.raises(ValueError, match=r"collision is not a channel: .* by 5\.000e-09"):
+        qcore.require_channel(off, 2, 1e-10, name="collision")
+    with pytest.raises(ValueError, match="by nan"):
+        qcore.require_channel([np.diag([1.0, np.nan])], 2, 1e-8)
+
+
 def test_vectorization_convention():
     # vec(A X B) = kron(B.T, A) vec(X), column stacking
     rng = np.random.default_rng(9)

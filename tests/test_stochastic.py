@@ -263,6 +263,12 @@ def test_collisional_model_validates_channel():
             0.5 * qcore.sigma_z, [0.9 * np.eye(2)],
             stochastic.WaitingTime("exponential", rate=1.0),
         )
+    # the collision gate is tighter than unitality_check's 1e-8, which passes
+    nearly = [np.sqrt(1.0 + 5e-9) * np.eye(2)]
+    quantumness.unitality_check(nearly)
+    with pytest.raises(ValueError, match="deviates from I by 5.000e-09"):
+        stochastic.CollisionalModel(0.5 * qcore.sigma_z, nearly,
+                                    stochastic.WaitingTime("exponential", rate=1.0))
     with pytest.raises(ValueError, match="Kraus operator has a non-finite entry"):
         stochastic.CollisionalModel(
             0.5 * qcore.sigma_z, [np.diag([1.0, np.nan])],
