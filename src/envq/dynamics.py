@@ -7,7 +7,8 @@ d-dimensional system is a d^2 x d^2 matrix.  Each job has one route:
   entries can be non-zero (a bound read off its Kronecker factors) and
   sparse otherwise: below that fill the sparse form is the smaller one
   and its products and LU are the cheaper ones.  A model builds its
-  forward generator once; the dual is its conjugate transpose.
+  forward generator once; the dual is its conjugate transpose, built on
+  request for the Heisenberg images that Q_t alone does not carry.
 * Propagation.  ``propagate_series`` first closes the support of the
   initial operator under the generator's stored non-zero pattern.  That
   set S is invariant under every ``exp(t G)``, so when it is a proper
@@ -248,15 +249,16 @@ def _expm_pays(a, norm, steps, distinct):
     return expm_cost <= krylov_cost
 
 
-def propagate_series(g, x0, times, trace_tol=1e-10):
+def propagate_series(g, x0, times):
     """exp(t G) applied to an operator at every time of an ascending grid.
 
     The operator is stepped from 0 to ``times[0]`` and then from one grid
     time to the next; steps that agree to 1e-12 of the longest share one
     exponential.  Only the block of G on the entries reachable from x0 is
     propagated (see ``_reachable``); the others stay exactly 0.  ``times``
-    must be finite, non-negative and ascending.  Forward generators must
-    preserve the trace of ``x0`` to ``trace_tol`` at every time; a
+    must be finite, non-negative and ascending.  Returns an array of
+    shape (len(times), d, d).  Forward generators must preserve the trace
+    of ``x0`` to 1e-10 (relative to max(1, |Tr x0|)) at every time; a
     violation signals a broken generator.
     """
     x0 = as_operator(x0, "x0")
@@ -279,9 +281,8 @@ def propagate_series(g, x0, times, trace_tol=1e-10):
     if use_expm and scipy.sparse.issparse(a):
         a = a.toarray()
     exponentials = {}
-    trace0 = np.trace(x0)
-    out = []
-    for dt, key in zip(steps, keys):
+    out = np.empty((times.size, g.dim, g.dim), dtype=complex)
+    for k, (dt, key) in enumerate(zip(steps, keys)):
         if dt > 0.0:
             if not use_expm:
                 v = scipy.sparse.linalg.expm_multiply(a * dt, v)
@@ -290,18 +291,18 @@ def propagate_series(g, x0, times, trace_tol=1e-10):
                     exponentials[key] = scipy.linalg.expm(a * dt)
                 v = exponentials[key] @ v
         full[index] = v
-        result = unvec(full, g.dim).copy()
-        if g.kind == "forward":
-            drift = abs(np.trace(result) - trace0)
-            if drift > trace_tol * max(1.0, abs(trace0)):
-                raise RuntimeError(f"forward propagation changed the trace by {drift:.3e}")
-        out.append(result)
+        out[k] = unvec(full, g.dim)
+    if g.kind == "forward" and out.size:
+        trace0 = np.trace(x0)
+        drift = np.abs(np.trace(out, axis1=1, axis2=2) - trace0).max()
+        if drift > 1e-10 * max(1.0, abs(trace0)):
+            raise RuntimeError(f"forward propagation changed the trace by {drift:.3e}")
     return out
 
 
-def propagate(g, x0, t, trace_tol=1e-10):
+def propagate(g, x0, t):
     """exp(t G) applied to an operator: the one-point ``propagate_series``."""
-    return propagate_series(g, x0, [t], trace_tol=trace_tol)[0]
+    return propagate_series(g, x0, [t])[0]
 
 
 def generator_spectrum(g):
@@ -309,13 +310,13 @@ def generator_spectrum(g):
     return np.linalg.eigvals(g.dense())
 
 
-def spectral_gap(g, zero_tol=1e-9):
+def spectral_gap(g):
     """Slowest nonzero relaxation rate |Re lambda| of the generator.
 
-    Eigenvalues within ``zero_tol * ||G||_1`` of zero count as zero.
+    Eigenvalues within ``1e-9 * ||G||_1`` of zero count as zero.
     """
     evals = generator_spectrum(g)
-    rates = np.abs(evals.real[np.abs(evals) > zero_tol * g.norm])
+    rates = np.abs(evals.real[np.abs(evals) > 1e-9 * g.norm])
     if rates.size == 0:
         raise ValueError("generator has no decaying modes")
     return float(rates.min())
@@ -349,17 +350,17 @@ def _bordered_lu(g, scale):
             lambda b: scipy.linalg.lu_solve((lu, piv), b, trans=2), a_norm)
 
 
-def stationary_state(g, margin_tol=STATIONARY_MARGIN, residual_tol=1e-9):
+def stationary_state(g):
     """Unique unit-trace null vector of a forward generator.
 
     Solves L x = 0 with one row replaced by the trace functional (see
     ``_bordered_lu``).  Raises DegenerateSteadyStateError when that
     bordered matrix A is singular or its uniqueness margin
     1/(||A||_1 ||A^-1||_1), with ||A^-1||_1 estimated on the LU, falls
-    below ``margin_tol``, since the degree of quantumness is only defined
-    for dynamics whose stationary state is independent of the initial
-    condition.  The residual max|L[rho]| must stay below
-    ``residual_tol * ||L||_1``.
+    below ``STATIONARY_MARGIN``, since the degree of quantumness is only
+    defined for dynamics whose stationary state is independent of the
+    initial condition.  The residual max|L[rho]| must stay below
+    ``1e-9 * ||L||_1``.
     """
     n = g.dim ** 2
     scale = g.norm or 1.0
@@ -370,9 +371,9 @@ def stationary_state(g, margin_tol=STATIONARY_MARGIN, residual_tol=1e-9):
     )
     # t=1 keeps the estimate deterministic and off numpy's global random state
     margin = 1.0 / (a_norm * scipy.sparse.linalg.onenormest(inverse, t=1))
-    if not margin >= margin_tol:
+    if not margin >= STATIONARY_MARGIN:
         raise DegenerateSteadyStateError(
-            f"stationary state is not unique: margin {margin:.3e} below {margin_tol:.0e}"
+            f"stationary state is not unique: margin {margin:.3e} below {STATIONARY_MARGIN:.0e}"
         )
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = scale
@@ -380,10 +381,8 @@ def stationary_state(g, margin_tol=STATIONARY_MARGIN, residual_tol=1e-9):
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     residual = np.abs(g.apply(rho)).max()
-    if residual > residual_tol * scale:
-        raise RuntimeError(
-            f"stationary-state residual {residual:.3e} exceeds {residual_tol:.0e} * {scale:.3e}"
-        )
+    if residual > 1e-9 * scale:
+        raise RuntimeError(f"stationary-state residual {residual:.3e} exceeds 1e-09 * {scale:.3e}")
     return QuantumState(rho, tol=1e-8)
 
 
@@ -399,11 +398,11 @@ def time_reversed_state(rho):
     return QuantumState(m.conj(), dims=dims)
 
 
-def kraus_from_superoperator(g, tol=1e-12):
+def kraus_from_superoperator(g):
     """Kraus operators of a completely positive map given as a matrix.
 
     Goes through the Choi matrix; small negative Choi eigenvalues are
-    clipped at ``tol`` times the largest one.
+    clipped at 1e-12 times the largest one.
     """
     d = g.dim
     mat = g.dense()
@@ -417,7 +416,7 @@ def kraus_from_superoperator(g, tol=1e-12):
     choi = 0.5 * (choi + choi.conj().T)
     evals, evecs = np.linalg.eigh(choi)
     kraus = []
-    floor = tol * max(evals.max(), 1.0)
+    floor = 1e-12 * max(evals.max(), 1.0)
     for lam, col in zip(evals, evecs.T):
         if lam < -100 * floor:
             raise ValueError(f"map is not completely positive (Choi eigenvalue {lam:.3e})")

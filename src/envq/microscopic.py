@@ -11,7 +11,6 @@ import numpy as np
 
 from . import qcore
 from .qcore import (
-    BoundViolationError,
     QuantumState,
     as_operator,
     identity,
@@ -22,6 +21,7 @@ from .qcore import (
 )
 
 MAX_JOINT_DIM = 64
+COMM_TOL = 1e-10  # [H, I x sigma0] and off-diagonal blocks that count as zero
 
 
 class JointModel:
@@ -77,6 +77,11 @@ def _embed_environment(model, b):
     return tensor_product(identity(model.dim_s), as_operator(b, "environment operator"))
 
 
+def _rotated_system(model, u, rho0):
+    """U (rho0 x I_e) U^dag for a joint unitary U."""
+    return u @ _embed_system(model, state_matrix(rho0)) @ u.conj().T
+
+
 def reduced_state(model, rho0, t):
     """Reduced system state Tr_e[U_t (rho0 x sigma0) U_t^dag]."""
     rho0 = state_matrix(rho0)
@@ -89,18 +94,15 @@ def reduced_state(model, rho0, t):
     return QuantumState(0.5 * (red + red.conj().T))
 
 
-def quantumness_direct(model, rho0, t, bound_tol=1e-8):
+def quantumness_direct(model, rho0, t):
     """Trace pairing of the conjugated initial system state with sigma0.
 
     Q_t = Tr[(U_t (rho0 x I_e) U_t^dag)(I_s x sigma0)].  Values outside
-    [0, dim_s] by more than ``bound_tol`` raise BoundViolationError.
+    [0, dim_s] by more than ``qcore.BOUND_TOL`` raise BoundViolationError.
     """
-    rho0 = state_matrix(rho0)
-    u = model.unitary(t)
-    conj = u @ _embed_system(model, rho0) @ u.conj().T
+    conj = _rotated_system(model, model.unitary(t), rho0)
     q = np.trace(conj @ _embed_environment(model, model.sigma0.matrix)).real
-    if q < -bound_tol or q > model.dim_s + bound_tol:
-        raise BoundViolationError(f"Q={q} outside [0, {model.dim_s}]")
+    qcore.require_q_bounds(q, model.dim_s)
     return float(q)
 
 
@@ -118,24 +120,22 @@ def dual_map_apply(model, a0, t):
     )
 
 
-def quantumness_via_dual(model, rho0, t, bound_tol=1e-8):
+def quantumness_via_dual(model, rho0, t):
     """Q_t from the operator route: system trace of the dual image at -t."""
     q = np.trace(dual_map_apply(model, state_matrix(rho0), -t)).real
-    if q < -bound_tol or q > model.dim_s + bound_tol:
-        raise BoundViolationError(f"Q={q} outside [0, {model.dim_s}]")
+    qcore.require_q_bounds(q, model.dim_s)
     return float(q)
 
 
-def split_contributions(model, rho0, t, sum_tol=1e-10):
-    """Traces of the classical-noise part and the remainder; they sum to 1."""
-    rho0 = state_matrix(rho0)
+def split_contributions(model, rho0, t):
+    """Traces of the classical-noise part and the remainder; they sum to 1 within 1e-10."""
     u = model.unitary(t)
-    conj = u @ _embed_system(model, rho0) @ u.conj().T
+    conj = _rotated_system(model, u, rho0)
     sig = _embed_environment(model, model.sigma0.matrix)
     delta = u @ sig @ u.conj().T - sig
     first = np.trace(conj @ sig).real
     second = np.trace(conj @ delta).real
-    if abs(first + second - 1.0) > sum_tol:
+    if abs(first + second - 1.0) > 1e-10:
         raise RuntimeError(f"splitting sum {first + second} deviates from 1")
     return float(first), float(second)
 
@@ -150,13 +150,11 @@ def q_derivative(model, rho0, t, n):
     """
     if n < 1:
         raise ValueError("derivative order must be >= 1")
-    rho0 = state_matrix(rho0)
     h = model.hamiltonian()
     comm = _embed_environment(model, model.sigma0.matrix)
     for _ in range(n):
         comm = h @ comm - comm @ h
-    u = model.unitary(t)
-    conj = u @ _embed_system(model, rho0) @ u.conj().T
+    conj = _rotated_system(model, model.unitary(t), rho0)
     return float((1j ** n * np.trace(conj @ comm)).real)
 
 
@@ -181,7 +179,7 @@ def _offdiag_residual(model, basis):
     return np.abs(blocks[mask]).max() if de > 1 else 0.0
 
 
-def hamiltonian_ensemble_reduction(model, comm_tol=1e-10):
+def hamiltonian_ensemble_reduction(model):
     """Decompose commuting-bath dynamics into a weighted unitary ensemble.
 
     Requires [H, I_s x sigma0] = 0.  Returns pairs (p_e, H_s + <e|(H_e +
@@ -191,13 +189,13 @@ def hamiltonian_ensemble_reduction(model, comm_tol=1e-10):
     h = model.hamiltonian()
     sig = _embed_environment(model, model.sigma0.matrix)
     comm_norm = np.abs(h @ sig - sig @ h).max()
-    if comm_norm > comm_tol:
+    if comm_norm > COMM_TOL:
         raise ValueError(
             f"[H, I x sigma0] does not vanish (max commutator entry {comm_norm:.3e})"
         )
     spec = qcore.hermitian_eigensystem(model.sigma0.matrix)
     basis = spec.eigenvectors.copy()
-    if _offdiag_residual(model, basis) > comm_tol:
+    if _offdiag_residual(model, basis) > COMM_TOL:
         # refine within degenerate sigma0 eigenspaces using the bath-side
         # part of H, then with a fixed random contraction as a fallback
         rest = _embed_environment(model, model.h_e) + model.h_i
@@ -217,7 +215,7 @@ def hamiltonian_ensemble_reduction(model, comm_tol=1e-10):
                 block = sub.conj().T @ contraction @ sub
                 _, w = np.linalg.eigh(0.5 * (block + block.conj().T))
                 basis[:, grp] = sub @ w
-            if _offdiag_residual(model, basis) <= max(comm_tol, 1e-9):
+            if _offdiag_residual(model, basis) <= 1e-9:
                 break
         else:
             raise ValueError(
@@ -271,13 +269,8 @@ def random_joint_model(dim_s, dim_e, rng, commuting=False, scale=1.0):
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         return scale * 0.5 * (m + m.conj().T) / np.sqrt(d)
 
-    def rand_state(d):
-        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        rho = m @ m.conj().T
-        return QuantumState(rho / np.trace(rho).real)
-
     h_s = rand_herm(dim_s)
-    sigma0 = rand_state(dim_e)
+    sigma0 = qcore.random_state(dim_e, rng)
     if commuting:
         spec = qcore.hermitian_eigensystem(sigma0.matrix)
         basis = spec.eigenvectors

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.interpolate
 
-from . import dynamics, qcore
+from . import dynamics, qcore, quantumness
 from .qcore import QuantumState
 
 
@@ -46,7 +46,9 @@ class ThermalTlsParams:
     beta_hw0: float
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.beta_hw0 < 0:
+        # beta_hw0 = inf is the zero-temperature limit
+        qcore.require_finite_parameters(self, "gamma")
+        if not (self.gamma > 0 and self.beta_hw0 >= 0):
             raise ValueError("gamma must be positive and beta_hw0 nonnegative")
 
     @property
@@ -110,6 +112,7 @@ class NonMarkovParams:
     def __post_init__(self):
         if self.kernel not in ("lorentzian", "single-mode", "tabulated"):
             raise ValueError(f"unknown kernel family {self.kernel!r}")
+        qcore.require_finite_parameters(self, "gamma", "tau_c", "coupling")
         if self.kernel == "lorentzian" and (self.gamma <= 0 or self.tau_c <= 0):
             raise ValueError("lorentzian kernel needs gamma, tau_c > 0")
         if self.kernel == "single-mode" and not self.coupling:
@@ -205,6 +208,7 @@ class FluorescenceParams:
     omega: float
 
     def __post_init__(self):
+        qcore.require_finite_parameters(self, "gamma", "omega")
         if self.gamma <= 0 or self.omega < 0:
             raise ValueError("gamma must be positive and omega nonnegative")
 
@@ -317,6 +321,7 @@ class TwoQubitParams:
     omega: float
 
     def __post_init__(self):
+        qcore.require_finite_parameters(self, "gamma", "omega")
         if self.gamma <= 0 or self.omega < 0:
             raise ValueError("gamma must be positive and omega nonnegative")
 
@@ -455,6 +460,7 @@ class OscillatorParams:
     n_max: int = 60
 
     def __post_init__(self):
+        qcore.require_finite_parameters(self, "gamma", "beta_hw0")
         if self.gamma <= 0 or self.beta_hw0 <= 0 or self.n_max < 2:
             raise ValueError("need gamma > 0, beta_hw0 > 0 and n_max >= 2")
         tail = np.exp(-self.beta_hw0 * (self.n_max + 1))
@@ -484,12 +490,7 @@ class OscillatorParams:
         return self.n_max + 1
 
     def lindblad_model(self, omega0=1.0):
-        a = qcore.destroy(self.dim)
-        return dynamics.LindbladModel(
-            omega0 * qcore.number_operator(self.dim),
-            [a, a.conj().T],
-            rates=[self.kappa, self.zeta],
-        )
+        return thermal_oscillator_model(self.kappa, self.zeta, self.n_max, omega0)
 
 
 def thermal_oscillator_model(kappa, zeta, n_max, omega0=1.0):
@@ -512,14 +513,15 @@ def oscillator_q(p, t):
     return _scalar_or_array(np.exp((p.kappa - p.zeta) * t), t)
 
 
-def oscillator_q_numeric(model_or_params, rho0, times, alarm_tol=1e-3):
+def oscillator_q_numeric(model_or_params, rho0, times):
     """Truncated adjoint propagation of the series, with a tail alarm.
 
     ``model_or_params`` may be OscillatorParams or a prebuilt truncated
     LindbladModel.  Raises when the Heisenberg image accumulates more
-    than ``alarm_tol`` of its diagonal weight on the top Fock level;
-    that fraction empirically tracks the relative truncation error of
-    the growing series.
+    than 1e-3 of its diagonal weight on the top Fock level; that
+    fraction empirically tracks the relative truncation error of the
+    growing series.  The alarm reads the image itself, so this runs the
+    dual generator rather than the trace pairing of ``q_series``.
     """
     model = (
         model_or_params.lindblad_model()
@@ -531,7 +533,7 @@ def oscillator_q_numeric(model_or_params, rho0, times, alarm_tol=1e-3):
     values = []
     for a_t in dynamics.propagate_series(gd, rho0, times):
         diag = np.abs(np.diag(a_t))
-        if diag[-1] > alarm_tol * max(diag.max(), 1e-300):
+        if diag[-1] > 1e-3 * max(diag.max(), 1e-300):
             raise RuntimeError(
                 f"truncation breach: top-level weight fraction {diag[-1] / diag.max():.2e}"
             )
@@ -539,32 +541,27 @@ def oscillator_q_numeric(model_or_params, rho0, times, alarm_tol=1e-3):
     return np.asarray(values)
 
 
-def oscillator_q_extrapolated(p, times, cutoffs=None, trust_tol=0.02):
-    """Cutoff-accelerated truncated series.
+def oscillator_q_extrapolated(p, times, cutoffs=None):
+    """Cutoff-accelerated truncated series from the ground state.
 
     The truncation deficit of the growing series decays geometrically
     in the cutoff, so an Aitken step over three sub-cutoffs of n_max
     removes it.  Raises a truncation breach when the last cutoff
-    increment moves the value by more than ``trust_tol`` relatively,
-    since the geometric regime can no longer be trusted there.
+    increment moves the value by more than 2 % relatively, since the
+    geometric regime can no longer be trusted there.
     """
     if cutoffs is None:
         cutoffs = (p.n_max - 20, p.n_max - 10, p.n_max)
     if len(cutoffs) != 3 or not all(c >= 2 for c in cutoffs):
         raise ValueError("need three cutoffs >= 2")
-    times = np.asarray(times, dtype=float)
     runs = []
     for n in sorted(cutoffs):
         model = thermal_oscillator_model(p.kappa, p.zeta, n)
-        ground = np.zeros((n + 1, n + 1), dtype=complex)
-        ground[0, 0] = 1.0
-        gd = dynamics.dual_liouvillian(model)
-        runs.append(
-            np.asarray([np.trace(a).real for a in dynamics.propagate_series(gd, ground, times)])
-        )
+        ground = QuantumState.pure(qcore.ket(n + 1, 0))
+        runs.append(quantumness.q_series(model, ground, times).values)
     q0, q1, q2 = runs
     d1, d2 = q1 - q0, q2 - q1
-    if np.any(np.abs(d2) > trust_tol * np.abs(q2)):
+    if np.any(np.abs(d2) > 0.02 * np.abs(q2)):
         worst = (np.abs(d2) / np.abs(q2)).max()
         raise RuntimeError(f"truncation breach: cutoff increment still moves Q by {worst:.2e}")
     denom = d1 - d2

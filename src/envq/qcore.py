@@ -5,17 +5,17 @@ Conventions fixed here for the whole package:
 * operators are dense ``numpy`` complex arrays in row-major semantic order;
 * vectorization stacks columns (Fortran order), so that
   ``vec(A X B) = kron(B.T, A) @ vec(X)``;
-* validity checks default to tolerance ``1e-10`` and reconstruction
-  checks to ``1e-9``, overridable per call.
+* validity checks use tolerance ``1e-10``, reconstruction checks
+  ``1e-9`` and the ``[0, dim]`` bound on computed Q values ``1e-8``.
 """
 
 import numpy as np
 import scipy.linalg
 
-# centralized default tolerances
+# centralized tolerances
 VALID_TOL = 1e-10   # hermiticity / trace / positivity of states
 RECON_TOL = 1e-9    # eigendecomposition reconstruction residual
-HERM_INPUT_TOL = 1e-8  # hermiticity required of eigensystem inputs
+BOUND_TOL = 1e-8    # slack of the [0, dim] bound on computed Q values
 
 
 class BoundViolationError(RuntimeError):
@@ -84,6 +84,23 @@ def require_finite(m, name="operator"):
     return a
 
 
+def require_finite_parameters(obj, *names):
+    """Raise ValueError when a named attribute of ``obj`` is NaN or infinite; None is skipped."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"{type(obj).__name__} {name} must be finite, got {value}")
+
+
+def require_q_bounds(values, dim):
+    """Raise BoundViolationError when a Q value leaves [0, dim] by more than BOUND_TOL."""
+    values = np.asarray(values, dtype=float)
+    if values.size and (values.min() < -BOUND_TOL or values.max() > dim + BOUND_TOL):
+        raise BoundViolationError(
+            f"Q leaves [0, {dim}]: min {values.min():.3e}, max {values.max():.6e}"
+        )
+
+
 def require_channel(kraus, dim, tol, name="Kraus family"):
     """Raise ValueError unless sum T^dag T equals the dim x dim identity to ``tol``.
 
@@ -107,11 +124,6 @@ def time_grid(times):
         k = back[0]
         raise ValueError(f"times must be ascending: {times[k + 1]} follows {times[k]}")
     return times
-
-
-def is_hermitian(m, tol=VALID_TOL):
-    m = np.asarray(m)
-    return np.abs(m - m.conj().T).max() <= tol
 
 
 def require_hermitian(m, tol=VALID_TOL, name="operator"):
@@ -235,9 +247,9 @@ class Spectrum:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
-def hermitian_eigensystem(h, tol=HERM_INPUT_TOL):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
-    h = require_hermitian(h, tol=tol, name="eigensystem input")
+def hermitian_eigensystem(h):
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a matrix Hermitian to 1e-8."""
+    h = require_hermitian(h, tol=1e-8, name="eigensystem input")
     w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
     spec = Spectrum(w, v)
     resid = np.abs(spec.reconstruct() - h).max()

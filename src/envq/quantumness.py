@@ -1,30 +1,32 @@
 """Quantumness measures for Markovian generators.
 
-``q_series`` follows the convention validated against the closed forms
-of the worked models: Q_t is the system trace of the Heisenberg-picture
-flow started from the initial state,
+Q_t is defined through the dual (Heisenberg-picture) flow started from
+the initial state,
 
     Q_t = Tr[A_t],   dA/dt = L*[A],   A_0 = rho_0,
 
-which by the trace pairing equals Tr[rho_0 e^{tL}[I]].  Its stationary
-limit is therefore dim * Tr[rho_inf rho_0].  Time reversal enters only
-through the reported optimal state: the degree of quantumness is the
-same for the stationary state and its conjugate (their spectra agree),
-but the eigenvector that the report carries belongs to the conjugated
-stationary state, and the propagated series attains 1 + D_Q when
-started from the conjugate of that reported state.
+the convention validated against the closed forms of the worked models.
+It is computed through the trace pairing Q_t = Tr[rho_0 X_t] with
+X_t = e^{tL}[I]: one forward propagation of the identity serves every
+initial state (``q_functional_series``), and ``q_series`` pairs it with
+one.  Its stationary limit is therefore dim * Tr[rho_inf rho_0].  Time
+reversal enters only through the reported optimal state: the degree of
+quantumness is the same for the stationary state and its conjugate
+(their spectra agree), but the eigenvector that the report carries
+belongs to the conjugated stationary state, and the propagated series
+attains 1 + D_Q when started from the conjugate of that reported state.
 """
 
 import numpy as np
 
 from . import dynamics, qcore
-from .qcore import BoundViolationError, QuantumState, as_operator, state_matrix
+from .qcore import QuantumState, as_operator, state_matrix
 
 
 class QuantumnessSeries:
     """Sampled (t, Q_t) pairs with the dimensional bound attached."""
 
-    def __init__(self, times, values, dim_s, bound_tol=1e-8):
+    def __init__(self, times, values, dim_s):
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if times.shape != values.shape or times.ndim != 1:
@@ -33,10 +35,7 @@ class QuantumnessSeries:
             raise ValueError("times must be ascending")
         if times.size and times[0] == 0.0 and abs(values[0] - 1.0) > 1e-9:
             raise ValueError(f"Q at t=0 is {values[0]}, expected 1")
-        if values.size and (values.min() < -bound_tol or values.max() > dim_s + bound_tol):
-            raise BoundViolationError(
-                f"series leaves [0, {dim_s}]: min {values.min():.3e}, max {values.max():.6e}"
-            )
+        qcore.require_q_bounds(values, dim_s)
         self.times = times
         self.values = values
         self.dim_s = int(dim_s)
@@ -76,27 +75,25 @@ class QuantumnessReport:
 def q_functional_series(model, times):
     """Operators X_t = e^{tL}[I] such that Q_t(rho_0) = Tr[rho_0 X_t].
 
-    One propagation serves every initial state; used by sweeps and the
-    acceptance batches.
+    One propagation serves every initial state: ``q_series`` pairs it
+    with one, a batch of states with several.
     """
     g = dynamics.liouvillian(model)
     eye = np.eye(model.dim, dtype=complex)
     return dynamics.propagate_series(g, eye, times)
 
 
-def q_series(model, rho0, times, bound_tol=1e-8):
+def q_series(model, rho0, times):
     """Quantumness series of a Lindblad model for one initial state.
 
-    Propagates the adjoint generator from A_0 = rho_0 and records the
-    trace; values outside [0, dim] beyond ``bound_tol`` abort.
+    Pairs rho_0 with the operators of ``q_functional_series``; values
+    outside [0, dim] beyond ``qcore.BOUND_TOL`` abort.
     """
     rho0 = state_matrix(rho0)
-    gd = dynamics.dual_liouvillian(model)
-    values = [
-        np.trace(a).real
-        for a in dynamics.propagate_series(gd, rho0, times)
-    ]
-    return QuantumnessSeries(times, values, model.dim, bound_tol=bound_tol)
+    if rho0.shape[0] != model.dim:
+        raise ValueError(f"rho0 dimension {rho0.shape[0]} != model dimension {model.dim}")
+    values = np.einsum("ij,tji->t", rho0, q_functional_series(model, times)).real
+    return QuantumnessSeries(times, values, model.dim)
 
 
 def q_stationary(model, rho0):
@@ -162,17 +159,17 @@ def renormalized_degree(stationary):
     return float(np.linalg.eigvalsh(stat).max())
 
 
-def unitality_check(kraus, channel_tol=1e-8, unital_tol=1e-10):
-    """Whether a Kraus family is unital: sum T T^dag = I.
+def unitality_check(kraus):
+    """Whether a Kraus family is unital: sum T T^dag = I to 1e-10.
 
     Returns (is_unital, residual) with residual the max-entry deviation
     of sum T T^dag from the identity.  The input must be a valid channel
-    (sum T^dag T = I to ``channel_tol``).
+    (sum T^dag T = I to 1e-8).
     """
     kraus = [as_operator(t, "Kraus operator") for t in kraus]
     if not kraus:
         raise ValueError("empty Kraus list")
     d = kraus[0].shape[0]
-    qcore.require_channel(kraus, d, channel_tol)
+    qcore.require_channel(kraus, d, 1e-8)
     residual = float(np.abs(sum(t @ t.conj().T for t in kraus) - np.eye(d)).max())
-    return residual <= unital_tol, residual
+    return residual <= 1e-10, residual

@@ -51,12 +51,6 @@ def path_rng(seed, path_index):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _require_finite_parameter(obj, name):
-    value = getattr(obj, name)
-    if not np.isfinite(value):
-        raise ValueError(f"{type(obj).__name__} {name} must be finite, got {value}")
-
-
 # ---------------------------------------------------------------------------
 # noise processes and stochastic Hamiltonians
 
@@ -72,8 +66,7 @@ class NoiseProcess:
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
-        for name in ("amplitude", "correlation_time"):
-            _require_finite_parameter(self, name)
+        qcore.require_finite_parameters(self, "amplitude", "correlation_time")
         if self.correlation_time < 0:
             raise ValueError("correlation_time must be nonnegative")
         if self.family != "gaussian-white" and self.correlation_time <= 0:
@@ -280,9 +273,7 @@ class WaitingTime:
     def __post_init__(self):
         if self.family not in WAITING_FAMILIES:
             raise ValueError(f"unknown waiting family {self.family!r}")
-        for name in ("rate", "shape", "period"):
-            if getattr(self, name) is not None:
-                _require_finite_parameter(self, name)
+        qcore.require_finite_parameters(self, "rate", "shape", "period")
         if self.family == "exponential" and not (self.rate and self.rate > 0):
             raise ValueError("exponential waiting needs rate > 0")
         if self.family == "gamma":
@@ -530,7 +521,7 @@ def collisional_states(model, rho0, times, mode="series", n_paths=None, seed=Non
 
 
 def collisional_q(model, rho0, times, mode="series", n_paths=None, seed=None,
-                  step=None, tail_tol=None, bound_tol=1e-8):
+                  step=None, tail_tol=None):
     """Quantumness series of the collisional dynamics.
 
     Uses the trace pairing: the dual-chain trace of rho0 equals
@@ -543,4 +534,4 @@ def collisional_q(model, rho0, times, mode="series", n_paths=None, seed=None,
     eye = np.eye(model.dim, dtype=complex)
     mats = _chain(model, eye, times, mode, n_paths, seed, step)
     values = [np.trace(rho0 @ m).real for m in mats]
-    return quantumness.QuantumnessSeries(times, values, model.dim, bound_tol=bound_tol)
+    return quantumness.QuantumnessSeries(times, values, model.dim)

@@ -262,6 +262,24 @@ values =
     assert out.read_text() == "omega,dq\n"
 
 
+def test_non_finite_parameters_are_model_errors(tmp_path):
+    sweep = """
+[model]
+type = thermal-tls
+gamma = 1.0
+beta_hw0 = 2.0
+
+[sweep]
+param = beta_hw0
+values = 0.5 nan 2.0
+"""
+    out = tmp_path / "sweep.csv"
+    assert cli.run(["sweep", "--config", write(tmp_path, sweep), "--out", str(out)]) == 3
+    assert not out.exists()
+    dq = "[model]\ntype = fluorescence\ngamma = nan\nomega = 1.0\n"
+    assert cli.run(["dq", "--config", write(tmp_path, dq, "dq.cfg")]) == 3
+
+
 def test_exit_codes(tmp_path, monkeypatch):
     # parse error
     assert cli.run(["qt", "--config", str(tmp_path / "missing.cfg")]) == 2
@@ -294,7 +312,7 @@ steps = 5
 """
     assert cli.run(["dq", "--config", write(tmp_path, degen, "d.cfg")]) == 5
     # bound violation surfaces as exit 4
-    def broken_series(model, rho0, times, bound_tol=1e-8):
+    def broken_series(model, rho0, times):
         raise qcore.BoundViolationError("forced")
     monkeypatch.setattr(quantumness, "q_series", broken_series)
     thermal = write(tmp_path, THERMAL_CFG, "t.cfg")

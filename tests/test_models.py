@@ -365,6 +365,37 @@ def test_oscillator_dqr():
 
 
 # ---------------------------------------------------------------------------
+# parameter validation
+
+VALID_PARAMS = [
+    (models.ThermalTlsParams, {"gamma": 1.0, "beta_hw0": 2.0}),
+    (models.NonMarkovParams, {"gamma": 1.0, "tau_c": 0.5}),
+    (models.NonMarkovParams, {"gamma": 1.0, "tau_c": 0.5, "kernel": "single-mode",
+                              "coupling": 0.8}),
+    (models.FluorescenceParams, {"gamma": 1.0, "omega": 0.5}),
+    (models.TwoQubitParams, {"gamma": 1.0, "omega": 0.5}),
+    (models.OscillatorParams, {"gamma": 1.0, "beta_hw0": 1.0}),
+]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cls, kwargs", VALID_PARAMS,
+                         ids=["thermal-tls", "nonmarkov-lorentzian", "nonmarkov-single-mode",
+                              "fluorescence", "two-qubit", "oscillator"])
+def test_builtin_params_reject_non_finite(cls, kwargs, bad):
+    cls(**kwargs)
+    for name, value in kwargs.items():
+        if not isinstance(value, float):
+            continue
+        if (cls, name, bad) == (models.ThermalTlsParams, "beta_hw0", np.inf):
+            # the zero-temperature limit
+            assert cls(**{**kwargs, name: bad}).n_th == 0.0
+            continue
+        with pytest.raises(ValueError):
+            cls(**{**kwargs, name: bad})
+
+
+# ---------------------------------------------------------------------------
 # registry
 
 def test_builtin_params():

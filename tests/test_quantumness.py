@@ -56,16 +56,38 @@ def test_q_series_matches_laplace_inversion_oracle():
         assert abs(inverted - val) < 1e-8
 
 
+def dual_route_series(model, rho0, times):
+    """Q_t = Tr[A_t] from the Heisenberg flow dA/dt = L*[A], A_0 = rho_0."""
+    gd = dynamics.dual_liouvillian(model)
+    return np.asarray([np.trace(a).real for a in dynamics.propagate_series(gd, rho0, times)])
+
+
+def random_dense_model(rng, d):
+    def rand_op():
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    h = rand_op()
+    jumps = [rand_op() / np.sqrt(2.0 * d) for _ in range(2)]
+    return dynamics.LindbladModel(0.5 * (h + h.conj().T) / d, jumps, rates=[0.7, 0.4])
+
+
 def test_functional_series_pairing():
+    # q_series pairs rho_0 with X_t = e^{tL}[I]; the reference propagates
+    # rho_0 under the dual generator instead
     rng = np.random.default_rng(2)
-    m = models.FluorescenceParams(1.0, 0.9).lindblad_model()
     times = np.linspace(0.0, 5.0, 11)
-    functionals = quantumness.q_functional_series(m, times)
-    for _ in range(5):
-        rho0 = qcore.random_state(2, rng)
-        series = quantumness.q_series(m, rho0, times)
-        paired = [np.trace(rho0.matrix @ x).real for x in functionals]
-        assert np.abs(np.asarray(paired) - series.values).max() < 1e-12
+    cases = [models.FluorescenceParams(1.0, 0.9).lindblad_model(),
+             random_dense_model(rng, 4), random_dense_model(rng, 12)]
+    for m in cases:
+        assert not dynamics.liouvillian(m).is_sparse
+        functionals = quantumness.q_functional_series(m, times)
+        for _ in range(5):
+            rho0 = qcore.random_state(m.dim, rng)
+            series = quantumness.q_series(m, rho0, times)
+            reference = dual_route_series(m, rho0.matrix, times)
+            assert np.abs(series.values - reference).max() < 1e-12
+            paired = [np.trace(rho0.matrix @ x).real for x in functionals]
+            assert np.abs(np.asarray(paired) - series.values).max() < 1e-12
 
 
 def test_q_stationary():
