@@ -49,6 +49,10 @@ from .qcore import (
 )
 
 DENSE_FILL = 1.0 / 16.0      # generators at least this full are stored dense
+# scipy's expm_multiply estimates norms of matrix powers past this shifted
+# |A dt|_1: 2 ell p_max (p_max + 3) theta_55 / 55 with ell = 2, p_max = 8
+# (Al-Mohy and Higham 2011, condition (3.13))
+EXPM_NORM_SWITCH = 63.36
 # Uniqueness gate on 1/cond_1 of the bordered generator: the solve loses
 # about log10(1/margin) digits, so 1e-10 keeps six.  A weak decay at rate
 # r against an O(1) Hamiltonian reads margin ~ r/2.
@@ -228,24 +232,44 @@ def _reachable(a, v):
     return None if reached.all() else np.flatnonzero(reached)
 
 
-def _expm_pays(a, norm, steps, distinct):
+def _shifted_one_norm(a):
+    """||a - mu I||_1 with mu = tr(a) / n, the norm scipy's expm_multiply gates on."""
+    n = a.shape[0]
+    eye = scipy.sparse.identity(n, format="csr") if scipy.sparse.issparse(a) else np.eye(n)
+    return _one_norm(a - (a.diagonal().sum() / n) * eye)
+
+
+def _expm_pays(a, norm, moving, distinct):
     """Whether one dense expm per distinct step beats expm_multiply on every step.
 
-    Costs are in nanoseconds, fitted to scipy on one core for dense n x n
-    matrices with n = 4..576 and sparse ones with 34..11286 stored entries.
-    A dense expm costs about 2.2e4 + 134 n^2 + 1.18 n^3, and densifying a
-    sparse ``a`` or one product with the dense exponential 0.83 n^2.  One
+    ``moving`` holds every positive step and ``distinct`` one step per
+    exponential the expm route would build.  Costs are in nanoseconds,
+    fitted to scipy on one core for dense n x n matrices with n = 4..576
+    and sparse ones with 34..11286 stored entries.  A dense expm costs
+    about 2.2e4 + 134 n^2 + 1.18 n^3, plus 0.14 n^3 for each of its
+    ceil(log2(|a dt|_1 / 5.37)) squarings, and densifying a sparse ``a``
+    or one product with the dense exponential 0.83 n^2.  One
     expm_multiply call costs a fixed 1.4e5 (dense) or 6.4e5 (sparse) plus
     (6 |a dt|_1 + 25) products of 3.2e3 + 0.43 n^2 (dense) or
-    4.0e3 + 2.7 nnz (sparse).
+    4.0e3 + 2.7 nnz (sparse).  Past |(a - mu I) dt|_1 = EXPM_NORM_SWITCH,
+    mu = tr(a) / n, scipy first estimates the 1-norms of powers of a and
+    then needs fewer products: such a call costs 2.2e6 more and
+    (2.5 |a dt|_1 + 300) products when dense, and 5.5e6 more when sparse.
     """
     n = a.shape[0]
     sparse = scipy.sparse.issparse(a)
-    moving = steps[steps > 0.0]
-    expm_cost = (distinct * (2.2e4 + 134.0 * n ** 2 + 1.18 * n ** 3)
+    squarings = np.maximum(np.ceil(np.log2(np.maximum(norm * distinct, 1e-300) / 5.37)), 0.0)
+    expm_cost = (np.sum(2.2e4 + 134.0 * n ** 2 + (1.18 + 0.14 * squarings) * n ** 3)
                  + (moving.size + sparse) * 0.83 * n ** 2)
     call, product = (6.4e5, 4.0e3 + 2.7 * a.nnz) if sparse else (1.4e5, 3.2e3 + 0.43 * n ** 2)
-    krylov_cost = np.sum(call + (6.0 * norm * moving + 25.0) * product)
+    x = norm * moving
+    krylov = call + (6.0 * x + 25.0) * product
+    # the shifted norm is at most twice the norm, so below half the switch it is not needed
+    if 2.0 * x.max(initial=0.0) > EXPM_NORM_SWITCH:
+        estimated = _shifted_one_norm(a) * moving > EXPM_NORM_SWITCH
+        krylov[estimated] = (krylov[estimated] + 5.5e6 if sparse
+                             else call + 2.2e6 + (2.5 * x[estimated] + 300.0) * product)
+    krylov_cost = np.sum(krylov)
     return expm_cost <= krylov_cost
 
 
@@ -277,7 +301,9 @@ def propagate_series(g, x0, times):
         norm = _one_norm(a)
     v = full[index]
     full = np.zeros_like(full)
-    use_expm = _expm_pays(a, norm, steps, np.unique(keys[steps > 0.0]).size)
+    moving = steps > 0.0
+    first = np.unique(keys[moving], return_index=True)[1]
+    use_expm = _expm_pays(a, norm, steps[moving], steps[moving][first])
     if use_expm and scipy.sparse.issparse(a):
         a = a.toarray()
     exponentials = {}

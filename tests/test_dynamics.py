@@ -394,6 +394,19 @@ def test_propagate_series_whole_closure_keeps_the_full_route(d, grid):
         assert np.array_equal(out, qcore.unvec(v, d))
 
 
+@pytest.mark.parametrize("d, x, expm_pays", [(8, 100.0, True), (16, 150.0, False)])
+def test_expm_pays_prices_long_steps(d, x, expm_pays):
+    # one step at |A dt|_1 = x on a dense generator, past the shifted norm
+    # where scipy's expm_multiply estimates norms of matrix powers.  On one
+    # core, at n = 64 Krylov took 5.3-6.0 ms and expm 1.3-1.5 ms; at n = 256,
+    # with five squarings in expm, Krylov took 20-22 ms and expm 37-41 ms.
+    a = np.asarray(dynamics.liouvillian(random_lindblad(np.random.default_rng(40 + d), d)).matrix)
+    norm = dynamics._one_norm(a)
+    steps = np.array([x / norm])
+    assert dynamics._shifted_one_norm(a) * steps[0] > dynamics.EXPM_NORM_SWITCH
+    assert dynamics._expm_pays(a, norm, steps, steps) == expm_pays
+
+
 def test_propagate_series_rejects_bad_grid():
     g = dynamics.liouvillian(thermal_model())
     rho = np.eye(2) / 2.0

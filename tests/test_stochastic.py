@@ -466,6 +466,23 @@ def test_collisional_q_monte_carlo_mode():
     assert np.abs(series.values - 1.0).max() < 1e-12
 
 
+def reference_survival(wk, step):
+    """The survival weight s = 1 - h trap(s * beta) of the series chain.
+
+    beta = w + h trap(w * beta) is the scalar arrival density of the same
+    trapezoid rule; both are solved one grid step at a time.
+    """
+    beta, surv = np.empty_like(wk), np.empty_like(wk)
+    beta[0], surv[0] = wk[0], 1.0
+    for k in range(1, wk.size):
+        hist = wk[k - 1:0:-1] @ beta[1:k]
+        beta[k] = (wk[k] + step * (0.5 * wk[k] * beta[0] + hist)) / (1.0 - 0.5 * step * wk[0])
+    for k in range(1, wk.size):
+        hist = beta[k - 1:0:-1] @ surv[1:k]
+        surv[k] = (1.0 - step * (0.5 * beta[k] + hist)) / (1.0 + 0.5 * step * beta[0])
+    return surv
+
+
 def reference_neumann_chain(model, x0s, times, step):
     """The renewal series as a sum of iterated product-trapezoid convolutions.
 
@@ -479,8 +496,7 @@ def reference_neumann_chain(model, x0s, times, step):
     d = model.dim
     free = np.array([np.kron(model.free_unitary(t).conj(), model.free_unitary(t)) for t in grid])
     wk = w.pdf(grid)
-    surv = np.clip(1.0 - np.concatenate([[0.0], np.cumsum(0.5 * (wk[1:] + wk[:-1]) * step)]),
-                   0.0, None)
+    surv = reference_survival(wk, step)
     kern = wk[:, None, None] * (model.collision_superoperator() @ free)
     v0 = np.array([qcore.vec(x) for x in x0s]).T
     b = kern @ v0
@@ -508,14 +524,17 @@ def reference_neumann_chain(model, x0s, times, step):
     return np.array([[qcore.unvec(v, d) for v in at_times[:, :, m]] for m in range(len(x0s))])
 
 
+SERIES_WAITING = {"exponential": stochastic.WaitingTime("exponential", rate=1.0),
+                  "gamma": stochastic.WaitingTime("gamma", rate=2.0, shape=2.0)}
+
+
 @pytest.mark.parametrize("collision", ["unital", "damping"])
 @pytest.mark.parametrize("waiting", ["exponential", "gamma"])
 def test_series_chain_matches_neumann_reference(waiting, collision):
     model = stochastic.CollisionalModel(
         0.45 * qcore.sigma_z + 0.2 * qcore.sigma_x,
         [unitary(0.8, qcore.sigma_x)] if collision == "unital" else amplitude_damping(0.4),
-        {"exponential": stochastic.WaitingTime("exponential", rate=1.0),
-         "gamma": stochastic.WaitingTime("gamma", rate=2.0, shape=2.0)}[waiting],
+        SERIES_WAITING[waiting],
     )
     step = model.waiting.mean() / 100.0
     x0s = [np.eye(2, dtype=complex), qcore.random_state(2, np.random.default_rng(1)).matrix]
@@ -541,8 +560,7 @@ def reference_series_chain(model, x0, times, step):
     u = model.free_unitary(grid)
     free = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, d * d, d * d)
     wk = model.waiting.pdf(grid)
-    surv = np.clip(1.0 - np.concatenate([[0.0], np.cumsum(0.5 * (wk[1:] + wk[:-1]) * step)]),
-                   0.0, None)
+    surv = reference_survival(wk, step)
     kern = wk[:, None, None] * np.einsum("ab,kbc->kac", model.collision_superoperator(), free)
     v0 = qcore.vec(x0)
     b = np.einsum("kab,b->ka", kern, v0)
@@ -577,8 +595,7 @@ def test_series_chain_matches_full_grid_output(waiting, collision, times, monkey
     model = stochastic.CollisionalModel(
         0.45 * qcore.sigma_z + 0.2 * qcore.sigma_x,
         [unitary(0.8, qcore.sigma_x)] if collision == "unital" else amplitude_damping(0.4),
-        {"exponential": stochastic.WaitingTime("exponential", rate=1.0),
-         "gamma": stochastic.WaitingTime("gamma", rate=2.0, shape=2.0)}[waiting],
+        SERIES_WAITING[waiting],
     )
     assert np.ceil(3.0 / SERIES_STEP) * SERIES_STEP == 3.0
     rho0 = qcore.random_state(2, np.random.default_rng(1))
@@ -593,6 +610,91 @@ def test_series_chain_matches_full_grid_output(waiting, collision, times, monkey
     assert max(np.abs(a.matrix - b.matrix).max() for a, b in zip(states, ref_states)) < 1e-13
     ref_q = stochastic.collisional_q(model, rho0, times, step=SERIES_STEP).values
     assert np.abs(q - ref_q).max() < 1e-13
+
+
+_ROTATION = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3))
+                         + 1j * np.random.default_rng(8).normal(size=(3, 3)))[0]
+
+
+def qutrit_model(h, waiting):
+    """Three levels; two Kraus operators cut from a random 6 x 3 isometry."""
+    rng = np.random.default_rng(9)
+    iso = np.linalg.qr(rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)))[0]
+    return stochastic.CollisionalModel(
+        h, [iso[:3], iso[3:]],
+        SERIES_WAITING[waiting],
+    )
+
+
+@pytest.mark.parametrize("h", [
+    _ROTATION @ np.diag([0.7, 0.7, -0.4]) @ _ROTATION.conj().T,
+    np.zeros((3, 3)),
+], ids=["degenerate", "zero"])
+@pytest.mark.parametrize("waiting", ["exponential", "gamma"])
+def test_series_chain_qutrit_matches_full_grid_output(waiting, h):
+    # the eigenbasis of a degenerate (or zero) H is not unique; any one serves
+    model = qutrit_model(0.5 * (h + h.conj().T), waiting)
+    times = np.array([0.0, 0.37, 1.2345, 2.0])
+    for x0 in (np.eye(3, dtype=complex), qcore.random_state(3, np.random.default_rng(3)).matrix):
+        got = stochastic._series_chain(model, x0, times, step=SERIES_STEP)
+        ref = reference_series_chain(model, x0, times, SERIES_STEP)
+        assert np.abs(np.array(got) - np.array(ref)).max() < 1e-13
+
+
+CHAIN_BLOCK = stochastic.SERIES_BLOCK // 4  # grid steps per block of the d = 2 density solve
+
+
+@pytest.mark.parametrize("n_grid", [
+    CHAIN_BLOCK // 2, CHAIN_BLOCK, CHAIN_BLOCK + 1, 3 * CHAIN_BLOCK + 5,
+    stochastic.SERIES_BLOCK + 3,
+])
+@pytest.mark.parametrize("waiting", ["exponential", "gamma"])
+def test_series_chain_block_edges(waiting, n_grid):
+    # every grid node is requested, so every step of every block is read
+    model = stochastic.CollisionalModel(
+        0.45 * qcore.sigma_z + 0.2 * qcore.sigma_x, amplitude_damping(0.4),
+        SERIES_WAITING[waiting],
+    )
+    times = SERIES_STEP * np.arange(n_grid + 1)
+    for x0 in (np.eye(2, dtype=complex), qcore.random_state(2, np.random.default_rng(5)).matrix):
+        got = stochastic._series_chain(model, x0, times, step=SERIES_STEP)
+        ref = reference_series_chain(model, x0, times, SERIES_STEP)
+        assert np.abs(np.array(got) - np.array(ref)).max() < 1e-13
+
+
+LONG_H = np.array([[1.0, 0.4], [0.4, -1.0]])
+LONG_TIMES = np.linspace(0.0, 30.0, 61)
+
+
+@pytest.mark.parametrize("waiting", [stochastic.WaitingTime("exponential", rate=2.0),
+                                     stochastic.WaitingTime("gamma", rate=2.0, shape=2.0)],
+                         ids=["exponential", "gamma"])
+def test_series_conserves_trace_and_identity_at_long_horizons(waiting):
+    # the survival weight solves s = 1 - h trap(s * beta) with beta the
+    # arrival density of the same rule, so at the default step the chain
+    # keeps the trace, and a unital chain the identity, to roundoff
+    unital = stochastic.CollisionalModel(LONG_H, [unitary(0.8, qcore.sigma_x)], waiting)
+    eye = stochastic._series_chain(unital, np.eye(2, dtype=complex), LONG_TIMES)
+    assert max(np.abs(m - np.eye(2)).max() for m in eye) < 1e-12
+    damping = stochastic.CollisionalModel(LONG_H, amplitude_damping(0.3), waiting)
+    rho0 = qcore.random_state(2, np.random.default_rng(3)).matrix
+    states = stochastic._series_chain(damping, rho0, LONG_TIMES)
+    assert np.abs([np.trace(m) - 1.0 for m in states]).max() < 1e-12
+
+
+def test_series_exponential_matches_lindblad_at_long_horizons():
+    # exponential waiting at rate r is the Lindblad model r (E - I)
+    rate, damping = 2.0, amplitude_damping(0.3)
+    model = stochastic.CollisionalModel(
+        LONG_H, damping, stochastic.WaitingTime("exponential", rate=rate)
+    )
+    lind = dynamics.LindbladModel(LONG_H, damping, rates=[rate, rate])
+    rho0 = qcore.random_state(2, np.random.default_rng(3))
+    q = stochastic.collisional_q(model, rho0, LONG_TIMES).values
+    assert np.abs(q - quantumness.q_series(lind, rho0, LONG_TIMES).values).max() < 5e-4
+    states = stochastic.collisional_states(model, rho0, LONG_TIMES)
+    exact = dynamics.propagate_series(dynamics.liouvillian(lind), rho0.matrix, LONG_TIMES)
+    assert max(qcore.trace_distance(s.matrix, e) for s, e in zip(states, exact)) < 5e-4
 
 
 def test_series_value_does_not_depend_on_other_times():
