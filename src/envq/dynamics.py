@@ -1,30 +1,47 @@
 """Lindblad generators, their duals, grid propagation and stationary states.
 
 Superoperators act on column-stacked operators, so a generator on a
-d-dimensional system is a d^2 x d^2 matrix.  Each job has one route:
+d-dimensional system is a d^2 x d^2 matrix G.  Each job has one route:
 
+* Real coordinates.  Dissipative dynamics preserve Hermiticity, so every
+  generator, every propagated operator X_t = e^{tL}[X] and every
+  stationary state lives in the real d^2-dimensional space of Hermitian
+  operators.  A Hermitian X is stored as Y = Re X + Im X (column-stacked):
+  Re X is symmetric and Im X antisymmetric, so the map is an isometry that
+  keeps the vec index layout, the trace functional and the diagonal
+  indices, and Tr[A X] = y_A . y_X.  Its inverse is X = sym(Y) + i anti(Y)
+  (Alicki & Lendi, Quantum Dynamical Semigroups and Applications, LNP 717
+  (2007), for the real form of a semigroup generator).  With P the
+  transpose permutation r + d c <-> c + d r, a map that satisfies
+  conj(G) = P G P acts on Y as the float64 matrix L = Re G + Im(G P), which
+  inverts as G = (L + PLP)/2 + i(LP - PL)/2.  The dual (Hilbert-Schmidt
+  adjoint) is exactly L.T.  A non-Hermitian X = H1 + i H2 runs as the two
+  real columns of H1 and H2.
 * Storage.  A generator is kept dense when at least ``DENSE_FILL`` of its
   entries can be non-zero (a bound read off its Kronecker factors) and
   sparse otherwise: below that fill the sparse form is the smaller one
-  and its products and LU are the cheaper ones.  A model builds its
-  forward generator once; the dual is its conjugate transpose, built on
-  request for the Heisenberg images that Q_t alone does not carry.
+  and its products and LU are the cheaper ones.  A sparse L is summed
+  from the COO triplets of the Kronecker terms of G in one ``csr_matrix``
+  call; a dense L comes from two real products over the jump pairs.  A
+  model builds and caches only its real forward generator; the complex
+  ``Superoperator.matrix`` is rebuilt from it on request.
 * Propagation.  ``propagate_series`` first closes the support of the
-  initial operator under the generator's stored non-zero pattern.  That
-  set S is invariant under every ``exp(t G)``, so when it is a proper
-  subset the series runs on the principal block ``G[S, S]`` (stored by
-  fill) and is scattered back into zeros; a phase-covariant dissipator
-  keeps a diagonal operator diagonal, so the thermal oscillator's d^2
-  space shrinks to d (Albert & Jiang, PRA 89, 022118 (2014)).  The series
-  steps from one grid time to the next.  One ``expm(G dt)`` per distinct
-  step, densified and reused for every repeat of that step (a uniform grid
+  initial coordinates under the stored non-zero pattern of L.  That set S
+  is invariant under every ``exp(t L)``, so when it is a proper subset the
+  series runs on the principal block ``L[S, S]`` (stored by fill) and is
+  scattered back into zeros; a phase-covariant dissipator keeps a
+  diagonal operator diagonal, so the thermal oscillator's d^2 space
+  shrinks to d (Albert & Jiang, PRA 89, 022118 (2014)).  The series steps
+  from one grid time to the next.  One ``expm(L dt)`` per distinct step,
+  densified and reused for every repeat of that step (a uniform grid
   costs one exponential plus matrix-vector products), is taken whenever a
-  fitted cost model prices it below ``expm_multiply`` (Al-Mohy & Higham
-  2011) on every step; otherwise each step is one ``expm_multiply``.
-  ``propagate`` is the one-point case.
-* Stationary state.  ``stationary_state`` solves ``L x = 0`` with its first
-  row replaced by the trace functional scaled to ``||L||_1``, by a dense LU
-  or by ``splu``.  Uniqueness is gated by the relative margin
+  fitted cost model prices it below ``expm_multiply`` (Al-Mohy & Higham,
+  SIAM J. Sci. Comput. 33 (2011)) on every step; otherwise each step is
+  one ``expm_multiply``.  All times map back to operators in one
+  vectorised call.  ``propagate`` is the one-point case.
+* Stationary state.  ``stationary_state`` solves ``L y = 0`` with its first
+  row replaced by the trace functional scaled to ``||L||_1``, by a dense
+  real LU or by ``splu``.  Uniqueness is gated by the relative margin
   ``1/(||A||_1 ||A^-1||_1)`` of that bordered matrix, so every gate scales
   with the generator and ``D_Q`` is invariant under a rescaling of time.
 """
@@ -57,6 +74,9 @@ EXPM_NORM_SWITCH = 63.36
 # about log10(1/margin) digits, so 1e-10 keeps six.  A weak decay at rate
 # r against an O(1) Hamiltonian reads margin ~ r/2.
 STATIONARY_MARGIN = 1e-10
+# A Superoperator built from a complex G may miss conj(G) = P G P by this
+# much relative to ||G||_1: a Lindbladian reads about 1e-16.
+HP_TOL = 1e-12
 
 
 class LindbladModel:
@@ -98,74 +118,211 @@ class LindbladModel:
 
     @cached_property
     def _forward(self):
-        """Forward generator stored by fill, built on first use and read-only."""
+        """Real forward generator stored by fill, built on first use and read-only."""
         gen = _generator(self, None)
-        for array in (gen.data, gen.indices, gen.indptr) if scipy.sparse.issparse(gen) else (gen,):
-            array.flags.writeable = False
+        _freeze(gen)
         return gen
 
 
 class Superoperator:
-    """Matrix representation of a map on column-stacked operators."""
+    """A Hermiticity-preserving map on column-stacked operators.
+
+    ``matrix`` is its complex d^2 x d^2 matrix G in the vec basis.  G must
+    satisfy conj(G) = P G P, P the transpose permutation r + d c <-> c + d r,
+    to within 1e-12 ||G||_1; otherwise the constructor raises ValueError.
+    The map is stored only as the real matrix ``real`` = Re G + Im(G P),
+    which acts on the real coordinates of Hermitian operators (see
+    ``real_coordinates``); ``matrix`` is rebuilt from it on request.
+    """
 
     def __init__(self, matrix, dim, kind=None):
-        self.matrix = matrix
+        if not scipy.sparse.issparse(matrix):
+            matrix = np.asarray(matrix)
+        if matrix.shape != (dim * dim, dim * dim):
+            raise ValueError(f"superoperator shape {matrix.shape} != ({dim * dim}, {dim * dim})")
+        scale = _one_norm(matrix)
+        defect = _hp_defect(matrix, dim)
+        if defect > HP_TOL * scale:
+            raise ValueError(
+                f"superoperator does not preserve Hermiticity: max|conj(G) - PGP| = "
+                f"{defect:.3e} exceeds {HP_TOL:.0e} * ||G||_1 = {HP_TOL * scale:.3e}"
+            )
+        self.real = _real_form(matrix, dim)
         self.dim = dim
         self.kind = kind  # "forward", "dual" or None
 
+    @classmethod
+    def _of_real(cls, real, dim, kind):
+        g = cls.__new__(cls)
+        g.real, g.dim, g.kind = real, dim, kind
+        return g
+
     @property
     def is_sparse(self):
-        return scipy.sparse.issparse(self.matrix)
+        return scipy.sparse.issparse(self.real)
 
     @cached_property
     def norm(self):
-        """Induced 1-norm (largest column sum), the scale of every gate."""
-        return _one_norm(self.matrix)
+        """Induced 1-norm of ``real`` (largest column sum), the scale of every gate."""
+        return _one_norm(self.real)
+
+    @cached_property
+    def matrix(self):
+        """G = (L + PLP)/2 + i(LP - PL)/2 from L = ``real``, read-only."""
+        pi = _transpose_index(self.dim)
+        lp, pl = self.real[:, pi], self.real[pi]
+        g = 0.5 * (self.real + pl[:, pi]) + 0.5j * (lp - pl)
+        _freeze(g)
+        return g
 
     def dense(self):
         return self.matrix.toarray() if self.is_sparse else self.matrix
 
     def apply(self, operator):
-        return unvec(self.matrix @ vec(operator), self.dim)
+        y = _columns(as_operator(operator))
+        return _operators(self.real @ y, self.dim)
 
 
 def _one_norm(a):
-    return float(abs(a).sum(axis=0).max()) if a.size else 0.0
+    return float(abs(a).sum(axis=0).max()) if a.shape[0] else 0.0
+
+
+def _freeze(a):
+    for array in (a.data, a.indices, a.indptr) if scipy.sparse.issparse(a) else (a,):
+        array.flags.writeable = False
+
+
+def _transpose_index(d):
+    """P as an index map: vec(X^T)[k] = vec(X)[P[k]], so P[r + d c] = c + d r."""
+    k = np.arange(d * d)
+    return k % d * d + k // d
+
+
+def _hp_defect(g, d):
+    """max|conj(G) - P G P|, zero exactly when G maps Hermitian operators to Hermitian ones."""
+    pi = _transpose_index(d)
+    if scipy.sparse.issparse(g):
+        diff = g.conj() - g[pi][:, pi]
+        return float(abs(diff).max()) if diff.nnz else 0.0
+    return float(np.abs(g.conj() - g[np.ix_(pi, pi)]).max(initial=0.0))
+
+
+def _real_form(g, d):
+    """L = Re G + Im(G P) of a vec-basis matrix G, stored as G is."""
+    if scipy.sparse.issparse(g):
+        coo = g.tocoo()
+        return _real_csr(coo.row, coo.col, coo.data, d)
+    g4 = g.reshape(d, d, d, d)
+    return (g4.real + g4.imag.transpose(0, 1, 3, 2)).reshape(d * d, d * d)
+
+
+def _real_csr(rows, cols, vals, d):
+    """CSR L from COO triplets of G, duplicates summed in one call.
+
+    A triplet (i, j, v) adds Re v at (i, j) and Im v at (i, P j).
+    """
+    vals = np.asarray(vals, dtype=complex)
+    re, im = vals.real != 0, vals.imag != 0
+    real = scipy.sparse.csr_matrix(
+        (np.concatenate([vals.real[re], vals.imag[im]]),
+         (np.concatenate([rows[re], rows[im]]),
+          np.concatenate([cols[re], _transpose_index(d)[cols[im]]]))),
+        shape=(d * d, d * d),
+    )
+    real.eliminate_zeros()
+    return real
+
+
+def real_coordinates(x):
+    """Real coordinates vec(Re X + Im X) of a Hermitian X, or of each of a stack.
+
+    For Hermitian X, Re X is symmetric and Im X antisymmetric, so the map
+    is an isometry onto R^(d^2) that keeps the vec index layout, and
+    Tr[A X] = real_coordinates(A) . real_coordinates(X) for Hermitian A.
+    """
+    m = np.asarray(x)
+    return np.swapaxes(m.real + m.imag, -1, -2).reshape(*m.shape[:-2], -1)
+
+
+def hermitian_operator(y, dim):
+    """Inverse of ``real_coordinates``: X = sym(Y) + i anti(Y), Y = unvec(y), over leading axes."""
+    y = np.asarray(y)
+    m = np.swapaxes(y.reshape(*y.shape[:-1], dim, dim), -1, -2)
+    mt = np.swapaxes(m, -1, -2)
+    x = np.empty(m.shape, dtype=complex)
+    x.real = 0.5 * (m + mt)
+    x.imag = 0.5 * (m - mt)
+    return x
+
+
+def _columns(x):
+    """Coordinate columns (d^2, k) of the Hermitian parts of x = H1 + i H2; k = 1 when H2 = 0."""
+    h1 = 0.5 * (x + x.conj().T)
+    h2 = -0.5j * (x - x.conj().T)
+    if not h2.any():
+        return real_coordinates(h1)[:, None]
+    return np.stack([real_coordinates(h1), real_coordinates(h2)], axis=1)
+
+
+def _operators(y, dim):
+    """Operators sum_k i^k X(y[..., :, k]) of coordinate columns from ``_columns``."""
+    x = hermitian_operator(y[..., 0], dim)
+    if y.shape[-1] == 2:
+        x += 1j * hermitian_operator(y[..., 1], dim)
+    return x
 
 
 def _generator(model, sparse):
-    """Forward generator I (x) J + conj(J) (x) I + sum a_mu_nu conj(V_nu) (x) V_mu.
+    """Forward generator in real coordinates, L = Re G + Im(G P).
 
-    J = -i h_bar - M/2 with M = sum a_mu_nu V_nu^dag V_mu.  ``sparse=None``
+    G = I (x) J + conj(J) (x) I + sum a_mu_nu conj(V_nu) (x) V_mu with
+    J = -i h_bar - M/2, M = sum a_mu_nu V_nu^dag V_mu.  ``sparse=None``
     stores it dense when a bound on its non-zero count, read off the
-    Kronecker factors, reaches ``DENSE_FILL`` of its d^4 entries.
+    Kronecker factors, reaches ``DENSE_FILL`` of its d^4 entries.  Sparse L
+    is summed from the COO triplets of G in one ``csr_matrix`` call; dense
+    L comes from two real products over the jump pairs, so no complex
+    d^4 array is formed.
     """
     d = model.dim
-    pairs = [(model.rates[mu, nu], model.jump_ops[mu], model.jump_ops[nu])
+    pairs = [(model.rates[mu, nu], model.jump_ops[nu].conj(), model.jump_ops[mu])
              for mu, nu in zip(*np.nonzero(model.rates))]
     j = -1j * model.h_bar
-    for a, v_mu, v_nu in pairs:
-        j = j - 0.5 * a * (v_nu.conj().T @ v_mu)
+    for a, v_nu, v_mu in pairs:
+        j = j - 0.5 * a * (v_nu.T @ v_mu)
     if sparse is None:
         nz = np.count_nonzero
-        bound = 2 * d * nz(j) + sum(nz(v_nu) * nz(v_mu) for _, v_mu, v_nu in pairs)
+        bound = 2 * d * nz(j) + sum(nz(v_nu) * nz(v_mu) for _, v_nu, v_mu in pairs)
         sparse = bound < DENSE_FILL * d ** 4
     if sparse:
-        csr = scipy.sparse.csr_matrix
-        eye = scipy.sparse.identity(d, format="csr")
-        gen = scipy.sparse.kron(eye, csr(j)) + scipy.sparse.kron(csr(j.conj()), eye)
-        for a, v_mu, v_nu in pairs:
-            gen = gen + a * scipy.sparse.kron(csr(v_nu.conj()), csr(v_mu))
-        return scipy.sparse.csr_matrix(gen)
-    # gen[c, r, c', r'] is the entry between vec indices r + d c and r' + d c'
-    gen = np.zeros((d, d, d, d), dtype=complex)
+        eye = np.eye(d)
+        triplets = [_kron_triplets(eye, j, d), _kron_triplets(j.conj(), eye, d),
+                    *(_kron_triplets(v_nu, v_mu, d, a) for a, v_nu, v_mu in pairs)]
+        return _real_csr(*(np.concatenate(t) for t in zip(*triplets)), d)
+    # l4[c, r, c', r'] is the entry between vec indices r + d c and r' + d c';
+    # a pair P (x) Q adds Re(P[c, c'] Q[r, r']) + Im(P[c, r'] Q[r, c'])
+    p = np.array([a * v_nu for a, v_nu, _ in pairs]).reshape(len(pairs), d * d)
+    q = np.array([v_mu for _, _, v_mu in pairs]).reshape(len(pairs), d * d)
+    re = np.concatenate([p.real, -p.imag]).T @ np.concatenate([q.real, q.imag])
+    im = np.concatenate([p.real, p.imag]).T @ np.concatenate([q.imag, q.real])
+    l4 = (re.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+          + im.reshape(d, d, d, d).transpose(0, 2, 3, 1))
     k = np.arange(d)
-    gen[k, :, k, :] += j
-    gen[:, k, :, k] += j.conj()
-    gen = gen.reshape(d * d, d * d)
-    for a, v_mu, v_nu in pairs:
-        gen += np.kron(a * v_nu.conj(), v_mu)
-    return gen
+    l4[k, :, k, :] += j.real                # Re of I (x) J
+    l4[:, k, :, k] += j.real                # Re of conj(J) (x) I
+    l4[k, :, :, k] += j.imag                # Im(G P) of I (x) J
+    l4[:, k, k, :] -= j.imag[:, None, :]    # Im(G P) of conj(J) (x) I
+    return l4.reshape(d * d, d * d)
+
+
+def _kron_triplets(a, b, d, scale=1.0):
+    """COO triplets of scale * kron(a, b): scale (a[c, c'] b[r, r']) at (r + d c, r' + d c').
+
+    The scale multiplies last, so a real-rate pair conj(V) (x) V and its
+    mirror under P hold exactly conjugate values.
+    """
+    (c, c2), (r, r2) = np.nonzero(a), np.nonzero(b)
+    vals = (scale * np.multiply.outer(a[c, c2], b[r, r2])).ravel()
+    return ((r + d * c[:, None]).ravel(), (r2 + d * c2[:, None]).ravel(), vals)
 
 
 def _forward_matrix(model, sparse):
@@ -179,20 +336,19 @@ def liouvillian(model, sparse=None):
     the model's generator, built once per model; an explicit ``sparse``
     builds a fresh one in that storage.
     """
-    return Superoperator(_forward_matrix(model, sparse), model.dim, kind="forward")
+    return Superoperator._of_real(_forward_matrix(model, sparse), model.dim, "forward")
 
 
 def dual_liouvillian(model, sparse=None):
     """Adjoint generator for Heisenberg-picture operators.
 
     dA/dt = +i[h_bar, A] + sum a_mu_nu (V_nu^dag A V_mu
-    - (V_nu^dag V_mu A + A V_nu^dag V_mu)/2).  It is the conjugate
-    transpose of the forward generator (the Hilbert-Schmidt adjoint), so
-    it annihilates the identity but generally does not preserve the trace.
+    - (V_nu^dag V_mu A + A V_nu^dag V_mu)/2).  It is the Hilbert-Schmidt
+    adjoint of the forward generator, which in the orthonormal real
+    coordinates is the transpose ``L.T`` (a view, no copy); it annihilates
+    the identity but generally does not preserve the trace.
     """
-    gen = _forward_matrix(model, sparse)
-    gen = gen.conj().T.tocsr() if scipy.sparse.issparse(gen) else np.conjugate(gen.T, order="C")
-    return Superoperator(gen, model.dim, kind="dual")
+    return Superoperator._of_real(_forward_matrix(model, sparse).T, model.dim, "dual")
 
 
 def _by_fill(a):
@@ -203,14 +359,15 @@ def _by_fill(a):
     return a if np.count_nonzero(a) >= full else scipy.sparse.csr_matrix(a)
 
 
-def _reachable(a, v):
-    """Indices that the stored pattern of ``a`` reaches from the support of v.
+def _reachable(a, support):
+    """Indices that the stored pattern of ``a`` reaches from a boolean ``support``.
 
-    Column j of ``a`` feeds every row i with a stored entry a[i, j], so the
-    closure S of supp(v) under that pattern holds a^k v for every k, and
-    with it exp(t a) v.  Returns None when S is the whole space.
+    Column j of ``a`` feeds every row i with a stored entry a[i, j], so for
+    every v supported on ``support`` the closure S of that support under
+    the pattern holds a^k v for every k, and with it exp(t a) v.  Returns
+    None when S is the whole space.
     """
-    reached = v != 0
+    reached = support.copy()
     if reached.all():
         return None
     if scipy.sparse.issparse(a):
@@ -242,35 +399,39 @@ def _shifted_one_norm(a):
 def _expm_pays(a, norm, moving, distinct):
     """Whether one dense expm per distinct step beats expm_multiply on every step.
 
-    ``moving`` holds every positive step and ``distinct`` one step per
-    exponential the expm route would build.  Costs are in nanoseconds,
-    fitted to scipy on one core for dense n x n matrices with n = 4..576
-    and sparse ones with 34..11286 stored entries.  A dense expm costs
-    about 2.2e4 + 134 n^2 + 1.18 n^3, plus 0.14 n^3 for each of its
-    ceil(log2(|a dt|_1 / 5.37)) squarings, and densifying a sparse ``a``
-    or one product with the dense exponential 0.83 n^2.  One
-    expm_multiply call costs a fixed 1.4e5 (dense) or 6.4e5 (sparse) plus
-    (6 |a dt|_1 + 25) products of 3.2e3 + 0.43 n^2 (dense) or
-    4.0e3 + 2.7 nnz (sparse).  Past |(a - mu I) dt|_1 = EXPM_NORM_SWITCH,
-    mu = tr(a) / n, scipy first estimates the 1-norms of powers of a and
-    then needs fewer products: such a call costs 2.2e6 more and
-    (2.5 |a dt|_1 + 300) products when dense, and 5.5e6 more when sparse.
+    ``a`` is a real generator block, ``moving`` holds every positive step
+    and ``distinct`` one step per exponential the expm route would build.
+    Costs are in nanoseconds, fitted to scipy on one core for float64
+    matrices: dense n x n with n = 4..576 and sparse ones with 518..15068
+    stored entries, one coordinate column (minimum of 9-25 runs, two
+    sessions; each fit is within 0.48-1.65x of every measurement).  A dense
+    expm costs 1.9e4 + 25 n^2 + 0.34 n^3, plus 0.06 n^3 for each of its
+    ceil(log2(|a dt|_1 / 5.37)) squarings; densifying a sparse ``a`` costs
+    0.45 n^2 and one product with the exponential 1.2e3 + 0.25 n^2.  One
+    expm_multiply call at x = |a dt|_1 costs 1.7e5 + 7 n^2
+    + x (2.5e4 + 0.29 n^2) when dense and 9.3e5 + 58 nnz + x (8.9e4 + 6.7 nnz)
+    when sparse.  Past |(a - mu I) dt|_1 = EXPM_NORM_SWITCH, mu = tr(a) / n,
+    scipy first estimates the 1-norms of powers of a and then needs fewer
+    products: such a call costs 2.4e6 + 84 n^2 + 1.2e4 x when dense and
+    8.5e6 + 1370 nnz + x (7.0e4 + 4.8 nnz) when sparse.
     """
     n = a.shape[0]
     sparse = scipy.sparse.issparse(a)
     squarings = np.maximum(np.ceil(np.log2(np.maximum(norm * distinct, 1e-300) / 5.37)), 0.0)
-    expm_cost = (np.sum(2.2e4 + 134.0 * n ** 2 + (1.18 + 0.14 * squarings) * n ** 3)
-                 + (moving.size + sparse) * 0.83 * n ** 2)
-    call, product = (6.4e5, 4.0e3 + 2.7 * a.nnz) if sparse else (1.4e5, 3.2e3 + 0.43 * n ** 2)
+    expm_cost = (np.sum(1.9e4 + 25.0 * n ** 2 + (0.34 + 0.06 * squarings) * n ** 3)
+                 + moving.size * (1.2e3 + 0.25 * n ** 2) + sparse * 0.45 * n ** 2)
     x = norm * moving
-    krylov = call + (6.0 * x + 25.0) * product
+    if sparse:
+        krylov = 9.3e5 + 58.0 * a.nnz + x * (8.9e4 + 6.7 * a.nnz)
+    else:
+        krylov = 1.7e5 + 7.0 * n ** 2 + x * (2.5e4 + 0.29 * n ** 2)
     # the shifted norm is at most twice the norm, so below half the switch it is not needed
     if 2.0 * x.max(initial=0.0) > EXPM_NORM_SWITCH:
         estimated = _shifted_one_norm(a) * moving > EXPM_NORM_SWITCH
-        krylov[estimated] = (krylov[estimated] + 5.5e6 if sparse
-                             else call + 2.2e6 + (2.5 * x[estimated] + 300.0) * product)
-    krylov_cost = np.sum(krylov)
-    return expm_cost <= krylov_cost
+        xe = x[estimated]
+        krylov[estimated] = (8.5e6 + 1370.0 * a.nnz + xe * (7.0e4 + 4.8 * a.nnz) if sparse
+                             else 2.4e6 + 84.0 * n ** 2 + 1.2e4 * xe)
+    return expm_cost <= np.sum(krylov)
 
 
 def propagate_series(g, x0, times):
@@ -278,11 +439,13 @@ def propagate_series(g, x0, times):
 
     The operator is stepped from 0 to ``times[0]`` and then from one grid
     time to the next; steps that agree to 1e-12 of the longest share one
-    exponential.  Only the block of G on the entries reachable from x0 is
-    propagated (see ``_reachable``); the others stay exactly 0.  ``times``
-    must be finite, non-negative and ascending.  Returns an array of
-    shape (len(times), d, d).  Forward generators must preserve the trace
-    of ``x0`` to 1e-10 (relative to max(1, |Tr x0|)) at every time; a
+    exponential.  The real generator steps the coordinate columns of the
+    Hermitian parts of x0 = H1 + i H2 (one column when x0 is Hermitian),
+    and only its block on the entries reachable from them (see
+    ``_reachable``); the others stay exactly 0.  ``times`` must be finite,
+    non-negative and ascending.  Returns an array of shape
+    (len(times), d, d).  Forward generators must preserve the trace of
+    ``x0`` to 1e-10 (relative to max(1, |Tr x0|)) at every time; a
     violation signals a broken generator.
     """
     x0 = as_operator(x0, "x0")
@@ -292,22 +455,21 @@ def propagate_series(g, x0, times):
     steps = np.diff(times, prepend=0.0)
     longest = steps.max(initial=0.0)
     keys = np.round(steps / longest, 12) if longest > 0.0 else steps
-    full = vec(x0)
-    index = _reachable(g.matrix, full)
+    y0 = _columns(x0)
+    index = _reachable(g.real, y0.any(axis=1))
     if index is None:
-        a, norm, index = g.matrix, g.norm, slice(None)
+        a, norm, index = g.real, g.norm, slice(None)
     else:
-        a = _by_fill(g.matrix[np.ix_(index, index)])
+        a = _by_fill(g.real[np.ix_(index, index)])
         norm = _one_norm(a)
-    v = full[index]
-    full = np.zeros_like(full)
+    v = y0[index]
     moving = steps > 0.0
     first = np.unique(keys[moving], return_index=True)[1]
     use_expm = _expm_pays(a, norm, steps[moving], steps[moving][first])
     if use_expm and scipy.sparse.issparse(a):
         a = a.toarray()
     exponentials = {}
-    out = np.empty((times.size, g.dim, g.dim), dtype=complex)
+    ys = np.zeros((times.size, *y0.shape))
     for k, (dt, key) in enumerate(zip(steps, keys)):
         if dt > 0.0:
             if not use_expm:
@@ -316,8 +478,8 @@ def propagate_series(g, x0, times):
                 if key not in exponentials:
                     exponentials[key] = scipy.linalg.expm(a * dt)
                 v = exponentials[key] @ v
-        full[index] = v
-        out[k] = unvec(full, g.dim)
+        ys[k, index] = v
+    out = _operators(ys, g.dim)
     if g.kind == "forward" and out.size:
         trace0 = np.trace(x0)
         drift = np.abs(np.trace(out, axis1=1, axis2=2) - trace0).max()
@@ -332,8 +494,8 @@ def propagate(g, x0, t):
 
 
 def generator_spectrum(g):
-    """Eigenvalues of the generator (dense route)."""
-    return np.linalg.eigvals(g.dense())
+    """Eigenvalues of the generator, from its real form (unitarily similar to G)."""
+    return np.linalg.eigvals(g.real.toarray() if g.is_sparse else g.real)
 
 
 def spectral_gap(g):
@@ -349,21 +511,22 @@ def spectral_gap(g):
 
 
 def _bordered_lu(g, scale):
-    """LU of the generator with row 0 replaced by ``scale`` times the trace functional.
+    """LU of the real generator with row 0 replaced by ``scale`` times the trace functional.
 
-    Returns (solve, adjoint_solve, ||A||_1); raises DegenerateSteadyStateError
+    Returns (solve, transpose_solve, ||A||_1); raises DegenerateSteadyStateError
     when A is exactly singular.  Row 0 is the (0, 0) population equation,
-    which trace preservation makes minus the sum of the other population rows.
+    which trace preservation makes minus the sum of the other population
+    rows.  The trace functional keeps its vec form in real coordinates.
     """
-    trace_row = scale * vec(np.eye(g.dim))
+    trace_row = scale * np.eye(g.dim).ravel()
     if g.is_sparse:
-        a = scipy.sparse.vstack([scipy.sparse.csr_matrix(trace_row), g.matrix[1:]], format="csc")
+        a = scipy.sparse.vstack([scipy.sparse.csr_matrix(trace_row), g.real[1:]], format="csc")
         try:
             lu = scipy.sparse.linalg.splu(a)
         except RuntimeError as exc:
             raise DegenerateSteadyStateError(f"bordered generator is singular: {exc}") from None
-        return lu.solve, lambda b: lu.solve(b, trans="H"), float(abs(a).sum(axis=0).max())
-    a = np.array(g.matrix, dtype=complex)
+        return lu.solve, lambda b: lu.solve(b, trans="T"), float(abs(a).sum(axis=0).max())
+    a = np.array(g.real, dtype=float)
     a[0] = trace_row
     a_norm = float(np.abs(a).sum(axis=0).max())
     getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (a,))
@@ -373,15 +536,15 @@ def _bordered_lu(g, scale):
             f"bordered generator is singular: pivot {info} is exactly zero"
         )
     return (lambda b: scipy.linalg.lu_solve((lu, piv), b),
-            lambda b: scipy.linalg.lu_solve((lu, piv), b, trans=2), a_norm)
+            lambda b: scipy.linalg.lu_solve((lu, piv), b, trans=1), a_norm)
 
 
 def stationary_state(g):
     """Unique unit-trace null vector of a forward generator.
 
-    Solves L x = 0 with one row replaced by the trace functional (see
-    ``_bordered_lu``).  Raises DegenerateSteadyStateError when that
-    bordered matrix A is singular or its uniqueness margin
+    Solves L y = 0 in real coordinates with one row replaced by the trace
+    functional (see ``_bordered_lu``).  Raises DegenerateSteadyStateError
+    when that bordered matrix A is singular or its uniqueness margin
     1/(||A||_1 ||A^-1||_1), with ||A^-1||_1 estimated on the LU, falls
     below ``STATIONARY_MARGIN``, since the degree of quantumness is only
     defined for dynamics whose stationary state is independent of the
@@ -390,10 +553,10 @@ def stationary_state(g):
     """
     n = g.dim ** 2
     scale = g.norm or 1.0
-    solve, adjoint_solve, a_norm = _bordered_lu(g, scale)
+    solve, transpose_solve, a_norm = _bordered_lu(g, scale)
     inverse = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=solve, rmatvec=adjoint_solve, matmat=solve, rmatmat=adjoint_solve,
-        dtype=complex,
+        (n, n), matvec=solve, rmatvec=transpose_solve, matmat=solve, rmatmat=transpose_solve,
+        dtype=float,
     )
     # t=1 keeps the estimate deterministic and off numpy's global random state
     margin = 1.0 / (a_norm * scipy.sparse.linalg.onenormest(inverse, t=1))
@@ -401,10 +564,9 @@ def stationary_state(g):
         raise DegenerateSteadyStateError(
             f"stationary state is not unique: margin {margin:.3e} below {STATIONARY_MARGIN:.0e}"
         )
-    rhs = np.zeros(n, dtype=complex)
+    rhs = np.zeros(n)
     rhs[0] = scale
-    rho = unvec(solve(rhs), g.dim)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = hermitian_operator(solve(rhs), g.dim)
     rho = rho / np.trace(rho).real
     residual = np.abs(g.apply(rho)).max()
     if residual > 1e-9 * scale:

@@ -14,7 +14,6 @@ available through ``variant="printed"`` switches for diagnostics:
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.interpolate
 
 from . import dynamics, qcore, quantumness
 from .qcore import QuantumState
@@ -146,6 +145,7 @@ def memory_c(p, t):
         t_max = float(t.max()) if t.size else 0.0
         step = p.tau_c / 100.0
         grid, c = volterra_solve(p.kernel_function(), max(t_max, step), step)
+        import scipy.interpolate  # only this branch needs it; it is slow to import
         out = scipy.interpolate.CubicSpline(grid, c)(t)
     if np.isscalar(t) or np.ndim(t) == 0:
         return complex(np.asarray(out).reshape(()))

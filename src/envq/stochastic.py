@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
+import scipy.special
 
 from . import qcore, quantumness
 from .qcore import (
@@ -308,7 +308,11 @@ class WaitingTime:
         if self.family == "exponential":
             return self.rate * np.exp(-self.rate * t)
         if self.family == "gamma":
-            return scipy.stats.gamma.pdf(t, a=self.shape, scale=1.0 / self.rate)
+            # the form scipy.stats.gamma evaluates, without importing scipy.stats
+            scale = 1.0 / self.rate
+            x = t / scale
+            log_pdf = scipy.special.xlogy(self.shape - 1.0, x) - x - scipy.special.gammaln(self.shape)
+            return np.where(x < 0.0, 0.0, np.exp(log_pdf) / scale)
         raise ValueError("deterministic waiting has no density")
 
     def survival(self, t):
@@ -316,7 +320,8 @@ class WaitingTime:
         if self.family == "exponential":
             return np.exp(-self.rate * t)
         if self.family == "gamma":
-            return scipy.stats.gamma.sf(t, a=self.shape, scale=1.0 / self.rate)
+            x = t / (1.0 / self.rate)   # as in pdf: scipy.stats.gamma's x = t / scale
+            return np.where(x < 0.0, 1.0, scipy.special.gammaincc(self.shape, x))
         return (t < self.period).astype(float)
 
 

@@ -378,3 +378,16 @@ def test_module_entry_point_imports_cleanly():
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "envq.cli", "--help"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_skips_slow_scipy_modules():
+    # scipy.stats and scipy.interpolate take most of a cold import; the gamma
+    # waiting time uses scipy.special and only memory_c's spline loads interpolate
+    src = os.path.dirname(os.path.dirname(envq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, envq; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -379,28 +379,33 @@ def test_propagate_series_dense_block_diagonal_model():
 @pytest.mark.parametrize("d, grid", [(4, "uniform"), (12, "log")])
 def test_propagate_series_whole_closure_keeps_the_full_route(d, grid):
     # from I a random generator reaches every entry, so the series is the
-    # full-space route bit for bit: exponentials reused on the uniform d = 4
-    # grid, one expm_multiply per step on the d = 12 log grid
+    # full-space route bit for bit: the real generator L steps the one real
+    # coordinate column of I, with exponentials reused on the uniform d = 4
+    # grid and one expm_multiply per step on the d = 12 log grid, and each
+    # column maps back through X = sym(Y) + i anti(Y)
     rng = np.random.default_rng(20 + d)
     g = dynamics.liouvillian(random_lindblad(rng, d))
-    assert not g.is_sparse
+    assert not g.is_sparse and g.real.dtype == np.float64
     times = np.arange(41) * 0.0625 if grid == "uniform" else time_grid(grid, 2.0, 41)
-    v = qcore.vec(np.eye(d))
-    step = scipy.linalg.expm(g.matrix * 0.0625)
+    y = qcore.vec(np.eye(d)).real[:, None]
+    step = scipy.linalg.expm(g.real * 0.0625)
     for dt, out in zip(np.diff(times, prepend=0.0), dynamics.propagate_series(g, np.eye(d), times)):
         if dt > 0.0:
-            v = (step @ v if grid == "uniform"
-                 else scipy.sparse.linalg.expm_multiply(g.matrix * dt, v))
-        assert np.array_equal(out, qcore.unvec(v, d))
+            y = (step @ y if grid == "uniform"
+                 else scipy.sparse.linalg.expm_multiply(g.real * dt, y))
+        m = qcore.unvec(y[:, 0], d)
+        assert np.array_equal(out, 0.5 * (m + m.T) + 0.5j * (m - m.T))
 
 
 @pytest.mark.parametrize("d, x, expm_pays", [(8, 100.0, True), (16, 150.0, False)])
 def test_expm_pays_prices_long_steps(d, x, expm_pays):
-    # one step at |A dt|_1 = x on a dense generator, past the shifted norm
-    # where scipy's expm_multiply estimates norms of matrix powers.  On one
-    # core, at n = 64 Krylov took 5.3-6.0 ms and expm 1.3-1.5 ms; at n = 256,
-    # with five squarings in expm, Krylov took 20-22 ms and expm 37-41 ms.
-    a = np.asarray(dynamics.liouvillian(random_lindblad(np.random.default_rng(40 + d), d)).matrix)
+    # one step at |A dt|_1 = x on a dense real generator, past the shifted
+    # norm where scipy's expm_multiply estimates norms of matrix powers.  On
+    # one core (minimum-median of 15 runs), at n = 64 Krylov took 3.0-3.5 ms
+    # and expm 0.30-0.33 ms; at n = 256, with five squarings in expm, Krylov
+    # took 6.5-7.1 ms and expm 11.0-12.0 ms.
+    a = dynamics.liouvillian(random_lindblad(np.random.default_rng(40 + d), d)).real
+    assert a.dtype == np.float64
     norm = dynamics._one_norm(a)
     steps = np.array([x / norm])
     assert dynamics._shifted_one_norm(a) * steps[0] > dynamics.EXPM_NORM_SWITCH
@@ -421,3 +426,93 @@ def test_propagate_series_rejects_bad_grid():
     # repeated times are allowed and return the same operator
     a, b = dynamics.propagate_series(g, rho, [0.7, 0.7])
     assert np.array_equal(a, b)
+
+
+def kron_chain_generator(model):
+    """Complex vec-basis generator summed from scipy.sparse.kron, the builder before COO assembly."""
+    d = model.dim
+    csr = scipy.sparse.csr_matrix
+    eye = scipy.sparse.identity(d, format="csr")
+    pairs = [(model.rates[mu, nu], model.jump_ops[mu], model.jump_ops[nu])
+             for mu, nu in zip(*np.nonzero(model.rates))]
+    j = -1j * model.h_bar
+    for a, v_mu, v_nu in pairs:
+        j = j - 0.5 * a * (v_nu.conj().T @ v_mu)
+    gen = scipy.sparse.kron(eye, csr(j)) + scipy.sparse.kron(csr(j.conj()), eye)
+    for a, v_mu, v_nu in pairs:
+        gen = gen + a * scipy.sparse.kron(csr(v_nu.conj()), csr(v_mu))
+    return gen.toarray()
+
+
+def transpose_permutation(d):
+    k = np.arange(d * d)
+    return k % d * d + k // d
+
+
+GENERATOR_MODELS = {
+    "thermal-tls": lambda: thermal_model(),
+    "off-diagonal-rates": lambda: dynamics.LindbladModel(
+        0.4 * qcore.sigma_x, [qcore.sigma_minus, qcore.sigma_z],
+        rates=np.array([[1.0, 0.3 + 0.1j], [0.3 - 0.1j, 0.8]])),
+    "random-d5": lambda: random_lindblad(np.random.default_rng(30), 5),
+    "oscillator-11": lambda: models.OscillatorParams(0.7, 2.85, 11).lindblad_model(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_MODELS))
+def test_real_generator_matches_kron_chain(name):
+    # both storages against L = Re G + Im(G P) of the kron-chain G, and the
+    # complex matrix rebuilt from L against G itself
+    model = GENERATOR_MODELS[name]()
+    g = kron_chain_generator(model)
+    pi = transpose_permutation(model.dim)
+    expected = g.real + g.imag[:, pi]
+    scale = np.abs(g).sum(axis=0).max()
+    for sparse in (False, True):
+        sup = dynamics.liouvillian(model, sparse=sparse)
+        assert sup.is_sparse == sparse and sup.real.dtype == np.float64
+        real = sup.real.toarray() if sparse else sup.real
+        assert np.abs(real - expected).max() <= 1e-14 * scale
+        assert np.abs(sup.dense() - g).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_MODELS))
+def test_dual_is_the_transpose_of_the_real_generator(name):
+    model = GENERATOR_MODELS[name]()
+    for sparse in (None, False, True):
+        forward = dynamics.liouvillian(model, sparse=sparse).real
+        dual = dynamics.dual_liouvillian(model, sparse=sparse).real
+        if scipy.sparse.issparse(forward):
+            forward, dual = forward.toarray(), dual.toarray()
+        assert np.array_equal(dual, forward.T)
+
+
+def test_superoperator_rejects_maps_that_break_hermiticity():
+    g = dynamics.liouvillian(random_lindblad(np.random.default_rng(31), 3))
+    gmat = np.array(g.matrix)
+    pi = transpose_permutation(3)
+    defect = np.abs(gmat.conj() - gmat[np.ix_(pi, pi)]).max()
+    assert defect <= 1e-15 * g.norm
+    rebuilt = dynamics.Superoperator(gmat, 3, kind="forward")
+    assert np.abs(rebuilt.real - g.real).max() <= 1e-15 * g.norm
+    for matrix in (gmat + 1e-6j * np.eye(9), scipy.sparse.csr_matrix(gmat) + 1e-6j * scipy.sparse.identity(9)):
+        with pytest.raises(ValueError, match=r"max\|conj\(G\) - PGP\| = 2\.000e-06"):
+            dynamics.Superoperator(matrix, 3)
+
+
+@pytest.mark.parametrize("d, sparse", [(2, False), (4, False), (4, True)])
+def test_propagate_series_non_hermitian_operator(d, sparse):
+    # x0 = H1 + i H2 steps as two real columns; each time is checked
+    # against one complex expm of the vec-basis generator
+    rng = np.random.default_rng(40 + d)
+    model = random_lindblad(rng, d)
+    x0 = rand_op(rng, d)
+    times = time_grid("log", 2.0, 9)
+    for g in (dynamics.liouvillian(model, sparse=sparse), dynamics.dual_liouvillian(model, sparse=sparse)):
+        gmat = g.dense()
+        for t, out in zip(times, dynamics.propagate_series(g, x0, times)):
+            exact = qcore.unvec(scipy.linalg.expm(gmat * t) @ qcore.vec(x0), d)
+            assert np.abs(out - exact).max() < 1e-12 * max(1.0, np.abs(exact).max())
+    # apply takes the same two-column route
+    g = dynamics.liouvillian(model, sparse=sparse)
+    assert np.abs(g.apply(x0) - qcore.unvec(g.dense() @ qcore.vec(x0), d)).max() < 1e-13

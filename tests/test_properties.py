@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -40,3 +41,33 @@ def test_degree_is_invariant_under_time_rescaling(name, log_s):
     assert series.min() >= 0.0 and series.max() <= model.dim
     reference = quantumness.q_series(model, rho0, TIMES).values
     assert np.abs(series - reference).max() < 1e-10
+
+
+def random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return a + a.conj().T
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.0, 3.0))
+def test_real_coordinates_are_an_isometry_that_carries_the_trace_pairing(d, seed, t):
+    rng = np.random.default_rng(seed)
+    a, b = random_hermitian(rng, d), random_hermitian(rng, d)
+    ya, yb = dynamics.real_coordinates(a), dynamics.real_coordinates(b)
+    scale = np.linalg.norm(a) * np.linalg.norm(b)
+    assert ya.dtype == np.float64 and ya.shape == (d * d,)
+    assert abs(np.linalg.norm(ya) - np.linalg.norm(a)) <= 1e-14 * np.linalg.norm(a)
+    assert abs(ya @ yb - np.trace(a @ b).real) <= 1e-13 * scale
+    assert np.abs(dynamics.hermitian_operator(ya, d) - a).max() <= 1e-15 * np.abs(a).max()
+    # Q_t = Tr[rho_0 X_t] = y_rho0 . y_X with X_t = e^{tL}[I], against a complex expm
+    h = random_hermitian(rng, d)
+    jumps = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d for _ in range(2)]
+    model = dynamics.LindbladModel(h / (2 * d), jumps, rates=[0.6, 0.3])
+    rho0 = qcore.random_state(d, rng).matrix
+    x_t = quantumness.q_functional_series(model, [t])[0]
+    paired = dynamics.real_coordinates(rho0) @ dynamics.real_coordinates(x_t)
+    q_t = quantumness.q_series(model, rho0, [t]).values[0]
+    assert abs(paired - q_t) <= 1e-13 * d
+    gmat = dynamics.liouvillian(model).dense()
+    exact = qcore.unvec(scipy.linalg.expm(gmat * t) @ qcore.vec(np.eye(d)), d)
+    assert abs(q_t - np.trace(rho0 @ exact).real) <= 1e-12 * d

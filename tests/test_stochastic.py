@@ -242,6 +242,12 @@ def test_waiting_time_statistics():
     assert exp.survival(0.7) == pytest.approx(np.exp(-1.4))
     gam = stochastic.WaitingTime("gamma", rate=2.0, shape=3.0)
     assert gam.mean() == pytest.approx(1.5)
+    # closed forms: t^2 e^{-2t} 2^3 / 2! and the regularized upper gamma
+    t = np.array([-1.0, 0.0, 0.3, 1.5, 7.0])
+    assert np.allclose(gam.pdf(t), np.where(t < 0, 0.0, 4.0 * t ** 2 * np.exp(-2.0 * t)),
+                       rtol=1e-14, atol=0.0)
+    sf = np.exp(-2.0 * t) * (1.0 + 2.0 * t + 2.0 * t ** 2)
+    assert np.allclose(gam.survival(t), np.where(t < 0, 1.0, sf), rtol=1e-14, atol=0.0)
     samples = gam.sample(rng, size=20000)
     assert abs(samples.mean() - 1.5) < 0.03
     det = stochastic.WaitingTime("deterministic", period=0.8)
