@@ -16,9 +16,10 @@ oscillator truncated at n_max = 61 (sparse, d = 62):
   state, the ``oscillator_q_numeric`` route);
 * ``stationary_state``: the bordered solve with its uniqueness margin.
 
-Every layer reports the minimum and the median over ``--repeats`` runs
-after one untimed warm-up, in milliseconds.  BLAS is pinned to one thread
-before numpy is imported, as in the benchmark and the tests.
+Every layer reports the minimum and the median over ``REPEATS`` runs
+(one in smoke mode) after one untimed warm-up, in milliseconds.  BLAS is
+pinned to one thread before numpy is imported, as in the benchmark and
+the tests.
 """
 
 import argparse
@@ -39,6 +40,7 @@ OSCILLATOR_CUTOFF = 61
 GENERATOR_NORM = 4.0
 POINTS = 21
 T_MAX = 2.0
+REPEATS = 7
 
 
 def grids():
@@ -118,7 +120,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="d <= 4, no oscillator, one repeat; print the JSON instead of writing it")
-    parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory that holds the envq package to time")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_lindblad.json"))
@@ -126,7 +127,7 @@ def main(argv=None):
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
     import scipy
-    dims, repeats = (SMOKE_DIMS, 1) if args.smoke else (DIMS, args.repeats)
+    dims, repeats = (SMOKE_DIMS, 1) if args.smoke else (DIMS, REPEATS)
     rows = ladder(dims, repeats, oscillator=not args.smoke)
     record = {
         "topic": "lindblad",

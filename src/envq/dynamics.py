@@ -22,9 +22,10 @@ d-dimensional system is a d^2 x d^2 matrix G.  Each job has one route:
   sparse otherwise: below that fill the sparse form is the smaller one
   and its products and LU are the cheaper ones.  A sparse L is summed
   from the COO triplets of the Kronecker terms of G in one ``csr_matrix``
-  call; a dense L comes from two real products over the jump pairs.  A
-  model builds and caches only its real forward generator; the complex
-  ``Superoperator.matrix`` is rebuilt from it on request.
+  call; a dense L is formed from Re G and Im G, assembled with two real
+  products over the jump pairs.  A model builds and caches only its real
+  forward generator; the complex ``Superoperator.matrix`` is rebuilt from
+  it on request.
 * Propagation.  ``propagate_series`` first closes the support of the
   initial coordinates under the stored non-zero pattern of L.  That set S
   is invariant under every ``exp(t L)``, so when it is a proper subset the
@@ -280,8 +281,8 @@ def _generator(model, sparse):
     stores it dense when a bound on its non-zero count, read off the
     Kronecker factors, reaches ``DENSE_FILL`` of its d^4 entries.  Sparse L
     is summed from the COO triplets of G in one ``csr_matrix`` call; dense
-    L comes from two real products over the jump pairs, so no complex
-    d^4 array is formed.
+    L is formed from Re G and Im G, whose pair terms come from two real
+    products over the jump pairs, so no complex d^4 array is formed.
     """
     d = model.dim
     pairs = [(model.rates[mu, nu], model.jump_ops[nu].conj(), model.jump_ops[mu])
@@ -298,20 +299,21 @@ def _generator(model, sparse):
         triplets = [_kron_triplets(eye, j, d), _kron_triplets(j.conj(), eye, d),
                     *(_kron_triplets(v_nu, v_mu, d, a) for a, v_nu, v_mu in pairs)]
         return _real_csr(*(np.concatenate(t) for t in zip(*triplets)), d)
-    # l4[c, r, c', r'] is the entry between vec indices r + d c and r' + d c';
-    # a pair P (x) Q adds Re(P[c, c'] Q[r, r']) + Im(P[c, r'] Q[r, c'])
-    p = np.array([a * v_nu for a, v_nu, _ in pairs]).reshape(len(pairs), d * d)
-    q = np.array([v_mu for _, _, v_mu in pairs]).reshape(len(pairs), d * d)
+    # re and im are Re G and Im G with [c, r, c', r'] the entry between vec
+    # indices r + d c and r' + d c'.  The pairs add a conj(V_nu)[c, c'] V_mu[r, r']:
+    # one complex product over the pairs, taken as two real ones so that no
+    # complex d^4 array is formed.
+    p = np.array([a * v_nu for a, v_nu, _ in pairs], dtype=complex).reshape(len(pairs), d * d)
+    q = np.array([v_mu for _, _, v_mu in pairs], dtype=complex).reshape(len(pairs), d * d)
     re = np.concatenate([p.real, -p.imag]).T @ np.concatenate([q.real, q.imag])
     im = np.concatenate([p.real, p.imag]).T @ np.concatenate([q.imag, q.real])
-    l4 = (re.reshape(d, d, d, d).transpose(0, 2, 1, 3)
-          + im.reshape(d, d, d, d).transpose(0, 2, 3, 1))
+    re, im = (x.reshape(d, d, d, d).transpose(0, 2, 1, 3) for x in (re, im))
     k = np.arange(d)
-    l4[k, :, k, :] += j.real                # Re of I (x) J
-    l4[:, k, :, k] += j.real                # Re of conj(J) (x) I
-    l4[k, :, :, k] += j.imag                # Im(G P) of I (x) J
-    l4[:, k, k, :] -= j.imag[:, None, :]    # Im(G P) of conj(J) (x) I
-    return l4.reshape(d * d, d * d)
+    re[k, :, k, :] += j.real                # I (x) J
+    re[:, k, :, k] += j.real                # conj(J) (x) I
+    im[k, :, k, :] += j.imag
+    im[:, k, :, k] -= j.imag
+    return (re + im.transpose(0, 1, 3, 2)).reshape(d * d, d * d)    # as in _real_form
 
 
 def _kron_triplets(a, b, d, scale=1.0):

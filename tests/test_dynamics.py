@@ -212,6 +212,9 @@ def test_model_builds_its_generator_once(monkeypatch):
         assert np.array_equal(gd.dense(), forward.conj().T)
         with pytest.raises(ValueError, match="read-only"):
             (g.matrix.data if g.is_sparse else g.matrix)[0] = 0.0
+        # the cached real generator is shared by every caller
+        with pytest.raises(ValueError, match="read-only"):
+            (g.real.data if g.is_sparse else g.real)[0] = 0.0
         # an explicit storage builds a fresh generator
         assert dynamics.liouvillian(model, sparse=not g.is_sparse).is_sparse != g.is_sparse
         assert calls == [None, not g.is_sparse]
