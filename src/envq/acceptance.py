@@ -41,30 +41,30 @@ def _result(index, name, checks):
 # ---------------------------------------------------------------------------
 # 1. microscopic oracle identity
 
-def criterion_oracle_identity(n_models=50, n_times=20, tol=1e-10, seed=101):
-    rng = np.random.default_rng(seed)
+def criterion_oracle_identity(n_models=50):
+    rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(n_models):
         dim_s = int(rng.integers(2, 4))
         dim_e = int(rng.integers(2, 9))
         jm = microscopic.random_joint_model(dim_s, dim_e, rng)
         rho0 = qcore.random_state(dim_s, rng)
-        for t in rng.uniform(0.0, 4.0, size=n_times):
+        for t in rng.uniform(0.0, 4.0, size=20):
             diff = abs(
                 microscopic.quantumness_direct(jm, rho0, t)
                 - microscopic.quantumness_via_dual(jm, rho0, t)
             )
             worst = max(worst, diff)
     return _result(1, "oracle-identity", [
-        ("direct-vs-dual", worst <= tol, f"max|diff|={worst:.2e} (tol {tol:.0e})"),
+        ("direct-vs-dual", worst <= 1e-10, f"max|diff|={worst:.2e} (tol 1e-10)"),
     ])
 
 
 # ---------------------------------------------------------------------------
 # 2. thermal two-level system
 
-def criterion_thermal(tol_series=1e-8, tol_dq=1e-10, tol_limits=1e-3, seed=102):
-    rng = np.random.default_rng(seed)
+def criterion_thermal():
+    rng = np.random.default_rng(102)
     worst_series = worst_dq = 0.0
     for beta in (0.25, 0.5, 1.0, 2.0, 5.0):
         p = models.ThermalTlsParams(gamma=1.0, beta_hw0=beta)
@@ -81,9 +81,9 @@ def criterion_thermal(tol_series=1e-8, tol_dq=1e-10, tol_limits=1e-3, seed=102):
     lim_cold = abs(models.thermal_dq(models.ThermalTlsParams(1.0, 20.0)) - 1.0)
     lim_hot = abs(models.thermal_dq(models.ThermalTlsParams(1.0, 1e-4)))
     return _result(2, "thermal-tls", [
-        ("series-vs-closed", worst_series <= tol_series, f"max err {worst_series:.2e}"),
-        ("dq-vs-tanh", worst_dq <= tol_dq, f"max err {worst_dq:.2e}"),
-        ("limits", lim_cold <= tol_limits and lim_hot <= tol_limits,
+        ("series-vs-closed", worst_series <= 1e-8, f"max err {worst_series:.2e}"),
+        ("dq-vs-tanh", worst_dq <= 1e-10, f"max err {worst_dq:.2e}"),
+        ("limits", lim_cold <= 1e-3 and lim_hot <= 1e-3,
          f"cold {lim_cold:.1e} hot {lim_hot:.1e}"),
     ])
 
@@ -91,8 +91,8 @@ def criterion_thermal(tol_series=1e-8, tol_dq=1e-10, tol_limits=1e-3, seed=102):
 # ---------------------------------------------------------------------------
 # 3. driven decay (fluorescence)
 
-def criterion_fluorescence(tol_qinf=1e-8, tol_dq=1e-10, seed=103):
-    rng = np.random.default_rng(seed)
+def criterion_fluorescence():
+    rng = np.random.default_rng(103)
     worst_qinf = worst_dq = 0.0
     for ga in np.linspace(0.5, 2.0, 10):
         for om in np.linspace(0.0, 3.0, 10):
@@ -129,8 +129,8 @@ def criterion_fluorescence(tol_qinf=1e-8, tol_dq=1e-10, seed=103):
     dq_seq = [models.fluorescence_dq(models.FluorescenceParams(1.0, om))[0] for om in (1.0, 2.0, 4.0, 8.0)]
     approaching = np.all(np.diff(dq_seq) < 0)
     return _result(3, "fluorescence", [
-        ("Qinf-vs-propagation", worst_qinf <= tol_qinf, f"max err {worst_qinf:.2e}"),
-        ("dq-closed", worst_dq <= tol_dq, f"max err {worst_dq:.2e}"),
+        ("Qinf-vs-propagation", worst_qinf <= 1e-8, f"max err {worst_qinf:.2e}"),
+        ("dq-closed", worst_dq <= 1e-10, f"max err {worst_dq:.2e}"),
         ("weak-asymptote", weak_rel <= 0.01, f"rel {weak_rel:.1e}"),
         ("strong-asymptote", strong_rel <= 0.05, f"rel {strong_rel:.1e}"),
         ("shape", bool(monotone and oscillating and approaching),
@@ -141,8 +141,8 @@ def criterion_fluorescence(tol_qinf=1e-8, tol_dq=1e-10, seed=103):
 # ---------------------------------------------------------------------------
 # 4. time-domain sign arbitration
 
-def criterion_sign_arbitration(tol_series=1e-8, tol_inf=1e-10, seed=104):
-    rng = np.random.default_rng(seed)
+def criterion_sign_arbitration():
+    rng = np.random.default_rng(104)
     worst_series = worst_inf = 0.0
     printed_margin = np.inf
     times = np.linspace(0.0, 8.0, 33)
@@ -163,8 +163,8 @@ def criterion_sign_arbitration(tol_series=1e-8, tol_inf=1e-10, seed=104):
         reference = quantumness.q_series(m, QuantumState.pure(qcore.ket(2, 0)), times)
         printed_margin = min(printed_margin, np.abs(printed - reference.values).max())
     return _result(4, "sign-arbitration", [
-        ("closed-vs-propagation", worst_series <= tol_series, f"max err {worst_series:.2e}"),
-        ("stationary-integral", worst_inf <= tol_inf, f"max err {worst_inf:.2e}"),
+        ("closed-vs-propagation", worst_series <= 1e-8, f"max err {worst_series:.2e}"),
+        ("stationary-integral", worst_inf <= 1e-10, f"max err {worst_inf:.2e}"),
         ("printed-variant-fails", printed_margin > 1e-3,
          f"documented margin {printed_margin:.3f}"),
     ])
@@ -173,8 +173,7 @@ def criterion_sign_arbitration(tol_series=1e-8, tol_inf=1e-10, seed=104):
 # ---------------------------------------------------------------------------
 # 5. two interacting qubits
 
-def criterion_two_qubit(out_dir=None, tol_dq=1e-10, tol_overlap=1e-8,
-                        tol_conc=1e-10, tol_series=1e-8, seed=105):
+def criterion_two_qubit(out_dir=None):
     worst_dq = worst_conc = worst_series = worst_reduced = 0.0
     worst_overlap = 0.0
     times = np.linspace(0.0, 8.0, 33)
@@ -193,23 +192,20 @@ def criterion_two_qubit(out_dir=None, tol_dq=1e-10, tol_overlap=1e-8,
         reduced_stat = qcore.partial_trace(numeric.stationary.matrix, [2, 2], keep=0)
         dq_reduced = 2.0 * np.linalg.eigvalsh(reduced_stat).max() - 1.0
         worst_reduced = max(worst_reduced, abs(dq_reduced - models.twoqubit_reduced(p).dq))
-    sweep = [models.twoqubit_report(models.TwoQubitParams(1.0, om)) for om in np.linspace(0.0, 6.0, 25)]
-    fig2_ok = np.all(np.diff([r.dq for r in sweep]) < 0) and np.all(
-        np.diff([r.concurrence for r in sweep]) > 0
-    )
+    omegas = np.linspace(0.0, 6.0, 25)
+    sweep = [models.twoqubit_report(models.TwoQubitParams(1.0, om)) for om in omegas]
+    dqs = [r.dq for r in sweep]
+    concurrences = [r.concurrence for r in sweep]
+    fig2_ok = np.all(np.diff(dqs) < 0) and np.all(np.diff(concurrences) > 0)
     if out_dir is not None:
-        rows = ["omega,dq,concurrence"] + [
-            f"{om:.12g},{r.dq:.12g},{r.concurrence:.12g}"
-            for om, r in zip(np.linspace(0.0, 6.0, 25), sweep)
-        ]
         with open(os.path.join(out_dir, "fig2_data.csv"), "w", newline="") as fh:
-            fh.write("\n".join(rows) + "\n")
+            fh.write(quantumness.csv_text("omega,dq,concurrence", omegas, dqs, concurrences))
     return _result(5, "two-qubit", [
-        ("dq-closed", worst_dq <= tol_dq, f"max err {worst_dq:.2e}"),
-        ("optimal-overlap", worst_overlap <= tol_overlap, f"1-|<.|.>| {worst_overlap:.2e}"),
-        ("concurrence", worst_conc <= tol_conc, f"max err {worst_conc:.2e}"),
-        ("series-vs-closed", worst_series <= tol_series, f"max err {worst_series:.2e}"),
-        ("reduced-dq", worst_reduced <= tol_dq, f"max err {worst_reduced:.2e}"),
+        ("dq-closed", worst_dq <= 1e-10, f"max err {worst_dq:.2e}"),
+        ("optimal-overlap", worst_overlap <= 1e-8, f"1-|<.|.>| {worst_overlap:.2e}"),
+        ("concurrence", worst_conc <= 1e-10, f"max err {worst_conc:.2e}"),
+        ("series-vs-closed", worst_series <= 1e-8, f"max err {worst_series:.2e}"),
+        ("reduced-dq", worst_reduced <= 1e-10, f"max err {worst_reduced:.2e}"),
         ("fig2-trend", bool(fig2_ok), "dq falls, concurrence rises"),
     ])
 
@@ -217,7 +213,7 @@ def criterion_two_qubit(out_dir=None, tol_dq=1e-10, tol_overlap=1e-8,
 # ---------------------------------------------------------------------------
 # 6. non-Markovian decay
 
-def criterion_nonmarkov(tol_volterra=1e-6, tol_dq=1e-9, seed=106):
+def criterion_nonmarkov():
     worst_volterra = 0.0
     for gtc in (0.1, 0.5, 2.0, 5.0):
         p = models.NonMarkovParams(gamma=1.0, tau_c=gtc)
@@ -234,9 +230,9 @@ def criterion_nonmarkov(tol_volterra=1e-6, tol_dq=1e-9, seed=106):
     tw = np.linspace(0.0, 4.0, 81)
     rel = np.abs(models.memory_c(weak, tw).real / np.exp(-0.5 * tw) - 1.0).max()
     return _result(6, "nonmarkov-decay", [
-        ("volterra-vs-closed", worst_volterra <= tol_volterra, f"max err {worst_volterra:.2e}"),
+        ("volterra-vs-closed", worst_volterra <= 1e-6, f"max err {worst_volterra:.2e}"),
         ("bounds", in_bounds, "Q in [0,2]"),
-        ("dq-unit", dq_err <= tol_dq, f"|D_Q-1|={dq_err:.1e}"),
+        ("dq-unit", dq_err <= 1e-9, f"|D_Q-1|={dq_err:.1e}"),
         ("weak-coupling", rel <= 0.02, f"rel {rel:.2e}"),
     ])
 
@@ -244,8 +240,8 @@ def criterion_nonmarkov(tol_volterra=1e-6, tol_dq=1e-9, seed=106):
 # ---------------------------------------------------------------------------
 # 7. classicality suite
 
-def criterion_classicality(seed=107):
-    rng = np.random.default_rng(seed)
+def criterion_classicality():
+    rng = np.random.default_rng(107)
     # (a) stochastic Hamiltonians, per-path flatness
     h0 = 0.5 * qcore.sigma_z + 0.3 * qcore.sigma_x
     rho0 = qcore.random_state(2, rng)
@@ -253,7 +249,7 @@ def criterion_classicality(seed=107):
     worst_path = 0.0
     for family, tc in (("gaussian-white", 0.0), ("ornstein-uhlenbeck", 0.5), ("telegraph", 0.5)):
         proc = stochastic.NoiseProcess(family, 1.2, tc, qcore.sigma_x)
-        series, _ = stochastic.stochastic_q(proc, h0, rho0, times, 30, seed=seed)
+        series, _ = stochastic.stochastic_q(proc, h0, rho0, times, 30, seed=107)
         worst_path = max(worst_path, np.abs(series.values - 1.0).max())
     # (b) Hamiltonian ensembles
     worst_recon = worst_qe = 0.0
@@ -318,8 +314,8 @@ def criterion_classicality(seed=107):
 # ---------------------------------------------------------------------------
 # 8. collisional Poisson limit
 
-def criterion_poisson_limit(n_paths=10000, seed=108):
-    rng = np.random.default_rng(seed)
+def criterion_poisson_limit(n_paths=10000):
+    rng = np.random.default_rng(108)
     h_s = 0.45 * qcore.sigma_z
     u = qcore.matrix_exponential(-1j * (0.55 * qcore.sigma_x + 0.35 * qcore.sigma_z))
     waiting = stochastic.WaitingTime("exponential", rate=1.0)
@@ -327,7 +323,7 @@ def criterion_poisson_limit(n_paths=10000, seed=108):
     lind = dynamics.LindbladModel(h_s, [u], rates=[waiting.rate])
     rho0 = qcore.random_state(2, rng)
     times = np.linspace(0.3, 3.0, 10)
-    mc_states, stderr = stochastic._monte_carlo_chain(cm, rho0.matrix, times, n_paths, seed)
+    mc_states, stderr = stochastic._monte_carlo_chain(cm, rho0.matrix, times, n_paths, 108)
     gen = dynamics.liouvillian(lind)
     worst_ratio = 0.0
     for k, t in enumerate(times):
@@ -343,7 +339,7 @@ def criterion_poisson_limit(n_paths=10000, seed=108):
 # ---------------------------------------------------------------------------
 # 9. thermal oscillator
 
-def criterion_oscillator(tol_growth=1e-4, tol_proxy=2e-4, tol_dqr=1e-8):
+def criterion_oscillator():
     p = models.OscillatorParams.from_n_th(1.0, 1.0, 60)
     times = np.linspace(0.0, 2.0, 9)
     q_num = models.oscillator_q_extrapolated(p, times)
@@ -361,17 +357,17 @@ def criterion_oscillator(tol_growth=1e-4, tol_proxy=2e-4, tol_dqr=1e-8):
         eig_route = quantumness.renormalized_degree(models.truncated_thermal_state(pp))
         worst_dqr = max(worst_dqr, abs(eig_route - models.oscillator_dqr(pp)))
     return _result(9, "oscillator", [
-        ("growth-vs-analytic", rel <= tol_growth, f"rel {rel:.2e}"),
-        ("equal-rates-proxy", proxy_dev <= tol_proxy, f"|Q-1|={proxy_dev:.2e} at t=1/(k+z)"),
-        ("renormalized-degree", worst_dqr <= tol_dqr, f"max err {worst_dqr:.2e}"),
+        ("growth-vs-analytic", rel <= 1e-4, f"rel {rel:.2e}"),
+        ("equal-rates-proxy", proxy_dev <= 2e-4, f"|Q-1|={proxy_dev:.2e} at t=1/(k+z)"),
+        ("renormalized-degree", worst_dqr <= 1e-8, f"max err {worst_dqr:.2e}"),
     ])
 
 
 # ---------------------------------------------------------------------------
 # 10. derivative identities
 
-def criterion_derivatives(tol1=1e-6, tol2=1e-4, seed=110):
-    rng = np.random.default_rng(seed)
+def criterion_derivatives():
+    rng = np.random.default_rng(110)
     worst1 = worst2 = 0.0
     for _ in range(6):
         dim_s = int(rng.integers(2, 4))
@@ -389,8 +385,8 @@ def criterion_derivatives(tol1=1e-6, tol2=1e-4, seed=110):
             worst1 = max(worst1, abs(fd1 - microscopic.q_derivative(jm, rho0, t, 1)))
             worst2 = max(worst2, abs(fd2 - microscopic.q_derivative(jm, rho0, t, 2)))
     return _result(10, "derivative-identities", [
-        ("first-order", worst1 <= tol1, f"max err {worst1:.2e}"),
-        ("second-order", worst2 <= tol2, f"max err {worst2:.2e}"),
+        ("first-order", worst1 <= 1e-6, f"max err {worst1:.2e}"),
+        ("second-order", worst2 <= 1e-4, f"max err {worst2:.2e}"),
     ])
 
 
@@ -545,7 +541,7 @@ def criterion_determinism(out_dir=None):
 
 # ---------------------------------------------------------------------------
 
-def run_all(out_dir=None, fast=False, selected=None):
+def run_all(out_dir=None, fast=False):
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     criteria = [
@@ -561,9 +557,4 @@ def run_all(out_dir=None, fast=False, selected=None):
         criterion_derivatives,
         criterion_determinism if out_dir is None else (lambda: criterion_determinism(out_dir)),
     ]
-    results = []
-    for k, fn in enumerate(criteria, start=1):
-        if selected is not None and k not in selected:
-            continue
-        results.append(fn())
-    return results
+    return [fn() for fn in criteria]

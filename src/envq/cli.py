@@ -3,8 +3,10 @@
 Subcommands: ``qt`` (quantumness series to CSV), ``dq`` (degree report),
 ``sweep`` (parameter sweep of the degree to CSV), ``verify`` (run the
 acceptance suite).  Exit codes: 0 success, 1 failed verification,
-2 configuration/parse error, 3 model error, 4 bound violation,
-5 degenerate stationary state.
+2 configuration/parse error (a value that fails to parse included),
+3 model error (a non-finite or out-of-range value included), 4 bound
+violation, 5 degenerate stationary state.  ``--seed`` and ``--mode``
+apply before the seed check.
 """
 
 import argparse
@@ -23,12 +25,16 @@ EXIT_MODEL = 3
 EXIT_BOUND = 4
 EXIT_DEGENERATE = 5
 
-
-def _bloch_components(state):
-    m = state.matrix
-    sz = np.trace(qcore.sigma_z @ m).real
-    sy = np.trace(qcore.sigma_y @ m).real
-    return sz, sy
+# exception class -> exit code of a failed qt/dq/sweep run; the first match
+# wins, so the RuntimeError subclasses come before RuntimeError
+EXIT_CODES = (
+    (ConfigError, EXIT_PARSE),
+    (BoundViolationError, EXIT_BOUND),
+    (DegenerateSteadyStateError, EXIT_DEGENERATE),
+    (ValueError, EXIT_MODEL),
+    (RuntimeError, EXIT_MODEL),
+    (KeyError, EXIT_MODEL),
+)
 
 
 def compute_qt(cfg):
@@ -36,34 +42,32 @@ def compute_qt(cfg):
     kind, obj = config.build_model(cfg)
     rho0 = config.resolve_initial_state(cfg, kind, obj)
     times = cfg.times()
-    lind = config.lindblad_for(kind, obj)
     if kind == "nonmarkov-decay":
-        sz0, _ = _bloch_components(rho0)
+        sz0 = np.trace(qcore.sigma_z @ rho0.matrix).real
         values = models.nonmarkov_q(obj, sz0, times)
-        return quantumness.QuantumnessSeries(times, values, 2)
+        return quantumness.QuantumnessSeries(times, values, rho0.dim)
     if kind == "oscillator":
         values = models.oscillator_q_numeric(obj, rho0, times)
-        return quantumness.QuantumnessSeries(times, values, obj.dim)
-    if lind is not None:
-        return quantumness.q_series(lind, rho0, times)
+        return quantumness.QuantumnessSeries(times, values, rho0.dim)
     if kind == "microscopic":
         values = [microscopic.quantumness_via_dual(obj, rho0, t) for t in times]
-        return quantumness.QuantumnessSeries(times, values, obj.dim_s)
+        return quantumness.QuantumnessSeries(times, values, rho0.dim)
     if kind == "collisional":
         return stochastic.collisional_q(
             obj, rho0, times, mode=cfg.mode, n_paths=cfg.n_paths or 1000, seed=cfg.seed
         )
-    process, base_h = obj
-    series, _ = stochastic.stochastic_q(
-        process, base_h, rho0, times, cfg.n_paths or 200, cfg.seed
-    )
-    return series
+    if kind == "stochastic":
+        process, base_h = obj
+        series, _ = stochastic.stochastic_q(
+            process, base_h, rho0, times, cfg.n_paths or 200, cfg.seed
+        )
+        return series
+    return quantumness.q_series(config.lindblad_for(kind, obj), rho0, times)
 
 
 def cmd_qt(cfg, out_path):
     series = compute_qt(cfg)
-    text = quantumness.csv_text(series.times, series.values)
-    _write(out_path, text)
+    _write(out_path, quantumness.csv_text("t,Q", series.times, series.values))
     return 0
 
 
@@ -82,15 +86,14 @@ def _report_lines(kind, obj):
         lines.append(("stationary_max_eigenvalue",
                       f"{quantumness.renormalized_degree(stat):.12g}"))
         return lines
-    model = config.lindblad_for(kind, obj)
-    if model is None:
+    report = config.degree_report(kind, obj)
+    if report is None:
         raise ValueError(f"dq report is not defined for {kind} blocks")
-    report = quantumness.degree_of_quantumness(model)
     lines.append(("dq", f"{report.dq:.12g}"))
     lines.append(("q_infinity", f"{report.q_infinity:.12g}"))
     lines.append(("optimal_state", qcore.format_matrix_text(report.optimal_state.matrix, digits=12)))
     lines.append(("stationary_state", qcore.format_matrix_text(report.stationary.matrix, digits=12)))
-    if model.dim == 4:
+    if report.stationary.dim == 4:
         lines.append(("concurrence", f"{qcore.concurrence(report.optimal_state.matrix):.12g}"))
     return lines
 
@@ -103,27 +106,24 @@ def cmd_dq(cfg, out_path):
     return 0
 
 
-def _sweep_point(kind, base_params, param, value):
-    mapping = {f.name: getattr(base_params, f.name) for f in dataclasses.fields(base_params)}
-    mapping[param] = value
-    params = type(base_params)(**mapping)
-    if kind == "thermal-tls":
-        return models.thermal_dq(params), None
-    if kind == "fluorescence":
-        return models.fluorescence_dq(params)[0], None
-    if kind == "two-qubit":
-        report = models.twoqubit_report(params)
-        return report.dq, report.concurrence
-    if kind == "nonmarkov-decay":
-        return models.nonmarkov_dq(params), None
-    if kind == "oscillator":
-        return models.oscillator_dqr(params), None
-    raise ValueError(f"sweep is not defined for {kind}")
+def _two_qubit_point(params):
+    report = models.twoqubit_report(params)
+    return report.dq, report.concurrence
+
+
+# closed-form (degree, concurrence or None) of each builtin kind, per sweep point
+SWEEP_DEGREE = {
+    "thermal-tls": lambda p: (models.thermal_dq(p), None),
+    "fluorescence": lambda p: (models.fluorescence_dq(p)[0], None),
+    "two-qubit": _two_qubit_point,
+    "nonmarkov-decay": lambda p: (models.nonmarkov_dq(p), None),
+    "oscillator": lambda p: (models.oscillator_dqr(p), None),
+}
 
 
 def cmd_sweep(cfg, out_path):
     kind, obj = config.build_model(cfg)
-    if kind not in models.BUILTIN_PARAMS:
+    if kind not in SWEEP_DEGREE:
         raise ConfigError("sweep needs a builtin model")
     param = cfg.sweep_param
     if param is None:
@@ -131,16 +131,14 @@ def cmd_sweep(cfg, out_path):
     if param not in {f.name for f in dataclasses.fields(obj)}:
         raise ConfigError(f"unknown sweep parameter {param!r} for {kind}")
     values = cfg.sweep_values or []
-    rows = [_sweep_point(kind, obj, param, v) for v in values]
-    with_conc = any(c is not None for _, c in rows)
-    header = f"{param},dq,concurrence" if with_conc else f"{param},dq"
-    lines = [header]
-    for value, (dq, conc) in zip(values, rows):
-        row = f"{value:.12g},{dq:.12g}"
-        if with_conc:
-            row += f",{conc:.12g}"
-        lines.append(row)
-    _write(out_path, "\n".join(lines) + "\n")
+    points = [SWEEP_DEGREE[kind](dataclasses.replace(obj, **{param: v})) for v in values]
+    dqs = [dq for dq, _ in points]
+    concurrences = [conc for _, conc in points]
+    if any(conc is not None for conc in concurrences):
+        text = quantumness.csv_text(f"{param},dq,concurrence", values, dqs, concurrences)
+    else:
+        text = quantumness.csv_text(f"{param},dq", values, dqs)
+    _write(out_path, text)
     return 0
 
 
@@ -189,25 +187,16 @@ def run(argv=None):
         if args.mode is not None:
             cfg.mode = args.mode
         if cfg.needs_seed() and cfg.seed is None:
-            raise ConfigError("stochastic runs need a seed")
+            raise ConfigError("stochastic runs need a seed in [run] or --seed")
         out_path = args.out if args.out is not None else cfg.output
         if args.command == "qt":
             return cmd_qt(cfg, out_path)
         if args.command == "dq":
             return cmd_dq(cfg, out_path)
         return cmd_sweep(cfg, out_path)
-    except ConfigError as exc:
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BoundViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except DegenerateSteadyStateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (ValueError, RuntimeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 def main():

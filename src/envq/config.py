@@ -16,9 +16,17 @@ Sections
 [times]          t_max, steps (grid linspace(0, t_max, steps)).
 [run]            seed, output, mode (series | monte-carlo), n_paths.
 [sweep]          param, values (whitespace or comma separated).
+
+A value that fails to convert (a number, an integer or a matrix text)
+raises ConfigError, which the command line reports as exit 2; a value
+that converts but is non-finite or out of range is a model error
+(ValueError, exit 3).  Stochastic and Monte Carlo runs need a seed; the
+command line checks that once, after ``--seed`` and ``--mode`` have
+been applied to the loaded RunConfig.
 """
 
 import configparser
+import dataclasses
 
 import numpy as np
 
@@ -34,21 +42,19 @@ BUILTIN_TYPES = tuple(models.BUILTIN_PARAMS)
 BLOCK_TYPES = ("lindblad", "microscopic", "collisional", "stochastic")
 
 
+@dataclasses.dataclass
 class RunConfig:
-    def __init__(self, model_type, model_params, initial_state, t_max, steps,
-                 seed=None, output=None, mode="series", n_paths=None,
-                 sweep_param=None, sweep_values=None):
-        self.model_type = model_type
-        self.model_params = model_params
-        self.initial_state = initial_state
-        self.t_max = t_max
-        self.steps = steps
-        self.seed = seed
-        self.output = output
-        self.mode = mode
-        self.n_paths = n_paths
-        self.sweep_param = sweep_param
-        self.sweep_values = sweep_values
+    model_type: str
+    model_params: dict
+    initial_state: dict
+    t_max: float
+    steps: int
+    seed: int = None
+    output: str = None
+    mode: str = "series"
+    n_paths: int = None
+    sweep_param: str = None
+    sweep_values: list = None
 
     def times(self):
         return np.linspace(0.0, self.t_max, self.steps)
@@ -59,16 +65,36 @@ class RunConfig:
         )
 
 
+def _parse(convert, text, what):
+    """convert(text), with a failed conversion raised as ConfigError."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {what}: {text!r} ({exc})") from exc
+
+
+def _optional(convert, section, key):
+    """The parsed value of ``section[key]``, or None when the key is absent."""
+    if key not in section:
+        return None
+    return _parse(convert, section[key], key)
+
+
+def _matrix(section, key):
+    return _parse(qcore.parse_matrix_text, section[key], key)
+
+
 def _numbered_values(section, prefix):
     out = []
     k = 1
     while f"{prefix}_{k}" in section:
-        out.append(qcore.parse_matrix_text(section[f"{prefix}_{k}"]))
+        out.append(_matrix(section, f"{prefix}_{k}"))
         k += 1
     return out
 
 
 def load_config(path):
+    """Parse a config file into a RunConfig; the seed check is the caller's."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         read = parser.read(path)
@@ -88,22 +114,15 @@ def load_config(path):
     init = dict(parser["initial_state"]) if "initial_state" in parser else {"kind": "optimal"}
 
     times_sec = parser["times"] if "times" in parser else {}
-    try:
-        t_max = float(times_sec.get("t_max", 10.0))
-        steps = int(times_sec.get("steps", 101))
-    except ValueError as exc:
-        raise ConfigError(f"bad [times] values: {exc}") from exc
+    t_max = _parse(float, times_sec.get("t_max", 10.0), "t_max")
+    steps = _parse(int, times_sec.get("steps", 101), "steps")
     if t_max <= 0 or steps < 2:
         raise ConfigError("[times] needs t_max > 0 and steps >= 2")
 
     run = parser["run"] if "run" in parser else {}
-    seed = run.get("seed")
-    seed = int(seed) if seed is not None else None
     mode = run.get("mode", "series")
     if mode not in ("series", "monte-carlo"):
         raise ConfigError(f"unknown mode {mode!r}")
-    n_paths = run.get("n_paths")
-    n_paths = int(n_paths) if n_paths is not None else None
 
     sweep_param = sweep_values = None
     if "sweep" in parser:
@@ -111,29 +130,13 @@ def load_config(path):
         sweep_param = sweep.get("param")
         if sweep_param is None:
             raise ConfigError("[sweep] needs a param")
-        raw = sweep.get("values", "")
-        tokens = raw.replace(",", " ").split()
-        try:
-            sweep_values = [float(tok) for tok in tokens]
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep values: {exc}") from exc
+        tokens = sweep.get("values", "").replace(",", " ").split()
+        sweep_values = [_parse(float, tok, "sweep value") for tok in tokens]
 
-    cfg = RunConfig(mtype, model, init, t_max, steps, seed=seed,
-                    output=run.get("output"), mode=mode, n_paths=n_paths,
-                    sweep_param=sweep_param, sweep_values=sweep_values)
-    if cfg.needs_seed() and cfg.seed is None:
-        raise ConfigError("stochastic runs need a seed in [run] or --seed")
-    return cfg
-
-
-def _float_params(mapping, context):
-    out = {}
-    for key, value in mapping.items():
-        try:
-            out[key] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {context} parameter {key!r}: {value!r}") from exc
-    return out
+    return RunConfig(mtype, model, init, t_max, steps, seed=_optional(int, run, "seed"),
+                     output=run.get("output"), mode=mode,
+                     n_paths=_optional(int, run, "n_paths"),
+                     sweep_param=sweep_param, sweep_values=sweep_values)
 
 
 def build_model(cfg):
@@ -141,75 +144,79 @@ def build_model(cfg):
 
     Returns a pair (kind, object): builtin parameter sets keep their
     registry name as kind; explicit blocks return the constructed
-    LindbladModel / JointModel / CollisionalModel / NoiseProcess spec.
+    LindbladModel / JointModel / CollisionalModel, or the pair
+    (NoiseProcess, base Hamiltonian) of a stochastic block.
     """
     mtype = cfg.model_type
     section = cfg.model_params
     try:
         if mtype in BUILTIN_TYPES:
-            return mtype, models.builtin_params(mtype, _float_params(section, mtype))
+            numbers = {key: _parse(float, value, f"{mtype} parameter {key!r}")
+                       for key, value in section.items()}
+            return mtype, models.builtin_params(mtype, numbers)
         if mtype == "lindblad":
-            h_bar = qcore.parse_matrix_text(section["h_bar"])
+            h_bar = _matrix(section, "h_bar")
             jumps = _numbered_values(section, "jump")
-            rates = qcore.parse_matrix_text(section["rates"]) if "rates" in section else None
+            rates = _matrix(section, "rates") if "rates" in section else None
             if rates is not None and 1 in rates.shape:
-                rates = rates.reshape(-1).real
+                rates = rates.reshape(-1)
             return mtype, dynamics.LindbladModel(h_bar, jumps, rates=rates)
         if mtype == "microscopic":
             return mtype, microscopic.JointModel(
-                qcore.parse_matrix_text(section["h_s"]),
-                qcore.parse_matrix_text(section["h_e"]),
-                qcore.parse_matrix_text(section["h_i"]),
-                QuantumState(qcore.parse_matrix_text(section["sigma0"])),
+                _matrix(section, "h_s"),
+                _matrix(section, "h_e"),
+                _matrix(section, "h_i"),
+                QuantumState(_matrix(section, "sigma0")),
             )
         if mtype == "collisional":
             waiting = stochastic.WaitingTime(
                 section["waiting_family"].strip(),
-                rate=float(section["waiting_rate"]) if "waiting_rate" in section else None,
-                shape=float(section["waiting_shape"]) if "waiting_shape" in section else None,
-                period=float(section["waiting_period"]) if "waiting_period" in section else None,
+                rate=_optional(float, section, "waiting_rate"),
+                shape=_optional(float, section, "waiting_shape"),
+                period=_optional(float, section, "waiting_period"),
             )
             return mtype, stochastic.CollisionalModel(
-                qcore.parse_matrix_text(section["free_hamiltonian"]),
+                _matrix(section, "free_hamiltonian"),
                 _numbered_values(section, "kraus"),
                 waiting,
             )
         if mtype == "stochastic":
             process = stochastic.NoiseProcess(
                 section["family"].strip(),
-                float(section["amplitude"]),
-                float(section.get("correlation_time", 0.0)),
-                qcore.parse_matrix_text(section["coupling"]),
+                _parse(float, section["amplitude"], "amplitude"),
+                _parse(float, section.get("correlation_time", 0.0), "correlation_time"),
+                _matrix(section, "coupling"),
             )
-            base_h = qcore.parse_matrix_text(section["base_h"])
-            return mtype, (process, base_h)
+            return mtype, (process, _matrix(section, "base_h"))
     except KeyError as exc:
         raise ConfigError(f"missing {mtype} key {exc.args[0]!r}") from exc
     raise ConfigError(f"unknown model type {mtype!r}")
 
 
 def system_dimension(kind, obj):
-    if kind in BUILTIN_TYPES:
-        if kind == "oscillator":
-            return obj.dim
-        return {"thermal-tls": 2, "nonmarkov-decay": 2, "fluorescence": 2, "two-qubit": 4}[kind]
-    if kind == "lindblad":
-        return obj.dim
     if kind == "microscopic":
         return obj.dim_s
-    if kind == "collisional":
-        return obj.dim
-    process, base_h = obj
-    return base_h.shape[0]
+    if kind == "stochastic":
+        process, base_h = obj
+        return base_h.shape[0]
+    return obj.dim
 
 
 def lindblad_for(kind, obj):
-    """Lindblad generator backing a model, when one exists."""
-    if kind in ("thermal-tls", "fluorescence", "two-qubit", "oscillator"):
-        return obj.lindblad_model()
+    """Lindblad model behind a kind, or None (the oscillator uses its ladder)."""
     if kind == "lindblad":
         return obj
+    if kind in ("thermal-tls", "fluorescence", "two-qubit"):
+        return obj.lindblad_model()
     return None
+
+
+def degree_report(kind, obj):
+    """QuantumnessReport behind a kind, for ``envq dq`` and kind = optimal, or None."""
+    model = lindblad_for(kind, obj)
+    if model is None:
+        return None
+    return quantumness.degree_of_quantumness(model)
 
 
 def resolve_initial_state(cfg, kind, obj):
@@ -228,26 +235,24 @@ def resolve_initial_state(cfg, kind, obj):
     if kind_key == "pure":
         if dim != 2:
             raise ConfigError("pure(theta, phi) initial states are for qubits")
-        theta = float(spec.get("theta", 0.0))
-        phi = float(spec.get("phi", 0.0))
+        theta = _parse(float, spec.get("theta", 0.0), "theta")
+        phi = _parse(float, spec.get("phi", 0.0), "phi")
         return QuantumState.pure(qcore.bloch_vector_state(theta, phi))
     if kind_key == "matrix":
         if "matrix" not in spec:
             raise ConfigError("initial_state kind=matrix needs a matrix entry")
-        state = QuantumState(qcore.parse_matrix_text(spec["matrix"]))
+        state = QuantumState(_matrix(spec, "matrix"))
         if state.dim != dim:
             raise ConfigError(f"initial state dimension {state.dim} != system dimension {dim}")
         return state
     if kind_key == "optimal":
-        if kind == "nonmarkov-decay":
-            return QuantumState.pure(qcore.ket(2, 0))
-        if kind == "oscillator":
-            # thermal stationary ladder: the top eigenprojector is the
-            # ground state, and it is real so time reversal is moot
+        if kind in ("nonmarkov-decay", "oscillator"):
+            # |0>, real, so time reversal is moot: the excited qubit reaches
+            # Q = 0 under zero-temperature decay, and the ground state is the
+            # top eigenprojector of the oscillator's thermal ladder
             return QuantumState.pure(qcore.ket(dim, 0))
-        model = lindblad_for(kind, obj)
-        if model is None:
+        report = degree_report(kind, obj)
+        if report is None:
             raise ConfigError(f"optimal initial state is not defined for {kind} blocks")
-        report = quantumness.degree_of_quantumness(model)
         return dynamics.time_reversed_state(report.optimal_state)
     raise ConfigError(f"unknown initial_state kind {kind_key!r}")

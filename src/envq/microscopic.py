@@ -7,6 +7,8 @@ dual-route twin are evaluated without any approximation beyond dense
 floating point.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from . import qcore
@@ -48,7 +50,6 @@ class JointModel:
         if sigma0.dim != self.dim_e:
             raise ValueError(f"sigma0 dimension {sigma0.dim} != dim_e {self.dim_e}")
         self.sigma0 = sigma0
-        self._eig = None
 
     def hamiltonian(self):
         return (
@@ -57,14 +58,13 @@ class JointModel:
             + self.h_i
         )
 
-    def _eigensystem(self):
-        if self._eig is None:
-            self._eig = qcore.hermitian_eigensystem(self.hamiltonian())
-        return self._eig
+    @cached_property
+    def _eig(self):
+        return qcore.hermitian_eigensystem(self.hamiltonian())
 
     def unitary(self, t):
         """exp(-i H t) from the cached spectral decomposition."""
-        spec = self._eigensystem()
+        spec = self._eig
         phases = np.exp(-1j * spec.eigenvalues * t)
         return (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T
 

@@ -43,6 +43,7 @@ class ThermalTlsParams:
 
     gamma: float
     beta_hw0: float
+    dim = 2
 
     def __post_init__(self):
         # beta_hw0 = inf is the zero-temperature limit
@@ -107,6 +108,7 @@ class NonMarkovParams:
     kernel: str = "lorentzian"
     coupling: float = None
     kernel_func: object = None
+    dim = 2
 
     def __post_init__(self):
         if self.kernel not in ("lorentzian", "single-mode", "tabulated"):
@@ -206,6 +208,7 @@ class FluorescenceParams:
 
     gamma: float
     omega: float
+    dim = 2
 
     def __post_init__(self):
         qcore.require_finite_parameters(self, "gamma", "omega")
@@ -319,6 +322,7 @@ class TwoQubitParams:
 
     gamma: float
     omega: float
+    dim = 4
 
     def __post_init__(self):
         qcore.require_finite_parameters(self, "gamma", "omega")
@@ -576,7 +580,8 @@ def oscillator_dqr(p):
 
 
 # ---------------------------------------------------------------------------
-# registry used by the command-line front end
+# registry used by the command-line front end; each class carries its
+# system dimension as ``dim``
 
 BUILTIN_PARAMS = {
     "thermal-tls": ThermalTlsParams,

@@ -35,7 +35,8 @@ np.convolve sums the history of earlier blocks, and one precomputed
 triangular operator solves inside a block.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -335,7 +336,6 @@ class CollisionalModel:
     free_hamiltonian: object
     collision: list
     waiting: WaitingTime
-    _eig: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.free_hamiltonian = require_hermitian(self.free_hamiltonian, name="free Hamiltonian")
@@ -347,11 +347,13 @@ class CollisionalModel:
     def dim(self):
         return self.free_hamiltonian.shape[0]
 
+    @cached_property
+    def _eig(self):
+        spec = qcore.hermitian_eigensystem(self.free_hamiltonian)
+        return spec.eigenvalues, spec.eigenvectors
+
     def eigensystem(self):
         """Eigenvalues e and eigenvectors V of the free Hamiltonian, computed once."""
-        if self._eig is None:
-            spec = qcore.hermitian_eigensystem(self.free_hamiltonian)
-            self._eig = (spec.eigenvalues, spec.eigenvectors)
         return self._eig
 
     def free_unitary(self, t):

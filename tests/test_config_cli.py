@@ -83,12 +83,7 @@ def test_load_config_round_trip(tmp_path):
     assert state.matrix[0, 0] == pytest.approx(1.0)
 
 
-def test_config_errors(tmp_path):
-    with pytest.raises(config.ConfigError, match="model"):
-        config.load_config(write(tmp_path, "[times]\nt_max = 1\nsteps = 5\n"))
-    with pytest.raises(config.ConfigError, match="unknown model type"):
-        config.load_config(write(tmp_path, "[model]\ntype = nope\n"))
-    bad_seedless = """
+STOCHASTIC_CFG = """
 [model]
 type = stochastic
 family = telegraph
@@ -96,9 +91,75 @@ amplitude = 1.0
 correlation_time = 0.5
 coupling = 2 2 0+0i 1+0i 1+0i 0+0i
 base_h = 2 2 0.5+0i 0+0i 0+0i -0.5+0i
+
+[initial_state]
+kind = pure
+theta = 0.9
+phi = 1.2
+
+[times]
+t_max = 1.0
+steps = 5
 """
-    with pytest.raises(config.ConfigError, match="seed"):
-        config.load_config(write(tmp_path, bad_seedless))
+
+
+def test_config_errors(tmp_path, capsys):
+    with pytest.raises(config.ConfigError, match="model"):
+        config.load_config(write(tmp_path, "[times]\nt_max = 1\nsteps = 5\n"))
+    with pytest.raises(config.ConfigError, match="unknown model type"):
+        config.load_config(write(tmp_path, "[model]\ntype = nope\n"))
+    # the seed is checked after the flags, so a seedless run fails in cli.run
+    assert cli.run(["qt", "--config", write(tmp_path, STOCHASTIC_CFG)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_seed_flag_completes_a_seedless_config(tmp_path):
+    seedless = write(tmp_path, STOCHASTIC_CFG + "\n[run]\nn_paths = 16\n", "a.cfg")
+    seeded = write(tmp_path, STOCHASTIC_CFG + "\n[run]\nn_paths = 16\nseed = 5\n", "b.cfg")
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli.run(["qt", "--config", seedless, "--seed", "5", "--out", str(out1)]) == 0
+    assert cli.run(["qt", "--config", seeded, "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+COLLISIONAL_CFG = """
+[model]
+type = collisional
+free_hamiltonian = 2 2 0.25+0i 0+0i 0+0i -0.25+0i
+kraus_1 = 2 2 0+0i 1+0i 1+0i 0+0i
+waiting_family = exponential
+waiting_rate = {rate}
+
+[times]
+t_max = 1.0
+steps = 5
+
+[run]
+seed = 3
+mode = monte-carlo
+n_paths = {n_paths}
+"""
+
+
+@pytest.mark.parametrize("text", [
+    STOCHASTIC_CFG + "\n[run]\nseed = abc\n",
+    COLLISIONAL_CFG.format(rate="1.0", n_paths="x"),
+    THERMAL_CFG.replace("kind = matrix", "kind = pure\ntheta = x"),
+    COLLISIONAL_CFG.format(rate="x", n_paths="16"),
+    STOCHASTIC_CFG.replace("amplitude = 1.0", "amplitude = x") + "\n[run]\nseed = 5\n",
+    LINDBLAD_CFG.replace("h_bar = 2 2 0+0i 0.5+0i 0.5+0i 0+0i", "h_bar = 2 2 0+0i 0.5+0i 0.5+0i"),
+], ids=["seed", "n_paths", "theta", "waiting_rate", "amplitude", "h_bar-3-of-4"])
+def test_unparsable_values_are_parse_errors(tmp_path, text):
+    out = tmp_path / "out.csv"
+    assert cli.run(["qt", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_complex_rate_row_is_a_model_error(tmp_path):
+    cfg = LINDBLAD_CFG.replace("rates = 1 1 1+0i", "rates = 1 1 1+0.5i")
+    assert cli.run(["qt", "--config", write(tmp_path, cfg)]) == 3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        config.build_model(config.load_config(write(tmp_path, cfg, "b.cfg")))
 
 
 def test_cmd_qt_thermal(tmp_path):
@@ -391,3 +452,16 @@ def test_package_import_skips_slow_scipy_modules():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_config_grammar_runs(tmp_path):
+    # the documented grammar example must stay valid for every config command
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    section = readme[readme.index("### Config grammar"):]
+    block = section[section.index("```ini\n") + len("```ini\n"):]
+    path = write(tmp_path, block[:block.index("```")])
+    for command in ("qt", "dq", "sweep"):
+        out = tmp_path / f"{command}.out"
+        assert cli.run([command, "--config", path, "--out", str(out)]) == 0
+        assert out.read_text()

@@ -282,6 +282,18 @@ def test_collisional_model_validates_channel():
         )
 
 
+def test_collisional_model_takes_no_eigensystem_argument():
+    # the eigensystem is a cache computed from the free Hamiltonian, not an input
+    waiting = stochastic.WaitingTime("exponential", rate=1.0)
+    with pytest.raises(TypeError):
+        stochastic.CollisionalModel(0.5 * qcore.sigma_z, [np.eye(2)], waiting,
+                                    (np.zeros(2), np.eye(2)))
+    m = stochastic.CollisionalModel(0.5 * qcore.sigma_z, [np.eye(2)], waiting)
+    energies, vectors = m.eigensystem()
+    assert np.allclose(energies, [-0.5, 0.5])
+    assert m.eigensystem()[0] is energies
+
+
 # ---------------------------------------------------------------------------
 # collisional dynamics
 
