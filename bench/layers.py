@@ -1,20 +1,37 @@
-"""Layer ladder for the Lindblad kernel: generator build, grid propagation, stationary state.
+"""Layer ladders: the Lindblad kernel, and the Monte Carlo engine of envq.stochastic.
 
 Usage, from the repository root:
 
-    python bench/layers.py                      # full ladder, writes BENCH_lindblad.json
+    python bench/layers.py                      # Lindblad ladder, writes BENCH_lindblad.json
+    python bench/layers.py --topic stochastic   # Monte Carlo ladder, writes BENCH_stochastic.json
     python bench/layers.py --smoke              # d <= 4, one repeat, JSON to stdout only
     python bench/layers.py --src OTHER/src --out other.json   # time another checkout
 
-Each layer is timed on random Lindblad models at d = 2, 4, 12 and 24 (two
-dense jump operators, generator column-sum norm 4) and on the thermal
-oscillator truncated at n_max = 61 (sparse, d = 62):
+The ``lindblad`` topic times each layer on random Lindblad models at d = 2,
+4, 12 and 24 (two dense jump operators, generator column-sum norm 4) and on
+the thermal oscillator truncated at n_max = 61 (sparse, d = 62):
 
 * ``generator``: a fresh ``LindbladModel`` and its forward generator;
 * ``propagate_series``: e^{tL}[I] on a 21-point uniform grid and a 21-point
   log grid over [0, 2] (the oscillator also runs its dual from the ground
   state, the ``oscillator_q_numeric`` route);
 * ``stationary_state``: the bordered solve with its uniqueness margin.
+
+The ``stochastic`` topic times the Monte Carlo engine for one path and for
+one block of ``PATH_BLOCK`` paths, and reports both the time and the time
+per path:
+
+* ``path_streams``: a generator at the start of each path's Philox stream;
+* ``noise_paths``: white, Ornstein-Uhlenbeck and telegraph paths on [0, 2]
+  at dt = 0.02 (correlation time 0.5);
+* ``path_unitaries``: the path unitaries of the same noise at 11 times,
+  with a random H and coupling at d = 2, 4 and 12;
+* ``collisional_chain``: the collision chain of a random two-Kraus channel
+  at 13 times on [0, 3], exponential (rate 1) and gamma (shape 2, rate 2)
+  waiting, at d = 2, 4 and 12.
+
+A checkout whose engine draws each path on its own (no block samplers)
+has its block of streams and noise paths timed as that per-path loop.
 
 Every layer reports the minimum and the median over ``REPEATS`` runs
 (one in smoke mode) after one untimed warm-up, in milliseconds.  BLAS is
@@ -41,6 +58,10 @@ GENERATOR_NORM = 4.0
 POINTS = 21
 T_MAX = 2.0
 REPEATS = 7
+STOCHASTIC_DIMS = (2, 4, 12)
+SEED = 77
+NOISE_T_MAX, NOISE_DT, NOISE_TAU = 2.0, 0.02, 0.5
+CHAIN_T_MAX = 3.0
 
 
 def grids():
@@ -116,21 +137,98 @@ def ladder(dims, repeats, oscillator):
     return rows
 
 
+def noise_process(stochastic, family, coupling):
+    tau = 0.0 if family == "gaussian-white" else NOISE_TAU
+    return stochastic.NoiseProcess(family, 0.6, tau, coupling)
+
+
+def random_hermitian(rng, d):
+    import numpy as np
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return 0.5 * (h + h.conj().T) / np.sqrt(d)
+
+
+def block_samplers(stochastic):
+    """The engine's samplers for a block of paths: streams, then noise paths."""
+    if hasattr(stochastic, "_path_streams"):
+        return stochastic._path_streams, stochastic._noise_paths
+    return (lambda seed, paths: [stochastic.path_rng(seed, p) for p in paths],
+            lambda process, t_max, dt, seed, paths: [
+                stochastic.sample_noise_path(process, t_max, dt, seed, path_index=p)
+                for p in paths])
+
+
+def stochastic_ladder(dims, repeats):
+    import numpy as np
+    from envq import qcore, stochastic
+
+    rows = []
+    block = stochastic.PATH_BLOCK
+    streams, noise_paths = block_samplers(stochastic)
+
+    def add(layer, model, d, paths, fn):
+        row = {"layer": layer, "model": model, "dim": d, "paths": paths, **timed(fn, repeats)}
+        row["per_path_us"] = 1e3 * row["min_ms"] / paths
+        rows.append(row)
+        print(f"{layer:17s} {model:18s} d={str(d):4s} paths={paths:3d} "
+              f"min {row['min_ms']:9.3f} ms  median {row['median_ms']:9.3f} ms  "
+              f"{row['per_path_us']:9.1f} us/path", file=sys.stderr, flush=True)
+
+    add("path_streams", "philox", None, 1, lambda: stochastic.path_rng(SEED, 0))
+    add("path_streams", "philox", None, block,
+        lambda: list(streams(SEED, range(block))))
+    for family in stochastic.NOISE_FAMILIES:
+        process = noise_process(stochastic, family, qcore.sigma_x)
+        add("noise_paths", family, None, 1,
+            lambda process=process: stochastic.sample_noise_path(process, NOISE_T_MAX,
+                                                                 NOISE_DT, SEED))
+        add("noise_paths", family, None, block,
+            lambda process=process: list(noise_paths(process, NOISE_T_MAX, NOISE_DT, SEED,
+                                                     range(block))))
+    noise_times = np.linspace(0.0, NOISE_T_MAX, 11)
+    chain_times = np.linspace(0.0, CHAIN_T_MAX, 13)
+    waits = {"exponential": stochastic.WaitingTime("exponential", rate=1.0),
+             "gamma": stochastic.WaitingTime("gamma", rate=2.0, shape=2.0)}
+    for d in dims:
+        rng = np.random.default_rng(200 + d)
+        h0, coupling = random_hermitian(rng, d), random_hermitian(rng, d)
+        for family in stochastic.NOISE_FAMILIES:
+            process = noise_process(stochastic, family, coupling)
+            for n in (1, block):
+                add("path_unitaries", family, d, n,
+                    lambda process=process, n=n: list(stochastic._path_unitaries(
+                        process, h0, noise_times, n, SEED, NOISE_DT)))
+        iso = np.linalg.qr(rng.normal(size=(2 * d, d)) + 1j * rng.normal(size=(2 * d, d)))[0]
+        x0 = np.eye(d, dtype=complex)
+        for name, waiting in waits.items():
+            model = stochastic.CollisionalModel(random_hermitian(rng, d), [iso[:d], iso[d:]],
+                                                waiting)
+            for n in (1, block):
+                add("collisional_chain", name, d, n,
+                    lambda model=model, n=n: list(stochastic._chain_snapshots(
+                        model, x0, chain_times, n, SEED)))
+    return rows
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--topic", choices=("lindblad", "stochastic"), default="lindblad")
     parser.add_argument("--smoke", action="store_true",
                         help="d <= 4, no oscillator, one repeat; print the JSON instead of writing it")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory that holds the envq package to time")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_lindblad.json"))
+    parser.add_argument("--out", help="output file (default BENCH_<topic>.json at the root)")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
     import scipy
-    dims, repeats = (SMOKE_DIMS, 1) if args.smoke else (DIMS, REPEATS)
-    rows = ladder(dims, repeats, oscillator=not args.smoke)
+    repeats = 1 if args.smoke else REPEATS
+    if args.topic == "lindblad":
+        rows = ladder(SMOKE_DIMS if args.smoke else DIMS, repeats, oscillator=not args.smoke)
+    else:
+        rows = stochastic_ladder(SMOKE_DIMS if args.smoke else STOCHASTIC_DIMS, repeats)
     record = {
-        "topic": "lindblad",
+        "topic": args.topic,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
@@ -143,7 +241,7 @@ def main(argv=None):
     if args.smoke:
         print(text)
     else:
-        with open(args.out, "w") as fh:
+        with open(args.out or os.path.join(ROOT, f"BENCH_{args.topic}.json"), "w") as fh:
             fh.write(text + "\n")
     return 0
 

@@ -111,19 +111,20 @@ def _two_qubit_point(params):
     return report.dq, report.concurrence
 
 
-# closed-form (degree, concurrence or None) of each builtin kind, per sweep point
-SWEEP_DEGREE = {
-    "thermal-tls": lambda p: (models.thermal_dq(p), None),
-    "fluorescence": lambda p: (models.fluorescence_dq(p)[0], None),
-    "two-qubit": _two_qubit_point,
-    "nonmarkov-decay": lambda p: (models.nonmarkov_dq(p), None),
-    "oscillator": lambda p: (models.oscillator_dqr(p), None),
+# closed-form sweep columns of each builtin kind, after the swept parameter:
+# their names, and their values at one point
+SWEEP_COLUMNS = {
+    "thermal-tls": (("dq",), lambda p: (models.thermal_dq(p),)),
+    "fluorescence": (("dq",), lambda p: (models.fluorescence_dq(p)[0],)),
+    "two-qubit": (("dq", "concurrence"), _two_qubit_point),
+    "nonmarkov-decay": (("dq",), lambda p: (models.nonmarkov_dq(p),)),
+    "oscillator": (("dq",), lambda p: (models.oscillator_dqr(p),)),
 }
 
 
 def cmd_sweep(cfg, out_path):
     kind, obj = config.build_model(cfg)
-    if kind not in SWEEP_DEGREE:
+    if kind not in SWEEP_COLUMNS:
         raise ConfigError("sweep needs a builtin model")
     param = cfg.sweep_param
     if param is None:
@@ -131,14 +132,10 @@ def cmd_sweep(cfg, out_path):
     if param not in {f.name for f in dataclasses.fields(obj)}:
         raise ConfigError(f"unknown sweep parameter {param!r} for {kind}")
     values = cfg.sweep_values or []
-    points = [SWEEP_DEGREE[kind](dataclasses.replace(obj, **{param: v})) for v in values]
-    dqs = [dq for dq, _ in points]
-    concurrences = [conc for _, conc in points]
-    if any(conc is not None for conc in concurrences):
-        text = quantumness.csv_text(f"{param},dq,concurrence", values, dqs, concurrences)
-    else:
-        text = quantumness.csv_text(f"{param},dq", values, dqs)
-    _write(out_path, text)
+    names, point = SWEEP_COLUMNS[kind]
+    rows = [point(dataclasses.replace(obj, **{param: v})) for v in values]
+    columns = [[row[i] for row in rows] for i in range(len(names))]
+    _write(out_path, quantumness.csv_text(",".join((param,) + names), values, *columns))
     return 0
 
 

@@ -68,7 +68,8 @@ from .qcore import (
 
 DENSE_FILL = 1.0 / 16.0      # generators at least this full are stored dense
 # scipy's expm_multiply estimates norms of matrix powers past this shifted
-# |A dt|_1: 2 ell p_max (p_max + 3) theta_55 / 55 with ell = 2, p_max = 8
+# |A dt|_1 for one column, and past it divided by n0 for n0 columns:
+# 2 ell p_max (p_max + 3) theta_55 / (55 n0) with ell = 2, p_max = 8
 # (Al-Mohy and Higham 2011, condition (3.13))
 EXPM_NORM_SWITCH = 63.36
 # Uniqueness gate on 1/cond_1 of the bordered generator: the solve loses
@@ -398,11 +399,12 @@ def _shifted_one_norm(a):
     return _one_norm(a - (a.diagonal().sum() / n) * eye)
 
 
-def _expm_pays(a, norm, moving, distinct):
+def _expm_pays(a, norm, moving, distinct, columns):
     """Whether one dense expm per distinct step beats expm_multiply on every step.
 
-    ``a`` is a real generator block, ``moving`` holds every positive step
-    and ``distinct`` one step per exponential the expm route would build.
+    ``a`` is a real generator block, ``moving`` holds every positive step,
+    ``distinct`` one step per exponential the expm route would build and
+    ``columns`` the number of coordinate columns stepped.
     Costs are in nanoseconds, fitted to scipy on one core for float64
     matrices: dense n x n with n = 4..576 and sparse ones with 518..15068
     stored entries, one coordinate column (minimum of 9-25 runs, two
@@ -412,10 +414,10 @@ def _expm_pays(a, norm, moving, distinct):
     0.45 n^2 and one product with the exponential 1.2e3 + 0.25 n^2.  One
     expm_multiply call at x = |a dt|_1 costs 1.7e5 + 7 n^2
     + x (2.5e4 + 0.29 n^2) when dense and 9.3e5 + 58 nnz + x (8.9e4 + 6.7 nnz)
-    when sparse.  Past |(a - mu I) dt|_1 = EXPM_NORM_SWITCH, mu = tr(a) / n,
-    scipy first estimates the 1-norms of powers of a and then needs fewer
-    products: such a call costs 2.4e6 + 84 n^2 + 1.2e4 x when dense and
-    8.5e6 + 1370 nnz + x (7.0e4 + 4.8 nnz) when sparse.
+    when sparse.  Past |(a - mu I) dt|_1 = EXPM_NORM_SWITCH / columns,
+    mu = tr(a) / n, scipy first estimates the 1-norms of powers of a and
+    then needs fewer products: such a call costs 2.4e6 + 84 n^2 + 1.2e4 x
+    when dense and 8.5e6 + 1370 nnz + x (7.0e4 + 4.8 nnz) when sparse.
     """
     n = a.shape[0]
     sparse = scipy.sparse.issparse(a)
@@ -427,9 +429,11 @@ def _expm_pays(a, norm, moving, distinct):
         krylov = 9.3e5 + 58.0 * a.nnz + x * (8.9e4 + 6.7 * a.nnz)
     else:
         krylov = 1.7e5 + 7.0 * n ** 2 + x * (2.5e4 + 0.29 * n ** 2)
-    # the shifted norm is at most twice the norm, so below half the switch it is not needed
-    if 2.0 * x.max(initial=0.0) > EXPM_NORM_SWITCH:
-        estimated = _shifted_one_norm(a) * moving > EXPM_NORM_SWITCH
+    # scipy's condition (3.13) divides its bound by the column count; the
+    # shifted norm is at most twice the norm, so below half the switch it is not needed
+    switch = EXPM_NORM_SWITCH / columns
+    if 2.0 * x.max(initial=0.0) > switch:
+        estimated = _shifted_one_norm(a) * moving > switch
         xe = x[estimated]
         krylov[estimated] = (8.5e6 + 1370.0 * a.nnz + xe * (7.0e4 + 4.8 * a.nnz) if sparse
                              else 2.4e6 + 84.0 * n ** 2 + 1.2e4 * xe)
@@ -467,7 +471,7 @@ def propagate_series(g, x0, times):
     v = y0[index]
     moving = steps > 0.0
     first = np.unique(keys[moving], return_index=True)[1]
-    use_expm = _expm_pays(a, norm, steps[moving], steps[moving][first])
+    use_expm = _expm_pays(a, norm, steps[moving], steps[moving][first], y0.shape[1])
     if use_expm and scipy.sparse.issparse(a):
         a = a.toarray()
     exponentials = {}

@@ -464,7 +464,11 @@ class OscillatorParams:
     n_max: int = 60
 
     def __post_init__(self):
-        qcore.require_finite_parameters(self, "gamma", "beta_hw0")
+        qcore.require_finite_parameters(self, "gamma", "beta_hw0", "n_max")
+        if self.n_max != int(self.n_max):
+            raise ValueError(f"n_max must be a whole number, got {self.n_max}")
+        # config files and sweeps give the cutoff as a float
+        object.__setattr__(self, "n_max", int(self.n_max))
         if self.gamma <= 0 or self.beta_hw0 <= 0 or self.n_max < 2:
             raise ValueError("need gamma > 0, beta_hw0 > 0 and n_max >= 2")
         tail = np.exp(-self.beta_hw0 * (self.n_max + 1))
@@ -601,7 +605,4 @@ def builtin_params(name, mapping):
     unknown = set(mapping) - allowed
     if unknown:
         raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in mapping.items():
-        kwargs[key] = int(value) if key == "n_max" else value
-    return cls(**kwargs)
+    return cls(**mapping)

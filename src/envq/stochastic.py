@@ -7,22 +7,31 @@ collision channel with trace-preserving dual leaves the dual-chain
 trace invariant.  The non-unital collision channels exercised in the
 tests are deliberate counterexamples, not part of that guarantee.
 
-Randomness is counter-based: every path owns a Philox stream derived
-from (seed, path index), so results are independent of evaluation
-order and bitwise reproducible.
+Randomness is counter-based: every path owns the Philox stream of
+SeedSequence(entropy=seed, spawn_key=(path index,)), so results are
+independent of evaluation order and bitwise reproducible.
 
 Monte Carlo runs in blocks of PATH_BLOCK paths, so memory does not grow
-with the path count.  Paths are still sampled one at a time from their
-own streams; the linear algebra is batched across the block.  A noise
-block is cut at the requested times and padded to equal length with
+with the path count.  The Philox keys of a whole block come from one
+vectorized pass of SeedSequence's hash: the seed's part of the pool is
+mixed once, and only the spawn words per path.  One Philox generator is
+then reset to each path's key with a zero counter, which gives the
+draws of a Philox built from that path's SeedSequence; path_rng and
+sample_noise_path derive their single path the same way.  A noise block
+is cut at the requested times and padded to equal length with
 zero-length segments; every segment unitary exp(-i tau (h0 + x C))
 comes from one batched eigh, the chain is multiplied one segment index
 at a time for all paths, and the unitaries at the requested times are
 gathered as one (paths, times, d, d) array that stochastic_q and
-stochastic_average_state reduce.  A collisional block merges each path's
-collision times with the grid (a collision at a grid time acts before
-the snapshot there), builds the free unitaries from the model's cached
-eigensystem, and applies the j-th collision of every path in one step.
+stochastic_average_state reduce.  A collisional path draws its waits in
+chunks and sums them with np.cumsum, which adds in order, so its
+collision times are bitwise those of one draw at a time.  The block's
+chain runs in the eigenbasis H = V diag(e) V^dag on the d^2 coordinates
+P^dag vec(x), P = kron(conj V, V): a free step is the elementwise phase
+exp(-i (e_i - e_j) u), and the j-th collision of every path is one
+(paths, d^2) x (d^2, d^2) product with the model's cached P^dag E P.
+A collision at a grid time acts before the snapshot there, and P maps
+the snapshots back.
 
 The deterministic series mode solves the renewal (second-kind Volterra)
 equation for the collision-arrival density by one product-trapezoid
@@ -53,10 +62,82 @@ PATH_BLOCK = 128  # paths whose segment stacks are held in memory at once
 SERIES_BLOCK = 64  # renewal solve: grid steps per block times d^2, the in-block operator width
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq design, stable under NEP 19)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _hash_constants(start, mult, n):
+    """The n + 1 successive hash constants start, start * mult, ... of SeedSequence."""
+    out = [start]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _path_keys(seed, paths):
+    """Philox keys of SeedSequence(entropy=seed, spawn_key=(p,)) for every p, as (n, 2) uint64.
+
+    A spawned sequence pads the seed's words to the pool size and mixes the
+    spawn key after them, so its pool before the key is the pool of
+    SeedSequence(seed), reached after 4 hash calls per seed word.  Each
+    path's spawn words, its index's low 32 bits and, from 2**32 on, its
+    high bits, are then mixed into all four pool words at once as uint32
+    arrays, and the key is generate_state(2, np.uint64) of the result.
+    """
+    seed = int(seed)
+    pool0 = np.random.SeedSequence(seed).pool
+    calls = _POOL * max(_POOL, -(-max(seed.bit_length(), 1) // 32))
+    mix_consts = _hash_constants(_INIT_A, _MULT_A, calls + 2 * _POOL)[calls:]
+    out_consts = _hash_constants(_INIT_B, _MULT_B, _POOL)
+    u32 = np.uint32
+    paths = np.asarray(paths, dtype=np.uint64).reshape(-1)
+    words = [(paths & np.uint64(_MASK32)).astype(u32), (paths >> np.uint64(32)).astype(u32)]
+    wide = words[1] != 0
+    keys = np.empty((paths.size, 2), dtype=np.uint64)
+    for n_words, rows in ((1, ~wide), (2, wide)):
+        if not rows.any():
+            continue
+        pool = pool0[None, :]
+        for i in range(n_words):
+            # hashmix of the word with the constants of four successive calls
+            v = (words[i][rows, None] ^ mix_consts[4 * i:4 * i + 4]) * mix_consts[4 * i + 1:4 * i + 5]
+            v ^= v >> u32(16)
+            pool = u32(_MIX_L) * pool - u32(_MIX_R) * v
+            pool ^= pool >> u32(16)
+        state = (pool ^ out_consts[:-1]) * out_consts[1:]
+        state ^= state >> u32(16)
+        # two little-endian uint32 words per uint64, as generate_state reads them
+        keys[rows] = state.astype("<u4").view("<u8").astype(np.uint64)
+    return keys
+
+
+def _path_streams(seed, paths):
+    """Yield one generator per path, at the start of that path's Philox stream.
+
+    One Philox serves every path: its state is reset to the path's key with
+    a zero counter and an empty buffer, which is the state Philox(SeedSequence)
+    starts from.  The same Generator is yielded each time, so each one is
+    read before the next is requested.
+    """
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    for key in _path_keys(seed, paths):
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+        }
+        yield rng
+
+
 def path_rng(seed, path_index):
     """Philox generator for one path of one seeded run."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(path_index),))
-    return np.random.Generator(np.random.Philox(ss))
+    return next(_path_streams(seed, [int(path_index)]))
 
 
 # ---------------------------------------------------------------------------
@@ -104,42 +185,48 @@ def sample_noise_path(process, t_max, dt, seed, path_index=0):
     step rule dt <= correlation_time / 10.  Telegraph paths switch at
     exact exponential-clock times.
     """
+    return next(_noise_paths(process, t_max, dt, seed, [int(path_index)]))
+
+
+def _noise_paths(process, t_max, dt, seed, paths):
+    """Yield the NoisePath of every path index in ``paths``, as sample_noise_path draws it."""
     if dt <= 0 or t_max <= 0:
         raise ValueError("t_max and dt must be positive")
     if process.family != "gaussian-white" and dt > process.correlation_time / 10.0:
         raise ValueError("dt must not exceed correlation_time / 10 for colored noise")
-    rng = path_rng(seed, path_index)
     a = process.amplitude
-    if process.family == "telegraph":
-        rate = 0.5 / process.correlation_time
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        durations, values = [], []
-        elapsed = 0.0
-        while elapsed < t_max:
-            wait = rng.exponential(1.0 / rate) if rate > 0 else t_max
-            step = min(wait, t_max - elapsed)
-            durations.append(step)
-            values.append(sign * a)
-            sign = -sign
-            elapsed += step
-        return NoisePath(np.asarray(durations), np.asarray(values))
-    n = int(np.ceil(t_max / dt))
-    durations = np.full(n, dt)
-    durations[-1] = t_max - dt * (n - 1)
-    if process.family == "gaussian-white":
-        z = rng.standard_normal(n)
-        values = a * z / np.sqrt(durations)
-    else:  # ornstein-uhlenbeck, exact discretization from stationarity
+    if process.family != "telegraph":
+        n = int(np.ceil(t_max / dt))
+        durations = np.full(n, dt)
+        durations[-1] = t_max - dt * (n - 1)
+    if process.family == "ornstein-uhlenbeck":
         # imported here: scipy.signal adds about 0.13 s to every import of envq
         from scipy.signal import lfilter
         decay = np.exp(-durations / process.correlation_time)
-        z = rng.standard_normal(n)
-        kicks = a * np.sqrt(1.0 - decay ** 2) * z
-        # x[k+1] = decay x[k] + kicks[k]; only the steps before the last are
-        # read, and all of them last dt
-        start = a * rng.standard_normal()
-        values = lfilter([1.0], [1.0, -decay[0]], np.concatenate([[start], kicks[:-1]]))
-    return NoisePath(durations, values)
+        kick = a * np.sqrt(1.0 - decay ** 2)
+    for rng in _path_streams(seed, paths):
+        if process.family == "telegraph":
+            rate = 0.5 / process.correlation_time
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            steps, values = [], []
+            elapsed = 0.0
+            while elapsed < t_max:
+                wait = rng.exponential(1.0 / rate) if rate > 0 else t_max
+                step = min(wait, t_max - elapsed)
+                steps.append(step)
+                values.append(sign * a)
+                sign = -sign
+                elapsed += step
+            yield NoisePath(np.asarray(steps), np.asarray(values))
+        elif process.family == "gaussian-white":
+            yield NoisePath(durations, a * rng.standard_normal(n) / np.sqrt(durations))
+        else:  # ornstein-uhlenbeck, exact discretization from stationarity
+            kicks = kick * rng.standard_normal(n)
+            # x[k+1] = decay x[k] + kicks[k]; only the steps before the last are
+            # read, and all of them last dt
+            start = a * rng.standard_normal()
+            yield NoisePath(durations, lfilter([1.0], [1.0, -decay[0]],
+                                               np.concatenate([[start], kicks[:-1]])))
 
 
 def _dagger(m):
@@ -179,7 +266,7 @@ def _path_unitaries(process, h0, times, n_paths, seed, dt):
     h0 = 0.5 * (h0 + h0.conj().T)
     coupling = 0.5 * (process.coupling + process.coupling.conj().T)
     for block in _path_blocks(n_paths):
-        paths = [sample_noise_path(process, t_max, dt, seed, path_index=p) for p in block]
+        paths = list(_noise_paths(process, t_max, dt, seed, block))
         tau = _padded([path.durations for path in paths], 0.0)
         ends = np.cumsum(tau, axis=1)
         starts = np.concatenate([np.zeros((len(paths), 1)), ends[:, :-1]], axis=1)
@@ -356,6 +443,18 @@ class CollisionalModel:
         """Eigenvalues e and eigenvectors V of the free Hamiltonian, computed once."""
         return self._eig
 
+    @cached_property
+    def _collision_eig(self):
+        """P^dag E P, P = kron(conj V, V): the collision superoperator in the
+        eigenbasis of H, read by the series and the Monte Carlo chain."""
+        vecs = self._eig[1]
+        dd = self.dim * self.dim
+        # sum over Kraus operators T of kron(conj T', T'), T' = V^dag T V
+        kraus = vecs.conj().T @ np.array(self.collision) @ vecs
+        e_eig = np.einsum("nij,nkl->ikjl", kraus.conj(), kraus).reshape(dd, dd)
+        e_eig.setflags(write=False)
+        return e_eig
+
     def free_unitary(self, t):
         """exp(-i t H), batched over the axes of an array t."""
         return _spectral_unitary(*self.eigensystem(), t)
@@ -365,6 +464,12 @@ class CollisionalModel:
 
     def collision_superoperator(self):
         return sum(np.kron(t.conj(), t) for t in self.collision)
+
+
+def _superbasis(vecs):
+    """P = kron(conj V, V), which maps the eigenbasis coordinates of an operator to vec form."""
+    d = vecs.shape[0]
+    return (vecs.conj()[:, None, :, None] * vecs[None, :, None, :]).reshape(d * d, d * d)
 
 
 def _blocked_volterra(r, c, a):
@@ -464,12 +569,10 @@ def _series_chain(model, x0, times, step=None):
     r[0] = 1.0
     surv = _blocked_volterra(r[None], beta[None], np.array([[-step / lead]]))[0]
     energies, vecs = model.eigensystem()
-    p = (vecs.conj()[:, None, :, None] * vecs[None, :, None, :]).reshape(dd, dd)
+    p = _superbasis(vecs)
     lam = np.exp(-1j * np.outer(energies, grid))
     ph = (lam.conj()[:, None] * lam[None, :]).reshape(dd, -1)
-    # P^dag E P = sum over Kraus operators T of kron(conj T', T'), T' = V^dag T V
-    kraus = vecs.conj().T @ np.array(model.collision) @ vecs
-    e_eig = np.einsum("nij,nkl->ikjl", kraus.conj(), kraus).reshape(dd, dd)
+    e_eig = model._collision_eig
     c = wk * ph
     # (I - h/2 K_0)^-1 P^dag E P; K_0 = w_0 E, since the free map at 0 is I
     inv_e = np.linalg.solve(np.eye(dd) - 0.5 * step * wk[0] * e_eig, e_eig)
@@ -517,38 +620,61 @@ def _deterministic_chain(model, x0, times):
 
 
 def _event_times(waiting, rng, t_max):
-    """Collision times of one renewal path up to and including t_max."""
-    events = []
-    elapsed = waiting.sample(rng)
-    while elapsed <= t_max:
-        events.append(elapsed)
-        elapsed += waiting.sample(rng)
-    return np.asarray(events, dtype=float)
+    """Collision times of one renewal path up to and including t_max.
+
+    Waits are drawn in chunks of about twice the expected count.  A sized
+    draw gives the values of as many single draws, and np.cumsum adds in
+    order from the last time of the previous chunk, so the times are
+    bitwise those of adding one wait at a time.
+    """
+    chunk = int(2.0 * t_max / waiting.mean()) + 2
+    elapsed = np.cumsum(waiting.sample(rng, size=chunk))
+    while elapsed[-1] <= t_max:
+        more = waiting.sample(rng, size=chunk)
+        more[0] += elapsed[-1]
+        elapsed = np.concatenate([elapsed, np.cumsum(more)])
+    return elapsed[:np.searchsorted(elapsed, t_max, side="right")]
+
+
+def _phases(energies, u):
+    """exp(-i (e_i - e_j) u) at coordinate j d + i, batched over the axes of u."""
+    lam = np.exp(-1j * np.multiply.outer(u, energies))
+    return (lam.conj()[..., :, None] * lam[..., None, :]).reshape(lam.shape[:-1] + (-1,))
 
 
 def _chain_snapshots(model, x0, times, n_paths, seed):
     """Collision-chain snapshots, yielded block by block as (paths, times, d, d).
 
-    Each block steps through its collisions together, x[:, j] holding
-    the state after j collisions; a snapshot at time t takes the state
-    after every collision at or before t, evolved freely since the last
-    of them.  Padded steps past a path's last collision are computed
-    but never read.
+    The chain runs in the eigenbasis H = V diag(e) V^dag on the d^2
+    coordinates z = P^dag vec(x), P = kron(conj V, V), where a free step
+    over u is the phase exp(-i (e_i - e_j) u) and a collision the model's
+    cached P^dag E P.  Each block steps through its collisions together,
+    z[:, j] holding the state after j collisions; a snapshot at time t
+    takes the state after every collision at or before t, evolved freely
+    since the last of them, and maps it back with P.  One (snapshots, d^2)
+    x (d^2, d^2) product does that faster than numpy's stacked d x d
+    products with V, at every d up to 12.  Padded steps past a path's
+    last collision are computed but never read.
     """
     t_max = float(times.max()) if times.size else 0.0
+    energies, vecs = model.eigensystem()
+    e_eig = model._collision_eig
+    p = _superbasis(vecs)
+    z0 = p.conj().T @ vec(x0)
+    d = model.dim
     for block in _path_blocks(n_paths):
-        events = [_event_times(model.waiting, path_rng(seed, p), t_max) for p in block]
+        events = [_event_times(model.waiting, rng, t_max) for rng in _path_streams(seed, block)]
         # time of the j-th collision, 0 for j = 0
         hit = np.concatenate([np.zeros((len(block), 1)), _padded(events, 0.0)], axis=1)
-        x = np.empty(hit.shape + x0.shape, dtype=complex)
-        x[:, 0] = x0
+        z = np.empty(hit.shape + z0.shape, dtype=complex)
+        z[:, 0] = z0
         for j in range(1, hit.shape[1]):
-            u = model.free_unitary(hit[:, j] - hit[:, j - 1])
-            x[:, j] = model.apply_collision(u @ x[:, j - 1] @ _dagger(u))
+            z[:, j] = (_phases(energies, hit[:, j] - hit[:, j - 1]) * z[:, j - 1]) @ e_eig.T
         applied = (_padded(events, np.inf)[:, None, :] <= times[:, None]).sum(axis=2)
         rows = np.arange(len(block))[:, None]
-        u = model.free_unitary(times - hit[rows, applied])
-        yield u @ x[rows, applied] @ _dagger(u)
+        x = (_phases(energies, times - hit[rows, applied]) * z[rows, applied]) @ p.T
+        # coordinate j d + i of vec(x) holds entry (i, j)
+        yield np.swapaxes(x.reshape(x.shape[:-1] + (d, d)), -1, -2)
 
 
 def _monte_carlo_chain(model, x0, times, n_paths, seed):

@@ -323,6 +323,34 @@ values =
     assert out.read_text() == "omega,dq\n"
 
 
+def test_cmd_sweep_two_qubit_columns_do_not_depend_on_the_rows(tmp_path):
+    cfg = "[model]\ntype = two-qubit\ngamma = 1.0\nomega = 1.0\n\n[sweep]\nparam = omega\n"
+    out = tmp_path / "sweep.csv"
+    assert cli.run(["sweep", "--config", write(tmp_path, cfg + "values =\n"),
+                    "--out", str(out)]) == 0
+    assert out.read_text() == "omega,dq,concurrence\n"
+
+
+OSCILLATOR_CFG = "[model]\ntype = oscillator\ngamma = 1.0\nbeta_hw0 = 1.0\n"
+
+
+def test_non_integral_cutoff_is_a_model_error(tmp_path):
+    assert cli.run(["dq", "--config", write(tmp_path, OSCILLATOR_CFG + "n_max = 40.7\n")]) == 3
+    assert cli.run(["dq", "--config", write(tmp_path, OSCILLATOR_CFG + "n_max = 40.0\n")]) == 0
+
+
+def test_non_integral_cutoff_sweep_is_a_model_error(tmp_path):
+    sweep = OSCILLATOR_CFG + "n_max = 40\n\n[sweep]\nparam = n_max\nvalues = "
+    out = tmp_path / "sweep.csv"
+    assert cli.run(["sweep", "--config", write(tmp_path, sweep + "30.5 40.2\n"),
+                    "--out", str(out)]) == 3
+    assert not out.exists()
+    assert cli.run(["sweep", "--config", write(tmp_path, sweep + "30 40\n"),
+                    "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == "n_max,dq" and rows.shape == (2, 2)
+
+
 def test_non_finite_parameters_are_model_errors(tmp_path):
     sweep = """
 [model]

@@ -412,7 +412,28 @@ def test_expm_pays_prices_long_steps(d, x, expm_pays):
     norm = dynamics._one_norm(a)
     steps = np.array([x / norm])
     assert dynamics._shifted_one_norm(a) * steps[0] > dynamics.EXPM_NORM_SWITCH
-    assert dynamics._expm_pays(a, norm, steps, steps) == expm_pays
+    assert dynamics._expm_pays(a, norm, steps, steps, 1) == expm_pays
+
+
+def test_two_column_step_prices_the_halved_norm_switch():
+    # a non-Hermitian x0 steps two coordinate columns, and scipy's
+    # expm_multiply then estimates power norms past half the switch.  At
+    # n = 144 and a shifted |A dt|_1 of 40 (between the two switches) one
+    # core took 2.5 ms Krylov and 3.2 ms expm for one column, but 6.2 ms
+    # Krylov and 2.4 ms expm for two (minimum of 9 runs)
+    d = 12
+    g = dynamics.liouvillian(random_lindblad(np.random.default_rng(40 + d), d))
+    dt = 40.0 / dynamics._shifted_one_norm(g.real)
+    assert dynamics.EXPM_NORM_SWITCH / 2 < 40.0 < dynamics.EXPM_NORM_SWITCH
+    rng = np.random.default_rng(3)
+    x0 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for x, expm_route in ((x0, True), (0.5 * (x0 + x0.conj().T), False)):
+        y = dynamics._columns(x)
+        assert y.shape[1] == (2 if expm_route else 1)
+        step = (scipy.linalg.expm(g.real * dt) @ y if expm_route
+                else scipy.sparse.linalg.expm_multiply(g.real * dt, y))
+        got = dynamics.propagate_series(g, x, [dt])[0]
+        assert np.array_equal(got, dynamics._operators(step, d))
 
 
 def test_propagate_series_rejects_bad_grid():

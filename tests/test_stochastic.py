@@ -117,6 +117,22 @@ def test_telegraph_levels_and_rate():
     assert abs(n_flips - expect) < 4.0 * np.sqrt(expect)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 + 1, 2 ** 63, 2 ** 160 + 3],
+                         ids=["0", "1", "2^32+1", "2^63", "six-words"])
+def test_path_keys_match_seed_sequence(seed):
+    paths = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 40]
+    expect = [np.random.SeedSequence(entropy=seed, spawn_key=(p,)).generate_state(2, np.uint64)
+              for p in paths]
+    assert np.array_equal(stochastic._path_keys(seed, paths), expect)
+    # and the reset generator continues as Philox(SeedSequence) does
+    for p in paths:
+        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(p,))))
+        rng = stochastic.path_rng(seed, p)
+        for draw in (lambda g: g.random(3), lambda g: g.integers(0, 2 ** 40, size=2),
+                     lambda g: g.standard_normal(5), lambda g: g.exponential(size=2)):
+            assert np.array_equal(draw(rng), draw(ref))
+
+
 # ---------------------------------------------------------------------------
 # stochastic Hamiltonians
 
@@ -263,6 +279,37 @@ def test_waiting_time_statistics():
         stochastic.WaitingTime("deterministic", period=np.inf)
 
 
+def reference_event_times(waiting, rng, t_max):
+    """One wait at a time, added up until the first that passes t_max."""
+    events = []
+    elapsed = waiting.sample(rng)
+    while elapsed <= t_max:
+        events.append(elapsed)
+        elapsed += waiting.sample(rng)
+    return np.asarray(events, dtype=float)
+
+
+# the chunk-boundary case: whether some path of the test runs past its first
+# chunk; a deterministic count never does, and gamma(3.5) spreads too little
+@pytest.mark.parametrize("waiting, crosses", [
+    (stochastic.WaitingTime("exponential", rate=1.5), True),
+    (stochastic.WaitingTime("gamma", rate=2.0, shape=2.0), True),
+    (stochastic.WaitingTime("gamma", rate=1.3, shape=3.5), False),
+    (stochastic.WaitingTime("deterministic", period=0.3), False),
+], ids=["exponential", "gamma-2", "gamma-3.5", "deterministic"])
+def test_event_times_match_scalar_loop(waiting, crosses):
+    longest = 0
+    for t_max in (0.0, 0.5 * waiting.mean(), 3.0):
+        # _event_times draws in chunks of int(2 t_max / mean) + 2 waits
+        chunk = int(2.0 * t_max / waiting.mean()) + 2
+        for p in range(300):
+            got = stochastic._event_times(waiting, stochastic.path_rng(4, p), t_max)
+            expect = reference_event_times(waiting, stochastic.path_rng(4, p), t_max)
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+            longest = max(longest, got.size - chunk + 1)
+    assert (longest > 0) == crosses
+
+
 def test_collisional_model_validates_channel():
     with pytest.raises(ValueError, match="not a channel"):
         stochastic.CollisionalModel(
@@ -394,12 +441,7 @@ def reference_monte_carlo_chain(model, x0, times, n_paths, seed):
     d = model.dim
     snapshots = np.empty((n_paths, times.size, d, d), dtype=complex)
     for p in range(n_paths):
-        rng = stochastic.path_rng(seed, p)
-        event_times = []
-        elapsed = model.waiting.sample(rng)
-        while elapsed <= t_max:
-            event_times.append(elapsed)
-            elapsed += model.waiting.sample(rng)
+        event_times = reference_event_times(model.waiting, stochastic.path_rng(seed, p), t_max)
         x = np.asarray(x0, dtype=complex)
         now = 0.0
         ev = 0
@@ -657,6 +699,44 @@ def test_series_chain_qutrit_matches_full_grid_output(waiting, h):
         got = stochastic._series_chain(model, x0, times, step=SERIES_STEP)
         ref = reference_series_chain(model, x0, times, SERIES_STEP)
         assert np.abs(np.array(got) - np.array(ref)).max() < 1e-13
+
+
+@pytest.mark.parametrize("waiting", ["exponential", "gamma"])
+def test_monte_carlo_chain_qutrit_matches_path_loop(waiting, monkeypatch):
+    # a degenerate H and a four-Kraus channel cut from a random 12 x 3 isometry
+    monkeypatch.setattr(stochastic, "PATH_BLOCK", 3)
+    rng = np.random.default_rng(10)
+    iso = np.linalg.qr(rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3)))[0]
+    h = _ROTATION @ np.diag([0.7, 0.7, -0.4]) @ _ROTATION.conj().T
+    model = stochastic.CollisionalModel(0.5 * (h + h.conj().T), list(iso.reshape(4, 3, 3)),
+                                        SERIES_WAITING[waiting])
+    rho0 = qcore.random_state(3, np.random.default_rng(11)).matrix
+    times = np.array([0.0, 0.37, 1.2345, 2.0])
+    n_paths, seed = 7, 21
+    ref_mean, ref_stderr = reference_monte_carlo_chain(model, rho0, times, n_paths, seed)
+    means, stderr = stochastic._monte_carlo_chain(model, rho0, times, n_paths, seed)
+    assert np.abs(np.array(means) - ref_mean).max() < 1e-12
+    assert np.abs(stderr ** 2 - ref_stderr ** 2).max() < 1e-12
+
+
+def test_cached_collision_superoperator_is_shared_and_read_only():
+    make = lambda: qutrit_model(_ROTATION @ np.diag([0.7, 0.7, -0.4]) @ _ROTATION.conj().T,
+                                "gamma")
+    model = make()
+    e_eig = model._collision_eig
+    assert e_eig is model._collision_eig and not e_eig.flags.writeable
+    with pytest.raises(ValueError):
+        e_eig[0, 0] = 0.0
+    vecs = model.eigensystem()[1]
+    p = np.kron(vecs.conj(), vecs)
+    assert np.abs(e_eig - p.conj().T @ model.collision_superoperator() @ p).max() < 1e-14
+    # a Monte Carlo run fills the cache the series then reads: same bits as a fresh model
+    x0 = qcore.random_state(3, np.random.default_rng(3)).matrix
+    times = np.array([0.0, 0.37, 1.2345, 2.0])
+    stochastic._monte_carlo_chain(model, x0, times, 5, seed=1)
+    after = stochastic._series_chain(model, x0, times, step=SERIES_STEP)
+    fresh = stochastic._series_chain(make(), x0, times, step=SERIES_STEP)
+    assert all(np.array_equal(a, b) for a, b in zip(after, fresh))
 
 
 CHAIN_BLOCK = stochastic.SERIES_BLOCK // 4  # grid steps per block of the d = 2 density solve
