@@ -54,7 +54,6 @@ from .stochastic import (
     NoiseProcess,
     WaitingTime,
     collisional_q,
-    collisional_state,
     sample_noise_path,
     stochastic_q,
 )

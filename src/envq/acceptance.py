@@ -280,10 +280,7 @@ def criterion_classicality():
     ):
         for kraus in ([u1], mixture):
             cm = stochastic.CollisionalModel(0.5 * qcore.sigma_z, kraus, waiting)
-            qs = stochastic.collisional_q(
-                cm, rho0b, np.linspace(0.0, 3.0, 13),
-                mode="series", step=waiting.mean() / 200.0,
-            )
+            qs = stochastic.collisional_q(cm, rho0b, np.linspace(0.0, 3.0, 13), mode="series")
             worst_coll = max(worst_coll, np.abs(qs.values - 1.0).max())
     # (d) unitality check <-> flat series, on generated channel families
     p_unital = models.fluorescence_dephasing_limit(models.FluorescenceParams(1.0, 2.0))

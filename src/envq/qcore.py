@@ -204,29 +204,22 @@ def partial_trace(m, dims, keep):
     return reduced.reshape(d_keep, d_keep)
 
 
-def matrix_exponential(m, method="auto"):
+def matrix_exponential(m):
     """Matrix exponential ``exp(m)``.
 
-    ``method="auto"`` takes a spectral route when the input is Hermitian
-    or anti-Hermitian and otherwise falls back to scaling-and-squaring
-    with the order-13 rational approximant (``scipy.linalg.expm``).
-    ``"pade"`` and ``"spectral"`` force one route; the spectral route
-    rejects inputs that are neither Hermitian nor anti-Hermitian.
+    A Hermitian or anti-Hermitian input takes a spectral route; any other
+    falls back to scaling-and-squaring with the order-13 rational
+    approximant (``scipy.linalg.expm``).
     """
     m = as_operator(m, "matrix_exponential input")
-    if method not in ("auto", "pade", "spectral"):
-        raise ValueError(f"unknown method {method!r}")
-    if method != "pade":
-        scale = max(np.abs(m).max(), 1.0)
-        herm = np.abs(m - m.conj().T).max() <= 1e-13 * scale
-        anti = np.abs(m + m.conj().T).max() <= 1e-13 * scale
-        if herm or anti:
-            h = m if herm else -1j * m
-            w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-            phase = np.exp(w) if herm else np.exp(1j * w)
-            return (v * phase) @ v.conj().T
-        if method == "spectral":
-            raise ValueError("spectral route needs a Hermitian or anti-Hermitian input")
+    scale = max(np.abs(m).max(), 1.0)
+    herm = np.abs(m - m.conj().T).max() <= 1e-13 * scale
+    anti = np.abs(m + m.conj().T).max() <= 1e-13 * scale
+    if herm or anti:
+        h = m if herm else -1j * m
+        w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+        phase = np.exp(w) if herm else np.exp(1j * w)
+        return (v * phase) @ v.conj().T
     return scipy.linalg.expm(m)
 
 
@@ -368,29 +361,17 @@ def format_complex(z, digits=17):
 
 
 def parse_complex(token):
-    """Parse one "re+imi" token; plain reals and pure imaginaries allowed."""
+    """Parse one "re+imi" token; plain reals and pure imaginaries allowed.
+
+    The token is Python's complex() syntax with its trailing ``j`` written
+    ``i``; a ``j``, ``J`` or parenthesis of complex()'s own is rejected.
+    """
     s = token.strip().replace(" ", "")
     if not s:
         raise ValueError("empty complex token")
-    if s.endswith("i"):
-        body = s[:-1]
-        # split off the imaginary coefficient at the last sign that is not
-        # part of an exponent
-        idx = None
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                idx = k
-                break
-        if idx is None:
-            re_part, im_part = "0", body if body not in ("", "+", "-") else body + "1"
-        else:
-            re_part, im_part = body[:idx], body[idx:]
-            if im_part in ("+", "-"):
-                im_part += "1"
-        if im_part in ("",):
-            im_part = "1"
-        return complex(float(re_part or "0"), float(im_part))
-    return complex(float(s), 0.0)
+    if any(c in s for c in "jJ()"):
+        raise ValueError(f"malformed complex token {token!r}")
+    return complex(s[:-1] + "j" if s.endswith("i") else s)
 
 
 def format_matrix_text(m, digits=17):

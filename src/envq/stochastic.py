@@ -33,15 +33,20 @@ exp(-i (e_i - e_j) u), and the j-th collision of every path is one
 A collision at a grid time acts before the snapshot there, and P maps
 the snapshots back.
 
-The deterministic series mode solves the renewal (second-kind Volterra)
-equation for the collision-arrival density by one product-trapezoid
-forward substitution on a uniform grid, which sums every collision
-count at once, so there is no truncated tail to bound.  Its survival
-weight is the discrete partner of that density, so the chain conserves
-the trace to roundoff.  The solve runs in the eigenbasis of the free
-Hamiltonian, where the free map is diagonal, in blocks of grid steps:
-np.convolve sums the history of earlier blocks, and one precomputed
-triangular operator solves inside a block.
+Deterministic waiting has one path, the collisions at the exact hits
+k period, so both modes run that one path through the same chain and
+give the same bits.  Grid times that land on whole periods are common,
+so a hit counts at a time it passes by at most 1e-12 period.
+
+For exponential and gamma waiting the series mode solves the renewal
+(second-kind Volterra) equation for the collision-arrival density by
+one product-trapezoid forward substitution on a uniform grid, which
+sums every collision count at once, so there is no truncated tail to
+bound.  Its survival weight is the discrete partner of that density, so
+the chain conserves the trace to roundoff.  The solve runs in the
+eigenbasis of the free Hamiltonian, where the free map is diagonal, in
+blocks of grid steps: np.convolve sums the history of earlier blocks,
+and one precomputed triangular operator solves inside a block.
 """
 
 from dataclasses import dataclass
@@ -436,12 +441,9 @@ class CollisionalModel:
 
     @cached_property
     def _eig(self):
+        """Eigenvalues e and eigenvectors V of the free Hamiltonian, computed once."""
         spec = qcore.hermitian_eigensystem(self.free_hamiltonian)
         return spec.eigenvalues, spec.eigenvectors
-
-    def eigensystem(self):
-        """Eigenvalues e and eigenvectors V of the free Hamiltonian, computed once."""
-        return self._eig
 
     @cached_property
     def _collision_eig(self):
@@ -454,16 +456,6 @@ class CollisionalModel:
         e_eig = np.einsum("nij,nkl->ikjl", kraus.conj(), kraus).reshape(dd, dd)
         e_eig.setflags(write=False)
         return e_eig
-
-    def free_unitary(self, t):
-        """exp(-i t H), batched over the axes of an array t."""
-        return _spectral_unitary(*self.eigensystem(), t)
-
-    def apply_collision(self, x):
-        return sum(t @ x @ t.conj().T for t in self.collision)
-
-    def collision_superoperator(self):
-        return sum(np.kron(t.conj(), t) for t in self.collision)
 
 
 def _superbasis(vecs):
@@ -546,8 +538,6 @@ def _series_chain(model, x0, times, step=None):
         return []
     t_max = float(times.max())
     w = model.waiting
-    if w.family == "deterministic":
-        return _deterministic_chain(model, x0, times)
     if step is None:
         step = w.mean() / 100.0
     n_grid = max(2, int(np.ceil(t_max / step)))
@@ -568,7 +558,7 @@ def _series_chain(model, x0, times, step=None):
     r = (1.0 - 0.5 * step * beta) / lead
     r[0] = 1.0
     surv = _blocked_volterra(r[None], beta[None], np.array([[-step / lead]]))[0]
-    energies, vecs = model.eigensystem()
+    energies, vecs = model._eig
     p = _superbasis(vecs)
     lam = np.exp(-1j * np.outer(energies, grid))
     ph = (lam.conj()[:, None] * lam[None, :]).reshape(dd, -1)
@@ -602,31 +592,25 @@ def _series_chain(model, x0, times, step=None):
     return [unvec(row, d) for row in result]
 
 
-def _deterministic_chain(model, x0, times):
-    """The chain at ascending times, with a collision at every whole period."""
-    period = model.waiting.period
-    u = model.free_unitary(period)
-    x, count = np.asarray(x0, dtype=complex), 0
-    out = []
-    for t in times:
-        n = int(np.floor((t + 1e-12 * period) / period))
-        # the counts ascend with the times, so step on from the last one
-        for _ in range(count, n):
-            x = model.apply_collision(u @ x @ u.conj().T)
-        count = n
-        v = model.free_unitary(t - n * period)
-        out.append(v @ x @ v.conj().T)
-    return out
+def _hit_slack(waiting):
+    """How far past a time a collision may fall and still count there:
+    1e-12 period for the exact hits of deterministic waiting, else 0."""
+    return 1e-12 * waiting.period if waiting.family == "deterministic" else 0.0
 
 
 def _event_times(waiting, rng, t_max):
     """Collision times of one renewal path up to and including t_max.
 
-    Waits are drawn in chunks of about twice the expected count.  A sized
-    draw gives the values of as many single draws, and np.cumsum adds in
-    order from the last time of the previous chunk, so the times are
-    bitwise those of adding one wait at a time.
+    Deterministic waiting draws nothing: its times are the exact hits
+    k period up to t_max plus the hit slack.  Otherwise waits are drawn
+    in chunks of about twice the expected count.  A sized draw gives the
+    values of as many single draws, and np.cumsum adds in order from the
+    last time of the previous chunk, so the times are bitwise those of
+    adding one wait at a time.
     """
+    if waiting.family == "deterministic":
+        n = int(np.floor((t_max + _hit_slack(waiting)) / waiting.period))
+        return waiting.period * np.arange(1, n + 1)
     chunk = int(2.0 * t_max / waiting.mean()) + 2
     elapsed = np.cumsum(waiting.sample(rng, size=chunk))
     while elapsed[-1] <= t_max:
@@ -650,18 +634,19 @@ def _chain_snapshots(model, x0, times, n_paths, seed):
     over u is the phase exp(-i (e_i - e_j) u) and a collision the model's
     cached P^dag E P.  Each block steps through its collisions together,
     z[:, j] holding the state after j collisions; a snapshot at time t
-    takes the state after every collision at or before t, evolved freely
-    since the last of them, and maps it back with P.  One (snapshots, d^2)
-    x (d^2, d^2) product does that faster than numpy's stacked d x d
-    products with V, at every d up to 12.  Padded steps past a path's
+    takes the state after every collision at or before t (plus the hit
+    slack), evolved freely since the last of them, and maps it back with
+    P.  One (snapshots, d^2) x (d^2, d^2) product does that faster than
+    numpy's stacked d x d products with V, at every d up to 12.  Padded steps past a path's
     last collision are computed but never read.
     """
     t_max = float(times.max()) if times.size else 0.0
-    energies, vecs = model.eigensystem()
+    energies, vecs = model._eig
     e_eig = model._collision_eig
     p = _superbasis(vecs)
     z0 = p.conj().T @ vec(x0)
     d = model.dim
+    slack = _hit_slack(model.waiting)
     for block in _path_blocks(n_paths):
         events = [_event_times(model.waiting, rng, t_max) for rng in _path_streams(seed, block)]
         # time of the j-th collision, 0 for j = 0
@@ -670,7 +655,7 @@ def _chain_snapshots(model, x0, times, n_paths, seed):
         z[:, 0] = z0
         for j in range(1, hit.shape[1]):
             z[:, j] = (_phases(energies, hit[:, j] - hit[:, j - 1]) * z[:, j - 1]) @ e_eig.T
-        applied = (_padded(events, np.inf)[:, None, :] <= times[:, None]).sum(axis=2)
+        applied = (_padded(events, np.inf)[:, None, :] <= times[:, None] + slack).sum(axis=2)
         rows = np.arange(len(block))[:, None]
         x = (_phases(energies, times - hit[rows, applied]) * z[rows, applied]) @ p.T
         # coordinate j d + i of vec(x) holds entry (i, j)
@@ -693,19 +678,16 @@ def _chain(model, x0, times, mode, n_paths, seed, step):
     times = qcore.time_grid(times)
     if step is not None and not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
+    if mode not in ("series", "monte-carlo"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "monte-carlo" and (n_paths is None or seed is None):
+        raise ValueError("monte-carlo mode needs n_paths and seed")
+    if model.waiting.family == "deterministic":
+        # one path, which draws nothing: both modes run it through the same chain
+        return list(next(_chain_snapshots(model, np.asarray(x0, dtype=complex), times, 1, 0))[0])
     if mode == "series":
         return _series_chain(model, x0, times, step=step)
-    if mode == "monte-carlo":
-        if n_paths is None or seed is None:
-            raise ValueError("monte-carlo mode needs n_paths and seed")
-        return _monte_carlo_chain(model, x0, times, n_paths, seed)[0]
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def collisional_state(model, rho0, t, mode="series", n_paths=None, seed=None, step=None):
-    """System state of the collisional dynamics at one time."""
-    return collisional_states(model, rho0, [t], mode=mode, n_paths=n_paths, seed=seed,
-                              step=step)[0]
+    return _monte_carlo_chain(model, x0, times, n_paths, seed)[0]
 
 
 def collisional_states(model, rho0, times, mode="series", n_paths=None, seed=None, step=None):

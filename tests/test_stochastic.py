@@ -9,6 +9,22 @@ def unitary(angle, axis):
     return qcore.matrix_exponential(-1j * angle * axis)
 
 
+def free_unitary(model, t):
+    """exp(-i t H) of the model's free Hamiltonian, batched over the axes of t."""
+    w, v = np.linalg.eigh(model.free_hamiltonian)
+    return (v * np.exp(-1j * np.multiply.outer(t, w))[..., None, :]) @ v.conj().T
+
+
+def apply_collision(model, x):
+    """The Kraus sum of the model's collision channel applied to x."""
+    return sum(t @ x @ t.conj().T for t in model.collision)
+
+
+def collision_superoperator(model):
+    """sum over the Kraus operators T of kron(conj T, T), the collision on vec(x)."""
+    return sum(np.kron(t.conj(), t) for t in model.collision)
+
+
 # ---------------------------------------------------------------------------
 # noise paths
 
@@ -289,8 +305,18 @@ def reference_event_times(waiting, rng, t_max):
     return np.asarray(events, dtype=float)
 
 
+def reference_hits(waiting, t_max):
+    """The exact hits k period up to t_max, a hit 1e-12 period late included."""
+    k = 1
+    hits = []
+    while k * waiting.period <= t_max + 1e-12 * waiting.period:
+        hits.append(k * waiting.period)
+        k += 1
+    return np.asarray(hits, dtype=float)
+
+
 # the chunk-boundary case: whether some path of the test runs past its first
-# chunk; a deterministic count never does, and gamma(3.5) spreads too little
+# chunk; deterministic waiting draws nothing, and gamma(3.5) spreads too little
 @pytest.mark.parametrize("waiting, crosses", [
     (stochastic.WaitingTime("exponential", rate=1.5), True),
     (stochastic.WaitingTime("gamma", rate=2.0, shape=2.0), True),
@@ -303,8 +329,13 @@ def test_event_times_match_scalar_loop(waiting, crosses):
         # _event_times draws in chunks of int(2 t_max / mean) + 2 waits
         chunk = int(2.0 * t_max / waiting.mean()) + 2
         for p in range(300):
-            got = stochastic._event_times(waiting, stochastic.path_rng(4, p), t_max)
-            expect = reference_event_times(waiting, stochastic.path_rng(4, p), t_max)
+            rng = stochastic.path_rng(4, p)
+            got = stochastic._event_times(waiting, rng, t_max)
+            if waiting.family == "deterministic":
+                expect = reference_hits(waiting, t_max)
+                assert rng.random() == stochastic.path_rng(4, p).random()
+            else:
+                expect = reference_event_times(waiting, stochastic.path_rng(4, p), t_max)
             assert got.dtype == expect.dtype and np.array_equal(got, expect)
             longest = max(longest, got.size - chunk + 1)
     assert (longest > 0) == crosses
@@ -336,9 +367,9 @@ def test_collisional_model_takes_no_eigensystem_argument():
         stochastic.CollisionalModel(0.5 * qcore.sigma_z, [np.eye(2)], waiting,
                                     (np.zeros(2), np.eye(2)))
     m = stochastic.CollisionalModel(0.5 * qcore.sigma_z, [np.eye(2)], waiting)
-    energies, vectors = m.eigensystem()
+    energies, vectors = m._eig
     assert np.allclose(energies, [-0.5, 0.5])
-    assert m.eigensystem()[0] is energies
+    assert m._eig[0] is energies
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +388,7 @@ def test_collisional_state_at_zero():
     rho0 = qcore.random_state(2, rng)
     m = exp_model()
     for mode, kw in (("series", {}), ("monte-carlo", {"n_paths": 200, "seed": 3})):
-        out = stochastic.collisional_state(m, rho0, 0.0, mode=mode, **kw)
+        out = stochastic.collisional_states(m, rho0, [0.0], mode=mode, **kw)[0]
         assert np.abs(out.matrix - rho0.matrix).max() < 1e-10
 
 
@@ -404,8 +435,7 @@ def test_collisional_q_unital_families():
         stochastic.WaitingTime("deterministic", period=1.0),
     ):
         m = stochastic.CollisionalModel(0.45 * qcore.sigma_z, [qcore.sigma_x], waiting)
-        series = stochastic.collisional_q(m, rho0, times, mode="series",
-                                          step=waiting.mean() / 200.0)
+        series = stochastic.collisional_q(m, rho0, times, mode="series")
         assert np.abs(series.values - 1.0).max() < 1e-9
         assert series.values[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -447,11 +477,11 @@ def reference_monte_carlo_chain(model, x0, times, n_paths, seed):
         ev = 0
         for k, t in enumerate(times):
             while ev < len(event_times) and event_times[ev] <= t:
-                u = model.free_unitary(event_times[ev] - now)
-                x = model.apply_collision(u @ x @ u.conj().T)
+                u = free_unitary(model, event_times[ev] - now)
+                x = apply_collision(model, u @ x @ u.conj().T)
                 now = event_times[ev]
                 ev += 1
-            u = model.free_unitary(t - now)
+            u = free_unitary(model, t - now)
             snapshots[p, k] = u @ x @ u.conj().T
     mean = snapshots.mean(axis=0)
     var = (np.abs(snapshots) ** 2).mean(axis=0) - np.abs(mean) ** 2
@@ -554,10 +584,10 @@ def reference_neumann_chain(model, x0s, times, step):
     n_grid = int(np.ceil(times.max() / step))
     grid = step * np.arange(n_grid + 1)
     d = model.dim
-    free = np.array([np.kron(model.free_unitary(t).conj(), model.free_unitary(t)) for t in grid])
+    free = np.array([np.kron(free_unitary(model, t).conj(), free_unitary(model, t)) for t in grid])
     wk = w.pdf(grid)
     surv = reference_survival(wk, step)
-    kern = wk[:, None, None] * (model.collision_superoperator() @ free)
+    kern = wk[:, None, None] * (collision_superoperator(model) @ free)
     v0 = np.array([qcore.vec(x) for x in x0s]).T
     b = kern @ v0
     b_total = b.copy()
@@ -617,11 +647,11 @@ def reference_series_chain(model, x0, times, step):
     n_grid = max(2, int(np.ceil(times.max() / step)))
     grid = step * np.arange(n_grid + 1)
     d = model.dim
-    u = model.free_unitary(grid)
+    u = free_unitary(model, grid)
     free = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, d * d, d * d)
     wk = model.waiting.pdf(grid)
     surv = reference_survival(wk, step)
-    kern = wk[:, None, None] * np.einsum("ab,kbc->kac", model.collision_superoperator(), free)
+    kern = wk[:, None, None] * np.einsum("ab,kbc->kac", collision_superoperator(model), free)
     v0 = qcore.vec(x0)
     b = np.einsum("kab,b->ka", kern, v0)
     implicit = np.linalg.inv(np.eye(d * d) - 0.5 * step * kern[0])
@@ -727,9 +757,9 @@ def test_cached_collision_superoperator_is_shared_and_read_only():
     assert e_eig is model._collision_eig and not e_eig.flags.writeable
     with pytest.raises(ValueError):
         e_eig[0, 0] = 0.0
-    vecs = model.eigensystem()[1]
+    vecs = model._eig[1]
     p = np.kron(vecs.conj(), vecs)
-    assert np.abs(e_eig - p.conj().T @ model.collision_superoperator() @ p).max() < 1e-14
+    assert np.abs(e_eig - p.conj().T @ collision_superoperator(model) @ p).max() < 1e-14
     # a Monte Carlo run fills the cache the series then reads: same bits as a fresh model
     x0 = qcore.random_state(3, np.random.default_rng(3)).matrix
     times = np.array([0.0, 0.37, 1.2345, 2.0])
@@ -809,24 +839,57 @@ def test_series_value_does_not_depend_on_other_times():
         assert np.array_equal(alone[0], expect)
 
 
-def test_deterministic_chain_matches_restarted_loop():
-    # stepping on from the last collision count gives the bits of
-    # restarting from x0 at every time
-    period = 0.6
-    model = stochastic.CollisionalModel(
+def restarted_loop(model, x0, t):
+    """The deterministic chain at t, restarted from x0: one collision per whole
+    period, a hit 1e-12 period late included, then free evolution."""
+    period = model.waiting.period
+    n = int(np.floor((t + 1e-12 * period) / period))
+    u = free_unitary(model, period)
+    x = np.asarray(x0, dtype=complex)
+    for _ in range(n):
+        x = apply_collision(model, u @ x @ u.conj().T)
+    v = free_unitary(model, t - n * period)
+    return v @ x @ v.conj().T
+
+
+def deterministic_model(period):
+    return stochastic.CollisionalModel(
         0.45 * qcore.sigma_z + 0.2 * qcore.sigma_x, amplitude_damping(0.3),
         stochastic.WaitingTime("deterministic", period=period),
     )
+
+
+def test_deterministic_chain_matches_restarted_loop():
+    period = 0.6
+    model = deterministic_model(period)
     x0 = qcore.random_state(2, np.random.default_rng(4)).matrix
     times = np.array([0.0, 0.3, period, 2 * period, 2 * period + 0.1, 3.0, 3.0])
-    u = model.free_unitary(period)
-    for t, got in zip(times, stochastic._series_chain(model, x0, times)):
-        n = int(np.floor((t + 1e-12 * period) / period))
-        x = np.asarray(x0, dtype=complex)
-        for _ in range(n):
-            x = model.apply_collision(u @ x @ u.conj().T)
-        v = model.free_unitary(t - n * period)
-        assert np.array_equal(got, v @ x @ v.conj().T)
+    for mode in ("series", "monte-carlo"):
+        got = stochastic._chain(model, x0, times, mode, 5, 1, None)
+        for t, m in zip(times, got):
+            assert np.abs(m - restarted_loop(model, x0, t)).max() < 1e-13
+            # the last time fixes the horizon, so it stays in every request
+            alone = stochastic._chain(model, x0, np.array([t, times[-1]]), mode, 5, 1, None)
+            assert np.array_equal(alone[0], m)
+
+
+@pytest.mark.parametrize("period", [0.1, 0.3, 1.0 / 3.0, 0.6], ids=["0.1", "0.3", "1/3", "0.6"])
+def test_deterministic_modes_count_collisions_on_grid_times(period):
+    # linspace grids whose points land on whole periods, where k * period
+    # built by repeated addition falls on either side of the grid time
+    model = deterministic_model(period)
+    rho0 = qcore.random_state(2, np.random.default_rng(6))
+    eye = np.eye(2, dtype=complex)
+    grids = [np.linspace(0.0, 3.0, n) for n in (7, 10, 11, 13, 16, 31, 61)]
+    grids += [np.linspace(0.0, 7 * period, 15), np.linspace(0.0, 20 * period, 41)]
+    for times in grids:
+        ref_q = [np.trace(rho0.matrix @ restarted_loop(model, eye, t)).real for t in times]
+        ref_states = [restarted_loop(model, rho0.matrix, t) for t in times]
+        for kw in ({"mode": "series"}, {"mode": "monte-carlo", "n_paths": 3, "seed": 2}):
+            q = stochastic.collisional_q(model, rho0, times, **kw).values
+            assert np.abs(q - ref_q).max() < 1e-13
+            states = stochastic.collisional_states(model, rho0, times, **kw)
+            assert max(np.abs(s.matrix - r).max() for s, r in zip(states, ref_states)) < 1e-13
 
 
 def test_dual_trace_check():
