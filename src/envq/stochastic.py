@@ -638,7 +638,8 @@ def _chain_snapshots(model, x0, times, n_paths, seed):
     slack), evolved freely since the last of them, and maps it back with
     P.  One (snapshots, d^2) x (d^2, d^2) product does that faster than
     numpy's stacked d x d products with V, at every d up to 12.  Padded steps past a path's
-    last collision are computed but never read.
+    last collision are computed but never read.  Memory grows with the
+    collisions: z holds paths x (collisions + 1) x d^2 coordinates.
     """
     t_max = float(times.max()) if times.size else 0.0
     energies, vecs = model._eig
@@ -655,9 +656,20 @@ def _chain_snapshots(model, x0, times, n_paths, seed):
         z[:, 0] = z0
         for j in range(1, hit.shape[1]):
             z[:, j] = (_phases(energies, hit[:, j] - hit[:, j - 1]) * z[:, j - 1]) @ e_eig.T
-        applied = (_padded(events, np.inf)[:, None, :] <= times[:, None] + slack).sum(axis=2)
         rows = np.arange(len(block))[:, None]
-        x = (_phases(energies, times - hit[rows, applied]) * z[rows, applied]) @ p.T
+        # collisions counted at each time: a hit counts from the first time t with hit <= t + slack
+        first = np.searchsorted(times + slack, _padded(events, np.inf), side="left")
+        span = times.size + 1
+        counts = np.bincount((rows * span + first).ravel(), minlength=len(block) * span)
+        applied = counts.reshape(-1, span).cumsum(axis=1)[:, :-1]
+        y = _phases(energies, times - hit[rows, applied]) * z[rows, applied]
+        if model.waiting.family == "deterministic":
+            # one matrix-vector product per snapshot, so a time's bits do not depend
+            # on the other times requested; random paths keep the one product,
+            # which is faster at d = 12 (7.7 against 12.4 ms for 128 x 13 snapshots)
+            x = (p @ y[..., None])[..., 0]
+        else:
+            x = y @ p.T
         # coordinate j d + i of vec(x) holds entry (i, j)
         yield np.swapaxes(x.reshape(x.shape[:-1] + (d, d)), -1, -2)
 
@@ -680,8 +692,10 @@ def _chain(model, x0, times, mode, n_paths, seed, step):
         raise ValueError(f"step must be finite and positive, got {step}")
     if mode not in ("series", "monte-carlo"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "monte-carlo" and (n_paths is None or seed is None):
-        raise ValueError("monte-carlo mode needs n_paths and seed")
+    if mode == "monte-carlo":
+        if n_paths is None or seed is None:
+            raise ValueError("monte-carlo mode needs n_paths and seed")
+        _path_blocks(n_paths)  # rejects an empty ensemble for every waiting law
     if model.waiting.family == "deterministic":
         # one path, which draws nothing: both modes run it through the same chain
         return list(next(_chain_snapshots(model, np.asarray(x0, dtype=complex), times, 1, 0))[0])
