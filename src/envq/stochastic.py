@@ -19,19 +19,24 @@ then reset to each path's key with a zero counter, which gives the
 draws of a Philox built from that path's SeedSequence; path_rng and
 sample_noise_path derive their single path the same way.  A noise block
 is cut at the requested times and padded to equal length with
-zero-length segments; every segment unitary exp(-i tau (h0 + x C))
-comes from one batched eigh, the chain is multiplied one segment index
-at a time for all paths, and the unitaries at the requested times are
-gathered as one (paths, times, d, d) array that stochastic_q and
-stochastic_average_state reduce.  A collisional path draws its waits in
-chunks and sums them with np.cumsum, which adds in order, so its
-collision times are bitwise those of one draw at a time.  The block's
-chain runs in the eigenbasis H = V diag(e) V^dag on the d^2 coordinates
-P^dag vec(x), P = kron(conj V, V): a free step is the elementwise phase
-exp(-i (e_i - e_j) u), and the j-th collision of every path is one
-(paths, d^2) x (d^2, d^2) product with the model's cached P^dag E P.
+zero-length segments.  At d = 2 every segment unitary
+exp(-i tau (h0 + x C)) is the closed form
+exp(-i tau m) [cos(tau r) I - i (sin(tau r)/r) (H - m I)], with
+H = h0 + x C, m = Tr H / 2 and r half the gap of H's eigenvalues: a few
+elementwise operations, where numpy's eigh costs about 1.3 us per 2 x 2
+matrix; from d = 3 on they come from one batched eigh.  The chain is
+multiplied one segment index at a time for all paths, and the unitaries
+at the requested times are gathered as one (paths, times, d, d) array
+that stochastic_q and stochastic_average_state reduce.  A collisional
+path draws its waits in chunks and sums them with np.cumsum, which adds
+in order, so its collision times are bitwise those of one draw at a
+time.  The block's chain runs in the eigenbasis H = V diag(e) V^dag on
+the d^2 coordinates P^dag vec(x), P = kron(conj V, V): a free step is
+the elementwise phase exp(-i (e_i - e_j) u), and the j-th collision of
+every path is one (paths, d^2) x (d^2, d^2) product with the model's
+cached P^dag E P.
 A collision at a grid time acts before the snapshot there, and P maps
-the snapshots back.
+each snapshot back by its own matrix-vector product.
 
 Deterministic waiting has one path, the collisions at the exact hits
 k period, so both modes run that one path through the same chain and
@@ -244,6 +249,37 @@ def _spectral_unitary(w, v, t):
     return (v * phase[..., None, :]) @ _dagger(v)
 
 
+def _unitary_2x2(h0, coupling, x, t):
+    """exp(-i t (h0 + x C)) for 2 x 2 Hermitian h0 and C, elementwise over arrays x and t.
+
+    H = m I + K with m = (H_00 + H_11)/2 and K traceless, K^2 = r^2 I,
+    r = sqrt(((H_00 - H_11)/2)^2 + |H_01|^2), so
+    exp(-i t H) = exp(-i t m) [cos(t r) I - i (sin(t r)/r) K].  The factor
+    sin(t r)/r is t at r = 0, and t = 0 gives the exact identity.  Sine and
+    cosine take the same argument t r: np.sinc(t r / pi) rescales it, which
+    left U U^dag - I at about 1e-7 for t r = 1e9, against 1e-16 here.
+    Reads the upper triangle and the real diagonal only.
+    """
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    h00 = h0[0, 0].real + x * coupling[0, 0].real
+    h11 = h0[1, 1].real + x * coupling[1, 1].real
+    off = h0[0, 1] + x * coupling[0, 1]
+    mid = 0.5 * (h00 + h11)
+    half = 0.5 * (h00 - h11)
+    r = np.hypot(half, np.abs(off))
+    tr = t * r
+    sin_r = np.divide(np.sin(tr), r, out=np.array(t), where=r > 0)
+    phase = np.exp(-1j * (t * mid))
+    cos_phase = phase * np.cos(tr)
+    sin_phase = phase * (-1j * sin_r)
+    u = np.empty(x.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = cos_phase + sin_phase * half
+    u[..., 1, 1] = cos_phase - sin_phase * half
+    u[..., 0, 1] = sin_phase * off
+    u[..., 1, 0] = sin_phase * off.conj()
+    return u
+
+
 def _path_blocks(n_paths):
     """Consecutive path-index ranges of at most PATH_BLOCK paths each."""
     if n_paths < 1:
@@ -264,10 +300,13 @@ def _path_unitaries(process, h0, times, n_paths, seed, dt):
 
     A requested time belongs to the first segment ending no earlier than
     1e-12 * max(t_max, 1) before it; paths are padded to equal length
-    with zero-length segments, which no requested time reaches.
+    with zero-length segments, which no requested time reaches.  At d = 2
+    the segment unitaries are the closed form of ``_unitary_2x2``, since
+    numpy's eigh costs about 1.3 us per 2 x 2 matrix; from d = 3 on they
+    come from one batched eigh of every segment's Hamiltonian.
     """
     t_max = max(float(times.max()) if times.size else dt, dt)
-    # eigh reads one triangle; Hermitian inputs pass validation only to a tolerance
+    # both routes read one triangle; Hermitian inputs pass validation only to a tolerance
     h0 = 0.5 * (h0 + h0.conj().T)
     coupling = 0.5 * (process.coupling + process.coupling.conj().T)
     for block in _path_blocks(n_paths):
@@ -280,14 +319,19 @@ def _path_unitaries(process, h0, times, n_paths, seed, dt):
         if np.any(seg >= np.array([[len(path.durations)] for path in paths])):
             raise ValueError("requested times extend beyond the sampled path")
         x = _padded([path.values for path in paths], 0.0)
-        w, v = np.linalg.eigh(h0 + x[..., None, None] * coupling)
-        full = _spectral_unitary(w, v, tau)
+        rows = np.arange(len(paths))[:, None]
+        step = times - starts[rows, seg]
+        if h0.shape[0] == 2:
+            full = _unitary_2x2(h0, coupling, x, tau)
+            partial = _unitary_2x2(h0, coupling, x[rows, seg], step)
+        else:
+            w, v = np.linalg.eigh(h0 + x[..., None, None] * coupling)
+            full = _spectral_unitary(w, v, tau)
+            partial = _spectral_unitary(w[rows, seg], v[rows, seg], step)
         prefix = np.empty((len(paths), tau.shape[1] + 1) + h0.shape, dtype=complex)
         prefix[:, 0] = np.eye(h0.shape[0])
         for j in range(tau.shape[1]):
             prefix[:, j + 1] = full[:, j] @ prefix[:, j]
-        rows = np.arange(len(paths))[:, None]
-        partial = _spectral_unitary(w[rows, seg], v[rows, seg], times - starts[rows, seg])
         yield partial @ prefix[rows, seg]
 
 
@@ -636,9 +680,9 @@ def _chain_snapshots(model, x0, times, n_paths, seed):
     z[:, j] holding the state after j collisions; a snapshot at time t
     takes the state after every collision at or before t (plus the hit
     slack), evolved freely since the last of them, and maps it back with
-    P.  One (snapshots, d^2) x (d^2, d^2) product does that faster than
-    numpy's stacked d x d products with V, at every d up to 12.  Padded steps past a path's
-    last collision are computed but never read.  Memory grows with the
+    one matrix-vector product by P per snapshot, so a time's bits do not
+    depend on the other times requested.  Padded steps past a path's last
+    collision are computed but never read.  Memory grows with the
     collisions: z holds paths x (collisions + 1) x d^2 coordinates.
     """
     t_max = float(times.max()) if times.size else 0.0
@@ -663,13 +707,7 @@ def _chain_snapshots(model, x0, times, n_paths, seed):
         counts = np.bincount((rows * span + first).ravel(), minlength=len(block) * span)
         applied = counts.reshape(-1, span).cumsum(axis=1)[:, :-1]
         y = _phases(energies, times - hit[rows, applied]) * z[rows, applied]
-        if model.waiting.family == "deterministic":
-            # one matrix-vector product per snapshot, so a time's bits do not depend
-            # on the other times requested; random paths keep the one product,
-            # which is faster at d = 12 (7.7 against 12.4 ms for 128 x 13 snapshots)
-            x = (p @ y[..., None])[..., 0]
-        else:
-            x = y @ p.T
+        x = (p @ y[..., None])[..., 0]
         # coordinate j d + i of vec(x) holds entry (i, j)
         yield np.swapaxes(x.reshape(x.shape[:-1] + (d, d)), -1, -2)
 

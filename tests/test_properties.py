@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from envq import dynamics, models, qcore, quantumness
+from envq import dynamics, models, qcore, quantumness, stochastic
 
 MODELS = {
     "thermal-tls": models.ThermalTlsParams(1.0, 1.3).lindblad_model(),
@@ -71,3 +71,26 @@ def test_real_coordinates_are_an_isometry_that_carries_the_trace_pairing(d, seed
     gmat = dynamics.liouvillian(model).dense()
     exact = qcore.unvec(scipy.linalg.expm(gmat * t) @ qcore.vec(np.eye(d)), d)
     assert abs(q_t - np.trace(rho0 @ exact).real) <= 1e-12 * d
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 3]), family=st.sampled_from(stochastic.NOISE_FAMILIES),
+       seed=st.integers(0, 2 ** 32 - 1), log_s=st.floats(-9.0, 9.0))
+@example(d=2, family="gaussian-white", seed=0, log_s=-9.0)
+@example(d=3, family="ornstein-uhlenbeck", seed=0, log_s=-9.0)
+@example(d=2, family="telegraph", seed=0, log_s=9.0)
+@example(d=3, family="gaussian-white", seed=0, log_s=9.0)
+def test_noise_q_is_one_on_every_clock(d, family, seed, log_s):
+    # the same noisy dynamics on a clock s times faster: H -> s H, times, dt and
+    # the correlation time / s, white amplitude * sqrt(s), colored amplitude * s
+    rng = np.random.default_rng(seed)
+    s = 10.0 ** log_s
+    h0, coupling = random_hermitian(rng, d), random_hermitian(rng, d) / d
+    white = family == "gaussian-white"
+    process = stochastic.NoiseProcess(family, 0.8 * (np.sqrt(s) if white else s),
+                                      0.0 if white else 0.5 / s, coupling)
+    rho0 = qcore.random_state(d, rng)
+    series, stderr = stochastic.stochastic_q(process, s * h0, rho0, np.linspace(0.0, 1.0, 5) / s,
+                                             8, seed, dt=0.04 / s)
+    assert np.abs(series.values - 1.0).max() <= 1e-12
+    assert stderr.max() <= 1e-12

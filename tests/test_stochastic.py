@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from envq import dynamics, qcore, quantumness, stochastic
 from envq.qcore import QuantumState
@@ -208,23 +209,65 @@ def reference_path_unitaries(h0, coupling, path, times):
     return out
 
 
-def noise_setup(family, commuting):
+def random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return 0.5 * (a + a.conj().T)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e3, 1e6])
+def test_unitary_2x2_matches_expm(scale):
+    rng = np.random.default_rng(14)
+    h0, coupling = scale * random_hermitian(rng, 2), scale * random_hermitian(rng, 2)
+    x, t = rng.normal(size=40), rng.uniform(0.0, 3.0, size=40)
+    got = stochastic._unitary_2x2(h0, coupling, x, t)
+    for k in range(x.size):
+        h = h0 + x[k] * coupling
+        # scaling and squaring leaves expm an error of order eps t ||H||
+        bound = 1e-12 * max(1.0, t[k] * np.linalg.norm(h, 2))
+        assert np.abs(got[k] - scipy.linalg.expm(-1j * t[k] * h)).max() <= bound
+
+
+def test_unitary_2x2_edge_cases():
+    rng = np.random.default_rng(15)
+    h0, coupling = random_hermitian(rng, 2), random_hermitian(rng, 2)
+    x = np.array([0.0, 0.8, -2.5])
+    # t = 0, the zero-length padding segments, is the exact identity
+    assert np.array_equal(stochastic._unitary_2x2(h0, coupling, x, 0.0),
+                          np.broadcast_to(np.eye(2), (3, 2, 2)))
+    # t r = 1e9: sine and cosine of one argument keep U unitary
+    h = h0 + x[1] * coupling
+    half_gap = 0.5 * np.ptp(np.linalg.eigvalsh(h))
+    u = stochastic._unitary_2x2(h0, coupling, x[1], 1e9 / half_gap)
+    assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-14
+    # H proportional to I (r = 0): sin(t r)/r reads t, and U is the phase alone
+    t = np.array([0.0, 0.7, 40.0])
+    u = stochastic._unitary_2x2(0.3 * np.eye(2), -1.1 * np.eye(2), x, t)
+    phase = np.exp(-1j * t * (0.3 - 1.1 * x))
+    assert np.abs(u - phase[:, None, None] * np.eye(2)).max() <= 1e-15
+
+
+def noise_setup(family, case):
+    """Noise and base Hamiltonian: qubit cases take the closed-form segment
+    unitaries, the qutrit case the batched eigh."""
     tc = 0.0 if family == "gaussian-white" else 0.5
-    if commuting:
+    if case == "commuting":
         h0, coupling = 0.45 * qcore.sigma_z, qcore.sigma_z
-    else:
+    elif case == "non-commuting":
         h0 = 0.45 * qcore.sigma_z + 0.3 * qcore.sigma_x
         coupling = np.cos(0.7) * qcore.sigma_x + np.sin(0.7) * qcore.sigma_y
+    else:
+        rng = np.random.default_rng(12)
+        h0, coupling = 0.5 * random_hermitian(rng, 3), random_hermitian(rng, 3)
     return stochastic.NoiseProcess(family, 1.3, tc, coupling), h0
 
 
-@pytest.mark.parametrize("commuting", [True, False], ids=["commuting", "non-commuting"])
+@pytest.mark.parametrize("case", ["commuting", "non-commuting", "qutrit"])
 @pytest.mark.parametrize("family", stochastic.NOISE_FAMILIES)
-def test_path_engine_matches_segment_loop(family, commuting, monkeypatch):
+def test_path_engine_matches_segment_loop(family, case, monkeypatch):
     # blocks of 3 over 7 paths: unequal padding within and across blocks
     monkeypatch.setattr(stochastic, "PATH_BLOCK", 3)
-    proc, h0 = noise_setup(family, commuting)
-    rho0 = qcore.random_state(2, np.random.default_rng(8)).matrix
+    proc, h0 = noise_setup(family, case)
+    rho0 = qcore.random_state(h0.shape[0], np.random.default_rng(8)).matrix
     dt, t_max, n_paths, seed = 0.05, 1.0, 7, 32  # telegraph paths of 1 to 4 segments
     first = stochastic.sample_noise_path(proc, t_max, dt, seed, path_index=0)
     assert first.durations.size > 1
@@ -254,7 +297,7 @@ def test_path_engine_matches_segment_loop(family, commuting, monkeypatch):
 
 
 def test_monte_carlo_rejects_empty_ensemble():
-    proc, h0 = noise_setup("telegraph", False)
+    proc, h0 = noise_setup("telegraph", "non-commuting")
     rho0 = QuantumState.maximally_mixed(2)
     times = np.linspace(0.0, 1.0, 3)
     for fn in (stochastic.stochastic_q, stochastic.stochastic_average_state):
@@ -750,6 +793,19 @@ def test_monte_carlo_chain_qutrit_matches_path_loop(waiting, monkeypatch):
     means, stderr = stochastic._monte_carlo_chain(model, rho0, times, n_paths, seed)
     assert np.abs(np.array(means) - ref_mean).max() < 1e-12
     assert np.abs(stderr ** 2 - ref_stderr ** 2).max() < 1e-12
+
+
+@pytest.mark.parametrize("waiting", ["exponential", "gamma"])
+def test_monte_carlo_time_does_not_depend_on_other_times(waiting):
+    model = stochastic.CollisionalModel(0.45 * qcore.sigma_z + 0.2 * qcore.sigma_x,
+                                        amplitude_damping(0.3), SERIES_WAITING[waiting])
+    times = np.linspace(0.0, 3.0, 13)
+    rng = np.random.default_rng(16)
+    for x0 in [np.eye(2, dtype=complex)] + [qcore.random_state(2, rng).matrix for _ in range(3)]:
+        means, stderr = stochastic._monte_carlo_chain(model, x0, times, 5, 3)
+        for k, t in enumerate(times):
+            alone, alone_stderr = stochastic._monte_carlo_chain(model, x0, [t], 5, 3)
+            assert np.array_equal(alone[0], means[k]) and alone_stderr[0] == stderr[k]
 
 
 def test_cached_collision_superoperator_is_shared_and_read_only():
