@@ -13,6 +13,7 @@ import os
 import tempfile
 
 import numpy as np
+import scipy.linalg
 
 from . import cli, dynamics, microscopic, models, qcore, quantumness, stochastic
 from .qcore import QuantumState
@@ -291,7 +292,7 @@ def criterion_classicality():
         flat = True
         unital = True
         for t in (0.4, 1.1, 2.5):
-            ch = dynamics.Superoperator(qcore.matrix_exponential(gen.dense() * t), model.dim)
+            ch = dynamics.Superoperator(scipy.linalg.expm(gen.real * t), model.dim)
             ok, _ = quantumness.unitality_check(dynamics.kraus_from_superoperator(ch))
             unital = unital and ok
         series = quantumness.q_series(model, qcore.random_state(model.dim, rng),

@@ -73,12 +73,6 @@ def cmd_qt(cfg, out_path):
 
 def _report_lines(kind, obj):
     lines = []
-    if kind == "nonmarkov-decay":
-        lines.append(("dq", f"{models.nonmarkov_dq(obj):.12g}"))
-        lines.append(("q_infinity", f"{1.0 + models.nonmarkov_dq(obj):.12g}"))
-        lines.append(("optimal_state", qcore.format_matrix_text(np.diag([1.0, 0.0]), digits=12)))
-        lines.append(("stationary_state", qcore.format_matrix_text(np.diag([0.0, 1.0]), digits=12)))
-        return lines
     if kind == "oscillator":
         stat = models.truncated_thermal_state(obj)
         lines.append(("dq_renormalized", f"{models.oscillator_dqr(obj):.12g}"))

@@ -213,6 +213,9 @@ def lindblad_for(kind, obj):
 
 def degree_report(kind, obj):
     """QuantumnessReport behind a kind, for ``envq dq`` and kind = optimal, or None."""
+    if kind == "nonmarkov-decay":
+        # zero-temperature decay relaxes every state to the ground state |1><1|
+        return quantumness.stationary_degree(QuantumState(np.diag([0.0, 1.0])))
     model = lindblad_for(kind, obj)
     if model is None:
         return None
@@ -222,10 +225,10 @@ def degree_report(kind, obj):
 def resolve_initial_state(cfg, kind, obj):
     """Initial system state from the [initial_state] section.
 
-    ``optimal`` resolves to the top eigenprojector of the stationary
-    state itself, which is the initial condition whose propagated
-    series attains 1 + D_Q (the reported optimal state is its complex
-    conjugate).
+    ``optimal`` resolves to the complex conjugate of the reported optimal
+    state, an eigenprojector of the stationary state itself, which is the
+    initial condition whose propagated series reaches the reported
+    q_infinity.
     """
     spec = cfg.initial_state
     kind_key = spec.get("kind", "optimal").strip()
@@ -246,10 +249,9 @@ def resolve_initial_state(cfg, kind, obj):
             raise ConfigError(f"initial state dimension {state.dim} != system dimension {dim}")
         return state
     if kind_key == "optimal":
-        if kind in ("nonmarkov-decay", "oscillator"):
-            # |0>, real, so time reversal is moot: the excited qubit reaches
-            # Q = 0 under zero-temperature decay, and the ground state is the
-            # top eigenprojector of the oscillator's thermal ladder
+        if kind == "oscillator":
+            # the ground state |0>, real, so time reversal is moot: the top
+            # eigenprojector of the oscillator's thermal ladder
             return QuantumState.pure(qcore.ket(dim, 0))
         report = degree_report(kind, obj)
         if report is None:

@@ -20,12 +20,14 @@ d-dimensional system is a d^2 x d^2 matrix G.  Each job has one route:
 * Storage.  A generator is kept dense when at least ``DENSE_FILL`` of its
   entries can be non-zero (a bound read off its Kronecker factors) and
   sparse otherwise: below that fill the sparse form is the smaller one
-  and its products and LU are the cheaper ones.  A sparse L is summed
-  from the COO triplets of the Kronecker terms of G in one ``csr_matrix``
-  call; a dense L is formed from Re G and Im G, assembled with two real
-  products over the jump pairs.  A model builds and caches only its real
-  forward generator; the complex ``Superoperator.matrix`` is rebuilt from
-  it on request.
+  and its products and LU are the cheaper ones.  That bound is the only
+  storage switch.  A sparse L is summed from the COO triplets of the
+  Kronecker terms of G in one ``csr_matrix`` call; a dense L is formed
+  from Re G and Im G, assembled with two real products over the jump
+  pairs.  A model builds and caches only its real forward generator.  A
+  ``Superoperator`` is constructed from a real form only and keeps the
+  storage it is given; the complex ``Superoperator.matrix`` is rebuilt
+  from it on request.
 * Propagation.  ``propagate_series`` first closes the support of the
   initial coordinates under the stored non-zero pattern of L.  That set S
   is invariant under every ``exp(t L)``, so when it is a proper subset the
@@ -62,8 +64,6 @@ from .qcore import (
     as_operator,
     require_finite,
     require_hermitian,
-    unvec,
-    vec,
 )
 
 DENSE_FILL = 1.0 / 16.0      # generators at least this full are stored dense
@@ -76,9 +76,6 @@ EXPM_NORM_SWITCH = 63.36
 # about log10(1/margin) digits, so 1e-10 keeps six.  A weak decay at rate
 # r against an O(1) Hamiltonian reads margin ~ r/2.
 STATIONARY_MARGIN = 1e-10
-# A Superoperator built from a complex G may miss conj(G) = P G P by this
-# much relative to ||G||_1: a Lindbladian reads about 1e-16.
-HP_TOL = 1e-12
 
 
 class LindbladModel:
@@ -108,9 +105,9 @@ class LindbladModel:
         if rates.shape != (n, n):
             raise ValueError(f"rate matrix shape {rates.shape} != ({n}, {n})")
         if n:
-            if np.abs(rates - rates.conj().T).max() > qcore.VALID_TOL:
-                raise ValueError("rate matrix is not Hermitian")
-            if np.linalg.eigvalsh(0.5 * (rates + rates.conj().T)).min() < -qcore.VALID_TOL:
+            rates = require_hermitian(rates, name="rate matrix")
+            gate = qcore.VALID_TOL * max(1.0, np.abs(rates).max())
+            if np.linalg.eigvalsh(0.5 * (rates + rates.conj().T)).min() < -gate:
                 raise ValueError("rate matrix is not positive semidefinite")
         self.rates = rates
 
@@ -129,35 +126,26 @@ class LindbladModel:
 class Superoperator:
     """A Hermiticity-preserving map on column-stacked operators.
 
-    ``matrix`` is its complex d^2 x d^2 matrix G in the vec basis.  G must
-    satisfy conj(G) = P G P, P the transpose permutation r + d c <-> c + d r,
-    to within 1e-12 ||G||_1; otherwise the constructor raises ValueError.
-    The map is stored only as the real matrix ``real`` = Re G + Im(G P),
-    which acts on the real coordinates of Hermitian operators (see
-    ``real_coordinates``); ``matrix`` is rebuilt from it on request.
+    It is given and stored as its real form ``real`` = Re G + Im(G P), a
+    float64 d^2 x d^2 array or scipy sparse matrix kept in the storage it
+    comes in, which acts on the real coordinates of Hermitian operators
+    (see ``real_coordinates``).  Every real matrix is the real form of a
+    Hermiticity-preserving G, so only a complex dtype or a wrong shape
+    raises ValueError.  ``matrix``, the complex matrix G in the vec basis,
+    is rebuilt from it on request.
     """
 
-    def __init__(self, matrix, dim, kind=None):
-        if not scipy.sparse.issparse(matrix):
-            matrix = np.asarray(matrix)
-        if matrix.shape != (dim * dim, dim * dim):
-            raise ValueError(f"superoperator shape {matrix.shape} != ({dim * dim}, {dim * dim})")
-        scale = _one_norm(matrix)
-        defect = _hp_defect(matrix, dim)
-        if defect > HP_TOL * scale:
-            raise ValueError(
-                f"superoperator does not preserve Hermiticity: max|conj(G) - PGP| = "
-                f"{defect:.3e} exceeds {HP_TOL:.0e} * ||G||_1 = {HP_TOL * scale:.3e}"
-            )
-        self.real = _real_form(matrix, dim)
+    def __init__(self, real, dim, kind=None):
+        if not scipy.sparse.issparse(real):
+            real = np.asarray(real)
+        if real.dtype.kind == "c":
+            raise ValueError(f"superoperator takes its real form Re G + Im(G P), "
+                             f"not a {real.dtype} matrix")
+        if real.shape != (dim * dim, dim * dim):
+            raise ValueError(f"superoperator shape {real.shape} != ({dim * dim}, {dim * dim})")
+        self.real = real
         self.dim = dim
         self.kind = kind  # "forward", "dual" or None
-
-    @classmethod
-    def _of_real(cls, real, dim, kind):
-        g = cls.__new__(cls)
-        g.real, g.dim, g.kind = real, dim, kind
-        return g
 
     @property
     def is_sparse(self):
@@ -198,24 +186,6 @@ def _transpose_index(d):
     """P as an index map: vec(X^T)[k] = vec(X)[P[k]], so P[r + d c] = c + d r."""
     k = np.arange(d * d)
     return k % d * d + k // d
-
-
-def _hp_defect(g, d):
-    """max|conj(G) - P G P|, zero exactly when G maps Hermitian operators to Hermitian ones."""
-    pi = _transpose_index(d)
-    if scipy.sparse.issparse(g):
-        diff = g.conj() - g[pi][:, pi]
-        return float(abs(diff).max()) if diff.nnz else 0.0
-    return float(np.abs(g.conj() - g[np.ix_(pi, pi)]).max(initial=0.0))
-
-
-def _real_form(g, d):
-    """L = Re G + Im(G P) of a vec-basis matrix G, stored as G is."""
-    if scipy.sparse.issparse(g):
-        coo = g.tocoo()
-        return _real_csr(coo.row, coo.col, coo.data, d)
-    g4 = g.reshape(d, d, d, d)
-    return (g4.real + g4.imag.transpose(0, 1, 3, 2)).reshape(d * d, d * d)
 
 
 def _real_csr(rows, cols, vals, d):
@@ -314,7 +284,8 @@ def _generator(model, sparse):
     re[:, k, :, k] += j.real                # conj(J) (x) I
     im[k, :, k, :] += j.imag
     im[:, k, :, k] -= j.imag
-    return (re + im.transpose(0, 1, 3, 2)).reshape(d * d, d * d)    # as in _real_form
+    # L = Re G + Im(G P): P swaps the last two axes of the column index
+    return (re + im.transpose(0, 1, 3, 2)).reshape(d * d, d * d)
 
 
 def _kron_triplets(a, b, d, scale=1.0):
@@ -328,21 +299,16 @@ def _kron_triplets(a, b, d, scale=1.0):
     return ((r + d * c[:, None]).ravel(), (r2 + d * c2[:, None]).ravel(), vals)
 
 
-def _forward_matrix(model, sparse):
-    return model._forward if sparse is None else _generator(model, sparse)
-
-
-def liouvillian(model, sparse=None):
+def liouvillian(model):
     """Forward generator of d(rho)/dt; annihilates the trace functional.
 
-    ``sparse=None`` picks the storage by fill (``DENSE_FILL``) and returns
-    the model's generator, built once per model; an explicit ``sparse``
-    builds a fresh one in that storage.
+    It is the model's generator, built once per model and stored by fill
+    (``DENSE_FILL``).
     """
-    return Superoperator._of_real(_forward_matrix(model, sparse), model.dim, "forward")
+    return Superoperator(model._forward, model.dim, "forward")
 
 
-def dual_liouvillian(model, sparse=None):
+def dual_liouvillian(model):
     """Adjoint generator for Heisenberg-picture operators.
 
     dA/dt = +i[h_bar, A] + sum a_mu_nu (V_nu^dag A V_mu
@@ -351,7 +317,7 @@ def dual_liouvillian(model, sparse=None):
     coordinates is the transpose ``L.T`` (a view, no copy); it annihilates
     the identity but generally does not preserve the trace.
     """
-    return Superoperator._of_real(_forward_matrix(model, sparse).T, model.dim, "dual")
+    return Superoperator(model._forward.T, model.dim, "dual")
 
 
 def _by_fill(a):
@@ -599,14 +565,9 @@ def kraus_from_superoperator(g):
     clipped at 1e-12 times the largest one.
     """
     d = g.dim
-    mat = g.dense()
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e_ij = np.zeros((d, d), dtype=complex)
-            e_ij[i, j] = 1.0
-            block = unvec(mat @ vec(e_ij), d)
-            choi += np.kron(e_ij, block)
+    # block (i, j) of the Choi matrix is G[E_ij], and G[r + d c, r' + d c'] sits at
+    # [c, r, c', r'] of G.reshape(d, d, d, d)
+    choi = g.dense().reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
     choi = 0.5 * (choi + choi.conj().T)
     evals, evecs = np.linalg.eigh(choi)
     kraus = []

@@ -127,10 +127,12 @@ def time_grid(times):
 
 
 def require_hermitian(m, tol=VALID_TOL, name="operator"):
+    """The operator as a complex array, gated at max|m - m^dag| <= tol * max(1, max|m|)."""
     m = require_finite(as_operator(m, name), name)
-    dev = np.abs(m - m.conj().T).max()
-    if dev > tol:
-        raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e} > {tol:.0e})")
+    dev = np.abs(m - m.conj().T).max(initial=0.0)
+    gate = tol * max(1.0, np.abs(m).max(initial=0.0))
+    if dev > gate:
+        raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e} > {gate:.3e})")
     return m
 
 

@@ -127,27 +127,27 @@ def dq_geometric(stationary, rho0):
 
 
 def degree_of_quantumness(model):
-    """Maximal asymptotic departure of Q from 1 over initial states.
+    """Maximal asymptotic departure of Q from 1 over initial states of a
+    Lindblad model: ``stationary_degree`` of its stationary state."""
+    return stationary_degree(dynamics.stationary_state(dynamics.liouvillian(model)))
+
+
+def stationary_degree(rho_inf):
+    """Degree-of-quantumness report of a unique stationary state rho_inf.
 
     D_Q = dim * maxeig(rho_inf) - 1 whenever that branch dominates;
     the minimum-eigenvalue branch |dim * mineig - 1| is also evaluated
     and the larger departure reported (ties go to the upper branch).
     The optimal state is the matching eigenprojector of the conjugated
-    stationary state.
+    stationary state, and q_infinity = dim * (that eigenvalue).
     """
-    rho_inf = dynamics.stationary_state(dynamics.liouvillian(model))
-    reversed_stat = dynamics.time_reversed_state(rho_inf)
-    spec = qcore.hermitian_eigensystem(reversed_stat.matrix)
-    dim = model.dim
+    spec = qcore.hermitian_eigensystem(dynamics.time_reversed_state(rho_inf).matrix)
+    dim = rho_inf.dim
     upper = dim * spec.eigenvalues[-1] - 1.0
     lower = abs(dim * spec.eigenvalues[0] - 1.0)
-    if upper >= lower:
-        dq, vector = upper, spec.eigenvectors[:, -1]
-    else:
-        dq, vector = lower, spec.eigenvectors[:, 0]
-    optimal = QuantumState.pure(vector)
-    q_inf = dim * (spec.eigenvalues[-1] if upper >= lower else spec.eigenvalues[0])
-    return QuantumnessReport(dq, optimal, q_inf, rho_inf)
+    k = -1 if upper >= lower else 0
+    optimal = QuantumState.pure(spec.eigenvectors[:, k])
+    return QuantumnessReport(max(upper, lower), optimal, dim * spec.eigenvalues[k], rho_inf)
 
 
 def renormalized_degree(stationary):

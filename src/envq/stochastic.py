@@ -26,8 +26,11 @@ H = h0 + x C, m = Tr H / 2 and r half the gap of H's eigenvalues: a few
 elementwise operations, where numpy's eigh costs about 1.3 us per 2 x 2
 matrix; from d = 3 on they come from one batched eigh.  The chain is
 multiplied one segment index at a time for all paths, and the unitaries
-at the requested times are gathered as one (paths, times, d, d) array
-that stochastic_q and stochastic_average_state reduce.  A collisional
+at the requested times are gathered as one (paths, times, d, d) array.
+Every Monte Carlo route has one reducer, _ensemble_moments, which merges
+the per-block means and spreads: stochastic_average_state feeds it the
+states U rho0 U^dag, stochastic_q the path pairings Tr[rho0 U U^dag]
+and the collisional Monte Carlo its chain snapshots.  A collisional
 path draws its waits in chunks and sums them with np.cumsum, which adds
 in order, so its collision times are bitwise those of one draw at a
 time.  The block's chain runs in the eigenbasis H = V diag(e) V^dag on
@@ -299,7 +302,8 @@ def _path_unitaries(process, h0, times, n_paths, seed, dt):
     """Path unitaries U_p(times[k]), yielded block by block as (paths, times, d, d).
 
     A requested time belongs to the first segment ending no earlier than
-    1e-12 * max(t_max, 1) before it; paths are padded to equal length
+    1e-12 t_max before it, a slack relative to the path length, so it
+    does not depend on the time unit; paths are padded to equal length
     with zero-length segments, which no requested time reaches.  At d = 2
     the segment unitaries are the closed form of ``_unitary_2x2``, since
     numpy's eigh costs about 1.3 us per 2 x 2 matrix; from d = 3 on they
@@ -314,7 +318,7 @@ def _path_unitaries(process, h0, times, n_paths, seed, dt):
         tau = _padded([path.durations for path in paths], 0.0)
         ends = np.cumsum(tau, axis=1)
         starts = np.concatenate([np.zeros((len(paths), 1)), ends[:, :-1]], axis=1)
-        eps = 1e-12 * np.maximum([path.t_max for path in paths], 1.0)
+        eps = 1e-12 * np.array([path.t_max for path in paths])
         seg = (ends[:, None, :] + eps[:, None, None] < times[:, None]).sum(axis=2)
         if np.any(seg >= np.array([[len(path.durations)] for path in paths])):
             raise ValueError("requested times extend beyond the sampled path")
@@ -335,10 +339,16 @@ def _path_unitaries(process, h0, times, n_paths, seed, dt):
         yield partial @ prefix[rows, seg]
 
 
-def _ensemble_inputs(process, base_h, rho0, times, dt):
+def _noise_snapshots(process, base_h, x0, times, n_paths, seed, dt):
+    """U_p(t) x0 U_p(t)^dag at every requested time, yielded block by block as
+    (paths, times, d, d)."""
     h0 = require_hermitian(base_h, name="base Hamiltonian")
     times = np.asarray(times, dtype=float)
-    return h0, state_matrix(rho0), times, _default_dt(process, times) if dt is None else dt
+    dt = _default_dt(process, times) if dt is None else dt
+    for u in _path_unitaries(process, h0, times, n_paths, seed, dt):
+        # u x0 as one GEMM over the stacked rows: a broadcast matmul loops
+        # over the stack and took about 1.7 times as long
+        yield (u.reshape(-1, x0.shape[0]) @ x0).reshape(u.shape) @ _dagger(u)
 
 
 def _ensemble_moments(blocks):
@@ -368,19 +378,18 @@ def _ensemble_moments(blocks):
 def stochastic_q(process, base_h, rho0, times, n_paths, seed, dt=None):
     """Ensemble quantumness series under a stochastic Hamiltonian.
 
-    Per realization the dual map is unitary conjugation, so every path
+    Each path pairs rho0 with its forward map of the identity,
+    Tr[rho0 U U^dag], as ``collisional_q`` does with its chain.  Per
+    realization the map is a unitary conjugation, so every path
     contributes exactly 1; the returned standard error is the honest
-    (vanishing) spread of the path values.
+    (vanishing) spread std(ddof=1) / sqrt(n_paths) of the path values.
     """
-    h0, rho0, times, dt = _ensemble_inputs(process, base_h, rho0, times, dt)
-    samples = np.concatenate([
-        np.trace(_dagger(u) @ rho0 @ u, axis1=-2, axis2=-1).real
-        for u in _path_unitaries(process, h0, times, n_paths, seed, dt)
-    ])
-    mean = samples.mean(axis=0)
-    stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_paths) if n_paths > 1 else np.zeros_like(mean)
-    series = quantumness.QuantumnessSeries(times, mean, h0.shape[0])
-    return series, stderr
+    rho0 = state_matrix(rho0)
+    eye = np.eye(rho0.shape[0], dtype=complex)
+    pairings = (np.einsum("ij,ptji->pt", rho0, x).real[..., None, None]
+                for x in _noise_snapshots(process, base_h, eye, times, n_paths, seed, dt))
+    mean, stderr = _ensemble_moments(pairings)
+    return quantumness.QuantumnessSeries(times, [m[0, 0] for m in mean], rho0.shape[0]), stderr
 
 
 def stochastic_average_state(process, base_h, rho0, times, n_paths, seed, dt=None):
@@ -390,9 +399,8 @@ def stochastic_average_state(process, base_h, rho0, times, n_paths, seed, dt=Non
     density matrix at times[k] and stderr[k] collects
     sqrt(sum_ij Var[rho_ij] / n_paths).
     """
-    h0, rho0, times, dt = _ensemble_inputs(process, base_h, rho0, times, dt)
-    states = (u @ rho0 @ _dagger(u) for u in _path_unitaries(process, h0, times, n_paths, seed, dt))
-    return _ensemble_moments(states)
+    return _ensemble_moments(
+        _noise_snapshots(process, base_h, state_matrix(rho0), times, n_paths, seed, dt))
 
 
 def _default_dt(process, times):

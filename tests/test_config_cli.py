@@ -492,6 +492,23 @@ def test_cli_optimal_state_reaches_max(tmp_path):
     assert q_inf == pytest.approx(1.0 + report.dq, abs=1e-10)
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("thermal-tls", "gamma = 1.0\nbeta_hw0 = 2.0"),
+    ("fluorescence", "gamma = 1.0\nomega = 0.6"),
+    ("two-qubit", "gamma = 1.0\nomega = 1.0"),
+    ("nonmarkov-decay", "gamma = 1.0\ntau_c = 2.0"),
+])
+def test_qt_from_optimal_reaches_the_reported_q_infinity(tmp_path, kind, params):
+    # dq prints q_infinity and kind = optimal starts qt from the state that reaches it
+    cfg = write(tmp_path, f"[model]\ntype = {kind}\n{params}\n\n[times]\nt_max = 60.0\nsteps = 4\n")
+    report, csv = tmp_path / "dq.txt", tmp_path / "qt.csv"
+    assert cli.run(["dq", "--config", cfg, "--out", str(report)]) == 0
+    assert cli.run(["qt", "--config", cfg, "--out", str(csv)]) == 0
+    fields = dict(line.split(" = ", 1) for line in report.read_text().strip().split("\n"))
+    _, rows = read_csv(csv)
+    assert rows[-1, 1] == pytest.approx(float(fields["q_infinity"]), abs=1e-9)
+
+
 def test_module_entry_point_imports_cleanly():
     # runpy warns when the package has imported envq.cli before running it
     src = os.path.dirname(os.path.dirname(envq.__file__))

@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from envq import dynamics, models, qcore, quantumness
+from envq import dynamics, models, qcore, quantumness, stochastic
 from envq.qcore import DegenerateSteadyStateError, QuantumState
 
 
@@ -14,6 +14,13 @@ def thermal_model(beta=2.0, gamma=1.0):
 
 def rand_op(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+def stored(model, sparse):
+    """Forward and dual generators of a model, built in the given storage."""
+    real = dynamics._generator(model, sparse)
+    return (dynamics.Superoperator(real, model.dim, "forward"),
+            dynamics.Superoperator(real.T, model.dim, "dual"))
 
 
 def test_model_validation():
@@ -31,6 +38,48 @@ def test_model_validation():
         dynamics.LindbladModel(qcore.sigma_z, [np.diag([1.0, np.inf])])
     with pytest.raises(ValueError, match=r"rate matrix has a non-finite entry \(inf"):
         dynamics.LindbladModel(qcore.sigma_z, [qcore.sigma_minus], rates=[np.inf])
+
+
+def scaled_hamiltonian(s, defect):
+    """s A A^dag / max|A A^dag| for a fixed random 4 x 4 A, with defect * s added to one
+    off-diagonal entry."""
+    a = rand_op(np.random.default_rng(50), 4)
+    h = a @ a.conj().T
+    h = h / np.abs(h).max()
+    h[0, 1] += defect
+    return s * h
+
+
+def test_hermiticity_gates_scale_with_the_operator():
+    # defects of 1e-15 of the largest entry, in H and in the rate matrix, pass at
+    # every scale, and the same dynamics on a clock s times faster keeps its degree
+    jumps = [np.kron(qcore.sigma_minus, np.eye(2)),
+             np.kron(np.eye(2), qcore.sigma_z) + np.kron(qcore.sigma_minus, qcore.sigma_plus)]
+    rates = np.array([[0.7, 0.2 + 0.1j + 1e-15], [0.2 - 0.1j, 0.4]])
+    kraus = [np.sqrt(0.6) * np.eye(4), np.sqrt(0.4) * np.kron(qcore.sigma_x, qcore.sigma_z)]
+    degrees = []
+    for s in (1e-9, 1.0, 1e6):
+        h = scaled_hamiltonian(s, 1e-15)
+        degrees.append(quantumness.degree_of_quantumness(
+            dynamics.LindbladModel(h, jumps, rates=s * rates)).dq)
+        stochastic.CollisionalModel(h, kraus, stochastic.WaitingTime("exponential", rate=s))
+        # a negative rate of 1e-15 of the largest one is roundoff too
+        dynamics.LindbladModel(h, jumps, rates=s * np.array([1.0, -1e-15]))
+    assert degrees[0] > 0.1
+    assert degrees == pytest.approx([degrees[1]] * 3, rel=1e-12)
+    # defects of 1e-9 of the largest entry are still defects, at every scale
+    h = scaled_hamiltonian(1.0, 1e-9)
+    with pytest.raises(ValueError,
+                       match=r"h_bar is not Hermitian \(max deviation 1\.000e-09 > 1\.000e-10\)"):
+        dynamics.LindbladModel(h, jumps)
+    with pytest.raises(ValueError, match="free Hamiltonian is not Hermitian"):
+        stochastic.CollisionalModel(h, kraus, stochastic.WaitingTime("exponential", rate=1.0))
+    for s in (1.0, 1e6):
+        h = scaled_hamiltonian(s, 0.0)
+        with pytest.raises(ValueError, match="rate matrix is not Hermitian"):
+            dynamics.LindbladModel(h, jumps, rates=s * (rates + [[0.0, 1e-9], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="rate matrix is not positive semidefinite"):
+            dynamics.LindbladModel(h, jumps, rates=s * np.array([1.0, -1e-9]))
 
 
 def test_liouvillian_annihilates_trace():
@@ -148,7 +197,7 @@ def test_stationary_rejects_degenerate_manifold():
     m = dynamics.LindbladModel(0.5 * qcore.sigma_z, [])
     for sparse in (False, True):
         with pytest.raises(DegenerateSteadyStateError, match="singular"):
-            dynamics.stationary_state(dynamics.liouvillian(m, sparse=sparse))
+            dynamics.stationary_state(stored(m, sparse)[0])
     # decay 1e-12 times slower than the precession: unique in exact
     # arithmetic, but inside the relative uniqueness margin
     weak = dynamics.LindbladModel(0.5 * qcore.sigma_z, [qcore.sigma_minus], rates=[1e-12])
@@ -183,12 +232,10 @@ def test_time_reversed_state():
 
 def test_sparse_dense_generators_agree():
     m = models.FluorescenceParams(1.0, 1.2).lindblad_model()
-    dense = dynamics.liouvillian(m, sparse=False).matrix
-    sparse = dynamics.liouvillian(m, sparse=True).matrix.toarray()
-    assert np.abs(dense - sparse).max() < 1e-14
-    dense_d = dynamics.dual_liouvillian(m, sparse=False).matrix
-    sparse_d = dynamics.dual_liouvillian(m, sparse=True).matrix.toarray()
-    assert np.abs(dense_d - sparse_d).max() < 1e-14
+    dense, dense_d = stored(m, False)
+    sparse, sparse_d = stored(m, True)
+    assert np.abs(dense.matrix - sparse.matrix.toarray()).max() < 1e-14
+    assert np.abs(dense_d.matrix - sparse_d.matrix.toarray()).max() < 1e-14
 
 
 def test_model_builds_its_generator_once(monkeypatch):
@@ -215,17 +262,14 @@ def test_model_builds_its_generator_once(monkeypatch):
         # the cached real generator is shared by every caller
         with pytest.raises(ValueError, match="read-only"):
             (g.real.data if g.is_sparse else g.real)[0] = 0.0
-        # an explicit storage builds a fresh generator
-        assert dynamics.liouvillian(model, sparse=not g.is_sparse).is_sparse != g.is_sparse
-        assert calls == [None, not g.is_sparse]
 
 
 def test_propagate_sparse_route_matches_dense():
     rng = np.random.default_rng(7)
     m = models.FluorescenceParams(1.0, 1.2).lindblad_model()
     rho = qcore.random_state(2, rng).matrix
-    dense = dynamics.propagate(dynamics.liouvillian(m, sparse=False), rho, 1.7)
-    sparse = dynamics.propagate(dynamics.liouvillian(m, sparse=True), rho, 1.7)
+    dense = dynamics.propagate(stored(m, False)[0], rho, 1.7)
+    sparse = dynamics.propagate(stored(m, True)[0], rho, 1.7)
     assert np.abs(dense - sparse).max() < 1e-11
 
 
@@ -233,7 +277,7 @@ def test_kraus_extraction_reconstructs_channel():
     rng = np.random.default_rng(8)
     m = models.ThermalTlsParams(1.0, 1.5).lindblad_model()
     g = dynamics.liouvillian(m)
-    ch = dynamics.Superoperator(qcore.matrix_exponential(g.matrix * 0.8), 2)
+    ch = dynamics.Superoperator(scipy.linalg.expm(g.real * 0.8), 2)
     kraus = dynamics.kraus_from_superoperator(ch)
     comp = sum(k.conj().T @ k for k in kraus)
     assert np.abs(comp - np.eye(2)).max() < 1e-12
@@ -250,7 +294,7 @@ def test_spectral_gap_thermal():
     assert abs(gap - 0.5 * (p.kappa + p.zeta)) < 1e-10
     # the zero test scales with the generator, so a rescaled clock rescales the gap
     for s in (1e-12, 1e12):
-        scaled = dynamics.Superoperator(s * g.matrix, g.dim, kind="forward")
+        scaled = dynamics.Superoperator(s * g.real, g.dim, kind="forward")
         assert dynamics.spectral_gap(scaled) == pytest.approx(s * gap, rel=1e-12)
 
 
@@ -294,7 +338,7 @@ def test_propagate_series_matches_expm_reference(d, grid):
     dense = dynamics.liouvillian(model)
     assert not dense.is_sparse
     exact = [qcore.unvec(scipy.linalg.expm(dense.matrix * t) @ qcore.vec(rho), d) for t in times]
-    for g in (dense, dynamics.liouvillian(model, sparse=True)):
+    for g in (dense, stored(model, True)[0]):
         series = dynamics.propagate_series(g, rho, times)
         assert max(np.abs(out - ref).max() for out, ref in zip(series, exact)) < 1e-12
 
@@ -347,7 +391,7 @@ def test_propagate_series_trace_check_guards_the_block():
     # the reachable block intact, and the check still reads the full trace
     p = models.OscillatorParams(0.7, 2.85, 41)
     g = dynamics.liouvillian(p.lindblad_model())
-    shifted = dynamics.Superoperator(g.matrix + 1e-6 * scipy.sparse.identity(p.dim ** 2),
+    shifted = dynamics.Superoperator(g.real + 1e-6 * scipy.sparse.identity(p.dim ** 2),
                                      p.dim, kind="forward")
     with pytest.raises(RuntimeError, match="changed the trace"):
         dynamics.propagate_series(shifted, np.eye(p.dim), [0.0, 1.0])
@@ -493,7 +537,7 @@ def test_real_generator_matches_kron_chain(name):
     expected = g.real + g.imag[:, pi]
     scale = np.abs(g).sum(axis=0).max()
     for sparse in (False, True):
-        sup = dynamics.liouvillian(model, sparse=sparse)
+        sup = stored(model, sparse)[0]
         assert sup.is_sparse == sparse and sup.real.dtype == np.float64
         real = sup.real.toarray() if sparse else sup.real
         assert np.abs(real - expected).max() <= 1e-14 * scale
@@ -503,25 +547,24 @@ def test_real_generator_matches_kron_chain(name):
 @pytest.mark.parametrize("name", sorted(GENERATOR_MODELS))
 def test_dual_is_the_transpose_of_the_real_generator(name):
     model = GENERATOR_MODELS[name]()
-    for sparse in (None, False, True):
-        forward = dynamics.liouvillian(model, sparse=sparse).real
-        dual = dynamics.dual_liouvillian(model, sparse=sparse).real
+    pairs = [(dynamics.liouvillian(model), dynamics.dual_liouvillian(model))]
+    for forward, dual in pairs + [stored(model, sparse) for sparse in (False, True)]:
+        forward, dual = forward.real, dual.real
         if scipy.sparse.issparse(forward):
             forward, dual = forward.toarray(), dual.toarray()
         assert np.array_equal(dual, forward.T)
 
 
-def test_superoperator_rejects_maps_that_break_hermiticity():
+def test_superoperator_takes_only_the_real_form():
     g = dynamics.liouvillian(random_lindblad(np.random.default_rng(31), 3))
-    gmat = np.array(g.matrix)
-    pi = transpose_permutation(3)
-    defect = np.abs(gmat.conj() - gmat[np.ix_(pi, pi)]).max()
-    assert defect <= 1e-15 * g.norm
-    rebuilt = dynamics.Superoperator(gmat, 3, kind="forward")
-    assert np.abs(rebuilt.real - g.real).max() <= 1e-15 * g.norm
-    for matrix in (gmat + 1e-6j * np.eye(9), scipy.sparse.csr_matrix(gmat) + 1e-6j * scipy.sparse.identity(9)):
-        with pytest.raises(ValueError, match=r"max\|conj\(G\) - PGP\| = 2\.000e-06"):
+    for real in (g.real, scipy.sparse.csr_matrix(g.real)):
+        rebuilt = dynamics.Superoperator(real, 3, kind="forward")
+        assert rebuilt.real is real and rebuilt.is_sparse == scipy.sparse.issparse(real)
+    for matrix in (g.matrix, scipy.sparse.csr_matrix(g.matrix)):
+        with pytest.raises(ValueError, match="real form"):
             dynamics.Superoperator(matrix, 3)
+    with pytest.raises(ValueError, match=r"shape \(9, 9\) != \(4, 4\)"):
+        dynamics.Superoperator(g.real, 2)
 
 
 @pytest.mark.parametrize("d, sparse", [(2, False), (4, False), (4, True)])
@@ -532,11 +575,11 @@ def test_propagate_series_non_hermitian_operator(d, sparse):
     model = random_lindblad(rng, d)
     x0 = rand_op(rng, d)
     times = time_grid("log", 2.0, 9)
-    for g in (dynamics.liouvillian(model, sparse=sparse), dynamics.dual_liouvillian(model, sparse=sparse)):
+    for g in stored(model, sparse):
         gmat = g.dense()
         for t, out in zip(times, dynamics.propagate_series(g, x0, times)):
             exact = qcore.unvec(scipy.linalg.expm(gmat * t) @ qcore.vec(x0), d)
             assert np.abs(out - exact).max() < 1e-12 * max(1.0, np.abs(exact).max())
     # apply takes the same two-column route
-    g = dynamics.liouvillian(model, sparse=sparse)
+    g = stored(model, sparse)[0]
     assert np.abs(g.apply(x0) - qcore.unvec(g.dense() @ qcore.vec(x0), d)).max() < 1e-13

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from envq import dynamics, models, qcore, quantumness
 from envq.qcore import QuantumState
@@ -239,7 +240,7 @@ def test_fluorescence_dephasing_limit():
     p = models.FluorescenceParams(1.0, 50.0)
     dephasing = models.fluorescence_dephasing_limit(p)
     g = dynamics.liouvillian(dephasing)
-    ch = dynamics.Superoperator(qcore.matrix_exponential(g.matrix * 0.9), 2)
+    ch = dynamics.Superoperator(scipy.linalg.expm(g.real * 0.9), 2)
     ok, _ = quantumness.unitality_check(dynamics.kraus_from_superoperator(ch))
     assert ok
     series = quantumness.q_series(dephasing, qcore.random_state(2, rng),

@@ -198,7 +198,7 @@ def reference_path_unitaries(h0, coupling, path, times):
     u = np.eye(h0.shape[0], dtype=complex)
     k = 0
     start = 0.0
-    eps = 1e-12 * max(path.t_max, 1.0)
+    eps = 1e-12 * path.t_max
     for dur, x in zip(path.durations, path.values):
         while k < len(times) and times[k] <= start + dur + eps:
             out[k] = qcore.matrix_exponential(-1j * (times[k] - start) * (h0 + x * coupling)) @ u
@@ -212,6 +212,24 @@ def reference_path_unitaries(h0, coupling, path, times):
 def random_hermitian(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return 0.5 * (a + a.conj().T)
+
+
+def test_segment_slack_is_relative_to_the_path_length():
+    # OU noise on a clock 1e9 times faster: a time 5e-13 after the fifth
+    # segment end lies 1 % into the sixth segment and evolves on its Hamiltonian
+    s = 1e9
+    h0 = s * (0.45 * qcore.sigma_z + 0.3 * qcore.sigma_x)
+    proc = stochastic.NoiseProcess("ornstein-uhlenbeck", 1.3 * s, 0.5 / s, qcore.sigma_y)
+    dt, t_max, seed = 0.05 / s, 1.0 / s, 3
+    path = stochastic.sample_noise_path(proc, t_max, dt, seed)
+    times = np.array([np.cumsum(path.durations)[4] + 5e-13, t_max])
+    u = np.eye(2)
+    for dur, x in zip(path.durations[:5], path.values[:5]):
+        u = scipy.linalg.expm(-1j * dur * (h0 + x * qcore.sigma_y)) @ u
+    expected = scipy.linalg.expm(-1j * 5e-13 * (h0 + path.values[5] * qcore.sigma_y)) @ u
+    got = next(stochastic._path_unitaries(proc, h0, times, 1, seed, dt))[0]
+    assert np.abs(got[0] - expected).max() < 1e-12
+    assert np.abs(got - reference_path_unitaries(h0, qcore.sigma_y, path, times)).max() < 1e-12
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e3, 1e6])
