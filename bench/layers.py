@@ -30,9 +30,6 @@ per path:
   at 13 times on [0, 3], exponential (rate 1) and gamma (shape 2, rate 2)
   waiting, at d = 2, 4 and 12.
 
-A checkout whose engine draws each path on its own (no block samplers)
-has its block of streams and noise paths timed as that per-path loop.
-
 Every layer reports the minimum and the median over ``REPEATS`` runs
 (one in smoke mode) after one untimed warm-up, in milliseconds.  BLAS is
 pinned to one thread before numpy is imported, as in the benchmark and
@@ -148,23 +145,12 @@ def random_hermitian(rng, d):
     return 0.5 * (h + h.conj().T) / np.sqrt(d)
 
 
-def block_samplers(stochastic):
-    """The engine's samplers for a block of paths: streams, then noise paths."""
-    if hasattr(stochastic, "_path_streams"):
-        return stochastic._path_streams, stochastic._noise_paths
-    return (lambda seed, paths: [stochastic.path_rng(seed, p) for p in paths],
-            lambda process, t_max, dt, seed, paths: [
-                stochastic.sample_noise_path(process, t_max, dt, seed, path_index=p)
-                for p in paths])
-
-
 def stochastic_ladder(dims, repeats):
     import numpy as np
     from envq import qcore, stochastic
 
     rows = []
     block = stochastic.PATH_BLOCK
-    streams, noise_paths = block_samplers(stochastic)
 
     def add(layer, model, d, paths, fn):
         row = {"layer": layer, "model": model, "dim": d, "paths": paths, **timed(fn, repeats)}
@@ -176,15 +162,15 @@ def stochastic_ladder(dims, repeats):
 
     add("path_streams", "philox", None, 1, lambda: stochastic.path_rng(SEED, 0))
     add("path_streams", "philox", None, block,
-        lambda: list(streams(SEED, range(block))))
+        lambda: list(stochastic._path_streams(SEED, range(block))))
     for family in stochastic.NOISE_FAMILIES:
         process = noise_process(stochastic, family, qcore.sigma_x)
         add("noise_paths", family, None, 1,
             lambda process=process: stochastic.sample_noise_path(process, NOISE_T_MAX,
                                                                  NOISE_DT, SEED))
         add("noise_paths", family, None, block,
-            lambda process=process: list(noise_paths(process, NOISE_T_MAX, NOISE_DT, SEED,
-                                                     range(block))))
+            lambda process=process: list(stochastic._noise_paths(process, NOISE_T_MAX, NOISE_DT,
+                                                                 SEED, range(block))))
     noise_times = np.linspace(0.0, NOISE_T_MAX, 11)
     chain_times = np.linspace(0.0, CHAIN_T_MAX, 13)
     waits = {"exponential": stochastic.WaitingTime("exponential", rate=1.0),

@@ -32,7 +32,6 @@ from .qcore import (
     BoundViolationError,
     DegenerateSteadyStateError,
     QuantumState,
-    Spectrum,
     concurrence,
     hermitian_eigensystem,
     matrix_exponential,

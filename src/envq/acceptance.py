@@ -184,19 +184,21 @@ def criterion_two_qubit(out_dir=None):
         m = p.lindblad_model()
         numeric = quantumness.degree_of_quantumness(m)
         worst_dq = max(worst_dq, abs(numeric.dq - rep.dq))
-        spec = qcore.hermitian_eigensystem(numeric.optimal_state.matrix)
-        overlap = abs(np.vdot(spec.max_eigenvector(), rep.optimal_vector))
+        _, v = qcore.hermitian_eigensystem(numeric.optimal_state.matrix)
+        overlap = abs(np.vdot(v[:, -1], models.twoqubit_optimal_vector(p)))
         worst_overlap = max(worst_overlap, 1.0 - overlap)
-        worst_conc = max(worst_conc, abs(qcore.concurrence(rep.optimal_state().matrix) - rep.concurrence))
+        worst_conc = max(worst_conc, abs(qcore.concurrence(rep.optimal_state.matrix)
+                                         - models.twoqubit_concurrence(p)))
         series = quantumness.q_series(m, rep.propagation_state(), times)
-        worst_series = max(worst_series, np.abs(series.values - rep.q_closed(times)).max())
+        worst_series = max(worst_series,
+                           np.abs(series.values - models.twoqubit_q_closed(p, times)).max())
         reduced_stat = qcore.partial_trace(numeric.stationary.matrix, [2, 2], keep=0)
         dq_reduced = 2.0 * np.linalg.eigvalsh(reduced_stat).max() - 1.0
         worst_reduced = max(worst_reduced, abs(dq_reduced - models.twoqubit_reduced(p).dq))
     omegas = np.linspace(0.0, 6.0, 25)
-    sweep = [models.twoqubit_report(models.TwoQubitParams(1.0, om)) for om in omegas]
-    dqs = [r.dq for r in sweep]
-    concurrences = [r.concurrence for r in sweep]
+    sweep = [models.TwoQubitParams(1.0, om) for om in omegas]
+    dqs = [models.twoqubit_dq(p) for p in sweep]
+    concurrences = [models.twoqubit_concurrence(p) for p in sweep]
     fig2_ok = np.all(np.diff(dqs) < 0) and np.all(np.diff(concurrences) > 0)
     if out_dir is not None:
         with open(os.path.join(out_dir, "fig2_data.csv"), "w", newline="") as fh:

@@ -100,17 +100,13 @@ def cmd_dq(cfg, out_path):
     return 0
 
 
-def _two_qubit_point(params):
-    report = models.twoqubit_report(params)
-    return report.dq, report.concurrence
-
-
 # closed-form sweep columns of each builtin kind, after the swept parameter:
 # their names, and their values at one point
 SWEEP_COLUMNS = {
     "thermal-tls": (("dq",), lambda p: (models.thermal_dq(p),)),
     "fluorescence": (("dq",), lambda p: (models.fluorescence_dq(p)[0],)),
-    "two-qubit": (("dq", "concurrence"), _two_qubit_point),
+    "two-qubit": (("dq", "concurrence"),
+                  lambda p: (models.twoqubit_dq(p), models.twoqubit_concurrence(p))),
     "nonmarkov-decay": (("dq",), lambda p: (models.nonmarkov_dq(p),)),
     "oscillator": (("dq",), lambda p: (models.oscillator_dqr(p),)),
 }

@@ -225,8 +225,7 @@ def degree_report(kind, obj):
 def resolve_initial_state(cfg, kind, obj):
     """Initial system state from the [initial_state] section.
 
-    ``optimal`` resolves to the complex conjugate of the reported optimal
-    state, an eigenprojector of the stationary state itself, which is the
+    ``optimal`` resolves to the report's ``propagation_state()``, the
     initial condition whose propagated series reaches the reported
     q_infinity.
     """
@@ -256,5 +255,5 @@ def resolve_initial_state(cfg, kind, obj):
         report = degree_report(kind, obj)
         if report is None:
             raise ConfigError(f"optimal initial state is not defined for {kind} blocks")
-        return dynamics.time_reversed_state(report.optimal_state)
+        return report.propagation_state()
     raise ConfigError(f"unknown initial_state kind {kind_key!r}")

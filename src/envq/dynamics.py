@@ -64,6 +64,7 @@ from .qcore import (
     as_operator,
     require_finite,
     require_hermitian,
+    state_matrix,
 )
 
 DENSE_FILL = 1.0 / 16.0      # generators at least this full are stored dense
@@ -553,9 +554,7 @@ def time_reversed_state(rho):
     object whose top eigenvector is the reported optimal initial state.
     The spectrum is untouched; only eigenvectors conjugate.
     """
-    m = rho.matrix if isinstance(rho, QuantumState) else QuantumState(rho).matrix
-    dims = rho.dims if isinstance(rho, QuantumState) else None
-    return QuantumState(m.conj(), dims=dims)
+    return QuantumState(state_matrix(rho).conj())
 
 
 def kraus_from_superoperator(g):

@@ -64,9 +64,8 @@ class JointModel:
 
     def unitary(self, t):
         """exp(-i H t) from the cached spectral decomposition."""
-        spec = self._eig
-        phases = np.exp(-1j * spec.eigenvalues * t)
-        return (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T
+        w, v = self._eig
+        return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def _embed_system(model, a):
@@ -84,9 +83,7 @@ def _rotated_system(model, u, rho0):
 
 def reduced_state(model, rho0, t):
     """Reduced system state Tr_e[U_t (rho0 x sigma0) U_t^dag]."""
-    rho0 = state_matrix(rho0)
-    if rho0.shape[0] != model.dim_s:
-        raise ValueError(f"rho0 dimension {rho0.shape[0]} != dim_s {model.dim_s}")
+    rho0 = state_matrix(rho0, model.dim_s)
     u = model.unitary(t)
     joint = tensor_product(rho0, model.sigma0.matrix)
     evolved = u @ joint @ u.conj().T
@@ -193,8 +190,7 @@ def hamiltonian_ensemble_reduction(model):
         raise ValueError(
             f"[H, I x sigma0] does not vanish (max commutator entry {comm_norm:.3e})"
         )
-    spec = qcore.hermitian_eigensystem(model.sigma0.matrix)
-    basis = spec.eigenvectors.copy()
+    evals, basis = qcore.hermitian_eigensystem(model.sigma0.matrix)
     if _offdiag_residual(model, basis) > COMM_TOL:
         # refine within degenerate sigma0 eigenspaces using the bath-side
         # part of H, then with a fixed random contraction as a fallback
@@ -207,7 +203,7 @@ def hamiltonian_ensemble_reduction(model):
         v /= np.linalg.norm(v)
         contractions.append(np.einsum("i,iajb,j->ab", v.conj(), rest4, v))
         for contraction in contractions:
-            groups = _degenerate_groups(spec.eigenvalues)
+            groups = _degenerate_groups(evals)
             for grp in groups:
                 if len(grp) < 2:
                     continue
@@ -272,8 +268,7 @@ def random_joint_model(dim_s, dim_e, rng, commuting=False, scale=1.0):
     h_s = rand_herm(dim_s)
     sigma0 = qcore.random_state(dim_e, rng)
     if commuting:
-        spec = qcore.hermitian_eigensystem(sigma0.matrix)
-        basis = spec.eigenvectors
+        _, basis = qcore.hermitian_eigensystem(sigma0.matrix)
         h_e = (basis * rng.normal(size=dim_e)) @ basis.conj().T
         h_e = 0.5 * (h_e + h_e.conj().T)
         h_i = np.zeros((dim_s * dim_e, dim_s * dim_e), dtype=complex)

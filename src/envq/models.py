@@ -1,5 +1,9 @@
 """Built-in dissipative models: closed forms and Lindblad builders.
 
+Closed-form degree reports are ``quantumness.QuantumnessReport``s, the
+type every numeric route returns; the coupled pair's other closed
+forms (optimal vector, concurrence, series) are module functions.
+
 Each closed form is cross-validated against numerical propagation of
 its defining generator in the test suite.  Two printed-formula variants
 from the literature that numerical propagation rules out are still
@@ -391,34 +395,22 @@ def twoqubit_q_closed(p, t, variant="arbitrated"):
     return _scalar_or_array(q, t)
 
 
-class TwoQubitReport:
-    """Degree, optimal state, its concurrence and the closed series."""
+def twoqubit_dq(p):
+    """Degree of quantumness gamma (gamma + 2 G) / G^2 of the coupled pair."""
+    ga, big = p.gamma, p.big_gamma2
+    return float(ga * (ga + 2.0 * big) / big ** 2)
 
-    def __init__(self, params):
-        self.params = params
-        ga, big = params.gamma, params.big_gamma2
-        self.dq = float(ga * (ga + 2.0 * big) / big ** 2)
-        self.optimal_vector = twoqubit_optimal_vector(params)
-        self.concurrence = float(params.omega / big)
 
-    def optimal_state(self):
-        return QuantumState.pure(self.optimal_vector, dims=[2, 2])
-
-    def propagation_state(self):
-        """Initial state whose propagated series attains 1 + dq.
-
-        The reported optimal vector diagonalizes the conjugated
-        stationary state; feeding the forward operator flow requires
-        undoing that time reversal, i.e. conjugating once more.
-        """
-        return QuantumState.pure(self.optimal_vector.conj(), dims=[2, 2])
-
-    def q_closed(self, t, variant="arbitrated"):
-        return twoqubit_q_closed(self.params, t, variant=variant)
+def twoqubit_concurrence(p):
+    """Concurrence omega / G of the optimal state."""
+    return float(p.omega / p.big_gamma2)
 
 
 def twoqubit_report(p):
-    return TwoQubitReport(p)
+    """Closed-form QuantumnessReport of the coupled pair."""
+    dq = twoqubit_dq(p)
+    return quantumness.QuantumnessReport(dq, QuantumState.pure(twoqubit_optimal_vector(p)),
+                                         1.0 + dq, QuantumState(twoqubit_stationary_matrix(p)))
 
 
 def twoqubit_reduced_q_closed(p, t):
@@ -432,24 +424,13 @@ def twoqubit_reduced_q_closed(p, t):
     return _scalar_or_array(q, t)
 
 
-class ReducedQubitReport:
-    """Marginal single-qubit view of the coupled pair."""
-
-    def __init__(self, params):
-        self.params = params
-        big = params.big_gamma2
-        self.dq = float(params.gamma ** 2 / big ** 2)
-        self.optimal_vector = qcore.ket(2, 1)
-
-    def optimal_state(self):
-        return QuantumState.pure(self.optimal_vector)
-
-    def q_closed(self, t):
-        return twoqubit_reduced_q_closed(self.params, t)
-
-
 def twoqubit_reduced(p):
-    return ReducedQubitReport(p)
+    """Closed-form QuantumnessReport of one qubit of the pair: its traced stationary
+    state is diagonal with top eigenvector |->, and D_Q = gamma^2 / G^2."""
+    dq = float(p.gamma ** 2 / p.big_gamma2 ** 2)
+    stationary = qcore.partial_trace(twoqubit_stationary_matrix(p), [2, 2], keep=0)
+    return quantumness.QuantumnessReport(dq, QuantumState.pure(qcore.ket(2, 1)), 1.0 + dq,
+                                         QuantumState(stationary))
 
 
 # ---------------------------------------------------------------------------

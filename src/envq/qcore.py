@@ -6,7 +6,9 @@ Conventions fixed here for the whole package:
 * vectorization stacks columns (Fortran order), so that
   ``vec(A X B) = kron(B.T, A) @ vec(X)``;
 * validity checks use tolerance ``1e-10``, reconstruction checks
-  ``1e-9`` and the ``[0, dim]`` bound on computed Q values ``1e-8``.
+  ``1e-9`` and the ``[0, dim]`` bound on computed Q values ``1e-8``;
+* a Hermitian eigensystem is the pair ``(w, v)`` of ``np.linalg.eigh``,
+  eigenvalues ascending, checked by reconstruction.
 """
 
 import numpy as np
@@ -225,32 +227,15 @@ def matrix_exponential(m):
     return scipy.linalg.expm(m)
 
 
-class Spectrum:
-    """Full eigensystem of a Hermitian matrix, eigenvalues ascending."""
-
-    def __init__(self, eigenvalues, eigenvectors):
-        self.eigenvalues = np.asarray(eigenvalues, dtype=float)
-        self.eigenvectors = np.asarray(eigenvectors, dtype=complex)
-
-    def max_eigenvalue(self):
-        return self.eigenvalues[-1]
-
-    def max_eigenvector(self):
-        return self.eigenvectors[:, -1]
-
-    def reconstruct(self):
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
-
 def hermitian_eigensystem(h):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a matrix Hermitian to 1e-8."""
+    """(w, v) of a matrix Hermitian to 1e-8, as ``np.linalg.eigh`` returns them,
+    gated on the reconstruction residual."""
     h = require_hermitian(h, tol=1e-8, name="eigensystem input")
     w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-    spec = Spectrum(w, v)
-    resid = np.abs(spec.reconstruct() - h).max()
+    resid = np.abs((v * w) @ v.conj().T - h).max()
     if resid > RECON_TOL * max(1.0, np.abs(w).max()):
         raise RuntimeError(f"eigendecomposition residual {resid:.3e} too large")
-    return spec
+    return w, v
 
 
 def concurrence(rho):
@@ -283,13 +268,13 @@ def concurrence(rho):
 # states
 
 class QuantumState:
-    """Density matrix with validity checks and tensor-factor bookkeeping.
+    """Density matrix with validity checks.
 
     Hermiticity and unit trace are enforced to ``tol`` and the minimum
     eigenvalue must not fall below ``-tol``.
     """
 
-    def __init__(self, matrix, dims=None, tol=VALID_TOL):
+    def __init__(self, matrix, tol=VALID_TOL):
         m = require_finite(as_operator(matrix, "state"), "state")
         dev = np.abs(m - m.conj().T).max()
         if dev > tol:
@@ -301,29 +286,23 @@ class QuantumState:
         if min_eig < -tol:
             raise ValueError(f"state not positive semidefinite (min eigenvalue {min_eig:.3e})")
         self.matrix = m
-        if dims is None:
-            dims = [m.shape[0]]
-        dims = [int(d) for d in dims]
-        if int(np.prod(dims)) != m.shape[0]:
-            raise ValueError(f"dims {dims} inconsistent with dimension {m.shape[0]}")
-        self.dims = dims
 
     @property
     def dim(self):
         return self.matrix.shape[0]
 
     @classmethod
-    def pure(cls, vector, dims=None):
+    def pure(cls, vector):
         v = np.asarray(vector, dtype=complex).reshape(-1)
         n = np.linalg.norm(v)
         if n == 0:
             raise ValueError("cannot normalize the zero vector")
         v = v / n
-        return cls(np.outer(v, v.conj()), dims=dims)
+        return cls(np.outer(v, v.conj()))
 
     @classmethod
-    def maximally_mixed(cls, dim, dims=None):
-        return cls(np.eye(dim, dtype=complex) / dim, dims=dims)
+    def maximally_mixed(cls, dim):
+        return cls(np.eye(dim, dtype=complex) / dim)
 
     def __array__(self, dtype=None, copy=None):
         if dtype is None:
@@ -331,14 +310,15 @@ class QuantumState:
         return self.matrix.astype(dtype)
 
     def __repr__(self):
-        return f"QuantumState(dim={self.dim}, dims={self.dims})"
+        return f"QuantumState(dim={self.dim})"
 
 
-def state_matrix(state):
-    """Matrix of a QuantumState, or a validated plain density matrix."""
-    if isinstance(state, QuantumState):
-        return state.matrix
-    return QuantumState(state).matrix
+def state_matrix(state, dim=None):
+    """Matrix of a QuantumState, or a validated plain density matrix, of dimension ``dim``."""
+    m = state.matrix if isinstance(state, QuantumState) else QuantumState(state).matrix
+    if dim is not None and m.shape[0] != dim:
+        raise ValueError(f"rho0 dimension {m.shape[0]} != model dimension {dim}")
+    return m
 
 
 def random_state(dim, rng, rank=None):

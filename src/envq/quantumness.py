@@ -9,12 +9,15 @@ the convention validated against the closed forms of the worked models.
 It is computed through the trace pairing Q_t = Tr[rho_0 X_t] with
 X_t = e^{tL}[I]: one forward propagation of the identity serves every
 initial state (``q_functional_series``), and ``q_series`` pairs it with
-one.  Its stationary limit is therefore dim * Tr[rho_inf rho_0].  Time
-reversal enters only through the reported optimal state: the degree of
+one.  Its stationary limit is therefore dim * Tr[rho_inf rho_0].
+
+Every degree report, numeric or closed-form, is a QuantumnessReport.
+Time reversal enters only through its optimal state: the degree of
 quantumness is the same for the stationary state and its conjugate
 (their spectra agree), but the eigenvector that the report carries
 belongs to the conjugated stationary state, and the propagated series
-attains 1 + D_Q when started from the conjugate of that reported state.
+attains q_infinity = 1 + D_Q when started from the conjugate of that
+state, ``QuantumnessReport.propagation_state()``.
 """
 
 import numpy as np
@@ -73,6 +76,10 @@ class QuantumnessReport:
         self.q_infinity = float(q_infinity)
         self.stationary = stationary
 
+    def propagation_state(self):
+        """The conjugate of the optimal state: it undoes the time reversal."""
+        return dynamics.time_reversed_state(self.optimal_state)
+
 
 def q_functional_series(model, times):
     """Operators X_t = e^{tL}[I] such that Q_t(rho_0) = Tr[rho_0 X_t].
@@ -91,9 +98,7 @@ def q_series(model, rho0, times):
     Pairs rho_0 with the operators of ``q_functional_series``; values
     outside [0, dim] beyond ``qcore.BOUND_TOL`` abort.
     """
-    rho0 = state_matrix(rho0)
-    if rho0.shape[0] != model.dim:
-        raise ValueError(f"rho0 dimension {rho0.shape[0]} != model dimension {model.dim}")
+    rho0 = state_matrix(rho0, model.dim)
     values = np.einsum("ij,tji->t", rho0, q_functional_series(model, times)).real
     return QuantumnessSeries(times, values, model.dim)
 
@@ -106,7 +111,7 @@ def q_stationary(model, rho0):
     forms of the worked models.
     """
     rho_inf = dynamics.stationary_state(dynamics.liouvillian(model))
-    rho0 = state_matrix(rho0)
+    rho0 = state_matrix(rho0, model.dim)
     return float(model.dim * np.trace(rho_inf.matrix @ rho0).real)
 
 
@@ -137,17 +142,20 @@ def stationary_degree(rho_inf):
 
     D_Q = dim * maxeig(rho_inf) - 1 whenever that branch dominates;
     the minimum-eigenvalue branch |dim * mineig - 1| is also evaluated
-    and the larger departure reported (ties go to the upper branch).
-    The optimal state is the matching eigenprojector of the conjugated
-    stationary state, and q_infinity = dim * (that eigenvalue).
+    and the larger departure reported.  Ties go to the upper branch,
+    and so does a lower branch ahead by at most 1e-12 * dim: a qubit's
+    branches always tie in exact arithmetic (mineig + maxeig = 1), so
+    their roundoff must not pick one.  The optimal state is the matching
+    eigenprojector of the conjugated stationary state, and q_infinity =
+    dim * (that eigenvalue).
     """
-    spec = qcore.hermitian_eigensystem(dynamics.time_reversed_state(rho_inf).matrix)
+    w, v = qcore.hermitian_eigensystem(dynamics.time_reversed_state(rho_inf).matrix)
     dim = rho_inf.dim
-    upper = dim * spec.eigenvalues[-1] - 1.0
-    lower = abs(dim * spec.eigenvalues[0] - 1.0)
-    k = -1 if upper >= lower else 0
-    optimal = QuantumState.pure(spec.eigenvectors[:, k])
-    return QuantumnessReport(max(upper, lower), optimal, dim * spec.eigenvalues[k], rho_inf)
+    upper = dim * w[-1] - 1.0
+    lower = abs(dim * w[0] - 1.0)
+    # the departures are dimensionless and at most dim - 1
+    k = -1 if upper >= lower - 1e-12 * dim else 0
+    return QuantumnessReport(max(upper, lower), QuantumState.pure(v[:, k]), dim * w[k], rho_inf)
 
 
 def renormalized_degree(stationary):

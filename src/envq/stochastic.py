@@ -224,7 +224,7 @@ def _noise_paths(process, t_max, dt, seed, paths):
             steps, values = [], []
             elapsed = 0.0
             while elapsed < t_max:
-                wait = rng.exponential(1.0 / rate) if rate > 0 else t_max
+                wait = rng.exponential(1.0 / rate)
                 step = min(wait, t_max - elapsed)
                 steps.append(step)
                 values.append(sign * a)
@@ -339,10 +339,12 @@ def _path_unitaries(process, h0, times, n_paths, seed, dt):
         yield partial @ prefix[rows, seg]
 
 
-def _noise_snapshots(process, base_h, x0, times, n_paths, seed, dt):
+def _noise_snapshots(process, h0, x0, times, n_paths, seed, dt):
     """U_p(t) x0 U_p(t)^dag at every requested time, yielded block by block as
     (paths, times, d, d)."""
-    h0 = require_hermitian(base_h, name="base Hamiltonian")
+    if process.coupling.shape != h0.shape:
+        raise ValueError(f"noise coupling dimension {process.coupling.shape[0]} != "
+                         f"base Hamiltonian dimension {h0.shape[0]}")
     times = np.asarray(times, dtype=float)
     dt = _default_dt(process, times) if dt is None else dt
     for u in _path_unitaries(process, h0, times, n_paths, seed, dt):
@@ -384,10 +386,11 @@ def stochastic_q(process, base_h, rho0, times, n_paths, seed, dt=None):
     contributes exactly 1; the returned standard error is the honest
     (vanishing) spread std(ddof=1) / sqrt(n_paths) of the path values.
     """
-    rho0 = state_matrix(rho0)
+    h0 = require_hermitian(base_h, name="base Hamiltonian")
+    rho0 = state_matrix(rho0, h0.shape[0])
     eye = np.eye(rho0.shape[0], dtype=complex)
     pairings = (np.einsum("ij,ptji->pt", rho0, x).real[..., None, None]
-                for x in _noise_snapshots(process, base_h, eye, times, n_paths, seed, dt))
+                for x in _noise_snapshots(process, h0, eye, times, n_paths, seed, dt))
     mean, stderr = _ensemble_moments(pairings)
     return quantumness.QuantumnessSeries(times, [m[0, 0] for m in mean], rho0.shape[0]), stderr
 
@@ -399,8 +402,9 @@ def stochastic_average_state(process, base_h, rho0, times, n_paths, seed, dt=Non
     density matrix at times[k] and stderr[k] collects
     sqrt(sum_ij Var[rho_ij] / n_paths).
     """
-    return _ensemble_moments(
-        _noise_snapshots(process, base_h, state_matrix(rho0), times, n_paths, seed, dt))
+    h0 = require_hermitian(base_h, name="base Hamiltonian")
+    rho0 = state_matrix(rho0, h0.shape[0])
+    return _ensemble_moments(_noise_snapshots(process, h0, rho0, times, n_paths, seed, dt))
 
 
 def _default_dt(process, times):
@@ -494,8 +498,7 @@ class CollisionalModel:
     @cached_property
     def _eig(self):
         """Eigenvalues e and eigenvectors V of the free Hamiltonian, computed once."""
-        spec = qcore.hermitian_eigensystem(self.free_hamiltonian)
-        return spec.eigenvalues, spec.eigenvectors
+        return qcore.hermitian_eigensystem(self.free_hamiltonian)
 
     @cached_property
     def _collision_eig(self):
@@ -752,7 +755,7 @@ def _chain(model, x0, times, mode, n_paths, seed, step):
 
 def collisional_states(model, rho0, times, mode="series", n_paths=None, seed=None, step=None):
     """States on a time grid, by deterministic series or Monte Carlo."""
-    mats = _chain(model, state_matrix(rho0), times, mode, n_paths, seed, step)
+    mats = _chain(model, state_matrix(rho0, model.dim), times, mode, n_paths, seed, step)
     # series-mode snapshots carry the quadrature error of the chain
     return [QuantumState(0.5 * (m + m.conj().T), tol=2e-4) for m in mats]
 
@@ -767,7 +770,7 @@ def collisional_q(model, rho0, times, mode="series", n_paths=None, seed=None,
     is accepted and ignored: the series mode solves the renewal equation
     exactly on its grid, so there is no truncated tail left to bound.
     """
-    rho0 = state_matrix(rho0)
+    rho0 = state_matrix(rho0, model.dim)
     eye = np.eye(model.dim, dtype=complex)
     mats = _chain(model, eye, times, mode, n_paths, seed, step)
     values = [np.trace(rho0 @ m).real for m in mats]

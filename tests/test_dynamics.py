@@ -219,7 +219,7 @@ def test_time_reversed_state():
     real_rho = QuantumState(np.diag([0.3, 0.7]).astype(complex))
     assert np.abs(dynamics.time_reversed_state(real_rho).matrix - real_rho.matrix).max() == 0.0
     p = models.TwoQubitParams(1.0, 0.9)
-    stat = QuantumState(models.twoqubit_stationary_matrix(p), dims=[2, 2])
+    stat = QuantumState(models.twoqubit_stationary_matrix(p))
     rev = dynamics.time_reversed_state(stat)
     assert np.abs(rev.matrix[0, 3] - stat.matrix[0, 3].conj()).max() < 1e-15
     a = np.linalg.eigvalsh(stat.matrix)

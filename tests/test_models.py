@@ -257,23 +257,23 @@ def test_fluorescence_dephasing_limit():
 # coupled qubit pair
 
 def test_twoqubit_limits():
-    low = models.twoqubit_report(models.TwoQubitParams(1.0, 1e-8))
-    assert np.abs(low.optimal_vector - np.array([0, 0, 0, 1.0])).max() < 1e-7
-    assert low.concurrence < 1e-7
-    high = models.twoqubit_report(models.TwoQubitParams(1.0, 1e6))
+    low = models.TwoQubitParams(1.0, 1e-8)
+    assert np.abs(models.twoqubit_optimal_vector(low) - np.array([0, 0, 0, 1.0])).max() < 1e-7
+    assert models.twoqubit_concurrence(low) < 1e-7
+    high = models.TwoQubitParams(1.0, 1e6)
     target = np.array([1j, 0, 0, 1.0]) / np.sqrt(2)
-    assert np.abs(high.optimal_vector - target).max() < 1e-5
-    assert high.concurrence == pytest.approx(1.0, abs=1e-10)
+    assert np.abs(models.twoqubit_optimal_vector(high) - target).max() < 1e-5
+    assert models.twoqubit_concurrence(high) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_twoqubit_closed_series_limits():
     p = models.TwoQubitParams(1.0, 1.3)
-    rep = models.twoqubit_report(p)
-    assert rep.q_closed(0.0) == pytest.approx(1.0, abs=1e-12)
-    assert rep.q_closed(1e3) == pytest.approx(1.0 + rep.dq, abs=1e-12)
+    dq = models.twoqubit_dq(p)
+    assert models.twoqubit_q_closed(p, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert models.twoqubit_q_closed(p, 1e3) == pytest.approx(1.0 + dq, abs=1e-12)
     # the printed-damping variant shares both limits but differs between
     printed = models.twoqubit_q_closed(p, np.linspace(0.5, 4.0, 9), variant="printed")
-    arbitrated = rep.q_closed(np.linspace(0.5, 4.0, 9))
+    arbitrated = models.twoqubit_q_closed(p, np.linspace(0.5, 4.0, 9))
     assert np.abs(printed - arbitrated).max() > 1e-2
 
 
@@ -283,7 +283,7 @@ def test_twoqubit_series_matches_propagation():
     m = p.lindblad_model()
     times = np.linspace(0.0, 6.0, 25)
     series = quantumness.q_series(m, rep.propagation_state(), times)
-    assert np.abs(series.values - rep.q_closed(times)).max() < 1e-8
+    assert np.abs(series.values - models.twoqubit_q_closed(p, times)).max() < 1e-8
 
 
 def test_twoqubit_report_against_numerics():
@@ -292,10 +292,10 @@ def test_twoqubit_report_against_numerics():
     assert rep.dq == pytest.approx((1.0 + 2.0 * np.sqrt(2.0)) / 2.0, abs=1e-10)
     report = quantumness.degree_of_quantumness(p.lindblad_model())
     assert report.dq == pytest.approx(rep.dq, abs=1e-10)
-    overlap = abs(np.vdot(qcore.hermitian_eigensystem(report.optimal_state.matrix).max_eigenvector(),
-                          rep.optimal_vector))
+    _, v = qcore.hermitian_eigensystem(report.optimal_state.matrix)
+    overlap = abs(np.vdot(v[:, -1], models.twoqubit_optimal_vector(p)))
     assert overlap > 1.0 - 1e-10
-    assert qcore.concurrence(rep.optimal_state().matrix) == pytest.approx(
+    assert qcore.concurrence(rep.optimal_state.matrix) == pytest.approx(
         1.0 / np.sqrt(2.0), abs=1e-10
     )
 
@@ -313,19 +313,18 @@ def test_twoqubit_reduced_series_vs_full_model():
     # Q_a(t) = Tr[(P_- x I) e^{tL}[I x rho_b]]
     rng = np.random.default_rng(8)
     p = models.TwoQubitParams(1.0, 1.6)
-    red = models.twoqubit_reduced(p)
     g = dynamics.liouvillian(p.lindblad_model())
     rho_b = qcore.random_state(2, rng).matrix
     seed_op = qcore.tensor_product(np.eye(2), rho_b)
     probe = qcore.tensor_product(np.diag([0.0, 1.0]).astype(complex), np.eye(2))
     for t in (0.0, 0.6, 1.7, 3.9):
         q_full = np.trace(probe @ dynamics.propagate(g, seed_op, t)).real
-        assert q_full == pytest.approx(red.q_closed(t), abs=1e-10)
+        assert q_full == pytest.approx(models.twoqubit_reduced_q_closed(p, t), abs=1e-10)
     # and symmetrically for the other marginal
     seed_op = qcore.tensor_product(rho_b, np.eye(2))
     probe = qcore.tensor_product(np.eye(2), np.diag([0.0, 1.0]).astype(complex))
     q_full = np.trace(probe @ dynamics.propagate(g, seed_op, 1.1)).real
-    assert q_full == pytest.approx(red.q_closed(1.1), abs=1e-10)
+    assert q_full == pytest.approx(models.twoqubit_reduced_q_closed(p, 1.1), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -94,3 +94,34 @@ def test_noise_q_is_one_on_every_clock(d, family, seed, log_s):
                                              8, seed, dt=0.04 / s)
     assert np.abs(series.values - 1.0).max() <= 1e-12
     assert stderr.max() <= 1e-12
+
+
+def assert_reports_agree(closed, numeric):
+    assert closed.dq == pytest.approx(numeric.dq, abs=1e-10)
+    assert closed.q_infinity == pytest.approx(numeric.q_infinity, abs=1e-10)
+    assert np.abs(closed.stationary.matrix - numeric.stationary.matrix).max() <= 1e-10
+    assert np.abs(closed.optimal_state.matrix - numeric.optimal_state.matrix).max() <= 1e-8
+    assert np.abs(closed.propagation_state().matrix
+                  - numeric.propagation_state().matrix).max() <= 1e-8
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gamma=st.floats(0.3, 3.0), omega=st.floats(0.0, 6.0))
+@example(gamma=1.0, omega=0.0)
+@example(gamma=0.3, omega=6.0)
+def test_closed_form_two_qubit_reports_equal_the_numeric_ones(gamma, omega):
+    p = models.TwoQubitParams(gamma, omega)
+    model = p.lindblad_model()
+    closed, numeric = models.twoqubit_report(p), quantumness.degree_of_quantumness(model)
+    assert_reports_agree(closed, numeric)
+    late = [0.0, 60.0 / gamma]
+    q = quantumness.q_series(model, closed.propagation_state(), late).values[-1]
+    assert q == pytest.approx(closed.q_infinity, abs=1e-10)
+    # one qubit of the pair, against the degree of the traced-out numeric state
+    reduced = models.twoqubit_reduced(p)
+    traced = qcore.QuantumState(qcore.partial_trace(numeric.stationary.matrix, [2, 2], keep=0))
+    assert_reports_agree(reduced, quantumness.stationary_degree(traced))
+    # its marginal series Tr[(P x I) e^{tL}[I x I/2]] reaches q_infinity too
+    probe = qcore.tensor_product(reduced.propagation_state().matrix, np.eye(2))
+    image = dynamics.propagate(dynamics.liouvillian(model), np.eye(4) / 2.0, late[-1])
+    assert np.trace(probe @ image).real == pytest.approx(reduced.q_infinity, abs=1e-10)

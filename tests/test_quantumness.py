@@ -112,16 +112,27 @@ def test_dq_geometric():
     m = p.lindblad_model()
     stationary = dynamics.stationary_state(dynamics.liouvillian(m))
     reversed_stat = dynamics.time_reversed_state(stationary)
-    spec = qcore.hermitian_eigensystem(reversed_stat.matrix)
-    top = QuantumState.pure(spec.max_eigenvector())
+    w, v = qcore.hermitian_eigensystem(reversed_stat.matrix)
+    top = QuantumState.pure(v[:, -1])
     best = quantumness.dq_geometric(reversed_stat, top)
-    assert best == pytest.approx(4 * spec.max_eigenvalue() - 1.0, abs=1e-11)
+    assert best == pytest.approx(4 * w[-1] - 1.0, abs=1e-11)
     assert quantumness.dq_geometric(QuantumState.maximally_mixed(4),
                                     QuantumState.maximally_mixed(4)) < 1e-12
     # random pure states never beat the eigenprojector
     for _ in range(10000):
         probe = qcore.random_pure_state(4, rng)
         assert quantumness.dq_geometric(reversed_stat, probe) <= best + 1e-12
+
+
+def test_qubit_reports_take_the_upper_branch():
+    # a qubit's two branches tie in exact arithmetic (mineig + maxeig = 1); on
+    # this grid roundoff used to pick the lower one for 17 fluorescence models
+    for gamma in np.linspace(0.3, 3.0, 10):
+        for omega, beta in zip(np.linspace(0.0, 5.0, 10), np.linspace(0.1, 5.0, 10)):
+            for params in (models.FluorescenceParams(gamma, omega),
+                           models.ThermalTlsParams(gamma, beta)):
+                report = quantumness.degree_of_quantumness(params.lindblad_model())
+                assert report.q_infinity == pytest.approx(1.0 + report.dq, abs=1e-12)
 
 
 def test_degree_of_quantumness_thermal():

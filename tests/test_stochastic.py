@@ -328,6 +328,35 @@ def test_monte_carlo_rejects_empty_ensemble():
                                          n_paths=n_paths, seed=1)
 
 
+@pytest.mark.parametrize("route", ["stochastic_q", "stochastic_average_state",
+                                   "collisional_q", "collisional_states"])
+def test_rho0_of_another_dimension_is_rejected(route):
+    # a 2x2 rho0 on a 4x4 system: stochastic_average_state used to return 4x4
+    # "states" of trace 2, the other routes failed inside numpy
+    h = qcore.tensor_product(qcore.sigma_z, qcore.sigma_x)
+    process = stochastic.NoiseProcess("gaussian-white", 0.5, 0.0, h)
+    model = stochastic.CollisionalModel(h, [np.eye(4)], stochastic.WaitingTime("exponential", rate=1.0))
+    rho0, times = QuantumState.maximally_mixed(2), np.linspace(0.0, 1.0, 3)
+    run = {
+        "stochastic_q": lambda: stochastic.stochastic_q(process, h, rho0, times, 4, seed=1),
+        "stochastic_average_state": lambda: stochastic.stochastic_average_state(
+            process, h, rho0, times, 4, seed=1),
+        "collisional_q": lambda: stochastic.collisional_q(model, rho0, times),
+        "collisional_states": lambda: stochastic.collisional_states(model, rho0, times),
+    }[route]
+    with pytest.raises(ValueError, match="rho0 dimension 2 != model dimension 4"):
+        run()
+
+
+@pytest.mark.parametrize("route", [stochastic.stochastic_q, stochastic.stochastic_average_state])
+def test_noise_coupling_of_another_dimension_is_rejected(route):
+    # a 4x4 coupling on a 2x2 base Hamiltonian used to give Q = 1 from its 2x2 corner
+    process = stochastic.NoiseProcess("gaussian-white", 0.5, 0.0,
+                                      qcore.tensor_product(qcore.sigma_z, qcore.sigma_x))
+    with pytest.raises(ValueError, match="noise coupling dimension 4 != base Hamiltonian dimension 2"):
+        route(process, qcore.sigma_z, QuantumState.maximally_mixed(2), [0.0, 0.5], 4, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # waiting times
 
