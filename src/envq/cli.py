@@ -13,9 +13,7 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
-from . import config, microscopic, models, qcore, quantumness, stochastic
+from . import config, qcore, quantumness
 from .config import ConfigError
 from .qcore import BoundViolationError, DegenerateSteadyStateError
 
@@ -38,31 +36,10 @@ EXIT_CODES = (
 
 
 def compute_qt(cfg):
-    """Quantumness series for any configured model kind."""
+    """Quantumness series for any configured model type."""
     kind, obj = config.build_model(cfg)
     rho0 = config.resolve_initial_state(cfg, kind, obj)
-    times = cfg.times()
-    if kind == "nonmarkov-decay":
-        sz0 = np.trace(qcore.sigma_z @ rho0.matrix).real
-        values = models.nonmarkov_q(obj, sz0, times)
-        return quantumness.QuantumnessSeries(times, values, rho0.dim)
-    if kind == "oscillator":
-        values = models.oscillator_q_numeric(obj, rho0, times)
-        return quantumness.QuantumnessSeries(times, values, rho0.dim)
-    if kind == "microscopic":
-        values = [microscopic.quantumness_via_dual(obj, rho0, t) for t in times]
-        return quantumness.QuantumnessSeries(times, values, rho0.dim)
-    if kind == "collisional":
-        return stochastic.collisional_q(
-            obj, rho0, times, mode=cfg.mode, n_paths=cfg.n_paths or 1000, seed=cfg.seed
-        )
-    if kind == "stochastic":
-        process, base_h = obj
-        series, _ = stochastic.stochastic_q(
-            process, base_h, rho0, times, cfg.n_paths or 200, cfg.seed
-        )
-        return series
-    return quantumness.q_series(config.lindblad_for(kind, obj), rho0, times)
+    return kind.qt(obj, rho0, cfg.times(), cfg)
 
 
 def cmd_qt(cfg, out_path):
@@ -71,22 +48,13 @@ def cmd_qt(cfg, out_path):
     return 0
 
 
-def _report_lines(kind, obj):
-    lines = []
-    if kind == "oscillator":
-        stat = models.truncated_thermal_state(obj)
-        lines.append(("dq_renormalized", f"{models.oscillator_dqr(obj):.12g}"))
-        lines.append(("optimal_state_max_occupation", "0"))
-        lines.append(("stationary_max_eigenvalue",
-                      f"{quantumness.renormalized_degree(stat):.12g}"))
-        return lines
-    report = config.degree_report(kind, obj)
-    if report is None:
-        raise ValueError(f"dq report is not defined for {kind} blocks")
-    lines.append(("dq", f"{report.dq:.12g}"))
-    lines.append(("q_infinity", f"{report.q_infinity:.12g}"))
-    lines.append(("optimal_state", qcore.format_matrix_text(report.optimal_state.matrix, digits=12)))
-    lines.append(("stationary_state", qcore.format_matrix_text(report.stationary.matrix, digits=12)))
+def _report_lines(report):
+    lines = [
+        ("dq", f"{report.dq:.12g}"),
+        ("q_infinity", f"{report.q_infinity:.12g}"),
+        ("optimal_state", qcore.format_matrix_text(report.optimal_state.matrix, digits=12)),
+        ("stationary_state", qcore.format_matrix_text(report.stationary.matrix, digits=12)),
+    ]
     if report.stationary.dim == 4:
         lines.append(("concurrence", f"{qcore.concurrence(report.optimal_state.matrix):.12g}"))
     return lines
@@ -94,35 +62,27 @@ def _report_lines(kind, obj):
 
 def cmd_dq(cfg, out_path):
     kind, obj = config.build_model(cfg)
-    lines = _report_lines(kind, obj)
-    text = "".join(f"{key} = {value}\n" for key, value in lines)
-    _write(out_path, text)
+    if kind.lines is not None:
+        lines = kind.lines(obj)
+    elif kind.report is not None:
+        lines = _report_lines(kind.report(obj))
+    else:
+        raise ValueError(f"dq report is not defined for {cfg.model_type} blocks")
+    _write(out_path, "".join(f"{key} = {value}\n" for key, value in lines))
     return 0
-
-
-# closed-form sweep columns of each builtin kind, after the swept parameter:
-# their names, and their values at one point
-SWEEP_COLUMNS = {
-    "thermal-tls": (("dq",), lambda p: (models.thermal_dq(p),)),
-    "fluorescence": (("dq",), lambda p: (models.fluorescence_dq(p)[0],)),
-    "two-qubit": (("dq", "concurrence"),
-                  lambda p: (models.twoqubit_dq(p), models.twoqubit_concurrence(p))),
-    "nonmarkov-decay": (("dq",), lambda p: (models.nonmarkov_dq(p),)),
-    "oscillator": (("dq",), lambda p: (models.oscillator_dqr(p),)),
-}
 
 
 def cmd_sweep(cfg, out_path):
     kind, obj = config.build_model(cfg)
-    if kind not in SWEEP_COLUMNS:
+    if kind.sweep is None:
         raise ConfigError("sweep needs a builtin model")
     param = cfg.sweep_param
     if param is None:
         raise ConfigError("sweep needs a [sweep] section with param and values")
     if param not in {f.name for f in dataclasses.fields(obj)}:
-        raise ConfigError(f"unknown sweep parameter {param!r} for {kind}")
+        raise ConfigError(f"unknown sweep parameter {param!r} for {cfg.model_type}")
     values = cfg.sweep_values or []
-    names, point = SWEEP_COLUMNS[kind]
+    names, point = kind.sweep
     rows = [point(dataclasses.replace(obj, **{param: v})) for v in values]
     columns = [[row[i] for row in rows] for i in range(len(names))]
     _write(out_path, quantumness.csv_text(",".join((param,) + names), values, *columns))

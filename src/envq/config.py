@@ -18,11 +18,18 @@ Sections
 [sweep]          param, values (whitespace or comma separated).
 
 A value that fails to convert (a number, an integer or a matrix text)
-raises ConfigError, which the command line reports as exit 2; a value
-that converts but is non-finite or out of range is a model error
+or a missing [model] key raises ConfigError, which the command line
+reports as exit 2; a value that converts but is non-finite or out of
+range, or a [model] key that the type does not read, is a model error
 (ValueError, exit 3).  Stochastic and Monte Carlo runs need a seed; the
 command line checks that once, after ``--seed`` and ``--mode`` have
 been applied to the loaded RunConfig.
+
+``KINDS``, at the end of this module, is the one place that decides
+what each model type does: its system dimension, its Q_t route, its
+degree report, its closed-form sweep columns and the run modes that
+need a seed.  A new model type is one ``KINDS`` entry plus the branch
+of ``build_model`` that parses its [model] section.
 """
 
 import configparser
@@ -36,10 +43,6 @@ from .qcore import QuantumState
 
 class ConfigError(Exception):
     """Anything wrong with the configuration text itself."""
-
-
-BUILTIN_TYPES = tuple(models.BUILTIN_PARAMS)
-BLOCK_TYPES = ("lindblad", "microscopic", "collisional", "stochastic")
 
 
 @dataclasses.dataclass
@@ -60,9 +63,19 @@ class RunConfig:
         return np.linspace(0.0, self.t_max, self.steps)
 
     def needs_seed(self):
-        return self.model_type == "stochastic" or (
-            self.model_type == "collisional" and self.mode == "monte-carlo"
-        )
+        return self.mode in KINDS[self.model_type].seeded
+
+
+class _Section(dict):
+    """A [model] section that records which keys have been read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
 
 def _parse(convert, text, what):
@@ -108,7 +121,7 @@ def load_config(path):
     if "type" not in model:
         raise ConfigError("[model] needs a type")
     mtype = model.pop("type").strip()
-    if mtype not in BUILTIN_TYPES + BLOCK_TYPES:
+    if mtype not in KINDS:
         raise ConfigError(f"unknown model type {mtype!r}")
 
     init = dict(parser["initial_state"]) if "initial_state" in parser else {"kind": "optimal"}
@@ -142,96 +155,63 @@ def load_config(path):
 def build_model(cfg):
     """Instantiate the configured model object.
 
-    Returns a pair (kind, object): builtin parameter sets keep their
-    registry name as kind; explicit blocks return the constructed
-    LindbladModel / JointModel / CollisionalModel, or the pair
-    (NoiseProcess, base Hamiltonian) of a stochastic block.
+    Returns a pair (kind, object): the type's KINDS entry, and the
+    builtin parameter set, the constructed LindbladModel / JointModel /
+    CollisionalModel, or the pair (NoiseProcess, base Hamiltonian) of a
+    stochastic block.  A [model] key that the type does not read is a
+    model error, raised before the model is constructed.
     """
     mtype = cfg.model_type
-    section = cfg.model_params
+    section = _Section(cfg.model_params)
     try:
-        if mtype in BUILTIN_TYPES:
-            numbers = {key: _parse(float, value, f"{mtype} parameter {key!r}")
-                       for key, value in section.items()}
-            return mtype, models.builtin_params(mtype, numbers)
-        if mtype == "lindblad":
-            h_bar = _matrix(section, "h_bar")
-            jumps = _numbered_values(section, "jump")
-            rates = _matrix(section, "rates") if "rates" in section else None
+        if mtype in models.BUILTIN_PARAMS:
+            numbers = {key: _parse(float, section[key], f"{mtype} parameter {key!r}")
+                       for key in section}
+            make = lambda: models.builtin_params(mtype, numbers)
+        elif mtype == "lindblad":
+            h_bar, jumps = _matrix(section, "h_bar"), _numbered_values(section, "jump")
+            rates = _optional(qcore.parse_matrix_text, section, "rates")
             if rates is not None and 1 in rates.shape:
                 rates = rates.reshape(-1)
-            return mtype, dynamics.LindbladModel(h_bar, jumps, rates=rates)
-        if mtype == "microscopic":
-            return mtype, microscopic.JointModel(
-                _matrix(section, "h_s"),
-                _matrix(section, "h_e"),
-                _matrix(section, "h_i"),
-                QuantumState(_matrix(section, "sigma0")),
-            )
-        if mtype == "collisional":
-            waiting = stochastic.WaitingTime(
-                section["waiting_family"].strip(),
-                rate=_optional(float, section, "waiting_rate"),
-                shape=_optional(float, section, "waiting_shape"),
-                period=_optional(float, section, "waiting_period"),
-            )
-            return mtype, stochastic.CollisionalModel(
-                _matrix(section, "free_hamiltonian"),
-                _numbered_values(section, "kraus"),
-                waiting,
-            )
-        if mtype == "stochastic":
-            process = stochastic.NoiseProcess(
-                section["family"].strip(),
-                _parse(float, section["amplitude"], "amplitude"),
-                _parse(float, section.get("correlation_time", 0.0), "correlation_time"),
-                _matrix(section, "coupling"),
-            )
-            return mtype, (process, _matrix(section, "base_h"))
+            make = lambda: dynamics.LindbladModel(h_bar, jumps, rates=rates)
+        elif mtype == "microscopic":
+            h_s, h_e, h_i, sigma0 = (_matrix(section, key) for key in ("h_s", "h_e", "h_i", "sigma0"))
+            make = lambda: microscopic.JointModel(h_s, h_e, h_i, QuantumState(sigma0))
+        elif mtype == "collisional":
+            family = section["waiting_family"].strip()
+            waiting = {key: _optional(float, section, f"waiting_{key}")
+                       for key in ("rate", "shape", "period")}
+            h_free, kraus = _matrix(section, "free_hamiltonian"), _numbered_values(section, "kraus")
+            make = lambda: stochastic.CollisionalModel(
+                h_free, kraus, stochastic.WaitingTime(family, **waiting))
+        elif mtype == "stochastic":
+            family = section["family"].strip()
+            amplitude = _parse(float, section["amplitude"], "amplitude")
+            correlation_time = _optional(float, section, "correlation_time") or 0.0
+            coupling, base_h = _matrix(section, "coupling"), _matrix(section, "base_h")
+            make = lambda: (stochastic.NoiseProcess(
+                family, amplitude, correlation_time, coupling), base_h)
+        else:
+            raise ConfigError(f"unknown model type {mtype!r}")
+        unread = set(section) - section.read
+        if unread:
+            raise ValueError(f"unknown parameters for {mtype}: {sorted(unread)}")
+        # a builtin parameter set raises KeyError for a missing parameter
+        return KINDS[mtype], make()
     except KeyError as exc:
         raise ConfigError(f"missing {mtype} key {exc.args[0]!r}") from exc
-    raise ConfigError(f"unknown model type {mtype!r}")
-
-
-def system_dimension(kind, obj):
-    if kind == "microscopic":
-        return obj.dim_s
-    if kind == "stochastic":
-        process, base_h = obj
-        return base_h.shape[0]
-    return obj.dim
-
-
-def lindblad_for(kind, obj):
-    """Lindblad model behind a kind, or None (the oscillator uses its ladder)."""
-    if kind == "lindblad":
-        return obj
-    if kind in ("thermal-tls", "fluorescence", "two-qubit"):
-        return obj.lindblad_model()
-    return None
-
-
-def degree_report(kind, obj):
-    """QuantumnessReport behind a kind, for ``envq dq`` and kind = optimal, or None."""
-    if kind == "nonmarkov-decay":
-        # zero-temperature decay relaxes every state to the ground state |1><1|
-        return quantumness.stationary_degree(QuantumState(np.diag([0.0, 1.0])))
-    model = lindblad_for(kind, obj)
-    if model is None:
-        return None
-    return quantumness.degree_of_quantumness(model)
 
 
 def resolve_initial_state(cfg, kind, obj):
     """Initial system state from the [initial_state] section.
 
-    ``optimal`` resolves to the report's ``propagation_state()``, the
-    initial condition whose propagated series reaches the reported
-    q_infinity.
+    ``optimal`` resolves to the kind's own optimal state or else to the
+    report's ``propagation_state()``, the initial condition whose
+    propagated series reaches the reported q_infinity.
     """
     spec = cfg.initial_state
     kind_key = spec.get("kind", "optimal").strip()
-    dim = system_dimension(kind, obj)
+    dim = kind.dim(obj)
     if kind_key == "maximally-mixed":
         return QuantumState.maximally_mixed(dim)
     if kind_key == "pure":
@@ -248,12 +228,82 @@ def resolve_initial_state(cfg, kind, obj):
             raise ConfigError(f"initial state dimension {state.dim} != system dimension {dim}")
         return state
     if kind_key == "optimal":
-        if kind == "oscillator":
-            # the ground state |0>, real, so time reversal is moot: the top
-            # eigenprojector of the oscillator's thermal ladder
-            return QuantumState.pure(qcore.ket(dim, 0))
-        report = degree_report(kind, obj)
-        if report is None:
-            raise ConfigError(f"optimal initial state is not defined for {kind} blocks")
-        return report.propagation_state()
+        if kind.optimal is not None:
+            return kind.optimal(obj)
+        if kind.report is None:
+            raise ConfigError(f"optimal initial state is not defined for {cfg.model_type} blocks")
+        return kind.report(obj).propagation_state()
     raise ConfigError(f"unknown initial_state kind {kind_key!r}")
+
+
+@dataclasses.dataclass(frozen=True)
+class Kind:
+    """What the front end does with one model type.
+
+    Each route looks its function up on the module when it runs, so a
+    function swapped on its module is the one that is called.
+    """
+
+    qt: object                  # (model object, rho0, times, cfg) -> QuantumnessSeries
+    dim: object = lambda obj: obj.dim   # object -> system dimension
+    report: object = None       # object -> QuantumnessReport, for dq and kind = optimal
+    lines: object = None        # object -> dq report lines, for a type without a report
+    optimal: object = None      # object -> optimal initial state, for a type without a report
+    sweep: tuple = None         # (column names, params -> row) of the closed-form sweep
+    seeded: tuple = ()          # run modes that need a seed
+
+
+def _lindblad_backed(sweep=None, model_of=lambda p: p.lindblad_model()):
+    """Entry of a type whose dynamics is the LindbladModel ``model_of(object)``."""
+    return Kind(qt=lambda obj, rho0, times, cfg: quantumness.q_series(model_of(obj), rho0, times),
+                report=lambda obj: quantumness.degree_of_quantumness(model_of(obj)),
+                sweep=sweep)
+
+
+def _values(route):
+    """qt route that wraps ``route(object, rho0, times)``'s values in a series."""
+    return lambda obj, rho0, times, cfg: quantumness.QuantumnessSeries(
+        times, route(obj, rho0, times), rho0.dim)
+
+
+def _oscillator_lines(p):
+    stat = models.truncated_thermal_state(p)
+    return [("dq_renormalized", f"{models.oscillator_dqr(p):.12g}"),
+            ("optimal_state_max_occupation", "0"),
+            ("stationary_max_eigenvalue", f"{quantumness.renormalized_degree(stat):.12g}")]
+
+
+# the one place that decides each [model] type; load_config accepts exactly these
+KINDS = {
+    "thermal-tls": _lindblad_backed((("dq",), lambda p: (models.thermal_dq(p),))),
+    "nonmarkov-decay": Kind(
+        qt=_values(lambda p, rho0, times: models.nonmarkov_q(
+            p, np.trace(qcore.sigma_z @ rho0.matrix).real, times)),
+        # zero-temperature decay relaxes every state to the ground state |1><1|
+        report=lambda p: quantumness.stationary_degree(QuantumState(np.diag([0.0, 1.0]))),
+        sweep=(("dq",), lambda p: (models.nonmarkov_dq(p),))),
+    "fluorescence": _lindblad_backed((("dq",), lambda p: (models.fluorescence_dq(p)[0],))),
+    "two-qubit": _lindblad_backed(
+        (("dq", "concurrence"), lambda p: (models.twoqubit_dq(p), models.twoqubit_concurrence(p)))),
+    "oscillator": Kind(
+        qt=_values(lambda p, rho0, times: models.oscillator_q_numeric(p, rho0, times)),
+        lines=_oscillator_lines,
+        # the ground state |0>, real, so time reversal is moot: the top
+        # eigenprojector of the oscillator's thermal ladder
+        optimal=lambda p: QuantumState.pure(qcore.ket(p.dim, 0)),
+        sweep=(("dq",), lambda p: (models.oscillator_dqr(p),))),
+    "lindblad": _lindblad_backed(model_of=lambda model: model),
+    "microscopic": Kind(
+        dim=lambda model: model.dim_s,
+        qt=_values(lambda model, rho0, times: [
+            microscopic.quantumness_via_dual(model, rho0, t) for t in times])),
+    "collisional": Kind(
+        qt=lambda model, rho0, times, cfg: stochastic.collisional_q(
+            model, rho0, times, mode=cfg.mode, n_paths=cfg.n_paths or 1000, seed=cfg.seed),
+        seeded=("monte-carlo",)),
+    "stochastic": Kind(
+        dim=lambda obj: obj[1].shape[0],
+        qt=lambda obj, rho0, times, cfg: stochastic.stochastic_q(
+            *obj, rho0, times, cfg.n_paths or 200, cfg.seed)[0],
+        seeded=("series", "monte-carlo")),
+}

@@ -15,7 +15,7 @@ available through ``variant="printed"`` switches for diagnostics:
   the one-excitation rate, not twice it.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -578,7 +578,11 @@ BUILTIN_PARAMS = {
 
 
 def builtin_params(name, mapping):
-    """Instantiate a builtin parameter set from a {field: value} mapping."""
+    """Instantiate a builtin parameter set from a {field: value} mapping.
+
+    An unknown parameter raises ValueError; a missing required one
+    raises KeyError with its name.
+    """
     if name not in BUILTIN_PARAMS:
         raise ValueError(f"unknown builtin model {name!r}")
     cls = BUILTIN_PARAMS[name]
@@ -586,4 +590,7 @@ def builtin_params(name, mapping):
     unknown = set(mapping) - allowed
     if unknown:
         raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in mapping:
+            raise KeyError(f.name)
     return cls(**mapping)

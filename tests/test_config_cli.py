@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import envq
-from envq import cli, config, models, qcore, quantumness
+from envq import cli, config, microscopic, models, qcore, quantumness, stochastic
 
 THERMAL_CFG = """
 [model]
@@ -471,6 +472,94 @@ def test_deterministic_collisional_modes_write_the_same_csv(tmp_path):
     assert outs["series"].read_bytes() == outs["monte-carlo"].read_bytes()
 
 
+def _model_section(text):
+    start = text.index("[model]")
+    return text[start:text.index("\n[", start) + 1]
+
+
+BLOCK_MODELS = {
+    "lindblad": _model_section(LINDBLAD_CFG),
+    "microscopic": _model_section(MICRO_CFG),
+    "collisional": _model_section(COLLISIONAL_CFG.format(rate="1.0", n_paths="16")),
+    "stochastic": _model_section(STOCHASTIC_CFG),
+}
+BLOCK_RUN = "\n[times]\nt_max = 1.0\nsteps = 5\n\n[run]\nseed = 5\nn_paths = 16\n"
+
+
+@pytest.mark.parametrize("block, dq_code, optimal_code", [
+    ("lindblad", 0, 0),
+    ("microscopic", 3, 2),
+    ("collisional", 3, 2),
+    ("stochastic", 3, 2),
+])
+def test_block_refusals(tmp_path, block, dq_code, optimal_code):
+    # dq and kind = optimal need a degree report; sweep needs closed-form columns
+    model = BLOCK_MODELS[block]
+    optimal = write(tmp_path, model + BLOCK_RUN, "optimal.cfg")
+    mixed = write(tmp_path, model + "\n[initial_state]\nkind = maximally-mixed\n" + BLOCK_RUN
+                  + "\n[sweep]\nparam = gamma\nvalues = 1.0\n", "mixed.cfg")
+    out = str(tmp_path / "out")
+    assert cli.run(["dq", "--config", mixed, "--out", out]) == dq_code
+    assert cli.run(["qt", "--config", optimal, "--out", out]) == optimal_code
+    assert cli.run(["qt", "--config", mixed, "--out", out]) == 0
+    assert cli.run(["sweep", "--config", mixed, "--out", out]) == 2
+
+
+@pytest.mark.parametrize("block, key", [
+    ("lindblad", "rate = 1 1 0.3+0i"),  # a typo for rates: unit rates ran instead
+    ("lindblad", "jump_3 = 2 2 0+0i 1+0i 0+0i 0+0i"),  # no jump_2, so the list stops at jump_1
+    ("microscopic", "h_int = 2 2 0+0i 0+0i 0+0i 0+0i"),
+    ("collisional", "kraus_3 = 2 2 0+0i 1+0i 0+0i 0+0i"),  # used to read as "not a channel"
+    ("stochastic", "correlation = 0.5"),
+])
+def test_unread_block_keys_are_model_errors(tmp_path, capsys, block, key):
+    text = BLOCK_MODELS[block] + key + "\n\n[initial_state]\nkind = maximally-mixed\n" + BLOCK_RUN
+    out = tmp_path / "out.csv"
+    assert cli.run(["qt", "--config", write(tmp_path, text), "--out", str(out)]) == 3
+    name = key.split(" = ")[0]
+    assert f"unknown parameters for {block}: ['{name}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(models.BUILTIN_PARAMS))
+def test_missing_builtin_parameter_is_a_parse_error(tmp_path, capsys, kind):
+    # used to escape cli.run as a TypeError from the parameter class
+    assert cli.run(["dq", "--config", write(tmp_path, f"[model]\ntype = {kind}\n")]) == 2
+    assert f"missing {kind} key 'gamma'" in capsys.readouterr().err
+
+
+# one config per model type, and the function its qt route calls
+QT_ROUTES = {
+    "thermal-tls": (THERMAL_CFG, quantumness, "q_series"),
+    "nonmarkov-decay": ("[model]\ntype = nonmarkov-decay\ngamma = 1.0\n", models, "nonmarkov_q"),
+    "fluorescence": ("[model]\ntype = fluorescence\ngamma = 1.0\nomega = 1.0\n", quantumness,
+                     "q_series"),
+    "two-qubit": ("[model]\ntype = two-qubit\ngamma = 1.0\nomega = 1.0\n", quantumness, "q_series"),
+    "oscillator": (OSCILLATOR_CFG + "n_max = 40\n\n[times]\nt_max = 1.0\nsteps = 3\n", models,
+                   "oscillator_q_numeric"),
+    "lindblad": (LINDBLAD_CFG, quantumness, "q_series"),
+    "microscopic": (MICRO_CFG, microscopic, "quantumness_via_dual"),
+    "collisional": (COLLISIONAL_CFG.format(rate="1.0", n_paths="16") + "\n[initial_state]\n"
+                    "kind = maximally-mixed\n", stochastic, "collisional_q"),
+    "stochastic": (STOCHASTIC_CFG + "\n[run]\nseed = 5\nn_paths = 16\n", stochastic, "stochastic_q"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(config.KINDS))
+def test_qt_routes_look_up_their_function_when_called(tmp_path, monkeypatch, kind):
+    # a function swapped on its module, as a tracer or a patch does, is the one that runs
+    text, module, name = QT_ROUTES[kind]
+    original, calls = getattr(module, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    assert cli.run(["qt", "--config", write(tmp_path, text), "--out", str(tmp_path / "q.csv")]) == 0
+    assert calls
+
+
 def test_verify_subcommand(tmp_path):
     out_dir = tmp_path / "artifacts"
     assert cli.run(["verify", "--fast", "--out", str(out_dir)]) == 0
@@ -499,10 +588,12 @@ def test_cli_optimal_state_reaches_max(tmp_path):
     ("nonmarkov-decay", "gamma = 1.0\ntau_c = 2.0"),
     # the two qubit branches tie here; roundoff used to report q_infinity = 1 - dq
     ("fluorescence", "gamma = 0.3\nomega = 3.8888888888888893"),
+    ("lindblad", "h_bar = 2 2 0.3+0i 0.5+0i 0.5+0i -0.3+0i\njump_1 = 2 2 0+0i 0+0i 1+0i 0+0i\n"
+                 "rates = 1 1 1+0i"),
 ])
 def test_qt_from_optimal_reaches_the_reported_q_infinity(tmp_path, kind, params):
     # dq prints q_infinity = 1 + dq and kind = optimal starts qt from the state that reaches it
-    t_max = 60.0 / float(dict(line.split(" = ") for line in params.split("\n"))["gamma"])
+    t_max = 60.0 / float(dict(line.split(" = ") for line in params.split("\n")).get("gamma", 1.0))
     cfg = write(tmp_path, f"[model]\ntype = {kind}\n{params}\n\n[times]\nt_max = {t_max}\nsteps = 4\n")
     report, csv = tmp_path / "dq.txt", tmp_path / "qt.csv"
     assert cli.run(["dq", "--config", cfg, "--out", str(report)]) == 0
@@ -547,6 +638,17 @@ def test_readme_config_grammar_runs(tmp_path):
         out = tmp_path / f"{command}.out"
         assert cli.run([command, "--config", path, "--out", str(out)]) == 0
         assert out.read_text()
+
+
+def test_readme_lists_every_model_type():
+    # the builtin list, the block bullets and the support table name exactly the KINDS types
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    builtin = readme[readme.index("# builtin:") + len("# builtin:"):].split("\n", 1)[0]
+    blocks = re.findall(r"^\* `type = ([\w-]+)`", readme, re.MULTILINE)
+    table = re.findall(r"^\| `([\w-]+)` \|", readme, re.MULTILINE)
+    assert {name.strip() for name in builtin.split("|")} | set(blocks) == set(config.KINDS)
+    assert sorted(table) == sorted(config.KINDS)
 
 
 def test_readme_quick_tour_runs():
