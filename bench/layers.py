@@ -1,9 +1,10 @@
-"""Layer ladders: the Lindblad kernel, and the Monte Carlo engine of envq.stochastic.
+"""Layer ladders: the Lindblad kernel, the Monte Carlo engine and the renewal solves of envq.
 
 Usage, from the repository root:
 
     python bench/layers.py                      # Lindblad ladder, writes BENCH_lindblad.json
     python bench/layers.py --topic stochastic   # Monte Carlo ladder, writes BENCH_stochastic.json
+    python bench/layers.py --topic renewal      # Volterra/renewal ladder, writes BENCH_renewal.json
     python bench/layers.py --smoke              # d <= 4, one repeat, JSON to stdout only
     python bench/layers.py --src OTHER/src --out other.json   # time another checkout
 
@@ -29,6 +30,16 @@ per path:
 * ``collisional_chain``: the collision chain of a random two-Kraus channel
   at 13 times on [0, 3], exponential (rate 1) and gamma (shape 2, rate 2)
   waiting, at d = 2, 4 and 12.
+
+The ``renewal`` topic times the two product-trapezoid Volterra solves, both
+on ``qcore.blocked_volterra``, at t_max = 3 and 6:
+
+* ``volterra_solve``: the memory-kernel amplitude of the Lorentzian kernel
+  with tau_c = 0.45 (gamma = 1) at the step tau_c / 100 that
+  ``models.memory_c`` uses, Richardson pair included;
+* ``series_chain``: the renewal series of the collision chain of a random
+  two-Kraus channel at 13 times, exponential (rate 1) and gamma (shape 2,
+  rate 2) waiting at the default step, at d = 2 and 4.
 
 Every layer reports the minimum and the median over ``REPEATS`` runs
 (one in smoke mode) after one untimed warm-up, in milliseconds.  BLAS is
@@ -59,6 +70,9 @@ STOCHASTIC_DIMS = (2, 4, 12)
 SEED = 77
 NOISE_T_MAX, NOISE_DT, NOISE_TAU = 2.0, 0.02, 0.5
 CHAIN_T_MAX = 3.0
+RENEWAL_DIMS = (2, 4)
+RENEWAL_T_MAX = (3.0, 6.0)
+RENEWAL_TAU_C = 0.45
 
 
 def grids():
@@ -196,9 +210,41 @@ def stochastic_ladder(dims, repeats):
     return rows
 
 
+def renewal_ladder(dims, repeats):
+    import numpy as np
+    from envq import models, stochastic
+
+    rows = []
+
+    def add(layer, model, d, t_max, fn):
+        row = {"layer": layer, "model": model, "dim": d, "t_max": t_max, **timed(fn, repeats)}
+        rows.append(row)
+        print(f"{layer:15s} {model:11s} d={str(d):4s} t_max={t_max:3.0f} "
+              f"min {row['min_ms']:9.3f} ms  median {row['median_ms']:9.3f} ms",
+              file=sys.stderr, flush=True)
+
+    kernel = models.NonMarkovParams(1.0, RENEWAL_TAU_C).kernel_function()
+    for t_max in RENEWAL_T_MAX:
+        add("volterra_solve", "lorentzian", None, t_max,
+            lambda t_max=t_max: models.volterra_solve(kernel, t_max, RENEWAL_TAU_C / 100.0))
+    waits = {"exponential": stochastic.WaitingTime("exponential", rate=1.0),
+             "gamma": stochastic.WaitingTime("gamma", rate=2.0, shape=2.0)}
+    for d in dims:
+        rng = np.random.default_rng(300 + d)
+        iso = np.linalg.qr(rng.normal(size=(2 * d, d)) + 1j * rng.normal(size=(2 * d, d)))[0]
+        h, x0 = random_hermitian(rng, d), np.eye(d, dtype=complex)
+        for name, waiting in waits.items():
+            model = stochastic.CollisionalModel(h, [iso[:d], iso[d:]], waiting)
+            for t_max in RENEWAL_T_MAX:
+                times = np.linspace(0.0, t_max, 13)
+                add("series_chain", name, d, t_max,
+                    lambda model=model, times=times: stochastic._series_chain(model, x0, times))
+    return rows
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--topic", choices=("lindblad", "stochastic"), default="lindblad")
+    parser.add_argument("--topic", choices=("lindblad", "stochastic", "renewal"), default="lindblad")
     parser.add_argument("--smoke", action="store_true",
                         help="d <= 4, no oscillator, one repeat; print the JSON instead of writing it")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
@@ -211,8 +257,10 @@ def main(argv=None):
     repeats = 1 if args.smoke else REPEATS
     if args.topic == "lindblad":
         rows = ladder(SMOKE_DIMS if args.smoke else DIMS, repeats, oscillator=not args.smoke)
-    else:
+    elif args.topic == "stochastic":
         rows = stochastic_ladder(SMOKE_DIMS if args.smoke else STOCHASTIC_DIMS, repeats)
+    else:
+        rows = renewal_ladder(RENEWAL_DIMS, repeats)
     record = {
         "topic": args.topic,
         "python": platform.python_version(),

@@ -13,6 +13,9 @@ available through ``variant="printed"`` switches for diagnostics:
   the sign of the population term must match the Laplace-domain form;
 * the coupled-qubit-pair series, where the oscillatory term decays with
   the one-excitation rate, not twice it.
+
+A tabulated memory kernel runs through ``volterra_solve``, one call of
+``qcore.blocked_volterra``, the solver of the renewal series too.
 """
 
 from dataclasses import MISSING, dataclass, fields
@@ -124,6 +127,11 @@ class NonMarkovParams:
             raise ValueError("single-mode kernel needs a coupling")
         if self.kernel == "tabulated" and self.kernel_func is None:
             raise ValueError("tabulated kernel needs kernel_func")
+        # a field the kernel does not read would be silently ignored
+        if self.coupling is not None and self.kernel != "single-mode":
+            raise ValueError(f"coupling applies to the single-mode kernel only, not {self.kernel}")
+        if self.kernel_func is not None and self.kernel != "tabulated":
+            raise ValueError(f"kernel_func applies to the tabulated kernel only, not {self.kernel}")
 
     def kernel_function(self):
         if self.kernel == "lorentzian":
@@ -161,27 +169,24 @@ def memory_c(p, t):
 def volterra_solve(kernel, t_max, step):
     """Product-trapezoidal solution of the memory-kernel equation.
 
-    Returns (grid, c) on a uniform grid of spacing ``step``.  The solver
-    runs at step and step/2 and Richardson-extrapolates, which upgrades
-    the trapezoidal order by two.
+    Returns (grid, c) on a uniform grid of spacing ``step``, from the
+    product-trapezoid rule at step and step/2, Richardson-extrapolated,
+    which upgrades the trapezoidal order by two.  Summed over the steps,
+    the rule for c and dc/dt = -int f c is c_k = r_k/lead - (h^2/lead)
+    sum_{j=1}^{k-1} g_{k-j} c_j, with lead = 1 + h^2 f_0/4, g_l = f_0/2 +
+    S_l + f_l/2, r_k = 1 - h^2 (S_k/2 + f_k/4) and S_l = sum_{m=1}^{l-1}
+    f_m: one ``qcore.blocked_volterra`` call.  S is summed in extended
+    precision; in float64 it carried up to 8e-14 of roundoff into c.
     """
     def run(h, n):
         ts = h * np.arange(n + 1)
-        f = np.asarray(kernel(ts), dtype=complex)
-        rev = np.ascontiguousarray(f[::-1])  # rev[n - i] = f[i]
-        c = np.empty(n + 1, dtype=complex)
-        c[0] = 1.0
-        # c_k and dc_k carried as Python scalars: numpy scalar arithmetic costs more
-        ck, dck, f0 = 1.0 + 0j, 0j, complex(f[0])
-        # numpy divides by a complex scalar through its reciprocal: so does this
-        scale = 1.0 / (1.0 + h * h * f0 / 4.0)
-        for k, fk in enumerate(f[1:].tolist(), start=1):
-            # sum_{j=1}^{k-1} f[k - j] c[j], then the trapezoid end term at j = 0
-            s = -h * (0.5 * fk + complex(np.dot(rev[n - k + 1:n], c[1:k])))
-            ck = (ck + 0.5 * h * (dck + s)) * scale
-            dck = s - 0.5 * h * f0 * ck
-            c[k] = ck
-        return ts, c
+        f = np.asarray(kernel(ts), dtype=complex).astype(np.clongdouble)
+        below = np.concatenate([[0, 0], np.cumsum(f[1:-1])])  # S_l at l = 0..n
+        lead = 1.0 + h * h * complex(f[0]) / 4.0
+        g = (f[0] / 2 + below + f / 2).astype(complex)
+        r = ((1 - h * h * (below / 2 + f / 4)) / lead).astype(complex)
+        r[0] = 1.0
+        return ts, qcore.blocked_volterra(r[None], g[None], np.array([[-h * h / lead]]))[0]
 
     n = max(1, int(round(t_max / step)))
     ts, coarse = run(step, n)

@@ -18,6 +18,7 @@ import scipy.linalg
 VALID_TOL = 1e-10   # hermiticity / trace / positivity of states
 RECON_TOL = 1e-9    # eigendecomposition reconstruction residual
 BOUND_TOL = 1e-8    # slack of the [0, dim] bound on computed Q values
+VOLTERRA_BLOCK = 64  # blocked_volterra: steps per block times components, the in-block width
 
 
 class BoundViolationError(RuntimeError):
@@ -262,6 +263,50 @@ def concurrence(rho):
     evals = np.linalg.eigvalsh(0.5 * (r + r.conj().T))
     mu = np.sqrt(np.clip(np.sort(evals)[::-1], 0.0, None))
     return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
+
+
+def blocked_volterra(r, c, a):
+    """x_k = r_k + a sum_{j=1}^{k-1} c_{k-j} * x_j for k >= 1, with x_0 = r_0.
+
+    The product-trapezoid Volterra solve of the package: the renewal
+    chain of envq.stochastic and the memory-kernel amplitude of
+    envq.models both reduce to it.  ``r`` and ``c`` are (m, n + 1)
+    arrays of m components over the grid nodes 0..n, ``*`` multiplies
+    componentwise and ``a`` is (m, m).  The nodes 1..n are solved in
+    blocks of B = VOLTERRA_BLOCK // m steps (at least one).  The history
+    from earlier blocks is one ``np.convolve`` per component.  Inside a
+    block the unknowns solve a unit lower-triangular system whose
+    inverse, a (B m)^2 matrix, is the same for every block because the
+    kernel depends only on k - j.  The last block is padded with nodes
+    past n, which no node up to n reads.
+    """
+    m, n1 = r.shape
+    nb = max(1, min(VOLTERRA_BLOCK // m, n1 - 1))
+    blocks = -(-(n1 - 1) // nb)
+    pad = 1 + blocks * nb - n1
+    r, c = (np.concatenate([y, np.zeros((m, pad), y.dtype)], axis=1) for y in (r, c))
+    width = nb * m
+    lag = np.subtract.outer(np.arange(nb), np.arange(nb))
+    # step-major (row p * m + i) the block system is I - a diag(c_{p-q}) at p > q
+    coef = np.where(lag > 0, c[:, np.maximum(lag, 0)], 0.0)
+    unit = np.eye(width) - np.einsum("ij,jpq->piqj", a, coef).reshape(width, width)
+    trtri = scipy.linalg.lapack.get_lapack_funcs("trtri", (unit,))
+    op, info = trtri(unit, lower=1, unitdiag=1)
+    if info:
+        raise RuntimeError(f"in-block Volterra operator: trtri returned info {info}")
+    # component-major (row i * nb + p) from here on, to match the rows of x
+    op = op.reshape(nb, m, nb, m).transpose(1, 0, 3, 2).reshape(width, width)
+    op_a = np.einsum("xiq,ij->xjq", op.reshape(width, m, nb), a).reshape(width, width)
+    x = np.empty_like(r, dtype=np.result_type(r, c, a))
+    x[:, 0] = r[:, 0]
+    # the r part of every block at once; the history adds op_a applied to its sums
+    x[:, 1:] = (r[:, 1:].reshape(m, blocks, nb).transpose(1, 0, 2).reshape(blocks, width)
+                @ op.T).reshape(blocks, m, nb).transpose(1, 0, 2).reshape(m, -1)
+    for k0 in range(1 + nb, n1, nb):
+        hist = np.array([np.convolve(x[i, 1:k0], c[i, 1:k0 + nb - 1], "valid")
+                         for i in range(m)])
+        x[:, k0:k0 + nb] += (op_a @ hist.ravel()).reshape(m, nb)
+    return x[:, :n1]
 
 
 # ---------------------------------------------------------------------------

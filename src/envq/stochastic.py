@@ -52,16 +52,17 @@ one product-trapezoid forward substitution on a uniform grid, which
 sums every collision count at once, so there is no truncated tail to
 bound.  Its survival weight is the discrete partner of that density, so
 the chain conserves the trace to roundoff.  The solve runs in the
-eigenbasis of the free Hamiltonian, where the free map is diagonal, in
-blocks of grid steps: np.convolve sums the history of earlier blocks,
-and one precomputed triangular operator solves inside a block.
+eigenbasis of the free Hamiltonian, where the free map is diagonal,
+through qcore.blocked_volterra, the package's one Volterra solver (the
+memory-kernel amplitude of envq.models runs on it too): np.convolve
+sums the history of earlier blocks of grid steps, and one precomputed
+triangular operator solves inside a block.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from . import qcore, quantumness
@@ -72,7 +73,6 @@ from .qcore import (
 NOISE_FAMILIES = ("gaussian-white", "ornstein-uhlenbeck", "telegraph")
 WAITING_FAMILIES = ("exponential", "gamma", "deterministic")
 PATH_BLOCK = 128  # paths whose segment stacks are held in memory at once
-SERIES_BLOCK = 64  # renewal solve: grid steps per block times d^2, the in-block operator width
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq design, stable under NEP 19)
@@ -345,7 +345,7 @@ def _noise_snapshots(process, h0, x0, times, n_paths, seed, dt):
     if process.coupling.shape != h0.shape:
         raise ValueError(f"noise coupling dimension {process.coupling.shape[0]} != "
                          f"base Hamiltonian dimension {h0.shape[0]}")
-    times = np.asarray(times, dtype=float)
+    times = qcore.time_grid(times)
     dt = _default_dt(process, times) if dt is None else dt
     for u in _path_unitaries(process, h0, times, n_paths, seed, dt):
         # u x0 as one GEMM over the stacked rows: a broadcast matmul loops
@@ -464,15 +464,6 @@ class WaitingTime:
             return np.where(x < 0.0, 0.0, np.exp(log_pdf) / scale)
         raise ValueError("deterministic waiting has no density")
 
-    def survival(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.family == "exponential":
-            return np.exp(-self.rate * t)
-        if self.family == "gamma":
-            x = t / (1.0 / self.rate)   # as in pdf: scipy.stats.gamma's x = t / scale
-            return np.where(x < 0.0, 1.0, scipy.special.gammaincc(self.shape, x))
-        return (t < self.period).astype(float)
-
 
 # ---------------------------------------------------------------------------
 # collisional models
@@ -519,47 +510,6 @@ def _superbasis(vecs):
     return (vecs.conj()[:, None, :, None] * vecs[None, :, None, :]).reshape(d * d, d * d)
 
 
-def _blocked_volterra(r, c, a):
-    """x_k = r_k + a sum_{j=1}^{k-1} c_{k-j} * x_j for k >= 1, with x_0 = r_0.
-
-    ``r`` and ``c`` are (m, n + 1) arrays of m components over the grid
-    nodes 0..n, ``*`` multiplies componentwise and ``a`` is (m, m).  The
-    nodes 1..n are solved in blocks of B = SERIES_BLOCK // m steps (at
-    least one).  The history from earlier blocks is one ``np.convolve``
-    per component.  Inside a block the unknowns solve a unit
-    lower-triangular system whose inverse, a (B m)^2 matrix, is the same
-    for every block because the kernel depends only on k - j.  The last
-    block is padded with nodes past n, which no node up to n reads.
-    """
-    m, n1 = r.shape
-    nb = max(1, min(SERIES_BLOCK // m, n1 - 1))
-    blocks = -(-(n1 - 1) // nb)
-    pad = 1 + blocks * nb - n1
-    r, c = (np.concatenate([y, np.zeros((m, pad), y.dtype)], axis=1) for y in (r, c))
-    width = nb * m
-    lag = np.subtract.outer(np.arange(nb), np.arange(nb))
-    # step-major (row p * m + i) the block system is I - a diag(c_{p-q}) at p > q
-    coef = np.where(lag > 0, c[:, np.maximum(lag, 0)], 0.0)
-    unit = np.eye(width) - np.einsum("ij,jpq->piqj", a, coef).reshape(width, width)
-    trtri = scipy.linalg.lapack.get_lapack_funcs("trtri", (unit,))
-    op, info = trtri(unit, lower=1, unitdiag=1)
-    if info:
-        raise RuntimeError(f"in-block renewal operator: trtri returned info {info}")
-    # component-major (row i * nb + p) from here on, to match the rows of x
-    op = op.reshape(nb, m, nb, m).transpose(1, 0, 3, 2).reshape(width, width)
-    op_a = np.einsum("xiq,ij->xjq", op.reshape(width, m, nb), a).reshape(width, width)
-    x = np.empty_like(r, dtype=np.result_type(r, c, a))
-    x[:, 0] = r[:, 0]
-    # the r part of every block at once; the history adds op_a applied to its sums
-    x[:, 1:] = (r[:, 1:].reshape(m, blocks, nb).transpose(1, 0, 2).reshape(blocks, width)
-                @ op.T).reshape(blocks, m, nb).transpose(1, 0, 2).reshape(m, -1)
-    for k0 in range(1 + nb, n1, nb):
-        hist = np.array([np.convolve(x[i, 1:k0], c[i, 1:k0 + nb - 1], "valid")
-                         for i in range(m)])
-        x[:, k0:k0 + nb] += (op_a @ hist.ravel()).reshape(m, nb)
-    return x[:, :n1]
-
-
 def _series_chain(model, x0, times, step=None):
     """Deterministic renewal average of the collision chain applied to x0.
 
@@ -584,7 +534,7 @@ def _series_chain(model, x0, times, step=None):
     P diag(ph_k) P^dag, where ph_k = kron(conj lam_k, lam_k) and
     lam_k = exp(-i e t_k).  The kernel is then P^dag E P diag(w_k ph_k),
     and each history term is a componentwise product of d^2 numbers.
-    ``_blocked_volterra`` solves the density in blocks of grid steps, and
+    ``qcore.blocked_volterra`` solves the density in blocks of grid steps, and
     with d^2 = 1 the two scalar weights.  The output is read only through
     linear interpolation at ``times``, so it is convolved only at the grid
     nodes that bracket them, and mapped back with P there.
@@ -606,13 +556,13 @@ def _series_chain(model, x0, times, step=None):
     lead = 1.0 - 0.5 * step * wk[0]
     r = wk * (1.0 + 0.5 * step * wk[0]) / lead
     r[0] = wk[0]
-    beta = _blocked_volterra(r[None], wk[None], np.array([[step / lead]]))[0]
+    beta = qcore.blocked_volterra(r[None], wk[None], np.array([[step / lead]]))[0]
     # s_k = r_k - h/(1 + h beta_0/2) sum_{j=1}^{k-1} beta_{k-j} s_j, s_0 = 1; solving
     # the defining equation, rather than a closed form, keeps its residual at roundoff
     lead = 1.0 + 0.5 * step * beta[0]
     r = (1.0 - 0.5 * step * beta) / lead
     r[0] = 1.0
-    surv = _blocked_volterra(r[None], beta[None], np.array([[-step / lead]]))[0]
+    surv = qcore.blocked_volterra(r[None], beta[None], np.array([[-step / lead]]))[0]
     energies, vecs = model._eig
     p = _superbasis(vecs)
     lam = np.exp(-1j * np.outer(energies, grid))
@@ -627,7 +577,7 @@ def _series_chain(model, x0, times, step=None):
     # trapezoid over j with the unknown j = k endpoint moved left
     r = inv_e @ (c * (v0 + 0.5 * step * b0)[:, None])
     r[:, 0] = b0
-    b = _blocked_volterra(r, c, step * inv_e)
+    b = qcore.blocked_volterra(r, c, step * inv_e)
     # np.interp reads a time's value from the node at or below it and the next
     below = np.searchsorted(grid, times, side="right") - 1
     nodes = np.unique(np.concatenate([below, np.minimum(below + 1, n_grid)]))

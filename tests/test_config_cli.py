@@ -528,6 +528,14 @@ def test_missing_builtin_parameter_is_a_parse_error(tmp_path, capsys, kind):
     assert f"missing {kind} key 'gamma'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, kernel", [("coupling", "single-mode"), ("kernel_func", "tabulated")])
+def test_nonmarkov_kernel_field_it_cannot_use_is_a_model_error(tmp_path, capsys, key, kernel):
+    # coupling = 1.0 used to run the Lorentzian kernel and print dq = 1 with exit 0
+    text = f"[model]\ntype = nonmarkov-decay\ngamma = 1.0\n{key} = 1.0\n"
+    assert cli.run(["dq", "--config", write(tmp_path, text)]) == 3
+    assert f"{key} applies to the {kernel} kernel only, not lorentzian" in capsys.readouterr().err
+
+
 # one config per model type, and the function its qt route calls
 QT_ROUTES = {
     "thermal-tls": (THERMAL_CFG, quantumness, "q_series"),

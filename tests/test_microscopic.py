@@ -188,6 +188,29 @@ def test_ensemble_reduction_uniform_weights():
     assert abs(sum(weights) - 1.0) < 1e-12
 
 
+def test_ensemble_reduction_refines_a_degenerate_bath():
+    # sigma0 = I/2 is degenerate and sigma_z x sigma_x is off-diagonal in its
+    # default eigenbasis; the bath-side trace of h_i vanishes, so the first
+    # contraction leaves the basis coupled and the random one decouples it
+    jm = microscopic.JointModel(0.4 * qcore.sigma_z, np.zeros((2, 2), dtype=complex),
+                                qcore.tensor_product(qcore.sigma_z, qcore.sigma_x),
+                                QuantumState.maximally_mixed(2))
+    pairs = microscopic.hamiltonian_ensemble_reduction(jm)
+    assert np.allclose([w for w, _ in pairs], 0.5, rtol=0.0, atol=1e-12)
+    # conditional Hamiltonians 0.4 sigma_z +- sigma_z, one per sigma_x eigenvector
+    shifts = sorted(float(hk[0, 0].real) - 0.4 for _, hk in pairs)
+    assert np.allclose(shifts, [-1.0, 1.0], rtol=0.0, atol=1e-12)
+    rho0 = qcore.random_state(2, np.random.default_rng(5))
+    for t in (0.5, 1.9):
+        recon = sum(
+            w * (qcore.matrix_exponential(-1j * hk * t) @ rho0.matrix
+                 @ qcore.matrix_exponential(1j * hk * t))
+            for w, hk in pairs
+        )
+        assert np.abs(recon - microscopic.reduced_state(jm, rho0, t).matrix).max() < 1e-10
+        assert abs(microscopic.quantumness_direct(jm, rho0, t) - 1.0) < 1e-10
+
+
 def test_ensemble_reduction_reconstructs_dynamics():
     rng = np.random.default_rng(12)
     jm = microscopic.random_joint_model(2, 4, rng, commuting=True)

@@ -74,27 +74,29 @@ def test_volterra_against_closed_form():
 
 
 def reference_volterra_solve(kernel, t_max, step):
-    """The memory-kernel recursion on numpy arrays, one strided dot per step."""
+    """The memory-kernel recursion on numpy arrays, one strided dot per step,
+    in extended precision, so its own roundoff sits far below the 1e-14 pin."""
     def run(h, n):
         ts = h * np.arange(n + 1)
-        f = np.asarray(kernel(ts), dtype=complex)
-        c = np.empty(n + 1, dtype=complex)
-        dc = np.empty(n + 1, dtype=complex)
-        c[0], dc[0] = 1.0, 0.0
-        denom = 1.0 + h * h * f[0] / 4.0
+        f = np.asarray(kernel(ts), dtype=complex).astype(np.clongdouble)
+        h = np.longdouble(h)
+        c = np.empty(n + 1, dtype=np.clongdouble)
+        dc = np.empty(n + 1, dtype=np.clongdouble)
+        c[0], dc[0] = 1, 0
+        denom = 1 + h * h * f[0] / 4
         for k in range(1, n + 1):
-            s = 0.5 * f[k] * c[0]
+            s = f[k] * c[0] / 2
             if k > 1:
                 s += np.dot(f[k - 1:0:-1], c[1:k])
             s *= -h
-            c[k] = (c[k - 1] + 0.5 * h * (dc[k - 1] + s)) / denom
-            dc[k] = s - 0.5 * h * f[0] * c[k]
+            c[k] = (c[k - 1] + h / 2 * (dc[k - 1] + s)) / denom
+            dc[k] = s - h / 2 * f[0] * c[k]
         return ts, c
 
     n = max(1, int(round(t_max / step)))
     ts, coarse = run(step, n)
     _, fine = run(step / 2.0, 2 * n)
-    return ts, (4.0 * fine[::2] - coarse) / 3.0
+    return ts, (4 * fine[::2] - coarse) / 3
 
 
 @pytest.mark.parametrize("params, t_max", [
@@ -141,6 +143,18 @@ def test_nonmarkov_q():
     turning = np.sum(np.diff(np.sign(np.diff(q))) != 0)
     assert turning >= 2
     assert q.min() >= -1e-12 and q.max() <= 2.0 + 1e-12
+
+
+def test_nonmarkov_rejects_kernel_fields_it_cannot_use():
+    kernel = models.NonMarkovParams(1.0, 1.5).kernel_function()
+    with pytest.raises(ValueError, match="coupling applies to the single-mode kernel only"):
+        models.NonMarkovParams(1.0, coupling=1.0)
+    with pytest.raises(ValueError, match="coupling applies to the single-mode kernel only"):
+        models.NonMarkovParams(1.0, kernel="tabulated", kernel_func=kernel, coupling=1.0)
+    with pytest.raises(ValueError, match="kernel_func applies to the tabulated kernel only"):
+        models.NonMarkovParams(1.0, kernel_func=kernel)
+    with pytest.raises(ValueError, match="kernel_func applies to the tabulated kernel only"):
+        models.NonMarkovParams(1.0, kernel="single-mode", coupling=0.9, kernel_func=kernel)
 
 
 def test_nonmarkov_matches_microscopic_single_mode():

@@ -348,6 +348,21 @@ def test_rho0_of_another_dimension_is_rejected(route):
         run()
 
 
+@pytest.mark.parametrize("times, message", [
+    ([0.0, -1.0], "times must be finite and non-negative, got -1.0"),
+    ([0.5, 0.2], "times must be ascending: 0.2 follows 0.5"),
+    ([0.0, np.nan], "times must be finite and non-negative, got nan"),
+    ([[0.0, 0.5]], r"times must be a 1d sequence, got shape \(1, 2\)"),
+], ids=["negative", "descending", "nan", "2d"])
+@pytest.mark.parametrize("route", [stochastic.stochastic_q, stochastic.stochastic_average_state])
+def test_noise_routes_validate_the_time_grid(route, times, message):
+    # stochastic_q at t = -1 used to return a value and a descending grid ran;
+    # NaN failed converting to an integer and a 2-d grid inside a broadcast
+    process = stochastic.NoiseProcess("ornstein-uhlenbeck", 0.5, 0.4, qcore.sigma_x)
+    with pytest.raises(ValueError, match=message):
+        route(process, qcore.sigma_z, QuantumState.maximally_mixed(2), times, 4, seed=1)
+
+
 @pytest.mark.parametrize("route", [stochastic.stochastic_q, stochastic.stochastic_average_state])
 def test_noise_coupling_of_another_dimension_is_rejected(route):
     # a 4x4 coupling on a 2x2 base Hamiltonian used to give Q = 1 from its 2x2 corner
@@ -364,20 +379,16 @@ def test_waiting_time_statistics():
     rng = np.random.default_rng(1)
     exp = stochastic.WaitingTime("exponential", rate=2.0)
     assert exp.mean() == pytest.approx(0.5)
-    assert exp.survival(0.7) == pytest.approx(np.exp(-1.4))
     gam = stochastic.WaitingTime("gamma", rate=2.0, shape=3.0)
     assert gam.mean() == pytest.approx(1.5)
-    # closed forms: t^2 e^{-2t} 2^3 / 2! and the regularized upper gamma
+    # closed form: t^2 e^{-2t} 2^3 / 2!
     t = np.array([-1.0, 0.0, 0.3, 1.5, 7.0])
     assert np.allclose(gam.pdf(t), np.where(t < 0, 0.0, 4.0 * t ** 2 * np.exp(-2.0 * t)),
                        rtol=1e-14, atol=0.0)
-    sf = np.exp(-2.0 * t) * (1.0 + 2.0 * t + 2.0 * t ** 2)
-    assert np.allclose(gam.survival(t), np.where(t < 0, 1.0, sf), rtol=1e-14, atol=0.0)
     samples = gam.sample(rng, size=20000)
     assert abs(samples.mean() - 1.5) < 0.03
     det = stochastic.WaitingTime("deterministic", period=0.8)
     assert det.sample(rng) == 0.8
-    assert det.survival(0.5) == 1.0 and det.survival(0.9) == 0.0
     with pytest.raises(ValueError):
         stochastic.WaitingTime("gamma", rate=1.0, shape=0.5)
     with pytest.raises(ValueError, match="rate must be finite"):
@@ -875,12 +886,12 @@ def test_cached_collision_superoperator_is_shared_and_read_only():
     assert all(np.array_equal(a, b) for a, b in zip(after, fresh))
 
 
-CHAIN_BLOCK = stochastic.SERIES_BLOCK // 4  # grid steps per block of the d = 2 density solve
+CHAIN_BLOCK = qcore.VOLTERRA_BLOCK // 4  # grid steps per block of the d = 2 density solve
 
 
 @pytest.mark.parametrize("n_grid", [
     CHAIN_BLOCK // 2, CHAIN_BLOCK, CHAIN_BLOCK + 1, 3 * CHAIN_BLOCK + 5,
-    stochastic.SERIES_BLOCK + 3,
+    qcore.VOLTERRA_BLOCK + 3,
 ])
 @pytest.mark.parametrize("waiting", ["exponential", "gamma"])
 def test_series_chain_block_edges(waiting, n_grid):
