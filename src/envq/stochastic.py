@@ -24,9 +24,14 @@ exp(-i tau (h0 + x C)) is the closed form
 exp(-i tau m) [cos(tau r) I - i (sin(tau r)/r) (H - m I)], with
 H = h0 + x C, m = Tr H / 2 and r half the gap of H's eigenvalues: a few
 elementwise operations, where numpy's eigh costs about 1.3 us per 2 x 2
-matrix; from d = 3 on they come from one batched eigh.  The chain is
-multiplied one segment index at a time for all paths, and the unitaries
-at the requested times are gathered as one (paths, times, d, d) array.
+matrix; from d = 3 on they come from one batched eigh.  The chain of
+segment unitaries is a two-level scan for all paths at once: running
+products within fixed runs of SCAN_BLOCK segments, one carry per run,
+and run product times carry only where a requested time reads it, so
+the unitaries at the requested times come out as one (paths, times, d, d)
+array without the full prefix array.  At d = 2 every stacked product of
+the engine is four elementwise products (_mul_2x2), since numpy's stacked
+matmul calls zgemm once per matrix; from d = 3 on it is np.matmul.
 Every Monte Carlo route has one reducer, _ensemble_moments, which merges
 the per-block means and spreads: stochastic_average_state feeds it the
 states U rho0 U^dag, stochastic_q the path pairings Tr[rho0 U U^dag]
@@ -73,6 +78,7 @@ from .qcore import (
 NOISE_FAMILIES = ("gaussian-white", "ornstein-uhlenbeck", "telegraph")
 WAITING_FAMILIES = ("exponential", "gamma", "deterministic")
 PATH_BLOCK = 128  # paths whose segment stacks are held in memory at once
+SCAN_BLOCK = 16  # segments per run of the blocked prefix scan of a noise path
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq design, stable under NEP 19)
@@ -234,10 +240,12 @@ def _noise_paths(process, t_max, dt, seed, paths):
         elif process.family == "gaussian-white":
             yield NoisePath(durations, a * rng.standard_normal(n) / np.sqrt(durations))
         else:  # ornstein-uhlenbeck, exact discretization from stationarity
+            # the start is drawn before the kicks, so a path's first k values
+            # do not depend on t_max
+            start = a * rng.standard_normal()
             kicks = kick * rng.standard_normal(n)
             # x[k+1] = decay x[k] + kicks[k]; only the steps before the last are
             # read, and all of them last dt
-            start = a * rng.standard_normal()
             yield NoisePath(durations, lfilter([1.0], [1.0, -decay[0]],
                                                np.concatenate([[start], kicks[:-1]])))
 
@@ -298,6 +306,49 @@ def _padded(rows, fill):
     return out
 
 
+def _mul_2x2(a, b):
+    """a @ b over stacks of 2 x 2 matrices, as four elementwise products.
+
+    numpy's stacked matmul calls zgemm once per matrix: 32 us against
+    9.6 us here for 128 products on one core.  From d = 3 on matmul wins
+    (73 against 567 us at d = 12), so the engine uses this at d = 2 only.
+    """
+    return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+
+
+def _chain_prefix(full, seg, mul):
+    """full[p, s-1] ... full[p, 0] for every s = seg[p, k], as (paths, times, d, d).
+
+    A two-level scan over runs of SCAN_BLOCK segments (all n, when n is
+    smaller).  The running product within every run of every path is
+    formed in place, one vectorized product per position in a run, over
+    the strided view of that position in every run; one carry per run
+    chains the run products; and run product times carry is taken only at
+    the requested pairs.  The run length is fixed, so the chain before
+    segment s depends on segments below s only, never on how many were
+    sampled.  A product with an identity carry or run product is exact, and
+    the carry product is skipped when every requested segment lies in the
+    first run.  Overwrites ``full``.
+    """
+    paths, n, d = full.shape[:3]
+    run = min(SCAN_BLOCK, n)
+    for k in range(1, run):
+        here = full[:, k::run]
+        here[...] = mul(here, full[:, k - 1::run][:, :here.shape[1]])
+    block, pos = np.divmod(seg, run)
+    eye = np.eye(d, dtype=complex)
+    carry = np.empty((paths, int(block.max(initial=0)) + 1, d, d), dtype=complex)
+    carry[:, 0] = eye
+    for r in range(1, carry.shape[1]):
+        carry[:, r] = mul(full[:, r * run - 1], carry[:, r - 1])
+    rows = np.arange(paths)[:, None]
+    within = full[rows, seg - 1]
+    within[pos == 0] = eye
+    if carry.shape[1] == 1:  # every carry is the identity
+        return within
+    return mul(within, carry[rows, block])
+
+
 def _path_unitaries(process, h0, times, n_paths, seed, dt):
     """Path unitaries U_p(times[k]), yielded block by block as (paths, times, d, d).
 
@@ -306,8 +357,11 @@ def _path_unitaries(process, h0, times, n_paths, seed, dt):
     does not depend on the time unit; paths are padded to equal length
     with zero-length segments, which no requested time reaches.  At d = 2
     the segment unitaries are the closed form of ``_unitary_2x2``, since
-    numpy's eigh costs about 1.3 us per 2 x 2 matrix; from d = 3 on they
-    come from one batched eigh of every segment's Hamiltonian.
+    numpy's eigh costs about 1.3 us per 2 x 2 matrix, and every product is
+    ``_mul_2x2``; from d = 3 on they come from one batched eigh of every
+    segment's Hamiltonian and the products from np.matmul.  The chain
+    before each requested segment comes from the blocked scan of
+    ``_chain_prefix``, and the partial segment multiplies it last.
     """
     t_max = max(float(times.max()) if times.size else dt, dt)
     # both routes read one triangle; Hermitian inputs pass validation only to a tolerance
@@ -328,15 +382,13 @@ def _path_unitaries(process, h0, times, n_paths, seed, dt):
         if h0.shape[0] == 2:
             full = _unitary_2x2(h0, coupling, x, tau)
             partial = _unitary_2x2(h0, coupling, x[rows, seg], step)
+            mul = _mul_2x2
         else:
             w, v = np.linalg.eigh(h0 + x[..., None, None] * coupling)
             full = _spectral_unitary(w, v, tau)
             partial = _spectral_unitary(w[rows, seg], v[rows, seg], step)
-        prefix = np.empty((len(paths), tau.shape[1] + 1) + h0.shape, dtype=complex)
-        prefix[:, 0] = np.eye(h0.shape[0])
-        for j in range(tau.shape[1]):
-            prefix[:, j + 1] = full[:, j] @ prefix[:, j]
-        yield partial @ prefix[rows, seg]
+            mul = np.matmul
+        yield mul(partial, _chain_prefix(full, seg, mul))
 
 
 def _noise_snapshots(process, h0, x0, times, n_paths, seed, dt):
@@ -347,10 +399,11 @@ def _noise_snapshots(process, h0, x0, times, n_paths, seed, dt):
                          f"base Hamiltonian dimension {h0.shape[0]}")
     times = qcore.time_grid(times)
     dt = _default_dt(process, times) if dt is None else dt
+    mul = _mul_2x2 if h0.shape[0] == 2 else np.matmul  # as _path_unitaries chooses
     for u in _path_unitaries(process, h0, times, n_paths, seed, dt):
         # u x0 as one GEMM over the stacked rows: a broadcast matmul loops
         # over the stack and took about 1.7 times as long
-        yield (u.reshape(-1, x0.shape[0]) @ x0).reshape(u.shape) @ _dagger(u)
+        yield mul((u.reshape(-1, x0.shape[0]) @ x0).reshape(u.shape), _dagger(u))
 
 
 def _ensemble_moments(blocks):

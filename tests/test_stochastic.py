@@ -87,9 +87,9 @@ def reference_ou_values(process, t_max, dt, seed, path_index):
     durations = np.full(n, dt)
     durations[-1] = t_max - dt * (n - 1)
     decay = np.exp(-durations / process.correlation_time)
+    x = a * rng.standard_normal()
     z = rng.standard_normal(n)
     values = np.empty(n)
-    x = a * rng.standard_normal()
     for k in range(n):
         values[k] = x
         x = x * decay[k] + a * np.sqrt(1.0 - decay[k] ** 2) * z[k]
@@ -312,6 +312,70 @@ def test_path_engine_matches_segment_loop(family, case, monkeypatch):
     # the same seed gives the same bits
     again, _ = stochastic.stochastic_average_state(proc, h0, rho0, times, n_paths, seed, dt=dt)
     assert all(np.array_equal(a, b) for a, b in zip(states, again))
+
+
+@pytest.mark.parametrize("n_segments", [1, stochastic.SCAN_BLOCK - 1, stochastic.SCAN_BLOCK,
+                                        stochastic.SCAN_BLOCK + 1, 3 * stochastic.SCAN_BLOCK + 5])
+@pytest.mark.parametrize("case", ["non-commuting", "qutrit"])
+def test_prefix_scan_block_edges(case, n_segments):
+    proc, h0 = noise_setup("ornstein-uhlenbeck", case)
+    dt, n_paths, seed = 1.0 / 32.0, 3, 41  # t_max = n_segments dt exactly
+    t_max = n_segments * dt
+    edges = dt * stochastic.SCAN_BLOCK * np.arange(1, n_segments // stochastic.SCAN_BLOCK + 1)
+    # segment 0, each run boundary and the segment after it, and the last segment
+    times = np.unique(np.concatenate([[0.0, 0.5 * dt], edges, edges + 0.5 * dt,
+                                      [t_max - 0.5 * dt, t_max]]))
+    times = times[times <= t_max]
+    paths = [stochastic.sample_noise_path(proc, t_max, dt, seed, path_index=p)
+             for p in range(n_paths)]
+    assert all(path.durations.size == n_segments for path in paths)
+    ref = np.array([reference_path_unitaries(h0, proc.coupling, path, times) for path in paths])
+    got = next(stochastic._path_unitaries(proc, h0, times, n_paths, seed, dt))
+    assert np.abs(got - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("case", ["non-commuting", "qutrit"])
+def test_prefix_scan_over_ragged_paths(case):
+    # telegraph paths of 39 to 56 segments: the shorter ones are padded
+    # across run boundaries that the longer ones carry through
+    base, h0 = noise_setup("telegraph", case)
+    proc = stochastic.NoiseProcess("telegraph", 1.3, 0.02, base.coupling)
+    dt, t_max, n_paths, seed = 0.002, 2.0, 6, 4
+    times = np.linspace(0.0, t_max, 23)
+    paths = [stochastic.sample_noise_path(proc, t_max, dt, seed, path_index=p)
+             for p in range(n_paths)]
+    sizes = [path.durations.size for path in paths]
+    assert min(sizes) < 3 * stochastic.SCAN_BLOCK < max(sizes)
+    ref = np.array([reference_path_unitaries(h0, proc.coupling, path, times) for path in paths])
+    got = next(stochastic._path_unitaries(proc, h0, times, n_paths, seed, dt))
+    assert np.abs(got - ref).max() < 1e-12
+
+
+def test_mul_2x2_matches_matmul():
+    rng = np.random.default_rng(16)
+    a = rng.normal(size=(5, 7, 2, 2)) + 1j * rng.normal(size=(5, 7, 2, 2))
+    b = rng.normal(size=(7, 2, 2)) + 1j * rng.normal(size=(7, 2, 2))
+    assert np.abs(stochastic._mul_2x2(a, b) - a @ b).max() < 1e-14
+    bt = np.swapaxes(b, -1, -2)  # a strided view, as _dagger gives
+    assert np.abs(stochastic._mul_2x2(b, bt) - b @ bt).max() < 1e-14
+
+
+@pytest.mark.parametrize("case", ["non-commuting", "qutrit"])
+@pytest.mark.parametrize("family", stochastic.NOISE_FAMILIES)
+def test_noise_time_does_not_depend_on_other_times(family, case):
+    # a time requested alone samples paths that end there; within the grid
+    # the same paths run on to t = 2, past run boundaries of the prefix scan
+    proc, h0 = noise_setup(family, case)
+    rho0 = qcore.random_state(h0.shape[0], np.random.default_rng(9)).matrix
+    times, dt = np.linspace(0.0, 2.0, 11), 0.02
+    grid, _ = stochastic.stochastic_average_state(proc, h0, rho0, times, 7, 3, dt=dt)
+    for k, t in enumerate(times):
+        alone, _ = stochastic.stochastic_average_state(proc, h0, rho0, [t], 7, 3, dt=dt)
+        if family == "gaussian-white":
+            # the last segment of a path lasts t_max - dt (n - 1), to roundoff dt
+            assert np.abs(alone[0] - grid[k]).max() < 1e-15
+        else:
+            assert np.array_equal(alone[0], grid[k])
 
 
 def test_monte_carlo_rejects_empty_ensemble():
