@@ -273,6 +273,11 @@ def _oscillator_lines(p):
             ("stationary_max_eigenvalue", f"{quantumness.renormalized_degree(stat):.12g}")]
 
 
+def _n_paths(cfg, default):
+    """The configured path count; ``default`` only when [run] has no n_paths."""
+    return default if cfg.n_paths is None else cfg.n_paths
+
+
 # the one place that decides each [model] type; load_config accepts exactly these
 KINDS = {
     "thermal-tls": _lindblad_backed((("dq",), lambda p: (models.thermal_dq(p),))),
@@ -299,11 +304,11 @@ KINDS = {
             microscopic.quantumness_via_dual(model, rho0, t) for t in times])),
     "collisional": Kind(
         qt=lambda model, rho0, times, cfg: stochastic.collisional_q(
-            model, rho0, times, mode=cfg.mode, n_paths=cfg.n_paths or 1000, seed=cfg.seed),
+            model, rho0, times, mode=cfg.mode, n_paths=_n_paths(cfg, 1000), seed=cfg.seed),
         seeded=("monte-carlo",)),
     "stochastic": Kind(
         dim=lambda obj: obj[1].shape[0],
         qt=lambda obj, rho0, times, cfg: stochastic.stochastic_q(
-            *obj, rho0, times, cfg.n_paths or 200, cfg.seed)[0],
+            *obj, rho0, times, _n_paths(cfg, 200), cfg.seed)[0],
         seeded=("series", "monte-carlo")),
 }

@@ -7,20 +7,16 @@ collision channel with trace-preserving dual leaves the dual-chain
 trace invariant.  The non-unital collision channels exercised in the
 tests are deliberate counterexamples, not part of that guarantee.
 
-Randomness is counter-based: every path owns the Philox stream of
-SeedSequence(entropy=seed, spawn_key=(path index,)), so results are
-independent of evaluation order and bitwise reproducible.
+Randomness is counter-based: path p of seed s draws from the Philox
+stream keyed by the pair (s, p), the stream of Philox(key=s + 2**64 p),
+so results are independent of evaluation order and bitwise reproducible.
 
 Monte Carlo runs in blocks of PATH_BLOCK paths, so memory does not grow
-with the path count.  The Philox keys of a whole block come from one
-vectorized pass of SeedSequence's hash: the seed's part of the pool is
-mixed once, and only the spawn words per path.  One Philox generator is
-then reset to each path's key with a zero counter, which gives the
-draws of a Philox built from that path's SeedSequence; path_rng and
-sample_noise_path derive their single path the same way.  A noise block
-is cut at the requested times and padded to equal length with
-zero-length segments.  At d = 2 every segment unitary
-exp(-i tau (h0 + x C)) is the closed form
+with the path count.  One Philox generator is reset to each path's key
+with a zero counter; path_rng and sample_noise_path reach their single
+path the same way.  A noise block is cut at the requested times and
+padded to equal length with zero-length segments.  At d = 2 every
+segment unitary exp(-i tau (h0 + x C)) is the closed form
 exp(-i tau m) [cos(tau r) I - i (sin(tau r)/r) (H - m I)], with
 H = h0 + x C, m = Tr H / 2 and r half the gap of H's eigenvalues: a few
 elementwise operations, where numpy's eigh costs about 1.3 us per 2 x 2
@@ -64,6 +60,7 @@ sums the history of earlier blocks of grid steps, and one precomputed
 triangular operator solves inside a block.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,81 +78,40 @@ PATH_BLOCK = 128  # paths whose segment stacks are held in memory at once
 SCAN_BLOCK = 16  # segments per run of the blocked prefix scan of a noise path
 
 
-# numpy's SeedSequence hash (O'Neill's seed_seq design, stable under NEP 19)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
-
-
-def _hash_constants(start, mult, n):
-    """The n + 1 successive hash constants start, start * mult, ... of SeedSequence."""
-    out = [start]
-    for _ in range(n):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)
-
-
-def _path_keys(seed, paths):
-    """Philox keys of SeedSequence(entropy=seed, spawn_key=(p,)) for every p, as (n, 2) uint64.
-
-    A spawned sequence pads the seed's words to the pool size and mixes the
-    spawn key after them, so its pool before the key is the pool of
-    SeedSequence(seed), reached after 4 hash calls per seed word.  Each
-    path's spawn words, its index's low 32 bits and, from 2**32 on, its
-    high bits, are then mixed into all four pool words at once as uint32
-    arrays, and the key is generate_state(2, np.uint64) of the result.
-    """
-    seed = int(seed)
-    pool0 = np.random.SeedSequence(seed).pool
-    calls = _POOL * max(_POOL, -(-max(seed.bit_length(), 1) // 32))
-    mix_consts = _hash_constants(_INIT_A, _MULT_A, calls + 2 * _POOL)[calls:]
-    out_consts = _hash_constants(_INIT_B, _MULT_B, _POOL)
-    u32 = np.uint32
-    paths = np.asarray(paths, dtype=np.uint64).reshape(-1)
-    words = [(paths & np.uint64(_MASK32)).astype(u32), (paths >> np.uint64(32)).astype(u32)]
-    wide = words[1] != 0
-    keys = np.empty((paths.size, 2), dtype=np.uint64)
-    for n_words, rows in ((1, ~wide), (2, wide)):
-        if not rows.any():
-            continue
-        pool = pool0[None, :]
-        for i in range(n_words):
-            # hashmix of the word with the constants of four successive calls
-            v = (words[i][rows, None] ^ mix_consts[4 * i:4 * i + 4]) * mix_consts[4 * i + 1:4 * i + 5]
-            v ^= v >> u32(16)
-            pool = u32(_MIX_L) * pool - u32(_MIX_R) * v
-            pool ^= pool >> u32(16)
-        state = (pool ^ out_consts[:-1]) * out_consts[1:]
-        state ^= state >> u32(16)
-        # two little-endian uint32 words per uint64, as generate_state reads them
-        keys[rows] = state.astype("<u4").view("<u8").astype(np.uint64)
-    return keys
-
-
 def _path_streams(seed, paths):
     """Yield one generator per path, at the start of that path's Philox stream.
 
-    One Philox serves every path: its state is reset to the path's key with
-    a zero counter and an empty buffer, which is the state Philox(SeedSequence)
-    starts from.  The same Generator is yielded each time, so each one is
+    Path p of seed s draws from the Philox stream whose 128-bit key is the
+    pair (s, p), the stream of Philox(key=s + 2**64 p): Philox is built so
+    that distinct keys give independent streams.  One Philox serves every
+    path: its state is reset to the path's key with a zero counter and an
+    empty buffer.  The same Generator is yielded each time, so each one is
     read before the next is requested.
     """
+    seed = operator.index(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    keys = np.empty((len(paths), 2), dtype=np.uint64)
+    keys[:, 0] = seed
+    keys[:, 1] = paths
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
-    for key in _path_keys(seed, paths):
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0,
-        }
+    zeros = np.zeros(4, dtype=np.uint64)
+    # the state setter copies what it is given, so one dict serves every path
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in keys:
+        state["state"]["key"] = key
+        bitgen.state = state
         yield rng
 
 
 def path_rng(seed, path_index):
-    """Philox generator for one path of one seeded run."""
+    """Philox generator of one path of one seeded run: Philox(key=seed + 2**64 path_index).
+
+    ``seed`` is an integer in [0, 2**64); any other seed raises TypeError
+    (not an integer) or ValueError (out of range).
+    """
     return next(_path_streams(seed, [int(path_index)]))
 
 

@@ -156,6 +156,30 @@ def test_unparsable_values_are_parse_errors(tmp_path, text):
     assert not out.exists()
 
 
+SEEDED_RUNS = {
+    "stochastic": STOCHASTIC_CFG + "\n[run]\nseed = 3\nn_paths = {n_paths}\n",
+    "collisional-monte-carlo": COLLISIONAL_CFG + "\n[initial_state]\nkind = maximally-mixed\n",
+}
+
+
+@pytest.mark.parametrize("kind", SEEDED_RUNS)
+def test_zero_paths_is_a_model_error(tmp_path, capsys, kind):
+    # n_paths falls back to its default only when [run] has none
+    path = write(tmp_path, SEEDED_RUNS[kind].format(rate="1.0", n_paths="0"))
+    out = tmp_path / "out.csv"
+    assert cli.run(["qt", "--config", path, "--out", str(out)]) == 3
+    assert "n_paths must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", SEEDED_RUNS)
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_out_of_range_is_a_model_error(tmp_path, capsys, kind, seed):
+    path = write(tmp_path, SEEDED_RUNS[kind].format(rate="1.0", n_paths="16"))
+    assert cli.run(["qt", "--config", path, "--seed", seed]) == 3
+    assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+
+
 def test_complex_rate_row_is_a_model_error(tmp_path):
     cfg = LINDBLAD_CFG.replace("rates = 1 1 1+0i", "rates = 1 1 1+0.5i")
     assert cli.run(["qt", "--config", write(tmp_path, cfg)]) == 3

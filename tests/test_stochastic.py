@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -134,20 +136,40 @@ def test_telegraph_levels_and_rate():
     assert abs(n_flips - expect) < 4.0 * np.sqrt(expect)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 + 1, 2 ** 63, 2 ** 160 + 3],
-                         ids=["0", "1", "2^32+1", "2^63", "six-words"])
-def test_path_keys_match_seed_sequence(seed):
-    paths = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 40]
-    expect = [np.random.SeedSequence(entropy=seed, spawn_key=(p,)).generate_state(2, np.uint64)
-              for p in paths]
-    assert np.array_equal(stochastic._path_keys(seed, paths), expect)
-    # and the reset generator continues as Philox(SeedSequence) does
-    for p in paths:
-        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(p,))))
-        rng = stochastic.path_rng(seed, p)
-        for draw in (lambda g: g.random(3), lambda g: g.integers(0, 2 ** 40, size=2),
-                     lambda g: g.standard_normal(5), lambda g: g.exponential(size=2)):
+SEEDS = [0, 1, 2 ** 32 + 1, 2 ** 63, 2 ** 64 - 1]
+PATHS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 40, 2 ** 64 - 1]
+DRAWS = (lambda g: g.random(3), lambda g: g.integers(0, 2 ** 40, size=2),
+         lambda g: g.standard_normal(5), lambda g: g.exponential(size=2))
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=["0", "1", "2^32+1", "2^63", "2^64-1"])
+def test_path_stream_is_philox_keyed_by_seed_and_path(seed):
+    def reference(p):
+        return np.random.Generator(np.random.Philox(key=seed + 2 ** 64 * p))
+
+    for p in PATHS:
+        rng, ref = stochastic.path_rng(seed, p), reference(p)
+        for draw in DRAWS:
             assert np.array_equal(draw(rng), draw(ref))
+    # a block of paths gives each path the same stream as path_rng does
+    for p, rng in zip(PATHS, stochastic._path_streams(seed, PATHS)):
+        ref = reference(p)
+        for draw in DRAWS:
+            assert np.array_equal(draw(rng), draw(ref))
+
+
+@pytest.mark.parametrize("seed, error", [
+    (2.5, TypeError), (np.float64(3.0), TypeError), ("7", TypeError),
+    (-1, ValueError), (2 ** 64, ValueError),
+])
+def test_path_stream_seed_is_checked(seed, error):
+    match = re.escape(f"seed must be in [0, 2**64), got {seed}") if error is ValueError else None
+    with pytest.raises(error, match=match):
+        stochastic.path_rng(seed, 0)
+    proc = stochastic.NoiseProcess("telegraph", 1.0, 0.5, qcore.sigma_x)
+    with pytest.raises(error, match=match):
+        stochastic.stochastic_q(proc, qcore.sigma_z, QuantumState.maximally_mixed(2),
+                                [0.0, 0.5], 4, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +518,7 @@ def test_event_times_match_scalar_loop(waiting, crosses):
     for t_max in (0.0, 0.5 * waiting.mean(), 3.0):
         # _event_times draws in chunks of int(2 t_max / mean) + 2 waits
         chunk = int(2.0 * t_max / waiting.mean()) + 2
-        for p in range(300):
+        for p in range(500):
             rng = stochastic.path_rng(4, p)
             got = stochastic._event_times(waiting, rng, t_max)
             if waiting.family == "deterministic":
