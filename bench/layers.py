@@ -1,10 +1,11 @@
-"""Layer ladders: the Lindblad kernel, the Monte Carlo engine and the renewal solves of envq.
+"""Layer ladders: the Lindblad kernel, the Monte Carlo engine, the renewal solves and the CLI of envq.
 
 Usage, from the repository root:
 
     python bench/layers.py                      # Lindblad ladder, writes BENCH_lindblad.json
     python bench/layers.py --topic stochastic   # Monte Carlo ladder, writes BENCH_stochastic.json
     python bench/layers.py --topic renewal      # Volterra/renewal ladder, writes BENCH_renewal.json
+    python bench/layers.py --topic cli          # whole CLI pipeline, writes BENCH_cli.json
     python bench/layers.py --smoke              # d <= 4, one repeat, JSON to stdout only
     python bench/layers.py --src OTHER/src --out other.json   # time another checkout
 
@@ -40,6 +41,16 @@ on ``qcore.blocked_volterra``, at t_max = 3 and 6:
 * ``series_chain``: the renewal series of the collision chain of a random
   two-Kraus channel at 13 times, exponential (rate 1) and gamma (shape 2,
   rate 2) waiting at the default step, at d = 2 and 4.
+
+The ``cli`` topic times the whole pipeline on the six configs of the
+``envq verify`` bundle (``acceptance._write_verify_bundle`` writes them,
+and its own runs are the warm-up):
+
+* ``cli_run``: ``cli.run`` with ``qt`` or ``sweep``, as the bundle runs it,
+  from argument parsing to the written CSV;
+* ``load_config`` and ``build_model``: the config file parsed into a
+  RunConfig, and the model built from it;
+* ``build_parser``: the argument parser as each ``cli.run`` call gets it.
 
 Every layer reports the minimum and the median over ``REPEATS`` runs
 (one in smoke mode) after one untimed warm-up, in milliseconds.  BLAS is
@@ -242,9 +253,35 @@ def renewal_ladder(dims, repeats):
     return rows
 
 
+def cli_ladder(repeats):
+    import tempfile
+    from envq import acceptance, cli, config
+
+    rows = []
+
+    def add(layer, name, fn):
+        row = {"layer": layer, "config": name, **timed(fn, repeats)}
+        rows.append(row)
+        print(f"{layer:12s} {str(name):18s} min {row['min_ms']:9.3f} ms  "
+              f"median {row['median_ms']:9.3f} ms", file=sys.stderr, flush=True)
+
+    add("build_parser", None, cli.build_parser)
+    with tempfile.TemporaryDirectory() as tmp:
+        for out in acceptance._write_verify_bundle(tmp):
+            cfg_path = out[:-len(".csv")] + ".cfg"
+            name = os.path.basename(cfg_path)[:-len(".cfg")]
+            argv = ["sweep" if "sweep" in name else "qt", "--config", cfg_path, "--out", out]
+            add("cli_run", name, lambda argv=argv: cli.run(argv))
+            add("load_config", name, lambda path=cfg_path: config.load_config(path))
+            cfg = config.load_config(cfg_path)
+            add("build_model", name, lambda cfg=cfg: config.build_model(cfg))
+    return rows
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--topic", choices=("lindblad", "stochastic", "renewal"), default="lindblad")
+    parser.add_argument("--topic", choices=("lindblad", "stochastic", "renewal", "cli"),
+                        default="lindblad")
     parser.add_argument("--smoke", action="store_true",
                         help="d <= 4, no oscillator, one repeat; print the JSON instead of writing it")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
@@ -259,8 +296,10 @@ def main(argv=None):
         rows = ladder(SMOKE_DIMS if args.smoke else DIMS, repeats, oscillator=not args.smoke)
     elif args.topic == "stochastic":
         rows = stochastic_ladder(SMOKE_DIMS if args.smoke else STOCHASTIC_DIMS, repeats)
-    else:
+    elif args.topic == "renewal":
         rows = renewal_ladder(RENEWAL_DIMS, repeats)
+    else:
+        rows = cli_ladder(repeats)
     record = {
         "topic": args.topic,
         "python": platform.python_version(),

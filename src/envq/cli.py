@@ -6,14 +6,16 @@ acceptance suite).  Exit codes: 0 success, 1 failed verification,
 2 configuration/parse error (a value that fails to parse included),
 3 model error (a non-finite or out-of-range value included), 4 bound
 violation, 5 degenerate stationary state.  ``--seed`` and ``--mode``
-apply before the seed check.
+apply before the [run] checks: a seed where the mode needs one, and a
+given seed or n_paths in range for every type and mode.
 """
 
 import argparse
 import dataclasses
+import functools
 import sys
 
-from . import config, qcore, quantumness
+from . import config, qcore, quantumness, stochastic
 from .config import ConfigError
 from .qcore import BoundViolationError, DegenerateSteadyStateError
 
@@ -108,7 +110,9 @@ def _write(path, text):
             fh.write(text)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: a batch runs cli.run once per config."""
     parser = argparse.ArgumentParser(prog="envq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("qt", "dq", "sweep"):
@@ -135,6 +139,11 @@ def run(argv=None):
             cfg.mode = args.mode
         if cfg.needs_seed() and cfg.seed is None:
             raise ConfigError("stochastic runs need a seed in [run] or --seed")
+        # a given value is checked whether or not this type and mode read it
+        if cfg.seed is not None:
+            stochastic.require_seed(cfg.seed)
+        if cfg.n_paths is not None:
+            stochastic._path_blocks(cfg.n_paths)
         out_path = args.out if args.out is not None else cfg.output
         if args.command == "qt":
             return cmd_qt(cfg, out_path)

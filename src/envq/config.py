@@ -9,8 +9,9 @@ Sections
 --------
 [model]          type = builtin name or {lindblad, microscopic,
                  collisional, stochastic}; remaining keys are the model
-                 parameters (numbered keys jump_1.., kraus_1.. for
-                 operator lists).
+                 parameters: a builtin's are the fields of its parameter
+                 dataclass, each read as a float (numbered keys jump_1..,
+                 kraus_1.. for a block's operator lists).
 [initial_state]  kind = optimal | maximally-mixed | pure | matrix;
                  pure takes theta/phi, matrix takes matrix = <text>.
 [times]          t_max, steps (grid linspace(0, t_max, steps)).
@@ -22,14 +23,16 @@ or a missing [model] key raises ConfigError, which the command line
 reports as exit 2; a value that converts but is non-finite or out of
 range, or a [model] key that the type does not read, is a model error
 (ValueError, exit 3).  Stochastic and Monte Carlo runs need a seed; the
-command line checks that once, after ``--seed`` and ``--mode`` have
-been applied to the loaded RunConfig.
+command line checks that, and the seed and n_paths values wherever
+they are given, once, after ``--seed`` and ``--mode`` have been applied
+to the loaded RunConfig.
 
 ``KINDS``, at the end of this module, is the one place that decides
 what each model type does: its system dimension, its Q_t route, its
-degree report, its closed-form sweep columns and the run modes that
-need a seed.  A new model type is one ``KINDS`` entry plus the branch
-of ``build_model`` that parses its [model] section.
+degree report, its closed-form sweep columns, the run modes that need
+a seed and, for a builtin, its parameter dataclass.  A new builtin is
+one ``KINDS`` entry; a new block type is one entry plus the branch of
+``build_model`` that parses its [model] section.
 """
 
 import configparser
@@ -162,12 +165,16 @@ def build_model(cfg):
     model error, raised before the model is constructed.
     """
     mtype = cfg.model_type
-    section = _Section(cfg.model_params)
+    if mtype not in KINDS:
+        raise ConfigError(f"unknown model type {mtype!r}")
+    kind, section = KINDS[mtype], _Section(cfg.model_params)
     try:
-        if mtype in models.BUILTIN_PARAMS:
-            numbers = {key: _parse(float, section[key], f"{mtype} parameter {key!r}")
-                       for key in section}
-            make = lambda: models.builtin_params(mtype, numbers)
+        if kind.params is not None:
+            # a required field is read even when absent, so that it is reported missing
+            numbers = {f.name: _parse(float, section[f.name], f"{mtype} parameter {f.name!r}")
+                       for f in dataclasses.fields(kind.params)
+                       if f.name in section or f.default is dataclasses.MISSING}
+            make = lambda: kind.params(**numbers)
         elif mtype == "lindblad":
             h_bar, jumps = _matrix(section, "h_bar"), _numbered_values(section, "jump")
             rates = _optional(qcore.parse_matrix_text, section, "rates")
@@ -184,22 +191,19 @@ def build_model(cfg):
             h_free, kraus = _matrix(section, "free_hamiltonian"), _numbered_values(section, "kraus")
             make = lambda: stochastic.CollisionalModel(
                 h_free, kraus, stochastic.WaitingTime(family, **waiting))
-        elif mtype == "stochastic":
+        else:  # stochastic
             family = section["family"].strip()
             amplitude = _parse(float, section["amplitude"], "amplitude")
             correlation_time = _optional(float, section, "correlation_time") or 0.0
             coupling, base_h = _matrix(section, "coupling"), _matrix(section, "base_h")
             make = lambda: (stochastic.NoiseProcess(
                 family, amplitude, correlation_time, coupling), base_h)
-        else:
-            raise ConfigError(f"unknown model type {mtype!r}")
-        unread = set(section) - section.read
-        if unread:
-            raise ValueError(f"unknown parameters for {mtype}: {sorted(unread)}")
-        # a builtin parameter set raises KeyError for a missing parameter
-        return KINDS[mtype], make()
     except KeyError as exc:
         raise ConfigError(f"missing {mtype} key {exc.args[0]!r}") from exc
+    unread = set(section) - section.read
+    if unread:
+        raise ValueError(f"unknown parameters for {mtype}: {sorted(unread)}")
+    return kind, make()
 
 
 def resolve_initial_state(cfg, kind, obj):
@@ -251,13 +255,14 @@ class Kind:
     optimal: object = None      # object -> optimal initial state, for a type without a report
     sweep: tuple = None         # (column names, params -> row) of the closed-form sweep
     seeded: tuple = ()          # run modes that need a seed
+    params: type = None         # a builtin's parameter dataclass, whose fields [model] sets
 
 
-def _lindblad_backed(sweep=None, model_of=lambda p: p.lindblad_model()):
+def _lindblad_backed(params=None, sweep=None, model_of=lambda p: p.lindblad_model()):
     """Entry of a type whose dynamics is the LindbladModel ``model_of(object)``."""
     return Kind(qt=lambda obj, rho0, times, cfg: quantumness.q_series(model_of(obj), rho0, times),
                 report=lambda obj: quantumness.degree_of_quantumness(model_of(obj)),
-                sweep=sweep)
+                sweep=sweep, params=params)
 
 
 def _values(route):
@@ -280,15 +285,19 @@ def _n_paths(cfg, default):
 
 # the one place that decides each [model] type; load_config accepts exactly these
 KINDS = {
-    "thermal-tls": _lindblad_backed((("dq",), lambda p: (models.thermal_dq(p),))),
+    "thermal-tls": _lindblad_backed(
+        models.ThermalTlsParams, (("dq",), lambda p: (models.thermal_dq(p),))),
     "nonmarkov-decay": Kind(
         qt=_values(lambda p, rho0, times: models.nonmarkov_q(
             p, np.trace(qcore.sigma_z @ rho0.matrix).real, times)),
         # zero-temperature decay relaxes every state to the ground state |1><1|
         report=lambda p: quantumness.stationary_degree(QuantumState(np.diag([0.0, 1.0]))),
-        sweep=(("dq",), lambda p: (models.nonmarkov_dq(p),))),
-    "fluorescence": _lindblad_backed((("dq",), lambda p: (models.fluorescence_dq(p)[0],))),
+        sweep=(("dq",), lambda p: (models.nonmarkov_dq(p),)),
+        params=models.NonMarkovParams),
+    "fluorescence": _lindblad_backed(
+        models.FluorescenceParams, (("dq",), lambda p: (models.fluorescence_dq(p)[0],))),
     "two-qubit": _lindblad_backed(
+        models.TwoQubitParams,
         (("dq", "concurrence"), lambda p: (models.twoqubit_dq(p), models.twoqubit_concurrence(p)))),
     "oscillator": Kind(
         qt=_values(lambda p, rho0, times: models.oscillator_q_numeric(p, rho0, times)),
@@ -296,7 +305,8 @@ KINDS = {
         # the ground state |0>, real, so time reversal is moot: the top
         # eigenprojector of the oscillator's thermal ladder
         optimal=lambda p: QuantumState.pure(qcore.ket(p.dim, 0)),
-        sweep=(("dq",), lambda p: (models.oscillator_dqr(p),))),
+        sweep=(("dq",), lambda p: (models.oscillator_dqr(p),)),
+        params=models.OscillatorParams),
     "lindblad": _lindblad_backed(model_of=lambda model: model),
     "microscopic": Kind(
         dim=lambda model: model.dim_s,

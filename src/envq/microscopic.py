@@ -31,7 +31,8 @@ class JointModel:
 
     H = h_s x I_e + I_s x h_e + h_i with all blocks Hermitian; sigma0 is
     the initial environment state.  Instances are immutable in spirit:
-    the total Hamiltonian is eigendecomposed once and cached.
+    the total Hamiltonian is eigendecomposed once and cached, and so is
+    the read-only I_s x sigma0 that every route pairs with.
     """
 
     def __init__(self, h_s, h_e, h_i, sigma0):
@@ -57,6 +58,13 @@ class JointModel:
             + tensor_product(identity(self.dim_s), self.h_e)
             + self.h_i
         )
+
+    @cached_property
+    def sigma0_joint(self):
+        """I_s x sigma0, read-only."""
+        sig = tensor_product(identity(self.dim_s), self.sigma0.matrix)
+        sig.flags.writeable = False
+        return sig
 
     @cached_property
     def _eig(self):
@@ -98,7 +106,7 @@ def quantumness_direct(model, rho0, t):
     [0, dim_s] by more than ``qcore.BOUND_TOL`` raise BoundViolationError.
     """
     conj = _rotated_system(model, model.unitary(t), rho0)
-    q = np.trace(conj @ _embed_environment(model, model.sigma0.matrix)).real
+    q = np.trace(conj @ model.sigma0_joint).real
     qcore.require_q_bounds(q, model.dim_s)
     return float(q)
 
@@ -110,11 +118,7 @@ def dual_map_apply(model, a0, t):
         raise ValueError(f"a0 dimension {a0.shape[0]} != dim_s {model.dim_s}")
     u = model.unitary(t)
     moved = u.conj().T @ _embed_system(model, a0) @ u
-    return partial_trace(
-        moved @ _embed_environment(model, model.sigma0.matrix),
-        [model.dim_s, model.dim_e],
-        keep=0,
-    )
+    return partial_trace(moved @ model.sigma0_joint, [model.dim_s, model.dim_e], keep=0)
 
 
 def quantumness_via_dual(model, rho0, t):
@@ -128,7 +132,7 @@ def split_contributions(model, rho0, t):
     """Traces of the classical-noise part and the remainder; they sum to 1 within 1e-10."""
     u = model.unitary(t)
     conj = _rotated_system(model, u, rho0)
-    sig = _embed_environment(model, model.sigma0.matrix)
+    sig = model.sigma0_joint
     delta = u @ sig @ u.conj().T - sig
     first = np.trace(conj @ sig).real
     second = np.trace(conj @ delta).real
@@ -148,32 +152,25 @@ def q_derivative(model, rho0, t, n):
     if n < 1:
         raise ValueError("derivative order must be >= 1")
     h = model.hamiltonian()
-    comm = _embed_environment(model, model.sigma0.matrix)
+    comm = model.sigma0_joint
     for _ in range(n):
         comm = h @ comm - comm @ h
     conj = _rotated_system(model, model.unitary(t), rho0)
     return float((1j ** n * np.trace(conj @ comm)).real)
 
 
-def _conditional_hamiltonians(model, basis):
-    """System operators <e|(H_e + H_I)|e> for the given environment basis."""
-    rest = _embed_environment(model, model.h_e) + model.h_i
-    ds, de = model.dim_s, model.dim_e
-    rest4 = rest.reshape(ds, de, ds, de)
-    out = []
-    for k in range(basis.shape[1]):
-        e = basis[:, k]
-        out.append(np.einsum("a,iajb,b->ij", e.conj(), rest4, e))
-    return out
+def _environment_blocks(rest4, basis):
+    """System blocks <e_k|(H_e + H_I)|e_l>, indexed [k, l], over an environment basis.
+
+    ``rest4`` is I_s x h_e + h_i as a (dim_s, dim_e, dim_s, dim_e) tensor;
+    the diagonal blocks are the conditional Hamiltonians.
+    """
+    return np.einsum("ak,iajb,bl->klij", basis.conj(), rest4, basis)
 
 
-def _offdiag_residual(model, basis):
-    rest = _embed_environment(model, model.h_e) + model.h_i
-    ds, de = model.dim_s, model.dim_e
-    rest4 = rest.reshape(ds, de, ds, de)
-    blocks = np.einsum("ak,iajb,bl->klij", basis.conj(), rest4, basis)
-    mask = ~np.eye(de, dtype=bool)
-    return np.abs(blocks[mask]).max() if de > 1 else 0.0
+def _offdiag_residual(blocks):
+    de = blocks.shape[0]
+    return np.abs(blocks[~np.eye(de, dtype=bool)]).max() if de > 1 else 0.0
 
 
 def hamiltonian_ensemble_reduction(model):
@@ -184,19 +181,19 @@ def hamiltonian_ensemble_reduction(model):
     degenerate eigenspaces so the conditional Hamiltonians decouple.
     """
     h = model.hamiltonian()
-    sig = _embed_environment(model, model.sigma0.matrix)
+    sig = model.sigma0_joint
     comm_norm = np.abs(h @ sig - sig @ h).max()
     if comm_norm > COMM_TOL:
         raise ValueError(
             f"[H, I x sigma0] does not vanish (max commutator entry {comm_norm:.3e})"
         )
+    ds, de = model.dim_s, model.dim_e
+    rest4 = (_embed_environment(model, model.h_e) + model.h_i).reshape(ds, de, ds, de)
     evals, basis = qcore.hermitian_eigensystem(model.sigma0.matrix)
-    if _offdiag_residual(model, basis) > COMM_TOL:
+    blocks = _environment_blocks(rest4, basis)
+    if _offdiag_residual(blocks) > COMM_TOL:
         # refine within degenerate sigma0 eigenspaces using the bath-side
         # part of H, then with a fixed random contraction as a fallback
-        rest = _embed_environment(model, model.h_e) + model.h_i
-        ds, de = model.dim_s, model.dim_e
-        rest4 = rest.reshape(ds, de, ds, de)
         contractions = [np.trace(rest4, axis1=0, axis2=2)]
         rng = np.random.default_rng(12345)
         v = rng.normal(size=ds) + 1j * rng.normal(size=ds)
@@ -211,15 +208,15 @@ def hamiltonian_ensemble_reduction(model):
                 block = sub.conj().T @ contraction @ sub
                 _, w = np.linalg.eigh(0.5 * (block + block.conj().T))
                 basis[:, grp] = sub @ w
-            if _offdiag_residual(model, basis) <= 1e-9:
+            blocks = _environment_blocks(rest4, basis)
+            if _offdiag_residual(blocks) <= 1e-9:
                 break
         else:
             raise ValueError(
                 "could not find an environment basis that decouples the dynamics"
             )
     weights = np.einsum("ak,ab,bk->k", basis.conj(), model.sigma0.matrix, basis).real
-    hams = _conditional_hamiltonians(model, basis)
-    return [(float(w), model.h_s + hk) for w, hk in zip(weights, hams)]
+    return [(float(w), model.h_s + blocks[k, k]) for k, w in enumerate(weights)]
 
 
 def _degenerate_groups(values, tol=1e-9):

@@ -18,7 +18,7 @@ A tabulated memory kernel runs through ``volterra_solve``, one call of
 ``qcore.blocked_volterra``, the solver of the renewal series too.
 """
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -567,35 +567,3 @@ def oscillator_q_extrapolated(p, times, cutoffs=None):
 def oscillator_dqr(p):
     """Renormalized degree 1 - e^{-beta hw0} of the thermal oscillator."""
     return float(-np.expm1(-p.beta_hw0))
-
-
-# ---------------------------------------------------------------------------
-# registry used by the command-line front end; each class carries its
-# system dimension as ``dim``
-
-BUILTIN_PARAMS = {
-    "thermal-tls": ThermalTlsParams,
-    "nonmarkov-decay": NonMarkovParams,
-    "fluorescence": FluorescenceParams,
-    "two-qubit": TwoQubitParams,
-    "oscillator": OscillatorParams,
-}
-
-
-def builtin_params(name, mapping):
-    """Instantiate a builtin parameter set from a {field: value} mapping.
-
-    An unknown parameter raises ValueError; a missing required one
-    raises KeyError with its name.
-    """
-    if name not in BUILTIN_PARAMS:
-        raise ValueError(f"unknown builtin model {name!r}")
-    cls = BUILTIN_PARAMS[name]
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
-    for f in fields(cls):
-        if f.default is MISSING and f.name not in mapping:
-            raise KeyError(f.name)
-    return cls(**mapping)

@@ -14,8 +14,9 @@ so results are independent of evaluation order and bitwise reproducible.
 Monte Carlo runs in blocks of PATH_BLOCK paths, so memory does not grow
 with the path count.  One Philox generator is reset to each path's key
 with a zero counter; path_rng and sample_noise_path reach their single
-path the same way.  A noise block is cut at the requested times and
-padded to equal length with zero-length segments.  At d = 2 every
+path the same way.  A noise block is padded to equal length with
+zero-length segments, and its unitaries are gathered at the requested
+times from the scan below, without cutting the paths.  At d = 2 every
 segment unitary exp(-i tau (h0 + x C)) is the closed form
 exp(-i tau m) [cos(tau r) I - i (sin(tau r)/r) (H - m I)], with
 H = h0 + x C, m = Tr H / 2 and r half the gap of H's eigenvalues: a few
@@ -78,6 +79,14 @@ PATH_BLOCK = 128  # paths whose segment stacks are held in memory at once
 SCAN_BLOCK = 16  # segments per run of the blocked prefix scan of a noise path
 
 
+def require_seed(seed):
+    """``seed`` as an int in [0, 2**64); TypeError for a non-integer, ValueError out of range."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _path_streams(seed, paths):
     """Yield one generator per path, at the start of that path's Philox stream.
 
@@ -88,11 +97,8 @@ def _path_streams(seed, paths):
     empty buffer.  The same Generator is yielded each time, so each one is
     read before the next is requested.
     """
-    seed = operator.index(seed)
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     keys = np.empty((len(paths), 2), dtype=np.uint64)
-    keys[:, 0] = seed
+    keys[:, 0] = require_seed(seed)
     keys[:, 1] = paths
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
@@ -110,9 +116,10 @@ def path_rng(seed, path_index):
     """Philox generator of one path of one seeded run: Philox(key=seed + 2**64 path_index).
 
     ``seed`` is an integer in [0, 2**64); any other seed raises TypeError
-    (not an integer) or ValueError (out of range).
+    (not an integer) or ValueError (out of range).  A non-integer
+    ``path_index`` raises TypeError.
     """
-    return next(_path_streams(seed, [int(path_index)]))
+    return next(_path_streams(seed, [operator.index(path_index)]))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +127,7 @@ def path_rng(seed, path_index):
 
 @dataclass(frozen=True)
 class NoiseProcess:
-    """Scalar classical noise coupled through a Hermitian operator."""
+    """Scalar classical noise through a Hermitian coupling; white noise takes correlation_time 0."""
 
     family: str
     amplitude: float
@@ -135,6 +142,9 @@ class NoiseProcess:
             raise ValueError("correlation_time must be nonnegative")
         if self.family != "gaussian-white" and self.correlation_time <= 0:
             raise ValueError(f"{self.family} noise needs a positive correlation time")
+        if self.family == "gaussian-white" and self.correlation_time != 0:
+            raise ValueError("correlation_time applies to the colored families only, "
+                             f"not gaussian-white (got {self.correlation_time})")
         object.__setattr__(
             self, "coupling", require_hermitian(self.coupling, name="noise coupling")
         )
@@ -160,7 +170,7 @@ def sample_noise_path(process, t_max, dt, seed, path_index=0):
     step rule dt <= correlation_time / 10.  Telegraph paths switch at
     exact exponential-clock times.
     """
-    return next(_noise_paths(process, t_max, dt, seed, [int(path_index)]))
+    return next(_noise_paths(process, t_max, dt, seed, [operator.index(path_index)]))
 
 
 def _noise_paths(process, t_max, dt, seed, paths):
@@ -248,10 +258,10 @@ def _unitary_2x2(h0, coupling, x, t):
 
 
 def _path_blocks(n_paths):
-    """Consecutive path-index ranges of at most PATH_BLOCK paths each."""
+    """Ranges of at most PATH_BLOCK path indices; n_paths is checked now, the ranges made lazily."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
-    return [range(s, min(s + PATH_BLOCK, n_paths)) for s in range(0, n_paths, PATH_BLOCK)]
+    return (range(s, min(s + PATH_BLOCK, n_paths)) for s in range(0, n_paths, PATH_BLOCK))
 
 
 def _padded(rows, fill):

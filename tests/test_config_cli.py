@@ -180,6 +180,35 @@ def test_seed_out_of_range_is_a_model_error(tmp_path, capsys, kind, seed):
     assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
 
 
+SERIES_COLLISIONAL_CFG = (COLLISIONAL_CFG.replace("mode = monte-carlo", "mode = series")
+                          + "\n[initial_state]\nkind = maximally-mixed\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (SERIES_COLLISIONAL_CFG.format(rate="1.0", n_paths="16").replace("seed = 3", "seed = -1"),
+     "seed must be in [0, 2**64), got -1"),
+    (SERIES_COLLISIONAL_CFG.format(rate="1.0", n_paths="0"), "n_paths must be at least 1, got 0"),
+    (THERMAL_CFG + "\n[run]\nseed = 18446744073709551616\n",
+     "seed must be in [0, 2**64), got 18446744073709551616"),
+    (THERMAL_CFG + "\n[run]\nn_paths = 0\n", "n_paths must be at least 1, got 0"),
+], ids=["collisional-series-seed", "collisional-series-n_paths", "thermal-seed", "thermal-n_paths"])
+def test_run_values_are_checked_where_no_route_reads_them(tmp_path, capsys, text, message):
+    # series-mode collisional and builtin runs draw no paths; their [run] values used to pass
+    out = tmp_path / "out.csv"
+    assert cli.run(["qt", "--config", write(tmp_path, text), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_white_noise_correlation_time_is_a_model_error(tmp_path, capsys):
+    white = (STOCHASTIC_CFG.replace("telegraph", "gaussian-white")
+             + "\n[run]\nseed = 5\nn_paths = 4\n")
+    assert cli.run(["qt", "--config", write(tmp_path, white)]) == 3
+    assert "correlation_time applies to the colored families only" in capsys.readouterr().err
+    zero = write(tmp_path, white.replace("correlation_time = 0.5", "correlation_time = 0.0"), "0.cfg")
+    assert cli.run(["qt", "--config", zero, "--out", str(tmp_path / "q.csv")]) == 0
+
+
 def test_complex_rate_row_is_a_model_error(tmp_path):
     cfg = LINDBLAD_CFG.replace("rates = 1 1 1+0i", "rates = 1 1 1+0.5i")
     assert cli.run(["qt", "--config", write(tmp_path, cfg)]) == 3
@@ -545,11 +574,44 @@ def test_unread_block_keys_are_model_errors(tmp_path, capsys, block, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", sorted(models.BUILTIN_PARAMS))
+BUILTINS = sorted(name for name, kind in config.KINDS.items() if kind.params is not None)
+# the required parameters of each builtin
+BUILTIN_MODELS = {
+    "thermal-tls": "gamma = 1.0\nbeta_hw0 = 2.0\n",
+    "nonmarkov-decay": "gamma = 1.0\n",
+    "fluorescence": "gamma = 1.0\nomega = 1.0\n",
+    "two-qubit": "gamma = 1.0\nomega = 1.0\n",
+    "oscillator": "gamma = 1.0\nbeta_hw0 = 2.0\n",
+}
+
+
+@pytest.mark.parametrize("kind", BUILTINS)
 def test_missing_builtin_parameter_is_a_parse_error(tmp_path, capsys, kind):
     # used to escape cli.run as a TypeError from the parameter class
     assert cli.run(["dq", "--config", write(tmp_path, f"[model]\ntype = {kind}\n")]) == 2
     assert f"missing {kind} key 'gamma'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", BUILTINS)
+def test_unknown_builtin_key_is_a_model_error(tmp_path, capsys, kind):
+    # a key that is no field of the parameter class is named, not parsed as a number
+    valid = f"[model]\ntype = {kind}\n{BUILTIN_MODELS[kind]}"
+    assert cli.run(["dq", "--config", write(tmp_path, valid + "gama = x\n")]) == 3
+    assert f"unknown parameters for {kind}: ['gama']" in capsys.readouterr().err
+    assert cli.run(["dq", "--config", write(tmp_path, valid, "valid.cfg")]) == 0
+
+
+def test_missing_builtin_key_is_reported_before_an_unknown_one(tmp_path, capsys):
+    text = "[model]\ntype = fluorescence\ngamma = 1.0\nbad = 3.0\n"
+    assert cli.run(["dq", "--config", write(tmp_path, text)]) == 2
+    assert "missing fluorescence key 'omega'" in capsys.readouterr().err
+
+
+def test_float_cutoff_builds_an_int_cutoff(tmp_path):
+    cfg = config.load_config(write(tmp_path, OSCILLATOR_CFG + "n_max = 70.0\n"))
+    _, p = config.build_model(cfg)
+    assert p == models.OscillatorParams(1.0, 1.0, 70)
+    assert type(p.n_max) is int
 
 
 @pytest.mark.parametrize("key, kernel", [("coupling", "single-mode"), ("kernel_func", "tabulated")])

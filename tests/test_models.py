@@ -407,17 +407,3 @@ def test_builtin_params_reject_non_finite(cls, kwargs, bad):
             continue
         with pytest.raises(ValueError):
             cls(**{**kwargs, name: bad})
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-def test_builtin_params():
-    p = models.builtin_params("thermal-tls", {"gamma": 2.0, "beta_hw0": 1.0})
-    assert isinstance(p, models.ThermalTlsParams)
-    osc = models.builtin_params("oscillator", {"gamma": 1.0, "beta_hw0": 1.0, "n_max": 70.0})
-    assert osc.n_max == 70
-    with pytest.raises(ValueError, match="unknown parameters"):
-        models.builtin_params("fluorescence", {"gamma": 1.0, "omega": 1.0, "bad": 3.0})
-    with pytest.raises(ValueError, match="unknown builtin"):
-        models.builtin_params("nope", {})

@@ -36,6 +36,9 @@ def test_noise_process_validation():
         stochastic.NoiseProcess("pink", 1.0, 0.5, qcore.sigma_z)
     with pytest.raises(ValueError, match="nonnegative"):
         stochastic.NoiseProcess("gaussian-white", 1.0, -0.5, qcore.sigma_z)
+    # a positive one used to be ignored, so the run was white noise regardless
+    with pytest.raises(ValueError, match="applies to the colored families only, not gaussian-white"):
+        stochastic.NoiseProcess("gaussian-white", 1.0, 0.5, qcore.sigma_z)
     with pytest.raises(ValueError, match="amplitude must be finite"):
         stochastic.NoiseProcess("gaussian-white", np.nan, 0.0, qcore.sigma_z)
     with pytest.raises(ValueError, match="correlation_time must be finite"):
@@ -170,6 +173,16 @@ def test_path_stream_seed_is_checked(seed, error):
     with pytest.raises(error, match=match):
         stochastic.stochastic_q(proc, qcore.sigma_z, QuantumState.maximally_mixed(2),
                                 [0.0, 0.5], 4, seed)
+
+
+def test_path_index_must_be_an_integer():
+    # int() used to truncate it: path 2.5 drew path 2's stream
+    with pytest.raises(TypeError):
+        stochastic.path_rng(0, 2.5)
+    proc = stochastic.NoiseProcess("telegraph", 1.0, 0.5, qcore.sigma_x)
+    with pytest.raises(TypeError):
+        stochastic.sample_noise_path(proc, 1.0, 0.05, seed=1, path_index=2.5)
+    assert stochastic.path_rng(0, np.int64(2)).random() == stochastic.path_rng(0, 2).random()
 
 
 # ---------------------------------------------------------------------------
