@@ -160,7 +160,8 @@ def criterion_sign_arbitration():
             models.fluorescence_q(p, sz0, sy0, 2000.0)
             - models.fluorescence_q_infinity(p, sz0, sy0)
         ))
-        printed = models.fluorescence_q(p, 1.0, 0.0, times, variant="printed")
+        # the form printed with +sz0 is the series at -sz0
+        printed = models.fluorescence_q(p, -1.0, 0.0, times)
         reference = quantumness.q_series(m, QuantumState.pure(qcore.ket(2, 0)), times)
         printed_margin = min(printed_margin, np.abs(printed - reference.values).max())
     return _result(4, "sign-arbitration", [

@@ -120,7 +120,7 @@ def build_parser():
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", choices=("series", "monte-carlo"), default=None)
+        p.add_argument("--mode", choices=stochastic.MODES, default=None)
     v = sub.add_parser("verify")
     v.add_argument("--out", default=None)
     v.add_argument("--fast", action="store_true")

@@ -10,8 +10,10 @@ Sections
 [model]          type = builtin name or {lindblad, microscopic,
                  collisional, stochastic}; remaining keys are the model
                  parameters: a builtin's are the fields of its parameter
-                 dataclass, each read as a float (numbered keys jump_1..,
-                 kraus_1.. for a block's operator lists).
+                 dataclass, a str field read as its text and every other
+                 one as a float (nonmarkov-decay: kernel = lorentzian |
+                 single-mode, with coupling for single-mode); numbered
+                 keys jump_1.., kraus_1.. hold a block's operator lists.
 [initial_state]  kind = optimal | maximally-mixed | pure | matrix;
                  pure takes theta/phi, matrix takes matrix = <text>.
 [times]          t_max, steps (grid linspace(0, t_max, steps)).
@@ -137,7 +139,7 @@ def load_config(path):
 
     run = parser["run"] if "run" in parser else {}
     mode = run.get("mode", "series")
-    if mode not in ("series", "monte-carlo"):
+    if mode not in stochastic.MODES:
         raise ConfigError(f"unknown mode {mode!r}")
 
     sweep_param = sweep_values = None
@@ -171,10 +173,11 @@ def build_model(cfg):
     try:
         if kind.params is not None:
             # a required field is read even when absent, so that it is reported missing
-            numbers = {f.name: _parse(float, section[f.name], f"{mtype} parameter {f.name!r}")
-                       for f in dataclasses.fields(kind.params)
-                       if f.name in section or f.default is dataclasses.MISSING}
-            make = lambda: kind.params(**numbers)
+            values = {f.name: section[f.name].strip() if f.type is str
+                      else _parse(float, section[f.name], f"{mtype} parameter {f.name!r}")
+                      for f in dataclasses.fields(kind.params)
+                      if f.name in section or f.default is dataclasses.MISSING}
+            make = lambda: kind.params(**values)
         elif mtype == "lindblad":
             h_bar, jumps = _matrix(section, "h_bar"), _numbered_values(section, "jump")
             rates = _optional(qcore.parse_matrix_text, section, "rates")
@@ -290,8 +293,7 @@ KINDS = {
     "nonmarkov-decay": Kind(
         qt=_values(lambda p, rho0, times: models.nonmarkov_q(
             p, np.trace(qcore.sigma_z @ rho0.matrix).real, times)),
-        # zero-temperature decay relaxes every state to the ground state |1><1|
-        report=lambda p: quantumness.stationary_degree(QuantumState(np.diag([0.0, 1.0]))),
+        report=lambda p: models.nonmarkov_report(p),
         sweep=(("dq",), lambda p: (models.nonmarkov_dq(p),)),
         params=models.NonMarkovParams),
     "fluorescence": _lindblad_backed(
@@ -320,5 +322,5 @@ KINDS = {
         dim=lambda obj: obj[1].shape[0],
         qt=lambda obj, rho0, times, cfg: stochastic.stochastic_q(
             *obj, rho0, times, _n_paths(cfg, 200), cfg.seed)[0],
-        seeded=("series", "monte-carlo")),
+        seeded=stochastic.MODES),
 }

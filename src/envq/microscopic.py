@@ -234,17 +234,15 @@ def _degenerate_groups(values, tol=1e-9):
 # ---------------------------------------------------------------------------
 # model factories for tests and cross-checks
 
-def spin_boson_decay(coupling, omega0=1.0, cutoff=2, mode_frequency=None):
+def spin_boson_decay(coupling, cutoff=2):
     """Two-level emitter exchanging one excitation with a truncated mode.
 
-    Resonant by default; with the bath in vacuum the excited population
-    follows cos^2(coupling * t).
+    Emitter and mode are resonant at unit frequency; with the bath in
+    vacuum the excited population follows cos^2(coupling * t).
     """
-    if mode_frequency is None:
-        mode_frequency = omega0
     a = qcore.destroy(cutoff)
-    h_s = 0.5 * omega0 * qcore.sigma_z
-    h_e = mode_frequency * qcore.number_operator(cutoff)
+    h_s = 0.5 * qcore.sigma_z
+    h_e = qcore.number_operator(cutoff)
     h_i = coupling * (
         tensor_product(qcore.sigma_plus, a) + tensor_product(qcore.sigma_minus, a.conj().T)
     )

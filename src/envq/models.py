@@ -5,14 +5,10 @@ type every numeric route returns; the coupled pair's other closed
 forms (optimal vector, concurrence, series) are module functions.
 
 Each closed form is cross-validated against numerical propagation of
-its defining generator in the test suite.  Two printed-formula variants
-from the literature that numerical propagation rules out are still
-available through ``variant="printed"`` switches for diagnostics:
-
-* the damped two-level drive ("fluorescence") time-domain series, where
-  the sign of the population term must match the Laplace-domain form;
-* the coupled-qubit-pair series, where the oscillatory term decays with
-  the one-excitation rate, not twice it.
+its defining generator in the test suite.  The fluorescence form
+printed with +sz0 in its population term is this module's series at
+-sz0; the acceptance suite checks that propagation rules it out.  The
+single-mode memory kernel never relaxes: it has a series, no degree.
 
 A tabulated memory kernel runs through ``volterra_solve``, one call of
 ``qcore.blocked_volterra``, the solver of the renewal series too.
@@ -125,8 +121,8 @@ class NonMarkovParams:
             raise ValueError("lorentzian kernel needs gamma, tau_c > 0")
         if self.kernel == "single-mode" and not self.coupling:
             raise ValueError("single-mode kernel needs a coupling")
-        if self.kernel == "tabulated" and self.kernel_func is None:
-            raise ValueError("tabulated kernel needs kernel_func")
+        if self.kernel == "tabulated" and not callable(self.kernel_func):
+            raise ValueError("tabulated kernel needs a callable kernel_func")
         # a field the kernel does not read would be silently ignored
         if self.coupling is not None and self.kernel != "single-mode":
             raise ValueError(f"coupling applies to the single-mode kernel only, not {self.kernel}")
@@ -203,9 +199,23 @@ def nonmarkov_q(p, sz0, t):
     return _scalar_or_array(q, t)
 
 
+def _require_relaxing(p):
+    if p.kernel == "single-mode":
+        raise ValueError("the single-mode kernel never relaxes (c_t = cos(coupling t)), "
+                         "so it has no stationary state and no degree of quantumness")
+
+
 def nonmarkov_dq(p):
-    """The degree of quantumness is maximal for this family."""
+    """The degree of quantumness is maximal for this family, once the decay relaxes."""
+    _require_relaxing(p)
     return 1.0
+
+
+def nonmarkov_report(p):
+    """Closed-form QuantumnessReport: zero-temperature decay relaxes every
+    state to the ground state |1><1|."""
+    _require_relaxing(p)
+    return quantumness.stationary_degree(QuantumState(np.diag([0.0, 1.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +285,16 @@ def _fluor_auxiliary_integrals(p, t):
     return ga * int_z, ga * int_y
 
 
-def fluorescence_q(p, sz0, sy0, t, variant="laplace"):
+def fluorescence_q(p, sz0, sy0, t):
     """Quantumness series of the driven-decay model.
 
-    ``variant="laplace"`` uses the sign consistent with the
-    Laplace-domain solution (and with numerical propagation); the
-    "printed" variant flips the sign of the population term and is kept
-    only as a diagnostic.
+    The population term enters as -sz0, the sign of the Laplace-domain
+    solution and of numerical propagation.
     """
     if sz0 ** 2 + sy0 ** 2 > 1.0 + 1e-9:
         raise ValueError("(sz0, sy0) must lie inside the Bloch disk")
-    if variant not in ("laplace", "printed"):
-        raise ValueError(f"unknown variant {variant!r}")
     int_z, int_y = _fluor_auxiliary_integrals(p, t)
-    sign = -1.0 if variant == "laplace" else 1.0
-    q = 1.0 + (sign * sz0 * int_z + sy0 * int_y).real
+    q = 1.0 + (-sz0 * int_z + sy0 * int_y).real
     return _scalar_or_array(q, t)
 
 
@@ -377,25 +382,20 @@ def twoqubit_optimal_vector(p):
     return v
 
 
-def twoqubit_q_closed(p, t, variant="arbitrated"):
+def twoqubit_q_closed(p, t):
     """Closed quantumness series from the propagation-optimal state.
 
-    variant="arbitrated": the oscillatory term decays as e^{-gamma t},
-    matching the generator spectrum {0, -2 gamma, -gamma +- i omega} of
-    the trace sector and agreeing with propagation to machine
-    precision.  variant="printed" uses e^{-2 gamma t} there instead
-    (diagnostics only).
+    The oscillatory term decays as e^{-gamma t}, matching the generator
+    spectrum {0, -2 gamma, -gamma +- i omega} of the trace sector and
+    agreeing with propagation to machine precision.
     """
-    if variant not in ("arbitrated", "printed"):
-        raise ValueError(f"unknown variant {variant!r}")
     t = np.asarray(t, dtype=float)
     ga, om, big = p.gamma, p.omega, p.big_gamma2
     lam = 1.0 + ga / big
-    damp = 1.0 if variant == "arbitrated" else 2.0
     q = (
         1.0
         + ga ** 2 * (1.0 + np.exp(-2.0 * ga * t)) / big ** 2
-        + (2.0 * ga / big) * (1.0 - lam * np.exp(-damp * ga * t) * np.cos(om * t))
+        + (2.0 * ga / big) * (1.0 - lam * np.exp(-ga * t) * np.cos(om * t))
     )
     return _scalar_or_array(q, t)
 

@@ -161,52 +161,25 @@ def trace_distance(a, b):
 # ---------------------------------------------------------------------------
 # core operations
 
-def tensor_product(*ops):
-    """Kronecker product of one or more operators, in the given order."""
-    if not ops:
-        raise ValueError("tensor_product needs at least one factor")
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
+def tensor_product(a, b):
+    """Kronecker product a (x) b."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def partial_trace(m, dims, keep):
-    """Trace out all tensor factors except those listed in ``keep``.
+    """Reduced matrix of factor ``keep`` (0 or 1) of a two-factor space.
 
-    Parameters
-    ----------
-    m : array_like
-        Square matrix on the full tensor-product space.
-    dims : sequence of int
-        Dimension of each tensor factor; their product must equal the
-        matrix dimension.
-    keep : int or sequence of int
-        Indices of the factors to keep, in increasing order of factor.
-
-    Returns
-    -------
-    ndarray
-        Reduced matrix over the kept factors.  The total trace is
-        preserved.
+    ``dims`` holds the two factor dimensions, whose product must equal
+    the matrix dimension; the other factor is traced out, so the total
+    trace is preserved.
     """
     m = as_operator(m, "partial_trace input")
-    dims = [int(d) for d in dims]
-    if int(np.prod(dims)) != m.shape[0]:
-        raise ValueError(f"product of dims {dims} does not match matrix dimension {m.shape[0]}")
-    if np.isscalar(keep):
-        keep = [int(keep)]
-    keep = sorted(set(int(k) for k in keep))
-    n = len(dims)
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} factors")
-    reshaped = m.reshape(dims + dims)
-    row_idx = list(range(n))
-    col_idx = [i if i not in keep else n + i for i in range(n)]
-    out_idx = [i for i in keep] + [n + i for i in keep]
-    reduced = np.einsum(reshaped, row_idx + col_idx, out_idx)
-    d_keep = int(np.prod([dims[k] for k in keep]))
-    return reduced.reshape(d_keep, d_keep)
+    d0, d1 = (int(d) for d in dims)
+    if d0 * d1 != m.shape[0]:
+        raise ValueError(f"product of dims {[d0, d1]} does not match matrix dimension {m.shape[0]}")
+    if keep not in (0, 1):
+        raise ValueError(f"keep must be 0 or 1, got {keep!r}")
+    return np.einsum("ijkj->ik" if keep == 0 else "ijil->jl", m.reshape(d0, d1, d0, d1))
 
 
 def matrix_exponential(m):
@@ -366,10 +339,9 @@ def state_matrix(state, dim=None):
     return m
 
 
-def random_state(dim, rng, rank=None):
+def random_state(dim, rng):
     """Haar-ish random density matrix (Wishart construction)."""
-    rank = rank or dim
-    m = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = m @ m.conj().T
     return QuantumState(rho / np.trace(rho).real)
 

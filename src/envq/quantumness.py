@@ -46,11 +46,6 @@ class QuantumnessSeries:
     def __len__(self):
         return self.times.size
 
-    def to_csv(self, path):
-        """Write "t,Q" rows with 12 significant digits and \\n endings."""
-        with open(path, "w", newline="") as fh:
-            fh.write(csv_text("t,Q", self.times, self.values))
-
 
 def csv_text(header, *columns):
     """The header line, then one row per index of the columns, at 12 digits."""

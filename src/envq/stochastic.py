@@ -43,10 +43,13 @@ cached P^dag E P.
 A collision at a grid time acts before the snapshot there, and P maps
 each snapshot back by its own matrix-vector product.
 
-Deterministic waiting has one path, the collisions at the exact hits
-k period, so both modes run that one path through the same chain and
-give the same bits.  Grid times that land on whole periods are common,
-so a hit counts at a time it passes by at most 1e-12 period.
+A collisional chain runs in one of MODES, series or monte-carlo.  Each
+waiting family reads only its WAITING_FIELDS; a WaitingTime that sets
+another field is rejected.  Deterministic waiting has one path, the
+collisions at the exact hits k period, so both modes run that one path
+through the same chain and give the same bits.  Grid times that land on
+whole periods are common, so a hit counts at a time it passes by at
+most 1e-12 period.
 
 For exponential and gamma waiting the series mode solves the renewal
 (second-kind Volterra) equation for the collision-arrival density by
@@ -74,7 +77,9 @@ from .qcore import (
 )
 
 NOISE_FAMILIES = ("gaussian-white", "ornstein-uhlenbeck", "telegraph")
-WAITING_FAMILIES = ("exponential", "gamma", "deterministic")
+# the fields each waiting family reads; WaitingTime rejects any other that is set
+WAITING_FIELDS = {"exponential": ("rate",), "gamma": ("rate", "shape"), "deterministic": ("period",)}
+MODES = ("series", "monte-carlo")  # the run modes, of [run] mode and --mode too
 PATH_BLOCK = 128  # paths whose segment stacks are held in memory at once
 SCAN_BLOCK = 16  # segments per run of the blocked prefix scan of a noise path
 
@@ -446,8 +451,13 @@ class WaitingTime:
     period: float = None
 
     def __post_init__(self):
-        if self.family not in WAITING_FAMILIES:
+        if self.family not in WAITING_FIELDS:
             raise ValueError(f"unknown waiting family {self.family!r}")
+        extra = [name for name in ("rate", "shape", "period")
+                 if getattr(self, name) is not None and name not in WAITING_FIELDS[self.family]]
+        if extra:
+            raise ValueError(f"{self.family} waiting reads only {list(WAITING_FIELDS[self.family])}, "
+                             f"not {extra}")
         qcore.require_finite_parameters(self, "rate", "shape", "period")
         if self.family == "exponential" and not (self.rate and self.rate > 0):
             raise ValueError("exponential waiting needs rate > 0")
@@ -708,7 +718,7 @@ def _chain(model, x0, times, mode, n_paths, seed, step):
     times = qcore.time_grid(times)
     if step is not None and not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
-    if mode not in ("series", "monte-carlo"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "monte-carlo":
         if n_paths is None or seed is None:

@@ -525,6 +525,94 @@ def test_deterministic_collisional_modes_write_the_same_csv(tmp_path):
     assert outs["series"].read_bytes() == outs["monte-carlo"].read_bytes()
 
 
+# the waiting fields each family reads
+WAITING_KEYS = {"exponential": "waiting_rate = 1.0\n",
+                "gamma": "waiting_rate = 2.0\nwaiting_shape = 2.0\n",
+                "deterministic": "waiting_period = 0.5\n"}
+
+
+@pytest.mark.parametrize("family, extra", [("exponential", "shape"), ("exponential", "period"),
+                                           ("gamma", "period"), ("deterministic", "rate"),
+                                           ("deterministic", "shape")])
+def test_waiting_field_its_family_does_not_read_is_a_model_error(tmp_path, capsys, family, extra):
+    # exponential waiting with a shape and a period used to print Q = 1 and exit 0
+    model = ("[model]\ntype = collisional\nfree_hamiltonian = 2 2 0.25+0i 0+0i 0+0i -0.25+0i\n"
+             f"kraus_1 = 2 2 0+0i 1+0i 1+0i 0+0i\nwaiting_family = {family}\n{WAITING_KEYS[family]}")
+    rest = "\n[initial_state]\nkind = maximally-mixed\n\n[times]\nt_max = 1.0\nsteps = 5\n"
+    valid = write(tmp_path, model + rest, "valid.cfg")
+    assert cli.run(["qt", "--config", valid, "--out", str(tmp_path / "valid.csv")]) == 0
+    out = tmp_path / "out.csv"
+    text = model + f"waiting_{extra} = 3.0\n" + rest
+    assert cli.run(["qt", "--config", write(tmp_path, text), "--out", str(out)]) == 3
+    assert f"{family} waiting reads only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SINGLE_MODE_CFG = """
+[model]
+type = nonmarkov-decay
+gamma = 1.0
+kernel = single-mode
+coupling = 0.8
+
+[initial_state]
+kind = pure
+theta = 0.0
+
+[times]
+t_max = 2.0
+steps = 11
+"""
+
+
+def test_single_mode_kernel_from_a_config(tmp_path):
+    # kernel = single-mode used to exit 2: "could not convert string to float"
+    out = tmp_path / "q.csv"
+    assert cli.run(["qt", "--config", write(tmp_path, SINGLE_MODE_CFG), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    # the excited state decays as |c_t|^2 = cos^2(coupling t)
+    assert np.abs(rows[:, 1] - np.cos(0.8 * rows[:, 0]) ** 2).max() < 1e-11
+    assert rows[5, 0] == 1.0 and rows[5, 1] == 0.485400238849
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("dq", ""),
+    ("sweep", "\n[sweep]\nparam = coupling\nvalues = 0.5 0.8\n"),
+    ("qt", ""),
+], ids=["dq", "sweep", "qt-optimal"])
+def test_single_mode_kernel_has_no_degree(tmp_path, capsys, command, extra):
+    # c_t = cos(coupling t) never relaxes, so there is no stationary state
+    text = SINGLE_MODE_CFG.replace("kind = pure\ntheta = 0.0", "kind = optimal") + extra
+    out = tmp_path / "out.txt"
+    assert cli.run([command, "--config", write(tmp_path, text), "--out", str(out)]) == 3
+    assert "single-mode kernel never relaxes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["qt", "dq"])
+def test_tabulated_kernel_from_a_config_is_a_model_error(tmp_path, capsys, command):
+    # a config value is a number, never the callable a tabulated kernel needs
+    text = "[model]\ntype = nonmarkov-decay\ngamma = 1.0\nkernel = tabulated\nkernel_func = 1.0\n"
+    assert cli.run([command, "--config", write(tmp_path, text)]) == 3
+    assert "tabulated kernel needs a callable kernel_func" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("qt", "\n[times]\nt_max = 4.0\nsteps = 9\n"),
+    ("dq", ""),
+    ("sweep", "\n[sweep]\nparam = tau_c\nvalues = 0.5 2.0\n"),
+], ids=["qt", "dq", "sweep"])
+def test_explicit_lorentzian_kernel_matches_the_default(tmp_path, command, extra):
+    base = "[model]\ntype = nonmarkov-decay\ngamma = 1.0\ntau_c = 2.0\n"
+    outs = []
+    for name, model in (("default", base), ("explicit", base + "kernel = lorentzian\n")):
+        out = tmp_path / f"{name}.txt"
+        assert cli.run([command, "--config", write(tmp_path, model + extra, f"{name}.cfg"),
+                        "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def _model_section(text):
     start = text.index("[model]")
     return text[start:text.index("\n[", start) + 1]

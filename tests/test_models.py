@@ -145,8 +145,20 @@ def test_nonmarkov_q():
     assert q.min() >= -1e-12 and q.max() <= 2.0 + 1e-12
 
 
+def test_nonmarkov_single_mode_has_no_degree():
+    p = models.NonMarkovParams(1.0, kernel="single-mode", coupling=0.9)
+    with pytest.raises(ValueError, match="single-mode kernel never relaxes"):
+        models.nonmarkov_dq(p)
+    with pytest.raises(ValueError, match="single-mode kernel never relaxes"):
+        models.nonmarkov_report(p)
+    assert models.nonmarkov_report(models.NonMarkovParams(1.0, 2.0)).dq == pytest.approx(1.0)
+
+
 def test_nonmarkov_rejects_kernel_fields_it_cannot_use():
     kernel = models.NonMarkovParams(1.0, 1.5).kernel_function()
+    for func in (None, 1.0):
+        with pytest.raises(ValueError, match="tabulated kernel needs a callable kernel_func"):
+            models.NonMarkovParams(1.0, kernel="tabulated", kernel_func=func)
     with pytest.raises(ValueError, match="coupling applies to the single-mode kernel only"):
         models.NonMarkovParams(1.0, coupling=1.0)
     with pytest.raises(ValueError, match="coupling applies to the single-mode kernel only"):
@@ -213,14 +225,6 @@ def test_fluorescence_q_critical_drive():
     assert np.abs(series.values - closed).max() < 1e-8
 
 
-def test_fluorescence_printed_variant_differs():
-    p = models.FluorescenceParams(1.0, 1.0)
-    t = np.linspace(0.0, 6.0, 25)
-    a = models.fluorescence_q(p, 1.0, 0.0, t)
-    b = models.fluorescence_q(p, 1.0, 0.0, t, variant="printed")
-    assert np.abs(a - b).max() > 1e-2
-
-
 def test_fluorescence_dq():
     assert models.fluorescence_dq(models.FluorescenceParams(1.0, 0.0))[0] == pytest.approx(1.0)
     dq, angles = models.fluorescence_dq(models.FluorescenceParams(1.0, 1.0))
@@ -285,10 +289,6 @@ def test_twoqubit_closed_series_limits():
     dq = models.twoqubit_dq(p)
     assert models.twoqubit_q_closed(p, 0.0) == pytest.approx(1.0, abs=1e-12)
     assert models.twoqubit_q_closed(p, 1e3) == pytest.approx(1.0 + dq, abs=1e-12)
-    # the printed-damping variant shares both limits but differs between
-    printed = models.twoqubit_q_closed(p, np.linspace(0.5, 4.0, 9), variant="printed")
-    arbitrated = models.twoqubit_q_closed(p, np.linspace(0.5, 4.0, 9))
-    assert np.abs(printed - arbitrated).max() > 1e-2
 
 
 def test_twoqubit_series_matches_propagation():

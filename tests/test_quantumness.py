@@ -14,12 +14,9 @@ def test_series_validation():
     assert len(s) == 2
 
 
-def test_series_csv_format(tmp_path):
+def test_series_csv_format():
     s = quantumness.QuantumnessSeries([0.0, 0.5], [1.0, 1.0 / 3.0], 2)
-    path = tmp_path / "q.csv"
-    s.to_csv(path)
-    text = path.read_bytes().decode()
-    assert text == "t,Q\n0,1\n0.5,0.333333333333\n"
+    assert quantumness.csv_text("t,Q", s.times, s.values) == "t,Q\n0,1\n0.5,0.333333333333\n"
 
 
 def test_q_series_thermal_closed_form():

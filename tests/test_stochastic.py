@@ -498,6 +498,20 @@ def test_waiting_time_statistics():
         stochastic.WaitingTime("deterministic", period=np.inf)
 
 
+@pytest.mark.parametrize("family, fields, extra", [
+    ("exponential", {"rate": 1.0}, "shape"),
+    ("exponential", {"rate": 1.0}, "period"),
+    ("gamma", {"rate": 1.0, "shape": 2.0}, "period"),
+    ("deterministic", {"period": 1.0}, "rate"),
+    ("deterministic", {"period": 1.0}, "shape"),
+], ids=["exponential-shape", "exponential-period", "gamma-period", "deterministic-rate",
+        "deterministic-shape"])
+def test_waiting_time_rejects_fields_its_family_does_not_read(family, fields, extra):
+    stochastic.WaitingTime(family, **fields)
+    with pytest.raises(ValueError, match=rf"{family} waiting reads only .*, not \['{extra}'\]"):
+        stochastic.WaitingTime(family, **fields, **{extra: 3.0})
+
+
 def reference_event_times(waiting, rng, t_max):
     """One wait at a time, added up until the first that passes t_max."""
     events = []
@@ -776,6 +790,19 @@ def reference_survival(wk, step):
     return surv
 
 
+def trapezoid_convolution(kern, b):
+    """sum_j kern[k - j] @ b[j] over j = 0..k by the unit-step trapezoid rule, at every k.
+
+    kern is (grid, D, D) and b (grid, D, M); the full sums are one
+    np.convolve per (kernel entry, column), and the two end points are
+    then halved.
+    """
+    full = np.zeros_like(b)
+    for a, c, m in np.ndindex(kern.shape[1], kern.shape[2], b.shape[2]):
+        full[:, a, m] += np.convolve(kern[:, a, c], b[:, c, m])[:len(b)]
+    return full - 0.5 * (kern @ b[0] + kern[0] @ b)
+
+
 def reference_neumann_chain(model, x0s, times, step):
     """The renewal series as a sum of iterated product-trapezoid convolutions.
 
@@ -794,22 +821,11 @@ def reference_neumann_chain(model, x0s, times, step):
     v0 = np.array([qcore.vec(x) for x in x0s]).T
     b = kern @ v0
     b_total = b.copy()
-    rev = np.ascontiguousarray(kern[::-1])  # rev[n_grid - i] = kern[i]
     while np.abs(b).max() >= 1e-16:
-        nxt = np.zeros_like(b)
-        for k in range(1, n_grid + 1):
-            conv = np.tensordot(rev[n_grid - k + 1:], b[1:k + 1], axes=([0, 2], [0, 1]))
-            conv += 0.5 * (kern[k] @ b[0] - kern[0] @ b[k])
-            nxt[k] = step * conv
-        b = nxt
+        b = step * trapezoid_convolution(kern, b)
         b_total += b
-    out = np.empty_like(b)
-    out[0] = surv[0] * free[0] @ v0
-    for k in range(1, n_grid + 1):
-        sk = surv[k::-1, None, None] * free[k::-1]
-        conv = np.tensordot(sk, b_total[:k + 1], axes=([0, 2], [0, 1]))
-        conv -= 0.5 * (sk[0] @ b_total[0] + sk[k] @ b_total[k])
-        out[k] = surv[k] * free[k] @ v0 + step * conv
+    survival = surv[:, None, None] * free
+    out = survival @ v0 + step * trapezoid_convolution(survival, b_total)
     at_times = np.empty((len(times),) + out.shape[1:], dtype=complex)
     for c, m in np.ndindex(*out.shape[1:]):
         at_times[:, c, m] = (np.interp(times, grid, out[:, c, m].real)
