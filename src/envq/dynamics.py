@@ -15,8 +15,8 @@ d-dimensional system is a d^2 x d^2 matrix G.  Each job has one route:
   transpose permutation r + d c <-> c + d r, a map that satisfies
   conj(G) = P G P acts on Y as the float64 matrix L = Re G + Im(G P), which
   inverts as G = (L + PLP)/2 + i(LP - PL)/2.  The dual (Hilbert-Schmidt
-  adjoint) is exactly L.T.  A non-Hermitian X = H1 + i H2 runs as the two
-  real columns of H1 and H2.
+  adjoint) is exactly L.T.  Only Hermitian operators enter, each checked
+  where it enters and stepped as its one real column (``_column``).
 * Storage.  A generator is kept dense when at least ``DENSE_FILL`` of its
   entries can be non-zero (a bound read off its Kronecker factors) and
   sparse otherwise: below that fill the sparse form is the smaller one
@@ -69,9 +69,8 @@ from .qcore import (
 
 DENSE_FILL = 1.0 / 16.0      # generators at least this full are stored dense
 # scipy's expm_multiply estimates norms of matrix powers past this shifted
-# |A dt|_1 for one column, and past it divided by n0 for n0 columns:
-# 2 ell p_max (p_max + 3) theta_55 / (55 n0) with ell = 2, p_max = 8
-# (Al-Mohy and Higham 2011, condition (3.13))
+# |A dt|_1 for one column: 2 ell p_max (p_max + 3) theta_55 / 55 with
+# ell = 2, p_max = 8 (Al-Mohy and Higham 2011, condition (3.13))
 EXPM_NORM_SWITCH = 63.36
 # Uniqueness gate on 1/cond_1 of the bordered generator: the solve loses
 # about log10(1/margin) digits, so 1e-10 keeps six.  A weak decay at rate
@@ -131,9 +130,9 @@ class Superoperator:
     float64 d^2 x d^2 array or scipy sparse matrix kept in the storage it
     comes in, which acts on the real coordinates of Hermitian operators
     (see ``real_coordinates``).  Every real matrix is the real form of a
-    Hermiticity-preserving G, so only a complex dtype or a wrong shape
-    raises ValueError.  ``matrix``, the complex matrix G in the vec basis,
-    is rebuilt from it on request.
+    Hermiticity-preserving G, so only a complex dtype, a wrong shape or a
+    non-finite entry raises ValueError.  ``matrix``, the complex matrix G
+    in the vec basis, is rebuilt from it on request.
     """
 
     def __init__(self, real, dim, kind=None):
@@ -144,6 +143,8 @@ class Superoperator:
                              f"not a {real.dtype} matrix")
         if real.shape != (dim * dim, dim * dim):
             raise ValueError(f"superoperator shape {real.shape} != ({dim * dim}, {dim * dim})")
+        if not np.isfinite(real.data if scipy.sparse.issparse(real) else real).all():
+            raise ValueError("superoperator has a non-finite entry")
         self.real = real
         self.dim = dim
         self.kind = kind  # "forward", "dual" or None
@@ -170,8 +171,8 @@ class Superoperator:
         return self.matrix.toarray() if self.is_sparse else self.matrix
 
     def apply(self, operator):
-        y = _columns(as_operator(operator))
-        return _operators(self.real @ y, self.dim)
+        """G[X] for a Hermitian X; raises ValueError unless X passes ``_column``."""
+        return hermitian_operator((self.real @ _column(operator, self.dim))[:, 0], self.dim)
 
 
 def _one_norm(a):
@@ -228,21 +229,12 @@ def hermitian_operator(y, dim):
     return x
 
 
-def _columns(x):
-    """Coordinate columns (d^2, k) of the Hermitian parts of x = H1 + i H2; k = 1 when H2 = 0."""
-    h1 = 0.5 * (x + x.conj().T)
-    h2 = -0.5j * (x - x.conj().T)
-    if not h2.any():
-        return real_coordinates(h1)[:, None]
-    return np.stack([real_coordinates(h1), real_coordinates(h2)], axis=1)
-
-
-def _operators(y, dim):
-    """Operators sum_k i^k X(y[..., :, k]) of coordinate columns from ``_columns``."""
-    x = hermitian_operator(y[..., 0], dim)
-    if y.shape[-1] == 2:
-        x += 1j * hermitian_operator(y[..., 1], dim)
-    return x
+def _column(x, dim):
+    """Real coordinate column (d^2, 1) of the Hermitian part of x, checked by ``require_hermitian``."""
+    x = require_hermitian(x, name="operator")
+    if x.shape[0] != dim:
+        raise ValueError(f"operator dimension {x.shape[0]} != superoperator dim {dim}")
+    return real_coordinates(0.5 * (x + x.conj().T))[:, None]
 
 
 def _generator(model, sparse):
@@ -303,9 +295,7 @@ def _kron_triplets(a, b, d, scale=1.0):
 def liouvillian(model):
     """Forward generator of d(rho)/dt; annihilates the trace functional.
 
-    It is the model's generator, built once per model and stored by fill
-    (``DENSE_FILL``).
-    """
+    It is the model's generator, built once and stored by ``DENSE_FILL``."""
     return Superoperator(model._forward, model.dim, "forward")
 
 
@@ -366,25 +356,25 @@ def _shifted_one_norm(a):
     return _one_norm(a - (a.diagonal().sum() / n) * eye)
 
 
-def _expm_pays(a, norm, moving, distinct, columns):
+def _expm_pays(a, norm, moving, distinct):
     """Whether one dense expm per distinct step beats expm_multiply on every step.
 
-    ``a`` is a real generator block, ``moving`` holds every positive step,
-    ``distinct`` one step per exponential the expm route would build and
-    ``columns`` the number of coordinate columns stepped.
-    Costs are in nanoseconds, fitted to scipy on one core for float64
-    matrices: dense n x n with n = 4..576 and sparse ones with 518..15068
-    stored entries, one coordinate column (minimum of 9-25 runs, two
-    sessions; each fit is within 0.48-1.65x of every measurement).  A dense
-    expm costs 1.9e4 + 25 n^2 + 0.34 n^3, plus 0.06 n^3 for each of its
-    ceil(log2(|a dt|_1 / 5.37)) squarings; densifying a sparse ``a`` costs
-    0.45 n^2 and one product with the exponential 1.2e3 + 0.25 n^2.  One
-    expm_multiply call at x = |a dt|_1 costs 1.7e5 + 7 n^2
-    + x (2.5e4 + 0.29 n^2) when dense and 9.3e5 + 58 nnz + x (8.9e4 + 6.7 nnz)
-    when sparse.  Past |(a - mu I) dt|_1 = EXPM_NORM_SWITCH / columns,
-    mu = tr(a) / n, scipy first estimates the 1-norms of powers of a and
-    then needs fewer products: such a call costs 2.4e6 + 84 n^2 + 1.2e4 x
-    when dense and 8.5e6 + 1370 nnz + x (7.0e4 + 4.8 nnz) when sparse.
+    ``a`` is a real generator block stepping one coordinate column,
+    ``moving`` holds every positive step and ``distinct`` one step per
+    exponential the expm route would build.  Costs are in nanoseconds,
+    fitted to scipy on one core for float64 matrices: dense n x n with
+    n = 4..576 and sparse ones with 518..15068 stored entries (minimum of
+    9-25 runs, two sessions; each fit is within 0.48-1.65x of every
+    measurement).  A dense expm costs 1.9e4 + 25 n^2 + 0.34 n^3, plus
+    0.06 n^3 for each of its ceil(log2(|a dt|_1 / 5.37)) squarings;
+    densifying a sparse ``a`` costs 0.45 n^2 and one product with the
+    exponential 1.2e3 + 0.25 n^2.  One expm_multiply call at x = |a dt|_1
+    costs 1.7e5 + 7 n^2 + x (2.5e4 + 0.29 n^2) when dense and 9.3e5
+    + 58 nnz + x (8.9e4 + 6.7 nnz) when sparse.  Past |(a - mu I) dt|_1
+    = EXPM_NORM_SWITCH, mu = tr(a) / n, scipy first estimates the 1-norms
+    of powers of a and then needs fewer products: such a call costs 2.4e6
+    + 84 n^2 + 1.2e4 x when dense and 8.5e6 + 1370 nnz + x (7.0e4 + 4.8 nnz)
+    when sparse.
     """
     n = a.shape[0]
     sparse = scipy.sparse.issparse(a)
@@ -396,11 +386,9 @@ def _expm_pays(a, norm, moving, distinct, columns):
         krylov = 9.3e5 + 58.0 * a.nnz + x * (8.9e4 + 6.7 * a.nnz)
     else:
         krylov = 1.7e5 + 7.0 * n ** 2 + x * (2.5e4 + 0.29 * n ** 2)
-    # scipy's condition (3.13) divides its bound by the column count; the
-    # shifted norm is at most twice the norm, so below half the switch it is not needed
-    switch = EXPM_NORM_SWITCH / columns
-    if 2.0 * x.max(initial=0.0) > switch:
-        estimated = _shifted_one_norm(a) * moving > switch
+    # the shifted norm is at most twice the norm, so below half the switch it is not needed
+    if 2.0 * x.max(initial=0.0) > EXPM_NORM_SWITCH:
+        estimated = _shifted_one_norm(a) * moving > EXPM_NORM_SWITCH
         xe = x[estimated]
         krylov[estimated] = (8.5e6 + 1370.0 * a.nnz + xe * (7.0e4 + 4.8 * a.nnz) if sparse
                              else 2.4e6 + 84.0 * n ** 2 + 1.2e4 * xe)
@@ -412,23 +400,20 @@ def propagate_series(g, x0, times):
 
     The operator is stepped from 0 to ``times[0]`` and then from one grid
     time to the next; steps that agree to 1e-12 of the longest share one
-    exponential.  The real generator steps the coordinate columns of the
-    Hermitian parts of x0 = H1 + i H2 (one column when x0 is Hermitian),
-    and only its block on the entries reachable from them (see
+    exponential.  A finite, Hermitian ``x0`` (else ValueError, see
+    ``_column``) is stepped as its one real coordinate column, by the
+    block of the real generator on the entries reachable from it (see
     ``_reachable``); the others stay exactly 0.  ``times`` must be finite,
-    non-negative and ascending.  Returns an array of shape
-    (len(times), d, d).  Forward generators must preserve the trace of
-    ``x0`` to 1e-10 (relative to max(1, |Tr x0|)) at every time; a
-    violation signals a broken generator.
+    non-negative and ascending.  Returns an array of shape (len(times), d,
+    d).  Forward generators must preserve the trace of ``x0`` to 1e-10
+    (relative to max(1, |Tr x0|)) at every time; a violation, NaN
+    included, signals a broken generator.
     """
-    x0 = as_operator(x0, "x0")
-    if x0.shape[0] != g.dim:
-        raise ValueError(f"operator dimension {x0.shape[0]} != superoperator dim {g.dim}")
+    y0 = _column(x0, g.dim)
     times = qcore.time_grid(times)
     steps = np.diff(times, prepend=0.0)
     longest = steps.max(initial=0.0)
     keys = np.round(steps / longest, 12) if longest > 0.0 else steps
-    y0 = _columns(x0)
     index = _reachable(g.real, y0.any(axis=1))
     if index is None:
         a, norm, index = g.real, g.norm, slice(None)
@@ -438,11 +423,11 @@ def propagate_series(g, x0, times):
     v = y0[index]
     moving = steps > 0.0
     first = np.unique(keys[moving], return_index=True)[1]
-    use_expm = _expm_pays(a, norm, steps[moving], steps[moving][first], y0.shape[1])
+    use_expm = _expm_pays(a, norm, steps[moving], steps[moving][first])
     if use_expm and scipy.sparse.issparse(a):
         a = a.toarray()
     exponentials = {}
-    ys = np.zeros((times.size, *y0.shape))
+    ys = np.zeros((times.size, y0.shape[0]))
     for k, (dt, key) in enumerate(zip(steps, keys)):
         if dt > 0.0:
             if not use_expm:
@@ -451,12 +436,12 @@ def propagate_series(g, x0, times):
                 if key not in exponentials:
                     exponentials[key] = scipy.linalg.expm(a * dt)
                 v = exponentials[key] @ v
-        ys[k, index] = v
-    out = _operators(ys, g.dim)
+        ys[k, index] = v[:, 0]
+    out = hermitian_operator(ys, g.dim)
     if g.kind == "forward" and out.size:
-        trace0 = np.trace(x0)
+        trace0 = y0[::g.dim + 1, 0].sum()  # the trace functional keeps its vec form
         drift = np.abs(np.trace(out, axis1=1, axis2=2) - trace0).max()
-        if drift > 1e-10 * max(1.0, abs(trace0)):
+        if not drift <= 1e-10 * max(1.0, abs(trace0)):
             raise RuntimeError(f"forward propagation changed the trace by {drift:.3e}")
     return out
 
@@ -542,7 +527,7 @@ def stationary_state(g):
     rho = hermitian_operator(solve(rhs), g.dim)
     rho = rho / np.trace(rho).real
     residual = np.abs(g.apply(rho)).max()
-    if residual > 1e-9 * scale:
+    if not residual <= 1e-9 * scale:
         raise RuntimeError(f"stationary-state residual {residual:.3e} exceeds 1e-09 * {scale:.3e}")
     return QuantumState(rho, tol=1e-8)
 

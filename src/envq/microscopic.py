@@ -136,7 +136,7 @@ def split_contributions(model, rho0, t):
     delta = u @ sig @ u.conj().T - sig
     first = np.trace(conj @ sig).real
     second = np.trace(conj @ delta).real
-    if abs(first + second - 1.0) > 1e-10:
+    if not abs(first + second - 1.0) <= 1e-10:
         raise RuntimeError(f"splitting sum {first + second} deviates from 1")
     return float(first), float(second)
 
@@ -183,7 +183,7 @@ def hamiltonian_ensemble_reduction(model):
     h = model.hamiltonian()
     sig = model.sigma0_joint
     comm_norm = np.abs(h @ sig - sig @ h).max()
-    if comm_norm > COMM_TOL:
+    if not comm_norm <= COMM_TOL:
         raise ValueError(
             f"[H, I x sigma0] does not vanish (max commutator entry {comm_norm:.3e})"
         )
@@ -191,7 +191,7 @@ def hamiltonian_ensemble_reduction(model):
     rest4 = (_embed_environment(model, model.h_e) + model.h_i).reshape(ds, de, ds, de)
     evals, basis = qcore.hermitian_eigensystem(model.sigma0.matrix)
     blocks = _environment_blocks(rest4, basis)
-    if _offdiag_residual(blocks) > COMM_TOL:
+    if not _offdiag_residual(blocks) <= COMM_TOL:
         # refine within degenerate sigma0 eigenspaces using the bath-side
         # part of H, then with a fixed random contraction as a fallback
         contractions = [np.trace(rest4, axis1=0, axis2=2)]
@@ -250,7 +250,7 @@ def spin_boson_decay(coupling, cutoff=2):
     return JointModel(h_s, h_e, h_i, vacuum)
 
 
-def random_joint_model(dim_s, dim_e, rng, commuting=False, scale=1.0):
+def random_joint_model(dim_s, dim_e, rng, commuting=False):
     """Random JointModel for oracle tests.
 
     With ``commuting=True`` the interaction is built diagonal in the
@@ -258,7 +258,7 @@ def random_joint_model(dim_s, dim_e, rng, commuting=False, scale=1.0):
     """
     def rand_herm(d):
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        return scale * 0.5 * (m + m.conj().T) / np.sqrt(d)
+        return 0.5 * (m + m.conj().T) / np.sqrt(d)
 
     h_s = rand_herm(dim_s)
     sigma0 = qcore.random_state(dim_e, rng)

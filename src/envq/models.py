@@ -70,9 +70,9 @@ class ThermalTlsParams:
     def zeta(self):
         return self.gamma * self.n_th
 
-    def lindblad_model(self, omega0=1.0):
+    def lindblad_model(self):
         return dynamics.LindbladModel(
-            0.5 * omega0 * qcore.sigma_z,
+            0.5 * qcore.sigma_z,
             [qcore.sigma_minus, qcore.sigma_plus],
             rates=[self.kappa, self.zeta],
         )
@@ -483,15 +483,15 @@ class OscillatorParams:
     def dim(self):
         return self.n_max + 1
 
-    def lindblad_model(self, omega0=1.0):
-        return thermal_oscillator_model(self.kappa, self.zeta, self.n_max, omega0)
+    def lindblad_model(self):
+        return thermal_oscillator_model(self.kappa, self.zeta, self.n_max)
 
 
-def thermal_oscillator_model(kappa, zeta, n_max, omega0=1.0):
+def thermal_oscillator_model(kappa, zeta, n_max):
     """Truncated damped oscillator with explicit up/down rates."""
     a = qcore.destroy(n_max + 1)
     return dynamics.LindbladModel(
-        omega0 * qcore.number_operator(n_max + 1), [a, a.conj().T], rates=[kappa, zeta]
+        qcore.number_operator(n_max + 1), [a, a.conj().T], rates=[kappa, zeta]
     )
 
 
@@ -527,7 +527,7 @@ def oscillator_q_numeric(model_or_params, rho0, times):
     values = []
     for a_t in dynamics.propagate_series(gd, rho0, times):
         diag = np.abs(np.diag(a_t))
-        if diag[-1] > 1e-3 * max(diag.max(), 1e-300):
+        if not diag[-1] <= 1e-3 * max(diag.max(), 1e-300):
             raise RuntimeError(
                 f"truncation breach: top-level weight fraction {diag[-1] / diag.max():.2e}"
             )
@@ -555,7 +555,7 @@ def oscillator_q_extrapolated(p, times, cutoffs=None):
         runs.append(quantumness.q_series(model, ground, times).values)
     q0, q1, q2 = runs
     d1, d2 = q1 - q0, q2 - q1
-    if np.any(np.abs(d2) > 0.02 * np.abs(q2)):
+    if not np.all(np.abs(d2) <= 0.02 * np.abs(q2)):
         worst = (np.abs(d2) / np.abs(q2)).max()
         raise RuntimeError(f"truncation breach: cutoff increment still moves Q by {worst:.2e}")
     denom = d1 - d2

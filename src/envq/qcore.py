@@ -96,9 +96,9 @@ def require_finite_parameters(obj, *names):
 
 
 def require_q_bounds(values, dim):
-    """Raise BoundViolationError when a Q value leaves [0, dim] by more than BOUND_TOL."""
+    """Raise BoundViolationError when a Q value leaves [0, dim] by more than BOUND_TOL or is NaN."""
     values = np.asarray(values, dtype=float)
-    if values.size and (values.min() < -BOUND_TOL or values.max() > dim + BOUND_TOL):
+    if values.size and not (values.min() >= -BOUND_TOL and values.max() <= dim + BOUND_TOL):
         raise BoundViolationError(
             f"Q leaves [0, {dim}]: min {values.min():.3e}, max {values.max():.6e}"
         )
@@ -153,8 +153,8 @@ def unvec(v, dim=None):
 
 
 def trace_distance(a, b):
-    """Half trace norm of the difference of two Hermitian matrices."""
-    delta = as_operator(a) - as_operator(b)
+    """Half trace norm of the difference of two finite Hermitian matrices."""
+    delta = require_finite(as_operator(a)) - require_finite(as_operator(b))
     return 0.5 * np.abs(np.linalg.eigvalsh(0.5 * (delta + delta.conj().T))).sum()
 
 
@@ -207,7 +207,7 @@ def hermitian_eigensystem(h):
     h = require_hermitian(h, tol=1e-8, name="eigensystem input")
     w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
     resid = np.abs((v * w) @ v.conj().T - h).max()
-    if resid > RECON_TOL * max(1.0, np.abs(w).max()):
+    if not resid <= RECON_TOL * max(1.0, np.abs(w).max()):
         raise RuntimeError(f"eigendecomposition residual {resid:.3e} too large")
     return w, v
 

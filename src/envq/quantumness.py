@@ -36,7 +36,7 @@ class QuantumnessSeries:
             raise ValueError("times and values must be 1d arrays of equal length")
         if times.size and np.any(np.diff(times) < 0):
             raise ValueError("times must be ascending")
-        if times.size and times[0] == 0.0 and abs(values[0] - 1.0) > 1e-9:
+        if times.size and times[0] == 0.0 and not abs(values[0] - 1.0) <= 1e-9:
             raise ValueError(f"Q at t=0 is {values[0]}, expected 1")
         qcore.require_q_bounds(values, dim_s)
         self.times = times
@@ -61,10 +61,10 @@ class QuantumnessReport:
 
     def __init__(self, dq, optimal_state, q_infinity, stationary):
         dim = stationary.dim
-        if dq < -1e-12 or dq > dim - 1 + 1e-8:
+        if not -1e-12 <= dq <= dim - 1 + 1e-8:
             raise ValueError(f"dq={dq} outside [0, {dim - 1}]")
         evals = np.linalg.eigvalsh(optimal_state.matrix)
-        if evals[:-1].max(initial=0.0) > 1e-10:
+        if not evals[:-1].max(initial=0.0) <= 1e-10:
             raise ValueError("optimal state is not rank one")
         self.dq = float(dq)
         self.optimal_state = optimal_state

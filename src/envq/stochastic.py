@@ -560,7 +560,7 @@ def _series_chain(model, x0, times, step=None):
 
     The solve runs in the eigenbasis H = V diag(e) V^dag of the free
     Hamiltonian.  With P = kron(conj V, V) the free map at t_k is
-    P diag(ph_k) P^dag, where ph_k = kron(conj lam_k, lam_k) and
+    P diag(ph_k) P^dag, where ph_k = kron(conj lam_k, lam_k) (``_phases``) and
     lam_k = exp(-i e t_k).  The kernel is then P^dag E P diag(w_k ph_k),
     and each history term is a componentwise product of d^2 numbers.
     ``qcore.blocked_volterra`` solves the density in blocks of grid steps, and
@@ -594,8 +594,7 @@ def _series_chain(model, x0, times, step=None):
     surv = qcore.blocked_volterra(r[None], beta[None], np.array([[-step / lead]]))[0]
     energies, vecs = model._eig
     p = _superbasis(vecs)
-    lam = np.exp(-1j * np.outer(energies, grid))
-    ph = (lam.conj()[:, None] * lam[None, :]).reshape(dd, -1)
+    ph = _phases(energies, grid).T
     e_eig = model._collision_eig
     c = wk * ph
     # (I - h/2 K_0)^-1 P^dag E P; K_0 = w_0 E, since the free map at 0 is I

@@ -209,6 +209,18 @@ def test_white_noise_correlation_time_is_a_model_error(tmp_path, capsys):
     assert cli.run(["qt", "--config", zero, "--out", str(tmp_path / "q.csv")]) == 0
 
 
+@pytest.mark.parametrize("text", [
+    LINDBLAD_CFG.replace("rates = 1 1 1+0i", "rates = 1 1 1e150+0i"),
+    THERMAL_CFG.replace("t_max = 10.0", "t_max = 1e300"),
+], ids=["lindblad-huge-rate", "thermal-huge-horizon"])
+def test_nan_series_is_a_model_error(tmp_path, capsys, text):
+    # both used to print Q = nan and exit 0; the forward trace check now reads the NaN
+    out = tmp_path / "out.csv"
+    assert cli.run(["qt", "--config", write(tmp_path, text), "--out", str(out)]) == 3
+    assert "forward propagation changed the trace by nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_complex_rate_row_is_a_model_error(tmp_path):
     cfg = LINDBLAD_CFG.replace("rates = 1 1 1+0i", "rates = 1 1 1+0.5i")
     assert cli.run(["qt", "--config", write(tmp_path, cfg)]) == 3

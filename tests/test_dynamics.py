@@ -16,6 +16,11 @@ def rand_op(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
 
+def rand_herm(rng, d):
+    a = rand_op(rng, d)
+    return a + a.conj().T
+
+
 def stored(model, sparse):
     """Forward and dual generators of a model, built in the given storage."""
     real = dynamics._generator(model, sparse)
@@ -86,7 +91,7 @@ def test_liouvillian_annihilates_trace():
     rng = np.random.default_rng(0)
     g = dynamics.liouvillian(thermal_model())
     for _ in range(100):
-        x = rand_op(rng, 2)
+        x = rand_herm(rng, 2)
         assert abs(np.trace(g.apply(x))) < 1e-12
     # trace functional is a left null vector
     assert np.abs(qcore.vec(np.eye(2)).conj() @ g.matrix).max() < 1e-12
@@ -119,7 +124,7 @@ def test_adjoint_pairing():
         g = dynamics.liouvillian(model)
         gd = dynamics.dual_liouvillian(model)
         for _ in range(20):
-            a, rho = rand_op(rng, 2), rand_op(rng, 2)
+            a, rho = rand_herm(rng, 2), rand_herm(rng, 2)
             lhs = np.trace(a @ g.apply(rho))
             rhs = np.trace(rho @ gd.apply(a))
             assert abs(lhs - rhs) < 1e-11
@@ -137,7 +142,7 @@ def test_thermal_dual_trace_rate():
     p = models.ThermalTlsParams(1.0, 0.9)
     gd = dynamics.dual_liouvillian(p.lindblad_model())
     for _ in range(10):
-        a = rand_op(rng, 2)
+        a = rand_herm(rng, 2)
         lhs = np.trace(gd.apply(a))
         rhs = -(p.kappa - p.zeta) * np.trace(qcore.sigma_z @ a)
         assert abs(lhs - rhs) < 1e-12
@@ -146,7 +151,7 @@ def test_thermal_dual_trace_rate():
 def test_propagate_identity_at_zero():
     rng = np.random.default_rng(3)
     g = dynamics.liouvillian(thermal_model())
-    x = rand_op(rng, 2)
+    x = rand_herm(rng, 2)
     assert np.abs(dynamics.propagate(g, x, 0.0) - x).max() < 1e-14
 
 
@@ -281,7 +286,7 @@ def test_kraus_extraction_reconstructs_channel():
     kraus = dynamics.kraus_from_superoperator(ch)
     comp = sum(k.conj().T @ k for k in kraus)
     assert np.abs(comp - np.eye(2)).max() < 1e-12
-    x = rand_op(rng, 2)
+    x = rand_herm(rng, 2)
     rebuilt = sum(k @ x @ k.conj().T for k in kraus)
     assert np.abs(rebuilt - ch.apply(x)).max() < 1e-12
 
@@ -456,28 +461,7 @@ def test_expm_pays_prices_long_steps(d, x, expm_pays):
     norm = dynamics._one_norm(a)
     steps = np.array([x / norm])
     assert dynamics._shifted_one_norm(a) * steps[0] > dynamics.EXPM_NORM_SWITCH
-    assert dynamics._expm_pays(a, norm, steps, steps, 1) == expm_pays
-
-
-def test_two_column_step_prices_the_halved_norm_switch():
-    # a non-Hermitian x0 steps two coordinate columns, and scipy's
-    # expm_multiply then estimates power norms past half the switch.  At
-    # n = 144 and a shifted |A dt|_1 of 40 (between the two switches) one
-    # core took 2.5 ms Krylov and 3.2 ms expm for one column, but 6.2 ms
-    # Krylov and 2.4 ms expm for two (minimum of 9 runs)
-    d = 12
-    g = dynamics.liouvillian(random_lindblad(np.random.default_rng(40 + d), d))
-    dt = 40.0 / dynamics._shifted_one_norm(g.real)
-    assert dynamics.EXPM_NORM_SWITCH / 2 < 40.0 < dynamics.EXPM_NORM_SWITCH
-    rng = np.random.default_rng(3)
-    x0 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    for x, expm_route in ((x0, True), (0.5 * (x0 + x0.conj().T), False)):
-        y = dynamics._columns(x)
-        assert y.shape[1] == (2 if expm_route else 1)
-        step = (scipy.linalg.expm(g.real * dt) @ y if expm_route
-                else scipy.sparse.linalg.expm_multiply(g.real * dt, y))
-        got = dynamics.propagate_series(g, x, [dt])[0]
-        assert np.array_equal(got, dynamics._operators(step, d))
+    assert dynamics._expm_pays(a, norm, steps, steps) == expm_pays
 
 
 def test_propagate_series_rejects_bad_grid():
@@ -567,19 +551,65 @@ def test_superoperator_takes_only_the_real_form():
         dynamics.Superoperator(g.real, 2)
 
 
+def test_superoperator_rejects_a_non_finite_real_form():
+    # a NaN or infinite entry used to pass construction and reach every route
+    g = dynamics.liouvillian(random_lindblad(np.random.default_rng(31), 3))
+    for bad in (np.nan, np.inf):
+        real = g.real.copy()
+        real[1, 2] = bad
+        for stored_form in (real, scipy.sparse.csr_matrix(real)):
+            with pytest.raises(ValueError, match="non-finite"):
+                dynamics.Superoperator(stored_form, 3)
+
+
 @pytest.mark.parametrize("d, sparse", [(2, False), (4, False), (4, True)])
 def test_propagate_series_non_hermitian_operator(d, sparse):
-    # x0 = H1 + i H2 steps as two real columns; each time is checked
-    # against one complex expm of the vec-basis generator
+    # a non-Hermitian x0 raises; a random Hermitian one, the only kind the
+    # layer steps, is checked at each time against one complex expm of the
+    # vec-basis generator
     rng = np.random.default_rng(40 + d)
     model = random_lindblad(rng, d)
-    x0 = rand_op(rng, d)
+    x0 = rand_herm(rng, d)
     times = time_grid("log", 2.0, 9)
     for g in stored(model, sparse):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            dynamics.propagate_series(g, x0 + 1j * x0, times)
         gmat = g.dense()
         for t, out in zip(times, dynamics.propagate_series(g, x0, times)):
             exact = qcore.unvec(scipy.linalg.expm(gmat * t) @ qcore.vec(x0), d)
             assert np.abs(out - exact).max() < 1e-12 * max(1.0, np.abs(exact).max())
-    # apply takes the same two-column route
     g = stored(model, sparse)[0]
     assert np.abs(g.apply(x0) - qcore.unvec(g.dense() @ qcore.vec(x0), d)).max() < 1e-13
+
+
+def test_non_hermitian_or_non_finite_operator_raises():
+    # the dynamics layer steps Hermitian operators only and checks them where
+    # they enter; sigma_minus used to be stepped as two real columns, and NaN
+    # used to propagate
+    nan = np.full((2, 2), np.nan)
+    inf = np.diag([1.0, np.inf])
+    for g in (dynamics.liouvillian(thermal_model()), dynamics.dual_liouvillian(thermal_model())):
+        for x, match in ((qcore.sigma_minus, "not Hermitian"), (nan, "non-finite"),
+                         (inf, "non-finite"), (np.eye(3), "dimension 3 != superoperator dim 2")):
+            with pytest.raises(ValueError, match=match):
+                dynamics.propagate_series(g, x, [0.0, 1.0])
+            with pytest.raises(ValueError, match=match):
+                g.apply(x)
+
+
+def test_roundoff_asymmetric_state_steps_one_real_column():
+    # a valid pure state whose matrix misses Hermiticity by 1e-17: its
+    # Hermitian part is stepped as the one real column, bit for bit, with
+    # the exponential reused on the uniform grid
+    x = QuantumState.pure(qcore.bloch_vector_state(1.1, 0.3)).matrix
+    assert np.any(x != x.conj().T)
+    g = dynamics.liouvillian(models.FluorescenceParams(1.0, 1.5).lindblad_model())
+    h = 0.5 * (x + x.conj().T)
+    y = qcore.vec(h.real + h.imag).real[:, None]
+    step = scipy.linalg.expm(g.real * 0.25)
+    times = np.arange(9) * 0.25
+    for k, out in enumerate(dynamics.propagate_series(g, x, times)):
+        if k:
+            y = step @ y
+        m = qcore.unvec(y[:, 0], 2)
+        assert np.array_equal(out, 0.5 * (m + m.T) + 0.5j * (m - m.T))

@@ -28,7 +28,8 @@ def test_thermal_dq_values():
 def test_thermal_q_matches_dual_propagation():
     rng = np.random.default_rng(0)
     p = models.ThermalTlsParams(0.7, 1.3)
-    m = p.lindblad_model(omega0=2.0)
+    m = dynamics.LindbladModel(qcore.sigma_z, [qcore.sigma_minus, qcore.sigma_plus],
+                               rates=[p.kappa, p.zeta])
     times = np.linspace(0.0, 12.0, 25)
     rho0 = qcore.random_state(2, rng)
     sz0 = np.trace(qcore.sigma_z @ rho0.matrix).real

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from envq import dynamics, models, qcore, quantumness, stochastic
+from envq import dynamics, microscopic, models, qcore, quantumness, stochastic
 
 MODELS = {
     "thermal-tls": models.ThermalTlsParams(1.0, 1.3).lindblad_model(),
@@ -125,3 +125,35 @@ def test_closed_form_two_qubit_reports_equal_the_numeric_ones(gamma, omega):
     probe = qcore.tensor_product(reduced.propagation_state().matrix, np.eye(2))
     image = dynamics.propagate(dynamics.liouvillian(model), np.eye(4) / 2.0, late[-1])
     assert np.trace(probe @ image).real == pytest.approx(reduced.q_infinity, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(1, 5), sparse=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       t=st.floats(0.0, 3.0))
+def test_forward_and_dual_flows_pair_through_the_trace(d, sparse, seed, t):
+    # Tr[A e^{tL}[rho]] = Tr[e^{tL*}[A] rho] for Hermitian A and states rho, with
+    # both generators stored dense or sparse; sparse jumps leave some flows on a block
+    rng = np.random.default_rng(seed)
+    jumps = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+             * (rng.random(size=(d, d)) < 0.5) / d for _ in range(2)]
+    model = dynamics.LindbladModel(random_hermitian(rng, d) / (2 * d), jumps, rates=[0.6, 0.3])
+    real = dynamics._generator(model, sparse)
+    forward = dynamics.Superoperator(real, d, "forward")
+    dual = dynamics.Superoperator(real.T, d, "dual")
+    a, rho = random_hermitian(rng, d), qcore.random_state(d, rng).matrix
+    lhs = np.trace(a @ dynamics.propagate(forward, rho, t))
+    rhs = np.trace(dynamics.propagate(dual, a, t) @ rho)
+    assert abs(lhs - rhs) <= 1e-12 * d * np.abs(a).max()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dim_s=st.integers(2, 3), dim_e=st.integers(2, 4), commuting=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.0, 4.0))
+def test_oracle_direct_equals_oracle_dual(dim_s, dim_e, commuting, seed, t):
+    # the joint-space oracle's two routes to Q_t: the rotated system state
+    # paired with I x sigma0, and the system trace of the dual image
+    rng = np.random.default_rng(seed)
+    model = microscopic.random_joint_model(dim_s, dim_e, rng, commuting=commuting)
+    rho0 = qcore.random_state(dim_s, rng)
+    direct = microscopic.quantumness_direct(model, rho0, t)
+    assert abs(microscopic.quantumness_via_dual(model, rho0, t) - direct) <= 1e-12 * dim_s

@@ -213,6 +213,18 @@ def test_require_hermitian():
         qcore.require_hermitian(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
+def test_nan_fails_the_bound_and_distance_checks():
+    # a gate written value > bound let NaN through, and the distance of a NaN matrix read 0
+    qcore.require_q_bounds([0.0, 2.0 + 0.5 * qcore.BOUND_TOL], 2)
+    for values in ([np.nan], [1.0, np.nan], [2.1]):
+        with pytest.raises(qcore.BoundViolationError, match="leaves"):
+            qcore.require_q_bounds(values, 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        qcore.trace_distance(np.full((2, 2), np.nan), np.eye(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        qcore.trace_distance(np.eye(2), np.diag([np.inf, 0.0]))
+
+
 def test_require_channel():
     damping = [np.array([[1.0, 0.0], [0.0, np.sqrt(0.6)]]), np.array([[0.0, np.sqrt(0.4)], [0.0, 0.0]])]
     qcore.require_channel(damping, 2, 1e-12)
