@@ -15,8 +15,10 @@ d-dimensional system is a d^2 x d^2 matrix G.  Each job has one route:
   transpose permutation r + d c <-> c + d r, a map that satisfies
   conj(G) = P G P acts on Y as the float64 matrix L = Re G + Im(G P), which
   inverts as G = (L + PLP)/2 + i(LP - PL)/2.  The dual (Hilbert-Schmidt
-  adjoint) is exactly L.T.  Only Hermitian operators enter, each checked
-  where it enters and stepped as its one real column (``_column``).
+  adjoint) is exactly L.T.  Only Hermitian operators enter: each passes
+  ``qcore.require_hermitian`` where it enters, and its exact Hermitian
+  part is stepped as its one real column (``_column``).  Model inputs are
+  checked once, in ``LindbladModel``, and are not checked again.
 * Storage.  A generator is kept dense when at least ``DENSE_FILL`` of its
   entries can be non-zero (a bound read off its Kronecker factors) and
   sparse otherwise: below that fill the sparse form is the smaller one
@@ -24,7 +26,9 @@ d-dimensional system is a d^2 x d^2 matrix G.  Each job has one route:
   storage switch.  A sparse L is summed from the COO triplets of the
   Kronecker terms of G in one ``csr_matrix`` call; a dense L is formed
   from Re G and Im G, assembled with two real products over the jump
-  pairs.  A model builds and caches only its real forward generator.  A
+  pairs.  A model builds its forward and dual ``Superoperator`` once
+  each, on first use, so their finiteness check and norm run once per
+  model; the dual shares the forward real form as its transpose.  A
   ``Superoperator`` is constructed from a real form only and keeps the
   storage it is given; the complex ``Superoperator.matrix`` is rebuilt
   from it on request.
@@ -62,7 +66,6 @@ from .qcore import (
     DegenerateSteadyStateError,
     QuantumState,
     as_operator,
-    require_finite,
     require_hermitian,
     state_matrix,
 )
@@ -84,22 +87,21 @@ class LindbladModel:
     The rate matrix must be Hermitian positive semidefinite; ``rates``
     may be given as a 1d array of diagonal rates or omitted entirely
     (identity) when the jump operators already absorb their rates.
-    Every entry of every input must be finite.  The forward generator is
-    built once, on first use, so the inputs must not change after that.
+    Every operator must be at least 1 x 1 and every entry of every input
+    finite; ``h_bar`` and the rate matrix are kept as their exact
+    Hermitian parts.  The generators are built once, on first use, so the
+    inputs must not change after that.
     """
 
     def __init__(self, h_bar, jump_ops, rates=None):
         self.h_bar = require_hermitian(h_bar, name="h_bar")
-        self.jump_ops = [as_operator(require_finite(v, "jump operator"), "jump operator")
-                         for v in jump_ops]
+        self.jump_ops = [as_operator(v, "jump operator") for v in jump_ops]
         d = self.h_bar.shape[0]
         for v in self.jump_ops:
             if v.shape[0] != d:
                 raise ValueError("jump operator dimension mismatch")
         n = len(self.jump_ops)
-        if rates is None:
-            rates = np.eye(n)
-        rates = require_finite(rates, "rate matrix")
+        rates = np.asarray(np.eye(n) if rates is None else rates, dtype=complex)
         if rates.ndim == 1:
             rates = np.diag(rates)
         if rates.shape != (n, n):
@@ -107,7 +109,7 @@ class LindbladModel:
         if n:
             rates = require_hermitian(rates, name="rate matrix")
             gate = qcore.VALID_TOL * max(1.0, np.abs(rates).max())
-            if np.linalg.eigvalsh(0.5 * (rates + rates.conj().T)).min() < -gate:
+            if np.linalg.eigvalsh(rates).min() < -gate:
                 raise ValueError("rate matrix is not positive semidefinite")
         self.rates = rates
 
@@ -117,10 +119,15 @@ class LindbladModel:
 
     @cached_property
     def _forward(self):
-        """Real forward generator stored by fill, built on first use and read-only."""
+        """Forward generator, its real form stored by fill and read-only, built on first use."""
         gen = _generator(self, None)
         _freeze(gen)
-        return gen
+        return Superoperator(gen, self.dim, "forward")
+
+    @cached_property
+    def _dual(self):
+        """Dual generator, whose real form is the transpose (a view) of the forward one."""
+        return Superoperator(self._forward.real.T, self.dim, "dual")
 
 
 class Superoperator:
@@ -230,11 +237,11 @@ def hermitian_operator(y, dim):
 
 
 def _column(x, dim):
-    """Real coordinate column (d^2, 1) of the Hermitian part of x, checked by ``require_hermitian``."""
+    """Real coordinate column (d^2, 1) of the Hermitian part that ``require_hermitian`` returns."""
     x = require_hermitian(x, name="operator")
     if x.shape[0] != dim:
         raise ValueError(f"operator dimension {x.shape[0]} != superoperator dim {dim}")
-    return real_coordinates(0.5 * (x + x.conj().T))[:, None]
+    return real_coordinates(x)[:, None]
 
 
 def _generator(model, sparse):
@@ -295,8 +302,9 @@ def _kron_triplets(a, b, d, scale=1.0):
 def liouvillian(model):
     """Forward generator of d(rho)/dt; annihilates the trace functional.
 
-    It is the model's generator, built once and stored by ``DENSE_FILL``."""
-    return Superoperator(model._forward, model.dim, "forward")
+    It is the model's generator, built once and stored by ``DENSE_FILL``:
+    every call returns the same read-only Superoperator."""
+    return model._forward
 
 
 def dual_liouvillian(model):
@@ -306,9 +314,10 @@ def dual_liouvillian(model):
     - (V_nu^dag V_mu A + A V_nu^dag V_mu)/2).  It is the Hilbert-Schmidt
     adjoint of the forward generator, which in the orthonormal real
     coordinates is the transpose ``L.T`` (a view, no copy); it annihilates
-    the identity but generally does not preserve the trace.
+    the identity but generally does not preserve the trace.  Every call
+    returns the same Superoperator.
     """
-    return Superoperator(model._forward.T, model.dim, "dual")
+    return model._dual
 
 
 def _by_fill(a):

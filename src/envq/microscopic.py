@@ -76,12 +76,13 @@ class JointModel:
         return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
+# the embeddings take operators that an entry point has already checked
 def _embed_system(model, a):
-    return tensor_product(as_operator(a, "system operator"), identity(model.dim_e))
+    return tensor_product(a, identity(model.dim_e))
 
 
 def _embed_environment(model, b):
-    return tensor_product(identity(model.dim_s), as_operator(b, "environment operator"))
+    return tensor_product(identity(model.dim_s), b)
 
 
 def _rotated_system(model, u, rho0):
@@ -95,8 +96,7 @@ def reduced_state(model, rho0, t):
     u = model.unitary(t)
     joint = tensor_product(rho0, model.sigma0.matrix)
     evolved = u @ joint @ u.conj().T
-    red = partial_trace(evolved, [model.dim_s, model.dim_e], keep=0)
-    return QuantumState(0.5 * (red + red.conj().T))
+    return QuantumState(partial_trace(evolved, [model.dim_s, model.dim_e], keep=0))
 
 
 def quantumness_direct(model, rho0, t):
@@ -265,7 +265,6 @@ def random_joint_model(dim_s, dim_e, rng, commuting=False):
     if commuting:
         _, basis = qcore.hermitian_eigensystem(sigma0.matrix)
         h_e = (basis * rng.normal(size=dim_e)) @ basis.conj().T
-        h_e = 0.5 * (h_e + h_e.conj().T)
         h_i = np.zeros((dim_s * dim_e, dim_s * dim_e), dtype=complex)
         for k in range(dim_e):
             proj = np.outer(basis[:, k], basis[:, k].conj())

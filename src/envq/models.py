@@ -2,7 +2,10 @@
 
 Closed-form degree reports are ``quantumness.QuantumnessReport``s, the
 type every numeric route returns; the coupled pair's other closed
-forms (optimal vector, concurrence, series) are module functions.
+forms (optimal vector, concurrence, series) are module functions.  A
+series at an array of times is an array; at a scalar time it is the
+numpy scalar that numpy's ufuncs return (``np.float64``, or
+``np.complex128`` for ``memory_c``), a subclass of float or complex.
 
 Each closed form is cross-validated against numerical propagation of
 its defining generator in the test suite.  The fluorescence form
@@ -28,13 +31,6 @@ def _sinch(x):
     small = np.abs(x) < 1e-6
     safe = np.where(small, 1.0, x)
     return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
-
-
-def _scalar_or_array(value, t):
-    value = np.asarray(value)
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(value.real) if value.ndim == 0 else float(value.reshape(()).real)
-    return value.real if np.iscomplexobj(value) else value
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +81,7 @@ def thermal_q(p, sz0, t):
     t = np.asarray(t, dtype=float)
     sz_inf = (p.zeta - p.kappa) / (p.zeta + p.kappa)
     q = 1.0 + sz_inf * sz0 * (1.0 - np.exp(-t * (p.kappa + p.zeta)))
-    return _scalar_or_array(q, t)
+    return q
 
 
 def thermal_dq(p):
@@ -147,19 +143,15 @@ def memory_c(p, t):
     if p.kernel == "lorentzian":
         chi = np.sqrt(complex(1.0 - 2.0 * p.gamma * p.tau_c))
         x = t * chi / (2.0 * p.tau_c)
-        c = np.exp(-t / (2.0 * p.tau_c)) * (np.cosh(x) + (t / (2.0 * p.tau_c)) * _sinch(x))
-        out = c
-    elif p.kernel == "single-mode":
-        out = np.cos(p.coupling * t) + 0.0j
-    else:
-        t_max = float(t.max()) if t.size else 0.0
-        step = p.tau_c / 100.0
-        grid, c = volterra_solve(p.kernel_function(), max(t_max, step), step)
-        import scipy.interpolate  # only this branch needs it; it is slow to import
-        out = scipy.interpolate.CubicSpline(grid, c)(t)
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return complex(np.asarray(out).reshape(()))
-    return out
+        return np.exp(-t / (2.0 * p.tau_c)) * (np.cosh(x) + (t / (2.0 * p.tau_c)) * _sinch(x))
+    if p.kernel == "single-mode":
+        return np.cos(p.coupling * t) + 0.0j
+    t_max = float(t.max()) if t.size else 0.0
+    step = p.tau_c / 100.0
+    grid, c = volterra_solve(p.kernel_function(), max(t_max, step), step)
+    import scipy.interpolate  # only this branch needs it; it is slow to import
+    # [()] unwraps a 0-d result to a scalar, as the ufuncs of the other kernels do
+    return scipy.interpolate.CubicSpline(grid, c)(t)[()]
 
 
 def volterra_solve(kernel, t_max, step):
@@ -196,7 +188,7 @@ def nonmarkov_q(p, sz0, t):
         raise ValueError("sz0 must lie in [-1, 1]")
     c = memory_c(p, t)
     q = 1.0 - sz0 * (1.0 - np.abs(c) ** 2)
-    return _scalar_or_array(q, t)
+    return q
 
 
 def _require_relaxing(p):
@@ -295,7 +287,7 @@ def fluorescence_q(p, sz0, sy0, t):
         raise ValueError("(sz0, sy0) must lie inside the Bloch disk")
     int_z, int_y = _fluor_auxiliary_integrals(p, t)
     q = 1.0 + (-sz0 * int_z + sy0 * int_y).real
-    return _scalar_or_array(q, t)
+    return q
 
 
 def fluorescence_dq(p):
@@ -397,7 +389,7 @@ def twoqubit_q_closed(p, t):
         + ga ** 2 * (1.0 + np.exp(-2.0 * ga * t)) / big ** 2
         + (2.0 * ga / big) * (1.0 - lam * np.exp(-ga * t) * np.cos(om * t))
     )
-    return _scalar_or_array(q, t)
+    return q
 
 
 def twoqubit_dq(p):
@@ -426,7 +418,7 @@ def twoqubit_reduced_q_closed(p, t):
     q = 1.0 + ga ** 2 / big ** 2 + ga * np.exp(-ga * t) / big ** 2 * (
         om * np.sin(om * t) - ga * np.cos(om * t)
     )
-    return _scalar_or_array(q, t)
+    return q
 
 
 def twoqubit_reduced(p):
@@ -504,7 +496,7 @@ def truncated_thermal_state(p):
 def oscillator_q(p, t):
     """Analytic series exp((kappa - zeta) t) = exp(gamma t)."""
     t = np.asarray(t, dtype=float)
-    return _scalar_or_array(np.exp((p.kappa - p.zeta) * t), t)
+    return np.exp((p.kappa - p.zeta) * t)
 
 
 def oscillator_q_numeric(model_or_params, rho0, times):

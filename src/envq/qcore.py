@@ -8,7 +8,13 @@ Conventions fixed here for the whole package:
 * validity checks use tolerance ``1e-10``, reconstruction checks
   ``1e-9`` and the ``[0, dim]`` bound on computed Q values ``1e-8``;
 * a Hermitian eigensystem is the pair ``(w, v)`` of ``np.linalg.eigh``,
-  eigenvalues ascending, checked by reconstruction.
+  eigenvalues ascending, checked by reconstruction;
+* each input is checked once, where it enters, by one gate per kind:
+  ``as_operator`` (square, at least 1 x 1, finite), ``require_hermitian``
+  (Hermitian relative to its largest entry), ``QuantumState`` and
+  ``time_grid``.  A checked Hermitian operator is handed on as its exact
+  Hermitian part (m + m^dag)/2, which is m bit for bit when m is exactly
+  Hermitian, so no consumer Hermitizes it again.
 """
 
 import numpy as np
@@ -70,16 +76,11 @@ def bloch_vector_state(theta, phi):
 # shape and validity helpers
 
 def as_operator(m, name="operator"):
-    """Coerce to a square complex ndarray, raising ValueError otherwise."""
+    """Coerce to a complex ndarray, raising ValueError unless it is square,
+    at least 1 x 1 and finite; the message names the first NaN or infinite entry."""
     a = np.asarray(getattr(m, "matrix", m), dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    return a
-
-
-def require_finite(m, name="operator"):
-    """Coerce to a complex ndarray, raising ValueError on a NaN or infinite entry."""
-    a = np.asarray(getattr(m, "matrix", m), dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"{name} must be a square matrix of at least 1 x 1, got shape {a.shape}")
     finite = np.isfinite(a)
     if not finite.all():
         index = tuple(int(i) for i in np.argwhere(~finite)[0])
@@ -130,13 +131,14 @@ def time_grid(times):
 
 
 def require_hermitian(m, tol=VALID_TOL, name="operator"):
-    """The operator as a complex array, gated at max|m - m^dag| <= tol * max(1, max|m|)."""
-    m = require_finite(as_operator(m, name), name)
-    dev = np.abs(m - m.conj().T).max(initial=0.0)
-    gate = tol * max(1.0, np.abs(m).max(initial=0.0))
+    """The Hermitian part (m + m^dag)/2 of an operator (see ``as_operator``),
+    gated at max|m - m^dag| <= tol * max(1, max|m|)."""
+    m = as_operator(m, name)
+    dev = np.abs(m - m.conj().T).max()
+    gate = tol * max(1.0, np.abs(m).max())
     if dev > gate:
         raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e} > {gate:.3e})")
-    return m
+    return 0.5 * (m + m.conj().T)
 
 
 def vec(m):
@@ -154,7 +156,7 @@ def unvec(v, dim=None):
 
 def trace_distance(a, b):
     """Half trace norm of the difference of two finite Hermitian matrices."""
-    delta = require_finite(as_operator(a)) - require_finite(as_operator(b))
+    delta = as_operator(a) - as_operator(b)
     return 0.5 * np.abs(np.linalg.eigvalsh(0.5 * (delta + delta.conj().T))).sum()
 
 
@@ -205,7 +207,7 @@ def hermitian_eigensystem(h):
     """(w, v) of a matrix Hermitian to 1e-8, as ``np.linalg.eigh`` returns them,
     gated on the reconstruction residual."""
     h = require_hermitian(h, tol=1e-8, name="eigensystem input")
-    w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+    w, v = np.linalg.eigh(h)
     resid = np.abs((v * w) @ v.conj().T - h).max()
     if not resid <= RECON_TOL * max(1.0, np.abs(w).max()):
         raise RuntimeError(f"eigendecomposition residual {resid:.3e} too large")
@@ -225,12 +227,9 @@ def concurrence(rho):
     if m.shape != (4, 4):
         raise ValueError(f"concurrence needs a 4x4 two-qubit state, got {m.shape}")
     yy = tensor_product(sigma_y, sigma_y)
-    purity = np.trace(m @ m).real
-    if abs(purity - 1.0) < 1e-12:
-        w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-        psi = v[:, -1]
-        return float(abs(psi @ yy @ psi))
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    if abs(np.trace(m @ m).real - 1.0) < 1e-12:  # pure
+        return float(abs(v[:, -1] @ yy @ v[:, -1]))
     sqrt_m = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     r = sqrt_m @ (yy @ m.conj() @ yy) @ sqrt_m
     evals = np.linalg.eigvalsh(0.5 * (r + r.conj().T))
@@ -288,19 +287,18 @@ def blocked_volterra(r, c, a):
 class QuantumState:
     """Density matrix with validity checks.
 
-    Hermiticity and unit trace are enforced to ``tol`` and the minimum
-    eigenvalue must not fall below ``-tol``.
+    Hermiticity is gated by ``require_hermitian`` at ``tol`` (a state's
+    entries are at most 1, so the gate is ``tol``), the trace must be 1 to
+    ``tol`` and the minimum eigenvalue must not fall below ``-tol``.  The
+    stored ``matrix`` is the exact Hermitian part of the input.
     """
 
     def __init__(self, matrix, tol=VALID_TOL):
-        m = require_finite(as_operator(matrix, "state"), "state")
-        dev = np.abs(m - m.conj().T).max()
-        if dev > tol:
-            raise ValueError(f"state not Hermitian (deviation {dev:.3e})")
+        m = require_hermitian(matrix, tol, "state")
         tr = np.trace(m)
         if abs(tr - 1.0) > tol:
             raise ValueError(f"state trace {tr} is not 1")
-        min_eig = np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min()
+        min_eig = np.linalg.eigvalsh(m).min()
         if min_eig < -tol:
             raise ValueError(f"state not positive semidefinite (min eigenvalue {min_eig:.3e})")
         self.matrix = m

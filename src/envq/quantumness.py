@@ -27,15 +27,15 @@ from .qcore import QuantumState, as_operator, state_matrix
 
 
 class QuantumnessSeries:
-    """Sampled (t, Q_t) pairs with the dimensional bound attached."""
+    """Sampled (t, Q_t) pairs with the dimensional bound attached.
+
+    ``times`` must pass ``qcore.time_grid`` (finite, non-negative, ascending)."""
 
     def __init__(self, times, values, dim_s):
-        times = np.asarray(times, dtype=float)
+        times = qcore.time_grid(times)
         values = np.asarray(values, dtype=float)
-        if times.shape != values.shape or times.ndim != 1:
+        if times.shape != values.shape:
             raise ValueError("times and values must be 1d arrays of equal length")
-        if times.size and np.any(np.diff(times) < 0):
-            raise ValueError("times must be ascending")
         if times.size and times[0] == 0.0 and not abs(values[0] - 1.0) <= 1e-9:
             raise ValueError(f"Q at t=0 is {values[0]}, expected 1")
         qcore.require_q_bounds(values, dim_s)

@@ -73,7 +73,7 @@ import scipy.special
 
 from . import qcore, quantumness
 from .qcore import (
-    QuantumState, as_operator, require_finite, require_hermitian, state_matrix, unvec, vec,
+    QuantumState, as_operator, require_hermitian, state_matrix, unvec, vec,
 )
 
 NOISE_FAMILIES = ("gaussian-white", "ornstein-uhlenbeck", "telegraph")
@@ -332,12 +332,11 @@ def _path_unitaries(process, h0, times, n_paths, seed, dt):
     ``_mul_2x2``; from d = 3 on they come from one batched eigh of every
     segment's Hamiltonian and the products from np.matmul.  The chain
     before each requested segment comes from the blocked scan of
-    ``_chain_prefix``, and the partial segment multiplies it last.
+    ``_chain_prefix``, and the partial segment multiplies it last.  Both
+    routes read one triangle of ``h0`` and of the coupling, so both must be
+    the exact Hermitian parts that ``require_hermitian`` returns.
     """
     t_max = max(float(times.max()) if times.size else dt, dt)
-    # both routes read one triangle; Hermitian inputs pass validation only to a tolerance
-    h0 = 0.5 * (h0 + h0.conj().T)
-    coupling = 0.5 * (process.coupling + process.coupling.conj().T)
     for block in _path_blocks(n_paths):
         paths = list(_noise_paths(process, t_max, dt, seed, block))
         tau = _padded([path.durations for path in paths], 0.0)
@@ -351,11 +350,11 @@ def _path_unitaries(process, h0, times, n_paths, seed, dt):
         rows = np.arange(len(paths))[:, None]
         step = times - starts[rows, seg]
         if h0.shape[0] == 2:
-            full = _unitary_2x2(h0, coupling, x, tau)
-            partial = _unitary_2x2(h0, coupling, x[rows, seg], step)
+            full = _unitary_2x2(h0, process.coupling, x, tau)
+            partial = _unitary_2x2(h0, process.coupling, x[rows, seg], step)
             mul = _mul_2x2
         else:
-            w, v = np.linalg.eigh(h0 + x[..., None, None] * coupling)
+            w, v = np.linalg.eigh(h0 + x[..., None, None] * process.coupling)
             full = _spectral_unitary(w, v, tau)
             partial = _spectral_unitary(w[rows, seg], v[rows, seg], step)
             mul = np.matmul
@@ -507,8 +506,7 @@ class CollisionalModel:
 
     def __post_init__(self):
         self.free_hamiltonian = require_hermitian(self.free_hamiltonian, name="free Hamiltonian")
-        self.collision = [require_finite(as_operator(t, "Kraus operator"), "Kraus operator")
-                          for t in self.collision]
+        self.collision = [as_operator(t, "Kraus operator") for t in self.collision]
         qcore.require_channel(self.collision, self.dim, 1e-10, name="collision")
 
     @property
@@ -735,7 +733,7 @@ def collisional_states(model, rho0, times, mode="series", n_paths=None, seed=Non
     """States on a time grid, by deterministic series or Monte Carlo."""
     mats = _chain(model, state_matrix(rho0, model.dim), times, mode, n_paths, seed, step)
     # series-mode snapshots carry the quadrature error of the chain
-    return [QuantumState(0.5 * (m + m.conj().T), tol=2e-4) for m in mats]
+    return [QuantumState(m, tol=2e-4) for m in mats]
 
 
 def collisional_q(model, rho0, times, mode="series", n_paths=None, seed=None,

@@ -221,6 +221,16 @@ def test_nan_series_is_a_model_error(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["qt", "dq"])
+def test_empty_hamiltonian_is_a_model_error(tmp_path, capsys, command):
+    # dq used to crash with an IndexError (exit 1) and qt to exit 3 by accident
+    cfg = write(tmp_path, LINDBLAD_CFG.replace("h_bar = 2 2 0+0i 0.5+0i 0.5+0i 0+0i", "h_bar = 0 0"))
+    out = tmp_path / "out.txt"
+    assert cli.run([command, "--config", cfg, "--out", str(out)]) == 3
+    assert "h_bar must be a square matrix of at least 1 x 1, got shape (0, 0)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_complex_rate_row_is_a_model_error(tmp_path):
     cfg = LINDBLAD_CFG.replace("rates = 1 1 1+0i", "rates = 1 1 1+0.5i")
     assert cli.run(["qt", "--config", write(tmp_path, cfg)]) == 3

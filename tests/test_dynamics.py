@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from envq import dynamics, models, qcore, quantumness, stochastic
+from envq import dynamics, microscopic, models, qcore, quantumness, stochastic
 from envq.qcore import DegenerateSteadyStateError, QuantumState
 
 
@@ -43,6 +43,51 @@ def test_model_validation():
         dynamics.LindbladModel(qcore.sigma_z, [np.diag([1.0, np.inf])])
     with pytest.raises(ValueError, match=r"rate matrix has a non-finite entry \(inf"):
         dynamics.LindbladModel(qcore.sigma_z, [qcore.sigma_minus], rates=[np.inf])
+
+
+def test_empty_operators_are_model_errors():
+    # a 0 x 0 matrix is rejected where it enters, naming the operator
+    empty = np.zeros((0, 0))
+    exponential = stochastic.WaitingTime("exponential", rate=1.0)
+    for name, build in (
+        ("h_bar", lambda: dynamics.LindbladModel(empty, [])),
+        ("jump operator", lambda: dynamics.LindbladModel(qcore.sigma_z, [empty])),
+        ("free Hamiltonian", lambda: stochastic.CollisionalModel(empty, [empty], exponential)),
+        ("Kraus operator", lambda: stochastic.CollisionalModel(qcore.sigma_z, [empty], exponential)),
+        ("h_s", lambda: microscopic.JointModel(empty, qcore.sigma_z, empty, np.eye(2) / 2)),
+        ("state", lambda: QuantumState(empty)),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be a square matrix of at least 1 x 1, "
+                                             r"got shape \(0, 0\)"):
+            build()
+
+
+def test_loosely_valid_state_propagates_as_its_hermitian_part():
+    # QuantumState(tol=1e-8) accepts a 5e-9 defect and keeps the exact Hermitian
+    # part, which the dynamics layer's 1e-10 gate then passes, forward and dual
+    m = np.array([[0.5, 0.1 + 5e-9], [0.1, 0.5]])
+    state = QuantumState(m, tol=1e-8)
+    assert np.array_equal(state.matrix, 0.5 * (m + m.conj().T))
+    times = np.linspace(0.0, 2.0, 5)
+    model = models.thermal_oscillator_model(1.2, 0.4, 1)
+    exact = QuantumState(state.matrix)
+    for g in (dynamics.liouvillian(model), dynamics.dual_liouvillian(model)):
+        assert np.array_equal(dynamics.propagate_series(g, state, times),
+                              dynamics.propagate_series(g, exact, times))
+    q = quantumness.q_series(model, state, times).values
+    dual = dynamics.propagate_series(dynamics.dual_liouvillian(model), state, times)
+    assert np.abs(np.trace(dual, axis1=1, axis2=2).real - q).max() < 1e-12
+    # the oscillator's top-level alarm trips on any two-level truncation, so the
+    # same block sits in the two lowest levels of a twelve-level one, run to
+    # t = 0.5, where that truncation holds
+    p = models.OscillatorParams(0.7, 2.85, 11)
+    big = np.zeros((p.dim, p.dim), dtype=complex)
+    big[:2, :2] = m
+    times = times / 4.0
+    state = QuantumState(big, tol=1e-8)
+    q = models.oscillator_q_numeric(p, state, times)
+    assert np.array_equal(q, models.oscillator_q_numeric(p, QuantumState(state.matrix), times))
+    assert np.abs(q - quantumness.q_series(p.lindblad_model(), state, times).values).max() < 1e-12
 
 
 def scaled_hamiltonian(s, defect):
@@ -244,22 +289,31 @@ def test_sparse_dense_generators_agree():
 
 
 def test_model_builds_its_generator_once(monkeypatch):
-    calls = []
-    build = dynamics._generator
+    calls, checked = [], []
+    build, construct = dynamics._generator, dynamics.Superoperator.__init__
 
     def counted(model, sparse):
         calls.append(sparse)
         return build(model, sparse)
 
+    def counted_init(self, real, dim, kind=None):
+        checked.append(kind)  # the finiteness check runs in the constructor
+        construct(self, real, dim, kind)
+
     monkeypatch.setattr(dynamics, "_generator", counted)
+    monkeypatch.setattr(dynamics.Superoperator, "__init__", counted_init)
     rng = np.random.default_rng(12)
     for model in (random_lindblad(rng, 3), models.OscillatorParams(0.7, 2.85, 11).lindblad_model()):
         calls.clear()
+        checked.clear()
         g = dynamics.liouvillian(model)
         gd = dynamics.dual_liouvillian(model)
         quantumness.degree_of_quantumness(model)
         quantumness.q_series(model, np.eye(model.dim) / model.dim, [0.0, 0.5])
+        models.oscillator_q_numeric(model, QuantumState.pure(qcore.ket(model.dim, 0)), [0.0])
         assert calls == [None]
+        assert checked == ["forward", "dual"]
+        assert dynamics.liouvillian(model) is g and dynamics.dual_liouvillian(model) is gd
         forward = g.dense() if g.is_sparse else g.matrix
         assert np.array_equal(gd.dense(), forward.conj().T)
         with pytest.raises(ValueError, match="read-only"):
@@ -598,13 +652,15 @@ def test_non_hermitian_or_non_finite_operator_raises():
 
 
 def test_roundoff_asymmetric_state_steps_one_real_column():
-    # a valid pure state whose matrix misses Hermiticity by 1e-17: its
-    # Hermitian part is stepped as the one real column, bit for bit, with
-    # the exponential reused on the uniform grid
-    x = QuantumState.pure(qcore.bloch_vector_state(1.1, 0.3)).matrix
+    # a pure-state projector that misses Hermiticity by 1e-17: its Hermitian
+    # part, which QuantumState stores, is stepped as the one real column, bit
+    # for bit, with the exponential reused on the uniform grid
+    v = qcore.bloch_vector_state(1.1, 0.3)
+    x = np.outer(v, v.conj())
     assert np.any(x != x.conj().T)
     g = dynamics.liouvillian(models.FluorescenceParams(1.0, 1.5).lindblad_model())
     h = 0.5 * (x + x.conj().T)
+    assert np.array_equal(QuantumState(x).matrix, h)
     y = qcore.vec(h.real + h.imag).real[:, None]
     step = scipy.linalg.expm(g.real * 0.25)
     times = np.arange(9) * 0.25

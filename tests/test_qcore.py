@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from envq import qcore
+from envq import microscopic, qcore
 from envq.qcore import (
     QuantumState,
     concurrence,
@@ -223,6 +223,20 @@ def test_nan_fails_the_bound_and_distance_checks():
         qcore.trace_distance(np.full((2, 2), np.nan), np.eye(2))
     with pytest.raises(ValueError, match="non-finite"):
         qcore.trace_distance(np.eye(2), np.diag([np.inf, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_input_is_rejected(bad):
+    # every operator entry point reads its input through as_operator
+    m = np.eye(4, dtype=complex) / 4
+    m[1, 0] = bad
+    jm = microscopic.spin_boson_decay(0.3)
+    for call in (lambda: microscopic.dual_map_apply(jm, m[:2, :2], 0.5),
+                 lambda: partial_trace(m, [2, 2], 0),
+                 lambda: concurrence(m),
+                 lambda: matrix_exponential(m)):
+        with pytest.raises(ValueError, match=r"has a non-finite entry .* at \(1, 0\)"):
+            call()
 
 
 def test_require_channel():

@@ -12,6 +12,14 @@ def test_series_validation():
         quantumness.QuantumnessSeries([0.0, 1.0], [1.0, 2.5], 2)
     s = quantumness.QuantumnessSeries([0.0, 1.0], [1.0, 0.5], 2)
     assert len(s) == 2
+    # one rule covers every time grid: qcore.time_grid's
+    for times, message in (([0.0, np.nan], "finite and non-negative, got nan"),
+                           ([0.0, np.inf], "finite and non-negative, got inf"),
+                           ([-1.0, 0.0], "finite and non-negative, got -1.0"),
+                           ([0.5, 0.2], "ascending: 0.2 follows 0.5"),
+                           ([[0.0, 1.0]], "a 1d sequence")):
+        with pytest.raises(ValueError, match=f"times must be {message}"):
+            quantumness.QuantumnessSeries(times, [1.0, 1.0], 2)
 
 
 def test_series_csv_format():
