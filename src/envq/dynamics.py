@@ -165,9 +165,9 @@ class Superoperator:
         """Induced 1-norm of ``real`` (largest column sum), the scale of every gate."""
         return _one_norm(self.real)
 
-    @cached_property
+    @property
     def matrix(self):
-        """G = (L + PLP)/2 + i(LP - PL)/2 from L = ``real``, read-only."""
+        """G = (L + PLP)/2 + i(LP - PL)/2 from L = ``real``, read-only, rebuilt per access."""
         pi = _transpose_index(self.dim)
         lp, pl = self.real[:, pi], self.real[pi]
         g = 0.5 * (self.real + pl[:, pi]) + 0.5j * (lp - pl)

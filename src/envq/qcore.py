@@ -9,12 +9,14 @@ Conventions fixed here for the whole package:
   ``1e-9`` and the ``[0, dim]`` bound on computed Q values ``1e-8``;
 * a Hermitian eigensystem is the pair ``(w, v)`` of ``np.linalg.eigh``,
   eigenvalues ascending, checked by reconstruction;
-* each input is checked once, where it enters, by one gate per kind:
+* each raw input is checked where it enters, by one gate per kind:
   ``as_operator`` (square, at least 1 x 1, finite), ``require_hermitian``
   (Hermitian relative to its largest entry), ``QuantumState`` and
   ``time_grid``.  A checked Hermitian operator is handed on as its exact
   Hermitian part (m + m^dag)/2, which is m bit for bit when m is exactly
-  Hermitian, so no consumer Hermitizes it again.
+  Hermitian, so a value already checked passes a gate again unchanged
+  (``dynamics._column`` re-gates what it steps); ``trace_distance`` and
+  ``concurrence`` gate with ``as_operator`` and Hermitize themselves.
 """
 
 import numpy as np
