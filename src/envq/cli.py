@@ -15,7 +15,7 @@ import dataclasses
 import functools
 import sys
 
-from . import config, qcore, quantumness, stochastic
+from . import config, quantumness, stochastic
 from .config import ConfigError
 from .qcore import BoundViolationError, DegenerateSteadyStateError
 
@@ -50,24 +50,12 @@ def cmd_qt(cfg, out_path):
     return 0
 
 
-def _report_lines(report):
-    lines = [
-        ("dq", f"{report.dq:.12g}"),
-        ("q_infinity", f"{report.q_infinity:.12g}"),
-        ("optimal_state", qcore.format_matrix_text(report.optimal_state.matrix, digits=12)),
-        ("stationary_state", qcore.format_matrix_text(report.stationary.matrix, digits=12)),
-    ]
-    if report.stationary.dim == 4:
-        lines.append(("concurrence", f"{qcore.concurrence(report.optimal_state.matrix):.12g}"))
-    return lines
-
-
 def cmd_dq(cfg, out_path):
     kind, obj = config.build_model(cfg)
     if kind.lines is not None:
         lines = kind.lines(obj)
     elif kind.report is not None:
-        lines = _report_lines(kind.report(obj))
+        lines = config.report_lines(kind.report(obj))
     else:
         raise ValueError(f"dq report is not defined for {cfg.model_type} blocks")
     _write(out_path, "".join(f"{key} = {value}\n" for key, value in lines))

@@ -20,21 +20,23 @@ Sections
 [run]            seed, output, mode (series | monte-carlo), n_paths.
 [sweep]          param, values (whitespace or comma separated).
 
-A value that fails to convert (a number, an integer or a matrix text)
-or a missing [model] key raises ConfigError, which the command line
-reports as exit 2; a value that converts but is non-finite or out of
-range, or a [model] key that the type does not read, is a model error
-(ValueError, exit 3).  Stochastic and Monte Carlo runs need a seed; the
-command line checks that, and the seed and n_paths values wherever
-they are given, once, after ``--seed`` and ``--mode`` have been applied
-to the loaded RunConfig.
+A value that fails to convert (a number, an integer or a matrix text),
+a missing [model] key, a section or key not listed above, or an
+[initial_state] key that its kind does not read (checked when the state
+is resolved) raises ConfigError, which the command line reports as exit
+2; a value that converts but is non-finite or out of range, or a
+[model] key that the type does not read, is a model error (ValueError,
+exit 3).  Stochastic and Monte Carlo runs need a seed; the command line
+checks that, and the seed and n_paths values wherever they are given,
+once, after ``--seed`` and ``--mode`` have been applied to the loaded
+RunConfig.
 
 ``KINDS``, at the end of this module, is the one place that decides
 what each model type does: its system dimension, its Q_t route, its
-degree report, its closed-form sweep columns, the run modes that need
-a seed and, for a builtin, its parameter dataclass.  A new builtin is
-one ``KINDS`` entry; a new block type is one entry plus the branch of
-``build_model`` that parses its [model] section.
+degree report and dq lines, its closed-form sweep columns, the run
+modes that need a seed and, for a builtin, its parameter dataclass.  A
+new builtin is one ``KINDS`` entry; a new block type is one entry plus
+the branch of ``build_model`` that parses its [model] section.
 """
 
 import configparser
@@ -48,6 +50,15 @@ from .qcore import QuantumState
 
 class ConfigError(Exception):
     """Anything wrong with the configuration text itself."""
+
+
+# the keys each [initial_state] kind reads, besides kind itself
+INITIAL_STATE_KEYS = {"optimal": (), "maximally-mixed": (), "pure": ("theta", "phi"),
+                      "matrix": ("matrix",)}
+# the keys of every section but [model], whose keys depend on its type (see build_model)
+SECTION_KEYS = {"initial_state": {"kind"}.union(*INITIAL_STATE_KEYS.values()),
+                "times": {"t_max", "steps"}, "run": {"seed", "output", "mode", "n_paths"},
+                "sweep": {"param", "values"}}
 
 
 @dataclasses.dataclass
@@ -113,7 +124,8 @@ def _numbered_values(section, prefix):
 
 def load_config(path):
     """Parse a config file into a RunConfig; the seed check is the caller's."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # no header names the default section "", so a [DEFAULT] is one more unknown section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -122,6 +134,12 @@ def load_config(path):
         raise ConfigError(f"cannot read config file {path}")
     if "model" not in parser:
         raise ConfigError("config needs exactly one [model] section")
+    for name in [s for s in parser.sections() if s != "model"]:
+        if name not in SECTION_KEYS:
+            raise ConfigError(f"unknown section [{name}]")
+        unknown = set(parser[name]) - SECTION_KEYS[name]
+        if unknown:
+            raise ConfigError(f"unknown [{name}] keys: {sorted(unknown)}")
     model = dict(parser["model"])
     if "type" not in model:
         raise ConfigError("[model] needs a type")
@@ -218,6 +236,11 @@ def resolve_initial_state(cfg, kind, obj):
     """
     spec = cfg.initial_state
     kind_key = spec.get("kind", "optimal").strip()
+    if kind_key not in INITIAL_STATE_KEYS:
+        raise ConfigError(f"unknown initial_state kind {kind_key!r}")
+    unread = set(spec) - {"kind", *INITIAL_STATE_KEYS[kind_key]}
+    if unread:
+        raise ConfigError(f"initial_state kind={kind_key} does not read {sorted(unread)}")
     dim = kind.dim(obj)
     if kind_key == "maximally-mixed":
         return QuantumState.maximally_mixed(dim)
@@ -234,13 +257,11 @@ def resolve_initial_state(cfg, kind, obj):
         if state.dim != dim:
             raise ConfigError(f"initial state dimension {state.dim} != system dimension {dim}")
         return state
-    if kind_key == "optimal":
-        if kind.optimal is not None:
-            return kind.optimal(obj)
-        if kind.report is None:
-            raise ConfigError(f"optimal initial state is not defined for {cfg.model_type} blocks")
-        return kind.report(obj).propagation_state()
-    raise ConfigError(f"unknown initial_state kind {kind_key!r}")
+    if kind.optimal is not None:  # kind = optimal
+        return kind.optimal(obj)
+    if kind.report is None:
+        raise ConfigError(f"optimal initial state is not defined for {cfg.model_type} blocks")
+    return kind.report(obj).propagation_state()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -254,7 +275,7 @@ class Kind:
     qt: object                  # (model object, rho0, times, cfg) -> QuantumnessSeries
     dim: object = lambda obj: obj.dim   # object -> system dimension
     report: object = None       # object -> QuantumnessReport, for dq and kind = optimal
-    lines: object = None        # object -> dq report lines, for a type without a report
+    lines: object = None        # object -> dq report lines, in place of report_lines(report)
     optimal: object = None      # object -> optimal initial state, for a type without a report
     sweep: tuple = None         # (column names, params -> row) of the closed-form sweep
     seeded: tuple = ()          # run modes that need a seed
@@ -272,6 +293,20 @@ def _values(route):
     """qt route that wraps ``route(object, rho0, times)``'s values in a series."""
     return lambda obj, rho0, times, cfg: quantumness.QuantumnessSeries(
         times, route(obj, rho0, times), rho0.dim)
+
+
+def report_lines(report):
+    """The (key, value) lines of ``envq dq`` for a QuantumnessReport."""
+    return [("dq", f"{report.dq:.12g}"),
+            ("q_infinity", f"{report.q_infinity:.12g}"),
+            ("optimal_state", qcore.format_matrix_text(report.optimal_state.matrix, digits=12)),
+            ("stationary_state", qcore.format_matrix_text(report.stationary.matrix, digits=12))]
+
+
+def _twoqubit_lines(p):
+    report = KINDS["two-qubit"].report(p)
+    concurrence = qcore.concurrence(report.optimal_state.matrix)
+    return report_lines(report) + [("concurrence", f"{concurrence:.12g}")]
 
 
 def _oscillator_lines(p):
@@ -298,9 +333,10 @@ KINDS = {
         params=models.NonMarkovParams),
     "fluorescence": _lindblad_backed(
         models.FluorescenceParams, (("dq",), lambda p: (models.fluorescence_dq(p)[0],))),
-    "two-qubit": _lindblad_backed(
+    "two-qubit": dataclasses.replace(_lindblad_backed(
         models.TwoQubitParams,
         (("dq", "concurrence"), lambda p: (models.twoqubit_dq(p), models.twoqubit_concurrence(p)))),
+        lines=_twoqubit_lines),
     "oscillator": Kind(
         qt=_values(lambda p, rho0, times: models.oscillator_q_numeric(p, rho0, times)),
         lines=_oscillator_lines,

@@ -76,13 +76,9 @@ class JointModel:
         return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-# the embeddings take operators that an entry point has already checked
+# the embedding takes operators that an entry point has already checked
 def _embed_system(model, a):
     return tensor_product(a, identity(model.dim_e))
-
-
-def _embed_environment(model, b):
-    return tensor_product(identity(model.dim_s), b)
 
 
 def _rotated_system(model, u, rho0):
@@ -177,8 +173,13 @@ def hamiltonian_ensemble_reduction(model):
     """Decompose commuting-bath dynamics into a weighted unitary ensemble.
 
     Requires [H, I_s x sigma0] = 0.  Returns pairs (p_e, H_s + <e|(H_e +
-    H_I)|e>) over an environment eigenbasis of sigma0, refined inside
-    degenerate eigenspaces so the conditional Hamiltonians decouple.
+    H_I)|e>) over an eigenbasis of sigma0 that decouples these conditional
+    Hamiltonians: the sigma0 eigenbasis itself when it does, else each
+    degenerate eigenspace refined once by the eigenvectors of one seeded,
+    generic Hermitian contraction Tr_s[(C x I)(H_e + H_I)].  This is exact:
+    a decoupling basis diagonalizes every block <a|H_e + H_I|b> within an
+    eigenspace, so also the contraction, whose eigenvalues tie only where
+    two conditional Hamiltonians coincide, and there any basis decouples.
     """
     h = model.hamiltonian()
     sig = model.sigma0_joint
@@ -188,47 +189,21 @@ def hamiltonian_ensemble_reduction(model):
             f"[H, I x sigma0] does not vanish (max commutator entry {comm_norm:.3e})"
         )
     ds, de = model.dim_s, model.dim_e
-    rest4 = (_embed_environment(model, model.h_e) + model.h_i).reshape(ds, de, ds, de)
+    rest4 = (tensor_product(identity(ds), model.h_e) + model.h_i).reshape(ds, de, ds, de)
     evals, basis = qcore.hermitian_eigensystem(model.sigma0.matrix)
     blocks = _environment_blocks(rest4, basis)
     if not _offdiag_residual(blocks) <= COMM_TOL:
-        # refine within degenerate sigma0 eigenspaces using the bath-side
-        # part of H, then with a fixed random contraction as a fallback
-        contractions = [np.trace(rest4, axis1=0, axis2=2)]
         rng = np.random.default_rng(12345)
-        v = rng.normal(size=ds) + 1j * rng.normal(size=ds)
-        v /= np.linalg.norm(v)
-        contractions.append(np.einsum("i,iajb,j->ab", v.conj(), rest4, v))
-        for contraction in contractions:
-            groups = _degenerate_groups(evals)
-            for grp in groups:
-                if len(grp) < 2:
-                    continue
-                sub = basis[:, grp]
-                block = sub.conj().T @ contraction @ sub
-                _, w = np.linalg.eigh(0.5 * (block + block.conj().T))
-                basis[:, grp] = sub @ w
-            blocks = _environment_blocks(rest4, basis)
-            if _offdiag_residual(blocks) <= 1e-9:
-                break
-        else:
-            raise ValueError(
-                "could not find an environment basis that decouples the dynamics"
-            )
+        c = rng.normal(size=(ds, ds)) + 1j * rng.normal(size=(ds, ds))
+        contraction = np.einsum("ji,iajb->ab", c + c.conj().T, rest4)
+        for grp in np.split(np.arange(de), np.flatnonzero(np.diff(evals) > 1e-9) + 1):
+            _, w = np.linalg.eigh(basis[:, grp].conj().T @ contraction @ basis[:, grp])
+            basis[:, grp] = basis[:, grp] @ w
+        blocks = _environment_blocks(rest4, basis)
+        if not _offdiag_residual(blocks) <= 1e-9:
+            raise ValueError("could not find an environment basis that decouples the dynamics")
     weights = np.einsum("ak,ab,bk->k", basis.conj(), model.sigma0.matrix, basis).real
     return [(float(w), model.h_s + blocks[k, k]) for k, w in enumerate(weights)]
-
-
-def _degenerate_groups(values, tol=1e-9):
-    groups, current = [], [0]
-    for i in range(1, len(values)):
-        if values[i] - values[current[-1]] <= tol:
-            current.append(i)
-        else:
-            groups.append(current)
-            current = [i]
-    groups.append(current)
-    return groups
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ Conventions fixed here for the whole package:
   ``time_grid``.  A checked Hermitian operator is handed on as its exact
   Hermitian part (m + m^dag)/2, which is m bit for bit when m is exactly
   Hermitian, so a value already checked passes a gate again unchanged
-  (``dynamics._column`` re-gates what it steps); ``trace_distance`` and
-  ``concurrence`` gate with ``as_operator`` and Hermitize themselves.
+  (``dynamics._column`` re-gates what it steps).
 """
 
 import numpy as np
@@ -157,9 +156,9 @@ def unvec(v, dim=None):
 
 
 def trace_distance(a, b):
-    """Half trace norm of the difference of two finite Hermitian matrices."""
-    delta = as_operator(a) - as_operator(b)
-    return 0.5 * np.abs(np.linalg.eigvalsh(0.5 * (delta + delta.conj().T))).sum()
+    """Half trace norm of a - b, each gated by ``require_hermitian``."""
+    delta = require_hermitian(a, name="a") - require_hermitian(b, name="b")
+    return 0.5 * np.abs(np.linalg.eigvalsh(delta)).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +222,14 @@ def concurrence(rho):
     square roots, in decreasing order, of the eigenvalues of
     rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y).  Pure states take
     the equivalent spin-flip overlap |psi^T (sigma_y x sigma_y) psi|,
-    which avoids square roots of the numerically-zero eigenvalues.
+    which avoids square roots of the numerically-zero eigenvalues.  rho is
+    gated as a state (``state_matrix``).
     """
-    m = as_operator(rho, "concurrence input")
+    m = state_matrix(rho)
     if m.shape != (4, 4):
         raise ValueError(f"concurrence needs a 4x4 two-qubit state, got {m.shape}")
     yy = tensor_product(sigma_y, sigma_y)
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    w, v = np.linalg.eigh(m)
     if abs(np.trace(m @ m).real - 1.0) < 1e-12:  # pure
         return float(abs(v[:, -1] @ yy @ v[:, -1]))
     sqrt_m = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T

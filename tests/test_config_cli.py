@@ -114,6 +114,34 @@ def test_config_errors(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+THERMAL_MODEL = "[model]\ntype = thermal-tls\ngamma = 1.0\nbeta_hw0 = 2.0\n"
+
+
+@pytest.mark.parametrize("section, message", [
+    ("[times]\ntmax = 3.0", r"unknown \[times\] keys: \['tmax'\]"),
+    ("[initial_state]\nkind = pure\nthetta = 2.0", r"unknown \[initial_state\] keys: \['thetta'\]"),
+    ("[run]\nn_path = 5", r"unknown \[run\] keys: \['n_path'\]"),
+    ("[model2]\ngamma = 2.0", r"unknown section \[model2\]"),
+    ("[DEFAULT]\ngamma = 2.0", r"unknown section \[DEFAULT\]"),
+], ids=["tmax", "thetta", "n_path", "model2", "DEFAULT"])
+def test_keys_outside_the_grammar_are_parse_errors(tmp_path, capsys, section, message):
+    # a misspelt key is an error, not a silent fall-back to the key's default
+    assert cli.run(["qt", "--config", write(tmp_path, THERMAL_MODEL + "\n" + section + "\n")]) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("state, unread", [
+    ("kind = maximally-mixed\ntheta = 1.0", "theta"),
+    ("phi = 0.5", "phi"),
+    ("kind = matrix\nmatrix = 2 2 1+0i 0+0i 0+0i 0+0i\ntheta = 1.0", "theta"),
+    ("kind = pure\ntheta = 1.0\nmatrix = 2 2 1+0i 0+0i 0+0i 0+0i", "matrix"),
+], ids=["mixed-theta", "optimal-phi", "matrix-theta", "pure-matrix"])
+def test_initial_state_keys_the_kind_does_not_read_are_parse_errors(tmp_path, capsys, state, unread):
+    path = write(tmp_path, THERMAL_MODEL + "\n[initial_state]\n" + state + "\n")
+    assert cli.run(["qt", "--config", path]) == 2
+    assert f"does not read ['{unread}']" in capsys.readouterr().err
+
+
 def test_seed_flag_completes_a_seedless_config(tmp_path):
     seedless = write(tmp_path, STOCHASTIC_CFG + "\n[run]\nn_paths = 16\n", "a.cfg")
     seeded = write(tmp_path, STOCHASTIC_CFG + "\n[run]\nn_paths = 16\nseed = 5\n", "b.cfg")
@@ -306,6 +334,17 @@ omega = 1.0
     assert float(fields["concurrence"]) == pytest.approx(0.707107, abs=1e-6)
     assert float(fields["q_infinity"]) == pytest.approx(2.914214, abs=1e-6)
     assert fields["optimal_state"].startswith("4 4")
+
+
+def test_cmd_dq_four_level_ladder_has_no_concurrence(tmp_path):
+    # only the two-qubit type reports a concurrence, not every 4-dimensional report
+    ladder = (f"[model]\ntype = lindblad\n"
+              f"h_bar = {qcore.format_matrix_text(qcore.number_operator(4))}\n"
+              f"jump_1 = {qcore.format_matrix_text(qcore.destroy(4))}\n")
+    out = tmp_path / "report.txt"
+    assert cli.run(["dq", "--config", write(tmp_path, ladder), "--out", str(out)]) == 0
+    keys = [line.split(" = ", 1)[0] for line in out.read_text().strip().split("\n")]
+    assert keys == ["dq", "q_infinity", "optimal_state", "stationary_state"]
 
 
 def test_cmd_dq_limits(tmp_path):

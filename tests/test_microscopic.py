@@ -190,8 +190,8 @@ def test_ensemble_reduction_uniform_weights():
 
 def test_ensemble_reduction_refines_a_degenerate_bath():
     # sigma0 = I/2 is degenerate and sigma_z x sigma_x is off-diagonal in its
-    # default eigenbasis; the bath-side trace of h_i vanishes, so the first
-    # contraction leaves the basis coupled and the random one decouples it
+    # default eigenbasis; the bath-side trace of h_i vanishes, so only a
+    # generic contraction of h_i finds the sigma_x eigenbasis that decouples it
     jm = microscopic.JointModel(0.4 * qcore.sigma_z, np.zeros((2, 2), dtype=complex),
                                 qcore.tensor_product(qcore.sigma_z, qcore.sigma_x),
                                 QuantumState.maximally_mixed(2))
@@ -209,6 +209,17 @@ def test_ensemble_reduction_refines_a_degenerate_bath():
         )
         assert np.abs(recon - microscopic.reduced_state(jm, rho0, t).matrix).max() < 1e-10
         assert abs(microscopic.quantumness_direct(jm, rho0, t) - 1.0) < 1e-10
+
+
+def test_ensemble_reduction_refuses_a_bath_with_no_decoupling_basis():
+    # sigma_x x sigma_x + sigma_z x sigma_z commutes with I x I/2, but no bath
+    # basis makes both bath operators diagonal
+    h_i = (qcore.tensor_product(qcore.sigma_x, qcore.sigma_x)
+           + qcore.tensor_product(qcore.sigma_z, qcore.sigma_z))
+    jm = microscopic.JointModel(0.3 * qcore.sigma_z, np.zeros((2, 2), dtype=complex), h_i,
+                                QuantumState.maximally_mixed(2))
+    with pytest.raises(ValueError, match="could not find an environment basis"):
+        microscopic.hamiltonian_ensemble_reduction(jm)
 
 
 def test_ensemble_reduction_reconstructs_dynamics():

@@ -367,6 +367,15 @@ def test_oscillator_truncation_alarm():
         models.oscillator_q_extrapolated(p, [4.0])
 
 
+def test_oscillator_alarm_skips_the_initial_state():
+    # Q_0 = Tr rho0 carries no truncation error, whatever weight rho0 puts on the top level
+    two_level = models.thermal_oscillator_model(1.2, 0.4, 1)
+    assert models.oscillator_q_numeric(two_level, QuantumState(np.eye(2) / 2), [0.0]).tolist() == [1.0]
+    twelve_level = models.thermal_oscillator_model(1.2, 0.4, 11)
+    top_heavy = QuantumState(np.diag(np.r_[np.full(11, 0.5 / 11), 0.5]))
+    assert models.oscillator_q_numeric(twelve_level, top_heavy, [0.0]).tolist() == [1.0]
+
+
 def test_oscillator_params_tail_guard():
     with pytest.raises(ValueError, match="raise n_max"):
         models.OscillatorParams(1.0, 0.05, 60)

@@ -157,3 +157,37 @@ def test_oracle_direct_equals_oracle_dual(dim_s, dim_e, commuting, seed, t):
     rho0 = qcore.random_state(dim_s, rng)
     direct = microscopic.quantumness_direct(model, rho0, t)
     assert abs(microscopic.quantumness_via_dual(model, rho0, t) - direct) <= 1e-12 * dim_s
+
+
+def degenerate_commuting_bath(rng, dim_s, dim_e, levels, repeat):
+    """A JointModel whose sigma0 has at most ``levels`` distinct eigenvalues, with bath-diagonal
+    coupling in a random eigenbasis; ``repeat`` makes two conditional Hamiltonians coincide."""
+    u, _ = np.linalg.qr(rng.normal(size=(dim_e, dim_e)) + 1j * rng.normal(size=(dim_e, dim_e)))
+    p = rng.dirichlet(np.ones(levels))[np.sort(rng.integers(levels, size=dim_e))]
+    sigma0 = qcore.QuantumState((u * (p / p.sum())) @ u.conj().T)
+    conditional = [random_hermitian(rng, dim_s) for _ in range(dim_e)]
+    if repeat:
+        conditional[-1] = conditional[0]
+    h_i = sum(qcore.tensor_product(hk, np.outer(u[:, k], u[:, k].conj()))
+              for k, hk in enumerate(conditional))
+    h_e = (u * rng.normal(size=dim_e)) @ u.conj().T
+    return microscopic.JointModel(random_hermitian(rng, dim_s), h_e, h_i, sigma0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dim_s=st.integers(2, 3), dim_e=st.integers(2, 6), levels=st.integers(1, 5),
+       repeat=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_ensemble_reduction_of_a_degenerate_bath_reconstructs_the_reduced_state(
+        dim_s, dim_e, levels, repeat, seed):
+    # a commuting bath whose sigma0 eigenbasis does not decouple the conditional
+    # Hamiltonians is still a weighted unitary ensemble
+    rng = np.random.default_rng(seed)
+    model = degenerate_commuting_bath(rng, dim_s, dim_e, min(levels, dim_e - 1), repeat)
+    pairs = microscopic.hamiltonian_ensemble_reduction(model)
+    assert abs(sum(w for w, _ in pairs) - 1.0) <= 1e-12
+    rho0 = qcore.random_state(dim_s, rng).matrix
+    for t in (0.7, 2.3):
+        recon = sum(w * (qcore.matrix_exponential(-1j * hk * t) @ rho0
+                         @ qcore.matrix_exponential(1j * hk * t)) for w, hk in pairs)
+        exact = microscopic.reduced_state(model, rho0, t).matrix
+        assert np.abs(recon - exact).max() <= 1e-12

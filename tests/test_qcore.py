@@ -189,6 +189,19 @@ def test_concurrence_rejects_wrong_dimension():
         concurrence(np.eye(3) / 3)
 
 
+def test_distance_and_concurrence_gate_their_inputs():
+    # a matrix that is not a state has no concurrence; its Hermitian part would read 0 here
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 3] = 0.4
+    with pytest.raises(ValueError, match="not Hermitian"):
+        concurrence(m)
+    for a, b in ((m, np.eye(4) / 4), (np.eye(4) / 4, m)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qcore.trace_distance(a, b)
+    with pytest.raises(ValueError, match="trace"):
+        concurrence(np.eye(4) / 2)
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         QuantumState(np.array([[0.5, 0.1], [0.3, 0.5]]))  # not Hermitian
