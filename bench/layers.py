@@ -6,6 +6,7 @@ Usage, from the repository root:
     python bench/layers.py --topic stochastic   # Monte Carlo ladder, writes BENCH_stochastic.json
     python bench/layers.py --topic renewal      # Volterra/renewal ladder, writes BENCH_renewal.json
     python bench/layers.py --topic cli          # whole CLI pipeline, writes BENCH_cli.json
+    python bench/layers.py --topic oracle       # joint-space oracle, writes BENCH_oracle.json
     python bench/layers.py --smoke              # d <= 4, one repeat, JSON to stdout only
     python bench/layers.py --src OTHER/src --out other.json   # time another checkout
 
@@ -52,6 +53,18 @@ and its own runs are the warm-up):
   RunConfig, and the model built from it;
 * ``build_parser``: the argument parser as each ``cli.run`` call gets it.
 
+The ``oracle`` topic times the Hermitian eigensystem and the joint-space
+oracle of ``envq.microscopic``:
+
+* ``hermitian_eigensystem``: ``qcore.hermitian_eigensystem`` of a random
+  Hermitian matrix at d = 2, 4, 12, 24 and 61;
+* ``unitary``, ``quantumness_direct`` and ``quantumness_via_dual``: one
+  time (t = 0.7) of a random non-commuting ``JointModel`` whose
+  eigensystem is already cached, at dim_s x dim_e = 2 x 2, 2 x 4, 3 x 8
+  and 4 x 16;
+* ``ensemble_reduction``: ``hamiltonian_ensemble_reduction`` of a random
+  commuting model of the same sizes.
+
 Every layer reports the minimum and the median over ``REPEATS`` runs
 (one in smoke mode) after one untimed warm-up, in milliseconds.  BLAS is
 pinned to one thread before numpy is imported, as in the benchmark and
@@ -84,6 +97,9 @@ CHAIN_T_MAX = 3.0
 RENEWAL_DIMS = (2, 4)
 RENEWAL_T_MAX = (3.0, 6.0)
 RENEWAL_TAU_C = 0.45
+EIGEN_DIMS = (2, 4, 12, 24, 61)
+JOINT_DIMS = ((2, 2), (2, 4), (3, 8), (4, 16))
+ORACLE_T = 0.7
 
 
 def grids():
@@ -253,6 +269,40 @@ def renewal_ladder(dims, repeats):
     return rows
 
 
+def oracle_ladder(eigen_dims, joint_dims, repeats):
+    import numpy as np
+    from envq import microscopic, qcore
+
+    rows = []
+
+    def add(layer, size, fn, **dims):
+        row = {"layer": layer, **dims, **timed(fn, repeats)}
+        rows.append(row)
+        print(f"{layer:21s} {size:8s} min {row['min_ms']:9.3f} ms  "
+              f"median {row['median_ms']:9.3f} ms", file=sys.stderr, flush=True)
+
+    for d in eigen_dims:
+        h = random_hermitian(np.random.default_rng(400 + d), d)
+        add("hermitian_eigensystem", f"d={d}", lambda h=h: qcore.hermitian_eigensystem(h), dim=d)
+    for ds, de in joint_dims:
+        rng = np.random.default_rng(500 + ds * de)
+        model = microscopic.random_joint_model(ds, de, rng)
+        commuting = microscopic.random_joint_model(ds, de, rng, commuting=True)
+        rho0 = qcore.random_state(ds, rng)
+        size, dims = f"{ds} x {de}", {"dim_s": ds, "dim_e": de}
+        add("unitary", size, lambda model=model: model.unitary(ORACLE_T), **dims)
+        add("quantumness_direct", size,
+            lambda model=model, rho0=rho0: microscopic.quantumness_direct(model, rho0, ORACLE_T),
+            **dims)
+        add("quantumness_via_dual", size,
+            lambda model=model, rho0=rho0: microscopic.quantumness_via_dual(model, rho0, ORACLE_T),
+            **dims)
+        add("ensemble_reduction", size,
+            lambda commuting=commuting: microscopic.hamiltonian_ensemble_reduction(commuting),
+            **dims)
+    return rows
+
+
 def cli_ladder(repeats):
     import tempfile
     from envq import acceptance, cli, config
@@ -280,10 +330,11 @@ def cli_ladder(repeats):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--topic", choices=("lindblad", "stochastic", "renewal", "cli"),
+    parser.add_argument("--topic", choices=("lindblad", "stochastic", "renewal", "cli", "oracle"),
                         default="lindblad")
     parser.add_argument("--smoke", action="store_true",
-                        help="d <= 4, no oscillator, one repeat; print the JSON instead of writing it")
+                        help="d <= 4 (joint dimension <= 8), no oscillator, one repeat; "
+                             "print the JSON instead of writing it")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory that holds the envq package to time")
     parser.add_argument("--out", help="output file (default BENCH_<topic>.json at the root)")
@@ -298,6 +349,10 @@ def main(argv=None):
         rows = stochastic_ladder(SMOKE_DIMS if args.smoke else STOCHASTIC_DIMS, repeats)
     elif args.topic == "renewal":
         rows = renewal_ladder(RENEWAL_DIMS, repeats)
+    elif args.topic == "oracle":
+        smoke = args.smoke
+        rows = oracle_ladder(SMOKE_DIMS if smoke else EIGEN_DIMS,
+                             JOINT_DIMS[:2] if smoke else JOINT_DIMS, repeats)
     else:
         rows = cli_ladder(repeats)
     record = {

@@ -84,9 +84,10 @@ STATIONARY_MARGIN = 1e-10
 class LindbladModel:
     """Effective Hamiltonian, jump operators and the rate matrix.
 
-    The rate matrix must be Hermitian positive semidefinite; ``rates``
-    may be given as a 1d array of diagonal rates or omitted entirely
-    (identity) when the jump operators already absorb their rates.
+    The rate matrix must be Hermitian, and positive semidefinite to
+    ``VALID_TOL`` times its largest entry; ``rates`` may be given as a 1d
+    array of diagonal rates or omitted entirely (identity) when the jump
+    operators already absorb their rates.
     Every operator must be at least 1 x 1 and every entry of every input
     finite; ``h_bar`` and the rate matrix are kept as their exact
     Hermitian parts.  The generators are built once, on first use, so the
@@ -108,9 +109,9 @@ class LindbladModel:
             raise ValueError(f"rate matrix shape {rates.shape} != ({n}, {n})")
         if n:
             rates = require_hermitian(rates, name="rate matrix")
-            gate = qcore.VALID_TOL * max(1.0, np.abs(rates).max())
-            if np.linalg.eigvalsh(rates).min() < -gate:
-                raise ValueError("rate matrix is not positive semidefinite")
+            low = np.linalg.eigvalsh(rates).min()
+            if low < -qcore.VALID_TOL * np.abs(rates).max():
+                raise ValueError(f"rate matrix is not positive semidefinite (min eigenvalue {low:.3e})")
         self.rates = rates
 
     @property
@@ -222,13 +223,12 @@ def real_coordinates(x):
     Tr[A X] = real_coordinates(A) . real_coordinates(X) for Hermitian A.
     """
     m = np.asarray(x)
-    return np.swapaxes(m.real + m.imag, -1, -2).reshape(*m.shape[:-2], -1)
+    return qcore.vec(m.real + m.imag)
 
 
 def hermitian_operator(y, dim):
     """Inverse of ``real_coordinates``: X = sym(Y) + i anti(Y), Y = unvec(y), over leading axes."""
-    y = np.asarray(y)
-    m = np.swapaxes(y.reshape(*y.shape[:-1], dim, dim), -1, -2)
+    m = qcore.unvec(y, dim)
     mt = np.swapaxes(m, -1, -2)
     x = np.empty(m.shape, dtype=complex)
     x.real = 0.5 * (m + mt)
@@ -448,7 +448,7 @@ def propagate_series(g, x0, times):
         ys[k, index] = v[:, 0]
     out = hermitian_operator(ys, g.dim)
     if g.kind == "forward" and out.size:
-        trace0 = y0[::g.dim + 1, 0].sum()  # the trace functional keeps its vec form
+        trace0 = np.trace(qcore.unvec(y0[:, 0], g.dim))  # the trace functional keeps its vec form
         drift = np.abs(np.trace(out, axis1=1, axis2=2) - trace0).max()
         if not drift <= 1e-10 * max(1.0, abs(trace0)):
             raise RuntimeError(f"forward propagation changed the trace by {drift:.3e}")
@@ -485,7 +485,7 @@ def _bordered_lu(g, scale):
     which trace preservation makes minus the sum of the other population
     rows.  The trace functional keeps its vec form in real coordinates.
     """
-    trace_row = scale * np.eye(g.dim).ravel()
+    trace_row = scale * qcore.vec(np.eye(g.dim))
     if g.is_sparse:
         a = scipy.sparse.vstack([scipy.sparse.csr_matrix(trace_row), g.real[1:]], format="csc")
         try:

@@ -23,7 +23,7 @@ from .qcore import (
 )
 
 MAX_JOINT_DIM = 64
-COMM_TOL = 1e-10  # [H, I x sigma0] and off-diagonal blocks that count as zero
+COMM_TOL = 1e-10  # [H, I x sigma0] and off-diagonal blocks that count as zero, relative to max|H|
 
 
 class JointModel:
@@ -72,8 +72,7 @@ class JointModel:
 
     def unitary(self, t):
         """exp(-i H t) from the cached spectral decomposition."""
-        w, v = self._eig
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
+        return qcore.spectral_unitary(*self._eig, t)
 
 
 # the embedding takes operators that an entry point has already checked
@@ -172,9 +171,10 @@ def _offdiag_residual(blocks):
 def hamiltonian_ensemble_reduction(model):
     """Decompose commuting-bath dynamics into a weighted unitary ensemble.
 
-    Requires [H, I_s x sigma0] = 0.  Returns pairs (p_e, H_s + <e|(H_e +
-    H_I)|e>) over an eigenbasis of sigma0 that decouples these conditional
-    Hamiltonians: the sigma0 eigenbasis itself when it does, else each
+    Requires [H, I_s x sigma0] = 0 to COMM_TOL max|H|, the scale of every
+    gate here.  Returns pairs (p_e, H_s + <e|(H_e + H_I)|e>) over an
+    eigenbasis of sigma0 that decouples these conditional Hamiltonians:
+    the sigma0 eigenbasis itself when it does, else each
     degenerate eigenspace refined once by the eigenvectors of one seeded,
     generic Hermitian contraction Tr_s[(C x I)(H_e + H_I)].  This is exact:
     a decoupling basis diagonalizes every block <a|H_e + H_I|b> within an
@@ -183,16 +183,16 @@ def hamiltonian_ensemble_reduction(model):
     """
     h = model.hamiltonian()
     sig = model.sigma0_joint
+    scale = np.abs(h).max()  # sigma0's entries are at most 1
     comm_norm = np.abs(h @ sig - sig @ h).max()
-    if not comm_norm <= COMM_TOL:
-        raise ValueError(
-            f"[H, I x sigma0] does not vanish (max commutator entry {comm_norm:.3e})"
-        )
+    if not comm_norm <= COMM_TOL * scale:
+        raise ValueError(f"[H, I x sigma0] does not vanish (max commutator entry {comm_norm:.3e} "
+                         f"> {COMM_TOL * scale:.3e})")
     ds, de = model.dim_s, model.dim_e
     rest4 = (tensor_product(identity(ds), model.h_e) + model.h_i).reshape(ds, de, ds, de)
     evals, basis = qcore.hermitian_eigensystem(model.sigma0.matrix)
     blocks = _environment_blocks(rest4, basis)
-    if not _offdiag_residual(blocks) <= COMM_TOL:
+    if not _offdiag_residual(blocks) <= COMM_TOL * scale:
         rng = np.random.default_rng(12345)
         c = rng.normal(size=(ds, ds)) + 1j * rng.normal(size=(ds, ds))
         contraction = np.einsum("ji,iajb->ab", c + c.conj().T, rest4)
@@ -200,7 +200,7 @@ def hamiltonian_ensemble_reduction(model):
             _, w = np.linalg.eigh(basis[:, grp].conj().T @ contraction @ basis[:, grp])
             basis[:, grp] = basis[:, grp] @ w
         blocks = _environment_blocks(rest4, basis)
-        if not _offdiag_residual(blocks) <= 1e-9:
+        if not _offdiag_residual(blocks) <= 1e-9 * scale:
             raise ValueError("could not find an environment basis that decouples the dynamics")
     weights = np.einsum("ak,ab,bk->k", basis.conj(), model.sigma0.matrix, basis).real
     return [(float(w), model.h_s + blocks[k, k]) for k, w in enumerate(weights)]

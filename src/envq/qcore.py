@@ -3,8 +3,13 @@
 Conventions fixed here for the whole package:
 
 * operators are dense ``numpy`` complex arrays in row-major semantic order;
-* vectorization stacks columns (Fortran order), so that
-  ``vec(A X B) = kron(B.T, A) @ vec(X)``;
+* the operator algebra has one copy, which no other module re-derives:
+  ``vec``/``unvec`` stack columns (Fortran order) over leading axes, so
+  that ``vec(A X B) = kron(B.T, A) @ vec(X)``; ``superoperator`` is the
+  channel sum_K kron(conj K, K) on vec(X); ``spectral_unitary`` is
+  exp(-i t H) from an eigensystem; and ``quantumness.trace_pairing`` is
+  the pairing Re Tr[rho0 X] of every Q_t route.  Only the real-form
+  kernels of ``dynamics`` write the vec index layout themselves;
 * validity checks use tolerance ``1e-10``, reconstruction checks
   ``1e-9`` and the ``[0, dim]`` bound on computed Q values ``1e-8``;
 * a Hermitian eigensystem is the pair ``(w, v)`` of ``np.linalg.eigh``,
@@ -143,16 +148,22 @@ def require_hermitian(m, tol=VALID_TOL, name="operator"):
 
 
 def vec(m):
-    """Column-stacking vectorization."""
-    return np.asarray(m, dtype=complex).reshape(-1, order="F")
+    """Column-stacking vectorization over the last two axes, in the input's dtype."""
+    m = np.asarray(m)
+    return np.swapaxes(m, -1, -2).reshape(*m.shape[:-2], -1)
 
 
 def unvec(v, dim=None):
-    """Inverse of :func:`vec`."""
+    """Inverse of :func:`vec` over the last axis; ``dim`` defaults to its square root."""
     v = np.asarray(v)
     if dim is None:
-        dim = round(np.sqrt(v.size))
-    return v.reshape(dim, dim, order="F")
+        dim = round(np.sqrt(v.shape[-1]))
+    return np.swapaxes(v.reshape(*v.shape[:-1], dim, dim), -1, -2)
+
+
+def superoperator(kraus):
+    """sum_K kron(conj K, K), the matrix of X -> sum_K K X K^dag on vec(X)."""
+    return sum(np.kron(k.conj(), k) for k in kraus)
 
 
 def trace_distance(a, b):
@@ -213,6 +224,12 @@ def hermitian_eigensystem(h):
     if not resid <= RECON_TOL * max(1.0, np.abs(w).max()):
         raise RuntimeError(f"eigendecomposition residual {resid:.3e} too large")
     return w, v
+
+
+def spectral_unitary(w, v, t):
+    """exp(-i t H) from the eigensystem (w, v) of H, batched over leading axes of t, w and v."""
+    phase = np.exp(-1j * w * np.asarray(t)[..., None])
+    return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def concurrence(rho):

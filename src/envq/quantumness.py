@@ -76,6 +76,11 @@ class QuantumnessReport:
         return dynamics.time_reversed_state(self.optimal_state)
 
 
+def trace_pairing(rho0, operators):
+    """Re Tr[rho0 X] for each X of a stack (..., d, d): the pairing of every Q_t route."""
+    return np.einsum("ij,...ji->...", rho0, operators).real
+
+
 def q_functional_series(model, times):
     """Operators X_t = e^{tL}[I] such that Q_t(rho_0) = Tr[rho_0 X_t].
 
@@ -93,8 +98,7 @@ def q_series(model, rho0, times):
     Pairs rho_0 with the operators of ``q_functional_series``; values
     outside [0, dim] beyond ``qcore.BOUND_TOL`` abort.
     """
-    rho0 = state_matrix(rho0, model.dim)
-    values = np.einsum("ij,tji->t", rho0, q_functional_series(model, times)).real
+    values = trace_pairing(state_matrix(rho0, model.dim), q_functional_series(model, times))
     return QuantumnessSeries(times, values, model.dim)
 
 

@@ -17,31 +17,22 @@ with a zero counter; path_rng and sample_noise_path reach their single
 path the same way.  A noise block is padded to equal length with
 zero-length segments, and its unitaries are gathered at the requested
 times from the scan below, without cutting the paths.  At d = 2 every
-segment unitary exp(-i tau (h0 + x C)) is the closed form
-exp(-i tau m) [cos(tau r) I - i (sin(tau r)/r) (H - m I)], with
-H = h0 + x C, m = Tr H / 2 and r half the gap of H's eigenvalues: a few
-elementwise operations, where numpy's eigh costs about 1.3 us per 2 x 2
-matrix; from d = 3 on they come from one batched eigh.  The chain of
-segment unitaries is a two-level scan for all paths at once: running
-products within fixed runs of SCAN_BLOCK segments, one carry per run,
-and run product times carry only where a requested time reads it, so
+segment unitary is the closed form of _unitary_2x2 and every stacked
+product four elementwise products (_mul_2x2), since numpy's eigh and
+stacked matmul pay a LAPACK or BLAS call per 2 x 2 matrix; from d = 3 on
+they come from one batched eigh and np.matmul.  The chain of segment
+unitaries is a two-level scan for all paths at once (_chain_prefix), so
 the unitaries at the requested times come out as one (paths, times, d, d)
-array without the full prefix array.  At d = 2 every stacked product of
-the engine is four elementwise products (_mul_2x2), since numpy's stacked
-matmul calls zgemm once per matrix; from d = 3 on it is np.matmul.
+array without the full prefix array.
 Every Monte Carlo route has one reducer, _ensemble_moments, which merges
 the per-block means and spreads: stochastic_average_state feeds it the
 states U rho0 U^dag, stochastic_q the path pairings Tr[rho0 U U^dag]
 and the collisional Monte Carlo its chain snapshots.  A collisional
 path draws its waits in chunks and sums them with np.cumsum, which adds
 in order, so its collision times are bitwise those of one draw at a
-time.  The block's chain runs in the eigenbasis H = V diag(e) V^dag on
-the d^2 coordinates P^dag vec(x), P = kron(conj V, V): a free step is
-the elementwise phase exp(-i (e_i - e_j) u), and the j-th collision of
-every path is one (paths, d^2) x (d^2, d^2) product with the model's
-cached P^dag E P.
-A collision at a grid time acts before the snapshot there, and P maps
-each snapshot back by its own matrix-vector product.
+time.  The block's chain runs on the eigenbasis coordinates of
+_chain_snapshots, one (paths, d^2) x (d^2, d^2) product per collision.
+A collision at a grid time acts before the snapshot there.
 
 A collisional chain runs in one of MODES, series or monte-carlo.  Each
 waiting family reads only its WAITING_FIELDS; a WaitingTime that sets
@@ -221,16 +212,6 @@ def _noise_paths(process, t_max, dt, seed, paths):
                                                np.concatenate([[start], kicks[:-1]])))
 
 
-def _dagger(m):
-    return np.swapaxes(m.conj(), -1, -2)
-
-
-def _spectral_unitary(w, v, t):
-    """exp(-i t H) from the eigensystem (w, v) of H, batched over leading axes of t."""
-    phase = np.exp(-1j * w * np.asarray(t)[..., None])
-    return (v * phase[..., None, :]) @ _dagger(v)
-
-
 def _unitary_2x2(h0, coupling, x, t):
     """exp(-i t (h0 + x C)) for 2 x 2 Hermitian h0 and C, elementwise over arrays x and t.
 
@@ -285,6 +266,11 @@ def _mul_2x2(a, b):
     (73 against 567 us at d = 12), so the engine uses this at d = 2 only.
     """
     return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+
+
+def _stacked_product(d):
+    """The engine's product of stacked d x d matrices: ``_mul_2x2`` at d = 2, else np.matmul."""
+    return _mul_2x2 if d == 2 else np.matmul
 
 
 def _chain_prefix(full, seg, mul):
@@ -352,12 +338,11 @@ def _path_unitaries(process, h0, times, n_paths, seed, dt):
         if h0.shape[0] == 2:
             full = _unitary_2x2(h0, process.coupling, x, tau)
             partial = _unitary_2x2(h0, process.coupling, x[rows, seg], step)
-            mul = _mul_2x2
         else:
             w, v = np.linalg.eigh(h0 + x[..., None, None] * process.coupling)
-            full = _spectral_unitary(w, v, tau)
-            partial = _spectral_unitary(w[rows, seg], v[rows, seg], step)
-            mul = np.matmul
+            full = qcore.spectral_unitary(w, v, tau)
+            partial = qcore.spectral_unitary(w[rows, seg], v[rows, seg], step)
+        mul = _stacked_product(h0.shape[0])
         yield mul(partial, _chain_prefix(full, seg, mul))
 
 
@@ -369,11 +354,11 @@ def _noise_snapshots(process, h0, x0, times, n_paths, seed, dt):
                          f"base Hamiltonian dimension {h0.shape[0]}")
     times = qcore.time_grid(times)
     dt = _default_dt(process, times) if dt is None else dt
-    mul = _mul_2x2 if h0.shape[0] == 2 else np.matmul  # as _path_unitaries chooses
+    mul = _stacked_product(h0.shape[0])
     for u in _path_unitaries(process, h0, times, n_paths, seed, dt):
         # u x0 as one GEMM over the stacked rows: a broadcast matmul loops
         # over the stack and took about 1.7 times as long
-        yield mul((u.reshape(-1, x0.shape[0]) @ x0).reshape(u.shape), _dagger(u))
+        yield mul((u.reshape(-1, x0.shape[0]) @ x0).reshape(u.shape), u.conj().swapaxes(-1, -2))
 
 
 def _ensemble_moments(blocks):
@@ -412,7 +397,7 @@ def stochastic_q(process, base_h, rho0, times, n_paths, seed, dt=None):
     h0 = require_hermitian(base_h, name="base Hamiltonian")
     rho0 = state_matrix(rho0, h0.shape[0])
     eye = np.eye(rho0.shape[0], dtype=complex)
-    pairings = (np.einsum("ij,ptji->pt", rho0, x).real[..., None, None]
+    pairings = (quantumness.trace_pairing(rho0, x)[..., None, None]
                 for x in _noise_snapshots(process, h0, eye, times, n_paths, seed, dt))
     mean, stderr = _ensemble_moments(pairings)
     return quantumness.QuantumnessSeries(times, [m[0, 0] for m in mean], rho0.shape[0]), stderr
@@ -519,22 +504,20 @@ class CollisionalModel:
         return qcore.hermitian_eigensystem(self.free_hamiltonian)
 
     @cached_property
+    def _vec_basis(self):
+        """P = kron(conj V, V), which maps eigenbasis coordinates to vec form, and P^dag."""
+        p = qcore.superoperator([self._eig[1]])
+        return p, p.conj().T
+
+    @cached_property
     def _collision_eig(self):
         """P^dag E P, P = kron(conj V, V): the collision superoperator in the
         eigenbasis of H, read by the series and the Monte Carlo chain."""
         vecs = self._eig[1]
-        dd = self.dim * self.dim
-        # sum over Kraus operators T of kron(conj T', T'), T' = V^dag T V
-        kraus = vecs.conj().T @ np.array(self.collision) @ vecs
-        e_eig = np.einsum("nij,nkl->ikjl", kraus.conj(), kraus).reshape(dd, dd)
+        # the Kraus operators T' = V^dag T V in the eigenbasis give P^dag E P
+        e_eig = qcore.superoperator(vecs.conj().T @ np.array(self.collision) @ vecs)
         e_eig.setflags(write=False)
         return e_eig
-
-
-def _superbasis(vecs):
-    """P = kron(conj V, V), which maps the eigenbasis coordinates of an operator to vec form."""
-    d = vecs.shape[0]
-    return (vecs.conj()[:, None, :, None] * vecs[None, :, None, :]).reshape(d * d, d * d)
 
 
 def _series_chain(model, x0, times, step=None):
@@ -576,8 +559,7 @@ def _series_chain(model, x0, times, step=None):
     if n_grid > 60000:
         raise ValueError("series grid too fine; raise step or lower t_max")
     grid = step * np.arange(n_grid + 1)
-    d = model.dim
-    dd = d * d
+    dd = model.dim ** 2
     wk = w.pdf(grid)
     # beta_k = r_k + h/(1 - h w_0/2) sum_{j=1}^{k-1} w_{k-j} beta_j, beta_0 = w_0
     lead = 1.0 - 0.5 * step * wk[0]
@@ -590,14 +572,14 @@ def _series_chain(model, x0, times, step=None):
     r = (1.0 - 0.5 * step * beta) / lead
     r[0] = 1.0
     surv = qcore.blocked_volterra(r[None], beta[None], np.array([[-step / lead]]))[0]
-    energies, vecs = model._eig
-    p = _superbasis(vecs)
+    energies = model._eig[0]
+    p, p_dag = model._vec_basis
     ph = _phases(energies, grid).T
     e_eig = model._collision_eig
     c = wk * ph
     # (I - h/2 K_0)^-1 P^dag E P; K_0 = w_0 E, since the free map at 0 is I
     inv_e = np.linalg.solve(np.eye(dd) - 0.5 * step * wk[0] * e_eig, e_eig)
-    v0 = p.conj().T @ vec(x0)
+    v0 = p_dag @ vec(x0)
     b0 = wk[0] * (e_eig @ v0)
     # b_k = inv_e (c_k (v0 + h/2 b_0)) + h inv_e sum_{j=1}^{k-1} c_{k-j} b_j: the
     # trapezoid over j with the unknown j = k endpoint moved left
@@ -620,7 +602,7 @@ def _series_chain(model, x0, times, step=None):
         result[:, col] = np.interp(times, xp, out[:, col].real) + 1j * np.interp(
             times, xp, out[:, col].imag
         )
-    return [unvec(row, d) for row in result]
+    return list(unvec(result, model.dim))
 
 
 def _hit_slack(waiting):
@@ -652,9 +634,10 @@ def _event_times(waiting, rng, t_max):
 
 
 def _phases(energies, u):
-    """exp(-i (e_i - e_j) u) at coordinate j d + i, batched over the axes of u."""
+    """vec(lam lam^dag) with lam = exp(-i e u), batched over the axes of u."""
     lam = np.exp(-1j * np.multiply.outer(u, energies))
-    return (lam.conj()[..., :, None] * lam[..., None, :]).reshape(lam.shape[:-1] + (-1,))
+    # the transpose of a C-ordered product, which vec reads without a copy
+    return vec(np.swapaxes(lam.conj()[..., :, None] * lam[..., None, :], -1, -2))
 
 
 def _chain_snapshots(model, x0, times, n_paths, seed):
@@ -673,11 +656,10 @@ def _chain_snapshots(model, x0, times, n_paths, seed):
     collisions: z holds paths x (collisions + 1) x d^2 coordinates.
     """
     t_max = float(times.max()) if times.size else 0.0
-    energies, vecs = model._eig
+    energies = model._eig[0]
     e_eig = model._collision_eig
-    p = _superbasis(vecs)
-    z0 = p.conj().T @ vec(x0)
-    d = model.dim
+    p, p_dag = model._vec_basis
+    z0 = p_dag @ vec(x0)
     slack = _hit_slack(model.waiting)
     for block in _path_blocks(n_paths):
         events = [_event_times(model.waiting, rng, t_max) for rng in _path_streams(seed, block)]
@@ -694,9 +676,7 @@ def _chain_snapshots(model, x0, times, n_paths, seed):
         counts = np.bincount((rows * span + first).ravel(), minlength=len(block) * span)
         applied = counts.reshape(-1, span).cumsum(axis=1)[:, :-1]
         y = _phases(energies, times - hit[rows, applied]) * z[rows, applied]
-        x = (p @ y[..., None])[..., 0]
-        # coordinate j d + i of vec(x) holds entry (i, j)
-        yield np.swapaxes(x.reshape(x.shape[:-1] + (d, d)), -1, -2)
+        yield unvec((p @ y[..., None])[..., 0], model.dim)
 
 
 def _monte_carlo_chain(model, x0, times, n_paths, seed):
@@ -705,9 +685,8 @@ def _monte_carlo_chain(model, x0, times, n_paths, seed):
     Returns (means, stderr) with stderr the aggregate elementwise
     standard-error scale sqrt(sum_ij Var / n_paths).
     """
-    x0 = np.asarray(x0, dtype=complex)
-    snapshots = _chain_snapshots(model, x0, np.asarray(times, dtype=float), n_paths, seed)
-    return _ensemble_moments(snapshots)
+    times = np.asarray(times, dtype=float)
+    return _ensemble_moments(_chain_snapshots(model, x0, times, n_paths, seed))
 
 
 def _chain(model, x0, times, mode, n_paths, seed, step):
@@ -723,7 +702,7 @@ def _chain(model, x0, times, mode, n_paths, seed, step):
         _path_blocks(n_paths)  # rejects an empty ensemble for every waiting law
     if model.waiting.family == "deterministic":
         # one path, which draws nothing: both modes run it through the same chain
-        return list(next(_chain_snapshots(model, np.asarray(x0, dtype=complex), times, 1, 0))[0])
+        return list(next(_chain_snapshots(model, x0, times, 1, 0))[0])
     if mode == "series":
         return _series_chain(model, x0, times, step=step)
     return _monte_carlo_chain(model, x0, times, n_paths, seed)[0]
@@ -748,6 +727,5 @@ def collisional_q(model, rho0, times, mode="series", n_paths=None, seed=None,
     """
     rho0 = state_matrix(rho0, model.dim)
     eye = np.eye(model.dim, dtype=complex)
-    mats = _chain(model, eye, times, mode, n_paths, seed, step)
-    values = [np.trace(rho0 @ m).real for m in mats]
+    values = quantumness.trace_pairing(rho0, _chain(model, eye, times, mode, n_paths, seed, step))
     return quantumness.QuantumnessSeries(times, values, model.dim)

@@ -104,6 +104,27 @@ steps = 5
 """
 
 
+THERMAL_MODEL = "[model]\ntype = thermal-tls\ngamma = 1.0\nbeta_hw0 = 2.0\n"
+TWO_QUBIT_MODEL = "[model]\ntype = two-qubit\ngamma = 1.0\nomega = 1.2\n"
+# (command, config text, the error message): every ConfigError of the front end
+FRONT_END_ERRORS = [
+    ("qt", THERMAL_MODEL + "[times]\nt_max 3.0\n", "cannot parse .*run.cfg"),
+    ("qt", "[model]\ngamma = 1.0\n", r"\[model\] needs a type"),
+    ("qt", THERMAL_MODEL + "[times]\nt_max = 0.0\n", r"\[times\] needs t_max > 0 and steps >= 2"),
+    ("qt", THERMAL_MODEL + "[times]\nsteps = 1\n", r"\[times\] needs t_max > 0 and steps >= 2"),
+    ("qt", THERMAL_MODEL + "[run]\nmode = exact\n", "unknown mode 'exact'"),
+    ("sweep", THERMAL_MODEL + "[sweep]\nvalues = 1 2\n", r"\[sweep\] needs a param"),
+    ("qt", THERMAL_MODEL + "[initial_state]\nkind = thermal\n", "unknown initial_state kind 'thermal'"),
+    ("qt", TWO_QUBIT_MODEL + "[initial_state]\nkind = pure\n",
+     r"pure\(theta, phi\) initial states are for qubits"),
+    ("qt", THERMAL_MODEL + "[initial_state]\nkind = matrix\n",
+     "initial_state kind=matrix needs a matrix entry"),
+    ("qt", THERMAL_MODEL + "[initial_state]\nkind = matrix\nmatrix = 1 1 1+0i\n",
+     "initial state dimension 1 != system dimension 2"),
+    ("sweep", THERMAL_MODEL, r"sweep needs a \[sweep\] section with param and values"),
+]
+
+
 def test_config_errors(tmp_path, capsys):
     with pytest.raises(config.ConfigError, match="model"):
         config.load_config(write(tmp_path, "[times]\nt_max = 1\nsteps = 5\n"))
@@ -112,9 +133,9 @@ def test_config_errors(tmp_path, capsys):
     # the seed is checked after the flags, so a seedless run fails in cli.run
     assert cli.run(["qt", "--config", write(tmp_path, STOCHASTIC_CFG)]) == 2
     assert "seed" in capsys.readouterr().err
-
-
-THERMAL_MODEL = "[model]\ntype = thermal-tls\ngamma = 1.0\nbeta_hw0 = 2.0\n"
+    for command, text, message in FRONT_END_ERRORS:
+        assert cli.run([command, "--config", write(tmp_path, text)]) == 2, message
+        assert re.search("^error: " + message, capsys.readouterr().err), message
 
 
 @pytest.mark.parametrize("section, message", [

@@ -128,6 +128,9 @@ def test_hermiticity_gates_scale_with_the_operator():
         h = scaled_hamiltonian(s, 0.0)
         with pytest.raises(ValueError, match="rate matrix is not Hermitian"):
             dynamics.LindbladModel(h, jumps, rates=s * (rates + [[0.0, 1e-9], [0.0, 0.0]]))
+    # the positivity gate is relative to the largest rate, with no unit floor
+    for s in (1e-9, 1.0, 1e6):
+        h = scaled_hamiltonian(s, 0.0)
         with pytest.raises(ValueError, match="rate matrix is not positive semidefinite"):
             dynamics.LindbladModel(h, jumps, rates=s * np.array([1.0, -1e-9]))
 
@@ -414,7 +417,7 @@ def band_expm_reference(g, x0, t):
     rows, cols = g.matrix.nonzero()
     assert np.array_equal(band[rows], band[cols])
     v = qcore.vec(x0)
-    out = np.zeros_like(v)
+    out = np.zeros(v.shape, dtype=complex)
     for k in np.unique(band[v != 0]):
         idx = np.flatnonzero(band == k)
         out[idx] = scipy.linalg.expm(g.matrix[np.ix_(idx, idx)].toarray() * t) @ v[idx]

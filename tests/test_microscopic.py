@@ -177,6 +177,21 @@ def test_ensemble_reduction_requires_commutation():
         microscopic.hamiltonian_ensemble_reduction(jm)
 
 
+def test_ensemble_reduction_gates_scale_with_the_hamiltonian():
+    # the commutator and block gates are relative to max|H|: a commuting bath on a
+    # fast clock is accepted, and a non-commuting one on a slow clock refused
+    rng = np.random.default_rng(3)
+    commuting = microscopic.random_joint_model(2, 3, rng, commuting=True)
+    for s in (1e6, 1e9):
+        fast = microscopic.JointModel(s * commuting.h_s, s * commuting.h_e, s * commuting.h_i,
+                                      commuting.sigma0)
+        assert len(microscopic.hamiltonian_ensemble_reduction(fast)) == 3
+    jm = microscopic.random_joint_model(2, 3, np.random.default_rng(3))
+    slow = microscopic.JointModel(1e-11 * jm.h_s, 1e-11 * jm.h_e, 1e-11 * jm.h_i, jm.sigma0)
+    with pytest.raises(ValueError, match="commutator"):
+        microscopic.hamiltonian_ensemble_reduction(slow)
+
+
 def test_ensemble_reduction_uniform_weights():
     # maximally mixed bath with bath-diagonal coupling
     h_i = qcore.tensor_product(0.7 * qcore.sigma_x, np.diag([1.0, -1.0, 0.5]).astype(complex))

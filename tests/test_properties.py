@@ -176,17 +176,19 @@ def degenerate_commuting_bath(rng, dim_s, dim_e, levels, repeat):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(dim_s=st.integers(2, 3), dim_e=st.integers(2, 6), levels=st.integers(1, 5),
-       repeat=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+       repeat=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       s=st.sampled_from([1e-9, 1.0, 1e9]))
 def test_ensemble_reduction_of_a_degenerate_bath_reconstructs_the_reduced_state(
-        dim_s, dim_e, levels, repeat, seed):
+        dim_s, dim_e, levels, repeat, seed, s):
     # a commuting bath whose sigma0 eigenbasis does not decouple the conditional
-    # Hamiltonians is still a weighted unitary ensemble
+    # Hamiltonians is still a weighted unitary ensemble, on a clock s times faster too
     rng = np.random.default_rng(seed)
-    model = degenerate_commuting_bath(rng, dim_s, dim_e, min(levels, dim_e - 1), repeat)
+    bath = degenerate_commuting_bath(rng, dim_s, dim_e, min(levels, dim_e - 1), repeat)
+    model = microscopic.JointModel(s * bath.h_s, s * bath.h_e, s * bath.h_i, bath.sigma0)
     pairs = microscopic.hamiltonian_ensemble_reduction(model)
     assert abs(sum(w for w, _ in pairs) - 1.0) <= 1e-12
     rho0 = qcore.random_state(dim_s, rng).matrix
-    for t in (0.7, 2.3):
+    for t in (0.7 / s, 2.3 / s):
         recon = sum(w * (qcore.matrix_exponential(-1j * hk * t) @ rho0
                          @ qcore.matrix_exponential(1j * hk * t)) for w, hk in pairs)
         exact = microscopic.reduced_state(model, rho0, t).matrix

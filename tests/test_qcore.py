@@ -271,6 +271,29 @@ def test_vectorization_convention():
     rhs = np.kron(b.T, a) @ qcore.vec(x)
     assert np.abs(lhs - rhs).max() < 1e-12
     assert np.abs(qcore.unvec(qcore.vec(x)) - x).max() == 0.0
+    assert lhs[1] == (a @ x @ b)[1, 0]  # entry (i, j) at j d + i
+    # over leading axes, in the input's dtype
+    stack = rng.normal(size=(4, 2, 3, 3))
+    flat = qcore.vec(stack)
+    assert flat.shape == (4, 2, 9) and flat.dtype == stack.dtype
+    assert np.array_equal(flat[3, 1], qcore.vec(stack[3, 1]))
+    assert np.array_equal(qcore.unvec(flat), stack)
+    # the channel X -> sum K X K^dag acts on vec(X) as superoperator(K)
+    kraus = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
+    channel = sum(k @ x @ k.conj().T for k in kraus)
+    assert np.abs(qcore.vec(channel) - qcore.superoperator(kraus) @ qcore.vec(x)).max() < 1e-12
+
+
+def test_spectral_unitary_matches_the_exponential():
+    rng = np.random.default_rng(10)
+    h = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    h = h + np.swapaxes(h.conj(), -1, -2)
+    w, v = np.linalg.eigh(h)
+    t = np.array([0.4, 1.7])
+    u = qcore.spectral_unitary(w, v, t)
+    for k in range(2):
+        assert np.abs(u[k] - scipy.linalg.expm(-1j * t[k] * h[k])).max() < 1e-12
+    assert np.abs(qcore.spectral_unitary(w[0], v[0], 0.0) - np.eye(3)).max() < 1e-14
 
 
 def test_complex_token_round_trip():
