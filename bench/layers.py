@@ -7,7 +7,7 @@ Usage, from the repository root:
     python bench/layers.py --topic renewal      # Volterra/renewal ladder, writes BENCH_renewal.json
     python bench/layers.py --topic cli          # whole CLI pipeline, writes BENCH_cli.json
     python bench/layers.py --topic oracle       # joint-space oracle, writes BENCH_oracle.json
-    python bench/layers.py --smoke              # d <= 4, one repeat, JSON to stdout only
+    python bench/layers.py --smoke              # d <= 4 (renewal t_max <= 6), one repeat, JSON to stdout
     python bench/layers.py --src OTHER/src --out other.json   # time another checkout
 
 The ``lindblad`` topic times each layer on random Lindblad models at d = 2,
@@ -34,14 +34,20 @@ per path:
   waiting, at d = 2, 4 and 12.
 
 The ``renewal`` topic times the two product-trapezoid Volterra solves, both
-on ``qcore.blocked_volterra``, at t_max = 3 and 6:
+on ``qcore.blocked_volterra``, and the phase-type clock that replaces the
+second for exponential and integer-shape gamma waits, at t_max = 3, 6 and
+40 (3 and 6 in smoke mode):
 
 * ``volterra_solve``: the memory-kernel amplitude of the Lorentzian kernel
   with tau_c = 0.45 (gamma = 1) at the step tau_c / 100 that
   ``models.memory_c`` uses, Richardson pair included;
-* ``series_chain``: the renewal series of the collision chain of a random
-  two-Kraus channel at 13 times, exponential (rate 1) and gamma (shape 2,
-  rate 2) waiting at the default step, at d = 2 and 4.
+* ``series_chain``: the product-trapezoid renewal series of the collision
+  chain of a random two-Kraus channel at 13 times, exponential (rate 1)
+  and gamma (shape 2, rate 2) waiting at the default step, at d = 2, 4 and
+  12 (2 and 4 in smoke mode);
+* ``clock_chain``: the same chains through the clock model
+  (``stochastic.clock_model``), each run from a fresh ``CollisionalModel``,
+  so the clock's generator build is timed too.
 
 The ``cli`` topic times the whole pipeline on the six configs of the
 ``envq verify`` bundle (``acceptance._write_verify_bundle`` writes them,
@@ -94,8 +100,9 @@ STOCHASTIC_DIMS = (2, 4, 12)
 SEED = 77
 NOISE_T_MAX, NOISE_DT, NOISE_TAU = 2.0, 0.02, 0.5
 CHAIN_T_MAX = 3.0
-RENEWAL_DIMS = (2, 4)
-RENEWAL_T_MAX = (3.0, 6.0)
+RENEWAL_DIMS = (2, 4, 12)
+RENEWAL_T_MAX = (3.0, 6.0, 40.0)
+SMOKE_RENEWAL_T_MAX = (3.0, 6.0)
 RENEWAL_TAU_C = 0.45
 EIGEN_DIMS = (2, 4, 12, 24, 61)
 JOINT_DIMS = ((2, 2), (2, 4), (3, 8), (4, 16))
@@ -237,7 +244,7 @@ def stochastic_ladder(dims, repeats):
     return rows
 
 
-def renewal_ladder(dims, repeats):
+def renewal_ladder(dims, horizons, repeats):
     import numpy as np
     from envq import models, stochastic
 
@@ -251,7 +258,7 @@ def renewal_ladder(dims, repeats):
               file=sys.stderr, flush=True)
 
     kernel = models.NonMarkovParams(1.0, RENEWAL_TAU_C).kernel_function()
-    for t_max in RENEWAL_T_MAX:
+    for t_max in horizons:
         add("volterra_solve", "lorentzian", None, t_max,
             lambda t_max=t_max: models.volterra_solve(kernel, t_max, RENEWAL_TAU_C / 100.0))
     waits = {"exponential": stochastic.WaitingTime("exponential", rate=1.0),
@@ -260,12 +267,16 @@ def renewal_ladder(dims, repeats):
         rng = np.random.default_rng(300 + d)
         iso = np.linalg.qr(rng.normal(size=(2 * d, d)) + 1j * rng.normal(size=(2 * d, d)))[0]
         h, x0 = random_hermitian(rng, d), np.eye(d, dtype=complex)
+        kraus = [iso[:d], iso[d:]]
         for name, waiting in waits.items():
-            model = stochastic.CollisionalModel(h, [iso[:d], iso[d:]], waiting)
-            for t_max in RENEWAL_T_MAX:
+            model = stochastic.CollisionalModel(h, kraus, waiting)
+            for t_max in horizons:
                 times = np.linspace(0.0, t_max, 13)
                 add("series_chain", name, d, t_max,
                     lambda model=model, times=times: stochastic._series_chain(model, x0, times))
+                add("clock_chain", name, d, t_max,
+                    lambda waiting=waiting, times=times: stochastic._clock_chain(
+                        stochastic.CollisionalModel(h, kraus, waiting), x0, times))
     return rows
 
 
@@ -348,7 +359,8 @@ def main(argv=None):
     elif args.topic == "stochastic":
         rows = stochastic_ladder(SMOKE_DIMS if args.smoke else STOCHASTIC_DIMS, repeats)
     elif args.topic == "renewal":
-        rows = renewal_ladder(RENEWAL_DIMS, repeats)
+        rows = (renewal_ladder(SMOKE_DIMS, SMOKE_RENEWAL_T_MAX, repeats) if args.smoke
+                else renewal_ladder(RENEWAL_DIMS, RENEWAL_T_MAX, repeats))
     elif args.topic == "oracle":
         smoke = args.smoke
         rows = oracle_ladder(SMOKE_DIMS if smoke else EIGEN_DIMS,

@@ -73,7 +73,7 @@ def criterion_thermal():
         times = np.linspace(0.0, 10.0, 41)
         for _ in range(20):
             rho0 = qcore.random_state(2, rng)
-            sz0 = np.trace(qcore.sigma_z @ rho0.matrix).real
+            sz0 = quantumness.trace_pairing(rho0.matrix, qcore.sigma_z)
             series = quantumness.q_series(m, rho0, times)
             worst_series = max(
                 worst_series, np.abs(series.values - models.thermal_q(p, sz0, times)).max()
@@ -102,8 +102,8 @@ def criterion_fluorescence():
             gap = dynamics.spectral_gap(dynamics.liouvillian(m))
             t_end = 25.0 / gap
             rho0 = qcore.random_state(2, rng)
-            sz0 = np.trace(qcore.sigma_z @ rho0.matrix).real
-            sy0 = np.trace(qcore.sigma_y @ rho0.matrix).real
+            sz0 = quantumness.trace_pairing(rho0.matrix, qcore.sigma_z)
+            sy0 = quantumness.trace_pairing(rho0.matrix, qcore.sigma_y)
             q_tail = quantumness.q_series(m, rho0, np.array([0.0, t_end])).values[-1]
             worst_qinf = max(worst_qinf, abs(q_tail - models.fluorescence_q_infinity(p, sz0, sy0)))
             worst_dq = max(
@@ -151,8 +151,8 @@ def criterion_sign_arbitration():
         p = models.FluorescenceParams(1.0, om)
         m = p.lindblad_model()
         rho0 = qcore.random_state(2, rng)
-        sz0 = np.trace(qcore.sigma_z @ rho0.matrix).real
-        sy0 = np.trace(qcore.sigma_y @ rho0.matrix).real
+        sz0 = quantumness.trace_pairing(rho0.matrix, qcore.sigma_z)
+        sy0 = quantumness.trace_pairing(rho0.matrix, qcore.sigma_y)
         series = quantumness.q_series(m, rho0, times)
         closed = models.fluorescence_q(p, sz0, sy0, times)
         worst_series = max(worst_series, np.abs(series.values - closed).max())

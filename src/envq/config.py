@@ -327,7 +327,7 @@ KINDS = {
         models.ThermalTlsParams, (("dq",), lambda p: (models.thermal_dq(p),))),
     "nonmarkov-decay": Kind(
         qt=_values(lambda p, rho0, times: models.nonmarkov_q(
-            p, np.trace(qcore.sigma_z @ rho0.matrix).real, times)),
+            p, quantumness.trace_pairing(rho0.matrix, qcore.sigma_z), times)),
         report=lambda p: models.nonmarkov_report(p),
         sweep=(("dq",), lambda p: (models.nonmarkov_dq(p),)),
         params=models.NonMarkovParams),

@@ -45,7 +45,9 @@ d-dimensional system is a d^2 x d^2 matrix G.  Each job has one route:
   fitted cost model prices it below ``expm_multiply`` (Al-Mohy & Higham,
   SIAM J. Sci. Comput. 33 (2011)) on every step; otherwise each step is
   one ``expm_multiply``.  All times map back to operators in one
-  vectorised call.  ``propagate`` is the one-point case.
+  vectorised call.  ``propagate`` is the one-point case, and
+  ``reduced_series`` the system marginal of a model dilated by an
+  auxiliary factor, such as the phase-type clock of a renewal model.
 * Stationary state.  ``stationary_state`` solves ``L y = 0`` with its first
   row replaced by the trace functional scaled to ``||L||_1``, by a dense
   real LU or by ``splu``.  Uniqueness is gated by the relative margin
@@ -458,6 +460,21 @@ def propagate_series(g, x0, times):
 def propagate(g, x0, t):
     """exp(t G) applied to an operator: the one-point ``propagate_series``."""
     return propagate_series(g, x0, [t])[0]
+
+
+def reduced_series(model, aux, x0, times):
+    """Tr_A e^{tL}[aux (x) x0] at every time of an ascending grid, for a model on A (x) S.
+
+    ``model`` is a ``LindbladModel`` on the product of an auxiliary A, the
+    first factor, and the system S; ``aux`` is the auxiliary's start
+    operator and ``x0`` a system operator, and their product must be
+    Hermitian.  One ``propagate_series`` steps the product, on the block
+    reachable from it, and ``qcore.partial_trace`` traces A out of every
+    time at once.  Returns an array of shape (len(times), d_S, d_S).
+    """
+    aux, x0 = as_operator(aux, "auxiliary operator"), as_operator(x0, "system operator")
+    joint = propagate_series(liouvillian(model), qcore.tensor_product(aux, x0), times)
+    return qcore.partial_trace(joint, (aux.shape[0], x0.shape[0]), keep=1)
 
 
 def generator_spectrum(g):

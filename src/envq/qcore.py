@@ -84,9 +84,15 @@ def bloch_vector_state(theta, phi):
 def as_operator(m, name="operator"):
     """Coerce to a complex ndarray, raising ValueError unless it is square,
     at least 1 x 1 and finite; the message names the first NaN or infinite entry."""
+    return _operator_array(m, name, stacked=False)
+
+
+def _operator_array(m, name, stacked):
+    """``as_operator``, which with ``stacked`` also takes a stack (..., n, n) of such matrices."""
     a = np.asarray(getattr(m, "matrix", m), dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
-        raise ValueError(f"{name} must be a square matrix of at least 1 x 1, got shape {a.shape}")
+    if a.ndim < 2 or (a.ndim > 2 and not stacked) or a.shape[-1] != a.shape[-2] or not a.shape[-1]:
+        kind = "square matrix or a stack of them" if stacked else "square matrix"
+        raise ValueError(f"{name} must be a {kind} of at least 1 x 1, got shape {a.shape}")
     finite = np.isfinite(a)
     if not finite.all():
         index = tuple(int(i) for i in np.argwhere(~finite)[0])
@@ -181,19 +187,21 @@ def tensor_product(a, b):
 
 
 def partial_trace(m, dims, keep):
-    """Reduced matrix of factor ``keep`` (0 or 1) of a two-factor space.
+    """Reduced matrix of factor ``keep`` (0 or 1) of a two-factor space,
+    batched over the leading axes of a stack (..., n, n).
 
     ``dims`` holds the two factor dimensions, whose product must equal
     the matrix dimension; the other factor is traced out, so the total
     trace is preserved.
     """
-    m = as_operator(m, "partial_trace input")
+    m = _operator_array(m, "partial_trace input", stacked=True)
     d0, d1 = (int(d) for d in dims)
-    if d0 * d1 != m.shape[0]:
-        raise ValueError(f"product of dims {[d0, d1]} does not match matrix dimension {m.shape[0]}")
+    if d0 * d1 != m.shape[-1]:
+        raise ValueError(f"product of dims {[d0, d1]} does not match matrix dimension {m.shape[-1]}")
     if keep not in (0, 1):
         raise ValueError(f"keep must be 0 or 1, got {keep!r}")
-    return np.einsum("ijkj->ik" if keep == 0 else "ijil->jl", m.reshape(d0, d1, d0, d1))
+    return np.einsum("...ijkj->...ik" if keep == 0 else "...ijil->...jl",
+                     m.reshape(*m.shape[:-2], d0, d1, d0, d1))
 
 
 def matrix_exponential(m):
@@ -227,8 +235,13 @@ def hermitian_eigensystem(h):
 
 
 def spectral_unitary(w, v, t):
-    """exp(-i t H) from the eigensystem (w, v) of H, batched over leading axes of t, w and v."""
-    phase = np.exp(-1j * w * np.asarray(t)[..., None])
+    """exp(-i t H) from the eigensystem (w, v) of H, batched over leading axes of t, w and v.
+
+    A scalar ``t`` multiplies as it is, without a broadcast axis; both
+    forms give the same bits.
+    """
+    t = np.asarray(t)
+    phase = np.exp(-1j * w * (t[..., None] if t.ndim else t))
     return (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 

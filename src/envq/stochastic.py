@@ -42,17 +42,33 @@ through the same chain and give the same bits.  Grid times that land on
 whole periods are common, so a hit counts at a time it passes by at
 most 1e-12 period.
 
-For exponential and gamma waiting the series mode solves the renewal
-(second-kind Volterra) equation for the collision-arrival density by
-one product-trapezoid forward substitution on a uniform grid, which
-sums every collision count at once, so there is no truncated tail to
-bound.  Its survival weight is the discrete partner of that density, so
-the chain conserves the trace to roundoff.  The solve runs in the
-eigenbasis of the free Hamiltonian, where the free map is diagonal,
-through qcore.blocked_volterra, the package's one Volterra solver (the
-memory-kernel amplitude of envq.models runs on it too): np.convolve
-sums the history of earlier blocks of grid steps, and one precomputed
-triangular operator solves inside a block.
+For exponential and integer-shape gamma waiting the series mode is
+exact.  A gamma wait of shape k and rate r is k exponential stages of
+rate r in a row, a phase-type law (Neuts, Matrix-Geometric Solutions in
+Stochastic Models, 1981), and the exponential wait is the case k = 1.
+So the renewal model is exactly a Lindblad model on clock (x) system
+(Budini, PRA 74, 053815 (2006)), which ``clock_model`` builds: the clock
+advances a stage at rate r, and leaves its last stage through the
+collision.  The chain is C_t[x] = Tr_clock e^{tL}[|1><1| (x) x], one
+``dynamics.reduced_series`` call, which on a uniform grid takes one
+exponential whatever the horizon.  It steps from one requested time to
+the next, as ``quantumness.q_series`` does, so a time's value depends on
+the other requested times at roundoff (about 1e-15), not bit for bit.
+
+A gamma wait of non-integer shape has no finite clock.  For it the
+series mode solves the renewal (second-kind Volterra) equation for the
+collision-arrival density by one product-trapezoid forward substitution
+on a uniform grid of spacing ``step``, which sums every collision count
+at once, so there is no truncated tail to bound.  Only this solve reads
+``step``; every law validates it.  Its survival weight is the discrete
+partner of that density, so the chain conserves the trace to roundoff.
+The solve runs in the eigenbasis of the free Hamiltonian, where the free
+map is diagonal, through qcore.blocked_volterra, the package's one
+Volterra solver (the memory-kernel amplitude of envq.models runs on it
+too): np.convolve sums the history of earlier blocks of grid steps, and
+one precomputed triangular operator solves inside a block.  A time's
+bits depend on the other requested times only through the grid, which
+the last of them fixes.
 """
 
 import operator
@@ -62,7 +78,7 @@ from functools import cached_property
 import numpy as np
 import scipy.special
 
-from . import qcore, quantumness
+from . import dynamics, qcore, quantumness
 from .qcore import (
     QuantumState, as_operator, require_hermitian, state_matrix, unvec, vec,
 )
@@ -510,6 +526,20 @@ class CollisionalModel:
         return p, p.conj().T
 
     @cached_property
+    def _clock(self):
+        """The phase-type clock model of ``clock_model``, built once."""
+        w = self.waiting
+        k = _clock_stages(w)
+        if k is None:
+            shape = f" of shape {w.shape}" if w.family == "gamma" else ""
+            raise ValueError(f"{w.family} waiting{shape} has no phase-type clock")
+        stage = np.eye(k)
+        jumps = [np.kron(np.outer(stage[j + 1], stage[j]), np.eye(self.dim)) for j in range(k - 1)]
+        jumps += [np.kron(np.outer(stage[0], stage[k - 1]), t) for t in self.collision]
+        return dynamics.LindbladModel(np.kron(stage, self.free_hamiltonian), jumps,
+                                      rates=np.full(len(jumps), w.rate))
+
+    @cached_property
     def _collision_eig(self):
         """P^dag E P, P = kron(conj V, V): the collision superoperator in the
         eigenbasis of H, read by the series and the Monte Carlo chain."""
@@ -520,8 +550,42 @@ class CollisionalModel:
         return e_eig
 
 
+def _clock_stages(waiting):
+    """Stages of the phase-type clock of a waiting law: 1 for exponential
+    waiting, the shape of gamma waiting with an integer shape, else None."""
+    if waiting.family == "exponential":
+        return 1
+    if waiting.family == "gamma" and float(waiting.shape).is_integer():
+        return int(waiting.shape)
+    return None
+
+
+def clock_model(model):
+    """The renewal model as a ``LindbladModel`` on clock (x) system.
+
+    A wait of k exponential stages of rate r (k = 1 for exponential
+    waiting, k = shape for gamma waiting with an integer shape) gives the
+    model on C^k (x) C^d with Hamiltonian I_k (x) H and, each at rate r,
+    the jumps |j+1><j| (x) I for j < k and |1><k| (x) T for each Kraus
+    operator T of the collision.  Its marginal from the clock state |1><1|
+    is the renewal chain.  It is built once per ``CollisionalModel``.
+    Deterministic waiting and a non-integer gamma shape have no finite
+    clock and raise ValueError.
+    """
+    return model._clock
+
+
+def _clock_chain(model, x0, times):
+    """C_t[x0] = Tr_clock e^{tL}[|1><1| (x) x0] through ``clock_model``, as (times, d, d)."""
+    clock = clock_model(model)
+    start = np.zeros((clock.dim // model.dim,) * 2)
+    start[0, 0] = 1.0
+    return dynamics.reduced_series(clock, start, x0, times)
+
+
 def _series_chain(model, x0, times, step=None):
-    """Deterministic renewal average of the collision chain applied to x0.
+    """Deterministic renewal average of the collision chain applied to x0,
+    the series route of waits without a phase-type clock.
 
     Works on an internal uniform grid t_k = k h with a product-trapezoid
     convolution.  The collision-arrival density solves the second-kind
@@ -704,14 +768,16 @@ def _chain(model, x0, times, mode, n_paths, seed, step):
         # one path, which draws nothing: both modes run it through the same chain
         return list(next(_chain_snapshots(model, x0, times, 1, 0))[0])
     if mode == "series":
-        return _series_chain(model, x0, times, step=step)
+        if _clock_stages(model.waiting) is None:
+            return _series_chain(model, x0, times, step=step)
+        return list(_clock_chain(model, x0, times))
     return _monte_carlo_chain(model, x0, times, n_paths, seed)[0]
 
 
 def collisional_states(model, rho0, times, mode="series", n_paths=None, seed=None, step=None):
     """States on a time grid, by deterministic series or Monte Carlo."""
     mats = _chain(model, state_matrix(rho0, model.dim), times, mode, n_paths, seed, step)
-    # series-mode snapshots carry the quadrature error of the chain
+    # the trapezoid's snapshots (non-integer gamma shapes) carry its quadrature error
     return [QuantumState(m, tol=2e-4) for m in mats]
 
 
@@ -721,9 +787,18 @@ def collisional_q(model, rho0, times, mode="series", n_paths=None, seed=None,
 
     Uses the trace pairing: the dual-chain trace of rho0 equals
     Tr[rho0 C_t[I]] with C_t the forward chain applied to the identity,
-    so a single chain evaluation serves the whole series.  ``tail_tol``
-    is accepted and ignored: the series mode solves the renewal equation
-    exactly on its grid, so there is no truncated tail left to bound.
+    so a single chain evaluation serves the whole series.
+
+    Series mode takes one route per waiting law.  Exponential and
+    integer-shape gamma waits run the exact phase-type clock
+    (``clock_model``), whose value at a time depends on the other
+    requested times at roundoff only; a gamma wait of non-integer shape
+    runs the product-trapezoid renewal solve on a grid of spacing
+    ``step`` (default mean wait / 100), with its second-order quadrature
+    error; deterministic waiting runs its one exact path, as in Monte
+    Carlo mode.  ``step`` is validated for every law and read by the
+    trapezoid only.  ``tail_tol`` is accepted and ignored: no route
+    truncates a tail of collision counts.
     """
     rho0 = state_matrix(rho0, model.dim)
     eye = np.eye(model.dim, dtype=complex)

@@ -459,6 +459,27 @@ def test_propagate_series_trace_check_guards_the_block():
         dynamics.propagate_series(shifted, np.eye(p.dim), [0.0, 1.0])
 
 
+def test_reduced_series_of_a_decoupled_auxiliary_is_the_system_series():
+    # A (x) S with A and S evolving apart: the auxiliary's dynamics keep its
+    # trace, so Tr_A e^{tL}[aux (x) x] = Tr[aux] e^{tL_S}[x]
+    rng = np.random.default_rng(12)
+    h_a, h_s = rand_herm(rng, 2), rand_herm(rng, 3)
+    l_a, l_s = rand_op(rng, 2), rand_op(rng, 3)
+    i_a, i_s = np.eye(2), np.eye(3)
+    joint = dynamics.LindbladModel(np.kron(h_a, i_s) + np.kron(i_a, h_s),
+                                   [np.kron(l_a, i_s), np.kron(i_a, l_s)], rates=[0.7, 0.4])
+    system = dynamics.LindbladModel(h_s, [l_s], rates=[0.4])
+    times = np.linspace(0.0, 2.0, 9)
+    aux = 1.5 * qcore.random_state(2, rng).matrix
+    for x0 in (np.eye(3), qcore.random_state(3, rng).matrix):
+        got = dynamics.reduced_series(joint, aux, x0, times)
+        assert got.shape == (times.size, 3, 3)
+        exact = 1.5 * dynamics.propagate_series(dynamics.liouvillian(system), x0, times)
+        assert np.abs(got - exact).max() < 1e-12
+    with pytest.raises(ValueError, match="operator dimension 4 != superoperator dim 6"):
+        dynamics.reduced_series(joint, aux, np.eye(2), times)
+
+
 def test_propagate_series_dense_block_diagonal_model():
     # two decoupled sectors of C^3 + C^3: |0><0| reaches only the 9 entries
     # of its own corner, which the block route must reproduce exactly

@@ -74,6 +74,23 @@ def test_partial_trace_dim_mismatch():
         partial_trace(np.eye(4), [2, 3], keep=0)
 
 
+def test_partial_trace_over_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(4)
+    stack = np.array([[rand_herm(rng, 6) for _ in range(3)] for _ in range(2)])
+    for keep in (0, 1):
+        red = partial_trace(stack, [2, 3], keep=keep)
+        assert red.shape == ((2, 3) + ((2, 2) if keep == 0 else (3, 3)))
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(red[i, j], partial_trace(stack[i, j], [2, 3], keep=keep))
+    assert partial_trace(np.zeros((0, 6, 6)), [2, 3], keep=1).shape == (0, 3, 3)
+    with pytest.raises(ValueError, match=r"square matrix or a stack of them .* shape \(2, 6, 5\)"):
+        partial_trace(np.zeros((2, 6, 5)), [2, 3], keep=0)
+    bad = stack.copy()
+    bad[1, 2, 4, 0] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite entry .* at \(1, 2, 4, 0\)"):
+        partial_trace(bad, [2, 3], keep=0)
+
+
 def test_matrix_exponential_zero():
     assert np.abs(matrix_exponential(np.zeros((3, 3))) - np.eye(3)).max() < 1e-15
 
@@ -294,6 +311,16 @@ def test_spectral_unitary_matches_the_exponential():
     for k in range(2):
         assert np.abs(u[k] - scipy.linalg.expm(-1j * t[k] * h[k])).max() < 1e-12
     assert np.abs(qcore.spectral_unitary(w[0], v[0], 0.0) - np.eye(3)).max() < 1e-14
+
+
+def test_spectral_unitary_of_a_scalar_time_is_the_batched_slice():
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 8):
+        w, v = np.linalg.eigh(rand_herm(rng, d))
+        for t in (0.0, 0.37, -2.5, 1e6):
+            batched = qcore.spectral_unitary(w[None], v[None], np.array([t]))[0]
+            assert np.array_equal(qcore.spectral_unitary(w, v, t), batched)
+            assert np.array_equal(qcore.spectral_unitary(w, v, np.float64(t)), batched)
 
 
 def test_complex_token_round_trip():

@@ -3,6 +3,9 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envq import dynamics, qcore, quantumness, stochastic
 from envq.qcore import QuantumState
@@ -1069,6 +1072,164 @@ def test_series_value_does_not_depend_on_other_times():
         # the last time fixes the grid, so it stays in every request
         alone = stochastic._series_chain(model, x0, np.array([t, times[-1]]), step=0.01)
         assert np.array_equal(alone[0], expect)
+
+
+# ---------------------------------------------------------------------------
+# the phase-type clock of exponential and integer-shape gamma waiting
+
+CLOCK_WAITING = {"exponential": stochastic.WaitingTime("exponential", rate=2.0),
+                 "gamma2": stochastic.WaitingTime("gamma", rate=4.0, shape=2.0),
+                 "gamma5": stochastic.WaitingTime("gamma", rate=3.0, shape=5.0)}
+# max |trapezoid - clock| / (h / mean)^2 over h = mean/50..mean/400 for the
+# model of test_trapezoid_converges_to_the_clock, measured at 0.262
+# (exponential), 1.033 (gamma 2) and 0.536 (gamma 5, largest at mean/50;
+# 0.149 from mean/100 on), each held with about 15 % to spare
+TRAPEZOID_GAP = {"exponential": 0.3, "gamma2": 1.2, "gamma5": 0.62}
+
+
+@pytest.mark.parametrize("waiting", sorted(CLOCK_WAITING))
+def test_trapezoid_converges_to_the_clock(waiting):
+    w = CLOCK_WAITING[waiting]
+    model = stochastic.CollisionalModel(LONG_H, amplitude_damping(0.3), w)
+    times = np.linspace(0.0, 6.0, 25)
+    rho0 = qcore.random_state(2, np.random.default_rng(3)).matrix
+    for x0 in (np.eye(2, dtype=complex), rho0):
+        clock = np.array(stochastic._chain(model, x0, times, "series", None, None, None))
+        for per_mean in (50, 100, 200, 400):
+            series = np.array(stochastic._series_chain(model, x0, times, step=w.mean() / per_mean))
+            assert np.abs(series - clock).max() <= TRAPEZOID_GAP[waiting] / per_mean ** 2
+
+
+def random_channel(rng, d, unital):
+    """Three Kraus operators: a random unitary mixture, or cut from a random 3d x d isometry."""
+    if unital:
+        weights = rng.dirichlet(np.ones(3))
+        return [np.sqrt(p) * np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+                for p in weights]
+    iso = np.linalg.qr(rng.normal(size=(3 * d, d)) + 1j * rng.normal(size=(3 * d, d)))[0]
+    return list(iso.reshape(3, d, d))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(2, 3), shape=st.integers(1, 5), unital=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_clock_keeps_the_trace_and_a_unital_chain_keeps_q_at_one(d, shape, unital, seed):
+    rng = np.random.default_rng(seed)
+    rate = rng.uniform(0.5, 4.0)
+    waiting = (stochastic.WaitingTime("exponential", rate=rate) if shape == 1
+               else stochastic.WaitingTime("gamma", rate=rate, shape=float(shape)))
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    model = stochastic.CollisionalModel(h + h.conj().T, random_channel(rng, d, unital), waiting)
+    rho0 = qcore.random_state(d, rng)
+    times = np.linspace(0.0, 4.0, 9)
+    states = stochastic.collisional_states(model, rho0, times)
+    assert max(abs(np.trace(s.matrix) - 1.0) for s in states) < 1e-12
+    if unital:
+        q = stochastic.collisional_q(model, rho0, times).values
+        assert np.abs(q - 1.0).max() < 1e-12
+
+
+def test_clock_model_needs_a_phase_type_wait():
+    h, kraus = 0.45 * qcore.sigma_z, amplitude_damping(0.4)
+    for waiting, message in (
+        (stochastic.WaitingTime("gamma", rate=2.0, shape=2.5), "gamma waiting of shape 2.5"),
+        (stochastic.WaitingTime("deterministic", period=0.6), "deterministic waiting"),
+    ):
+        model = stochastic.CollisionalModel(h, kraus, waiting)
+        with pytest.raises(ValueError, match=f"{message} has no phase-type clock"):
+            stochastic.clock_model(model)
+    model = stochastic.CollisionalModel(h, kraus, CLOCK_WAITING["gamma5"])
+    clock = stochastic.clock_model(model)
+    assert clock is stochastic.clock_model(model) and clock.dim == 10
+
+
+def test_non_integer_shape_keeps_the_trapezoid_bits():
+    model = stochastic.CollisionalModel(
+        0.45 * qcore.sigma_z + 0.2 * qcore.sigma_x, amplitude_damping(0.4),
+        stochastic.WaitingTime("gamma", rate=2.0, shape=2.5),
+    )
+    rho0 = qcore.random_state(2, np.random.default_rng(2))
+    times = np.linspace(0.0, 3.0, 13)
+    for step in (None, 0.01):
+        chain = stochastic._chain(model, rho0.matrix, times, "series", None, None, step)
+        ref = stochastic._series_chain(model, rho0.matrix, times, step=step)
+        assert all(np.array_equal(c, r) for c, r in zip(chain, ref))
+        q = stochastic.collisional_q(model, rho0, times, step=step).values
+        eye = stochastic._series_chain(model, np.eye(2, dtype=complex), times, step=step)
+        assert np.array_equal(q, quantumness.trace_pairing(rho0.matrix, np.array(eye)))
+
+
+@pytest.mark.parametrize("waiting", sorted(CLOCK_WAITING))
+def test_clock_series_reads_step_nowhere(waiting):
+    w = CLOCK_WAITING[waiting]
+    model = stochastic.CollisionalModel(LONG_H, amplitude_damping(0.3), w)
+    rho0 = qcore.random_state(2, np.random.default_rng(4))
+    times = np.linspace(0.0, 3.0, 13)
+    q = stochastic.collisional_q(model, rho0, times).values
+    assert np.array_equal(stochastic.collisional_q(model, rho0, times, step=w.mean() / 37).values, q)
+    states = stochastic.collisional_states(model, rho0, times)
+    other = stochastic.collisional_states(model, rho0, times, step=w.mean() / 37)
+    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(states, other))
+
+
+@pytest.mark.parametrize("waiting", sorted(CLOCK_WAITING))
+def test_clock_time_alone_matches_the_same_time_in_a_grid(waiting):
+    # the clock steps from one requested time to the next, so the other
+    # times move a value at roundoff only
+    model = stochastic.CollisionalModel(LONG_H, amplitude_damping(0.3), CLOCK_WAITING[waiting])
+    times = np.linspace(0.0, 3.0, 13)
+    rng = np.random.default_rng(17)
+    for x0 in (np.eye(2, dtype=complex), qcore.random_state(2, rng).matrix):
+        full = stochastic._chain(model, x0, times, "series", None, None, None)
+        for t, expect in zip(times, full):
+            alone = stochastic._chain(model, x0, [t], "series", None, None, None)[0]
+            assert np.abs(alone - expect).max() < 1e-14
+
+
+def poisson_stage_moment(shape, rate, s, times):
+    """E[s^N_t] for gamma (shape, rate) renewals: N_t = floor(M_t / shape) collisions
+    for M_t ~ Poisson(rate t) completed exponential stages."""
+    m = np.arange(400)
+    out = []
+    for t in times:
+        log_pmf = (scipy.special.xlogy(m, rate * t) - rate * t - scipy.special.gammaln(m + 1))
+        out.append(np.exp(log_pmf) @ s ** (m // shape))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("shape", [1, 2, 3, 5])
+def test_clock_damping_matches_the_poisson_stage_count(shape):
+    # with a diagonal H the chain maps I to diag(2 - s^N, s^N), s = 1 - damping, so
+    # Q_t = 1 + (p0 - p1)(1 - E[s^N]) exactly, as on the renewal-series damping tasks
+    rate = 2.0 * shape
+    waiting = (stochastic.WaitingTime("exponential", rate=rate) if shape == 1
+               else stochastic.WaitingTime("gamma", rate=rate, shape=float(shape)))
+    rng = np.random.default_rng(shape)
+    for t_max in (3.0, 6.0):
+        damping = rng.uniform(0.2, 0.6)
+        model = stochastic.CollisionalModel(0.5 * rng.uniform(0.5, 1.5) * qcore.sigma_z,
+                                            amplitude_damping(damping), waiting)
+        rho0 = qcore.random_state(2, rng)
+        p0, p1 = rho0.matrix[0, 0].real, rho0.matrix[1, 1].real
+        times = np.linspace(0.0, t_max, 13)
+        exact = 1.0 + (p0 - p1) * (1.0 - poisson_stage_moment(shape, rate, 1.0 - damping, times))
+        q = stochastic.collisional_q(model, rho0, times).values
+        assert np.abs(q - exact).max() < 1e-12
+
+
+def test_exponential_clock_is_the_lindblad_model():
+    # one clock stage: the jumps are the Kraus operators at the waiting rate
+    rate, damping = 2.0, amplitude_damping(0.3)
+    model = stochastic.CollisionalModel(
+        LONG_H, damping, stochastic.WaitingTime("exponential", rate=rate)
+    )
+    lind = dynamics.LindbladModel(LONG_H, damping, rates=[rate] * len(damping))
+    rho0 = qcore.random_state(2, np.random.default_rng(3))
+    q = stochastic.collisional_q(model, rho0, LONG_TIMES).values
+    assert np.abs(q - quantumness.q_series(lind, rho0, LONG_TIMES).values).max() < 1e-12
+    states = stochastic.collisional_states(model, rho0, LONG_TIMES)
+    exact = dynamics.propagate_series(dynamics.liouvillian(lind), rho0.matrix, LONG_TIMES)
+    assert max(np.abs(s.matrix - e).max() for s, e in zip(states, exact)) < 1e-12
 
 
 def restarted_loop(model, x0, t):
