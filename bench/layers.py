@@ -41,6 +41,9 @@ second for exponential and integer-shape gamma waits, at t_max = 3, 6 and
 * ``volterra_solve``: the memory-kernel amplitude of the Lorentzian kernel
   with tau_c = 0.45 (gamma = 1) at the step tau_c / 100 that
   ``models.memory_c`` uses, Richardson pair included;
+* ``memory_c``: the whole tabulated-kernel route for the same kernel given
+  as ``kernel_func``, at 31 times on [0, t_max]: both solves of the
+  Richardson pair and the cubic spline through them;
 * ``series_chain``: the product-trapezoid renewal series of the collision
   chain of a random two-Kraus channel at 13 times, exponential (rate 1)
   and gamma (shape 2, rate 2) waiting at the default step, at d = 2, 4 and
@@ -258,9 +261,12 @@ def renewal_ladder(dims, horizons, repeats):
               file=sys.stderr, flush=True)
 
     kernel = models.NonMarkovParams(1.0, RENEWAL_TAU_C).kernel_function()
+    tabulated = models.NonMarkovParams(1.0, RENEWAL_TAU_C, kernel="tabulated", kernel_func=kernel)
     for t_max in horizons:
         add("volterra_solve", "lorentzian", None, t_max,
             lambda t_max=t_max: models.volterra_solve(kernel, t_max, RENEWAL_TAU_C / 100.0))
+        add("memory_c", "tabulated", None, t_max,
+            lambda t=np.linspace(0.0, t_max, 31): models.memory_c(tabulated, t))
     waits = {"exponential": stochastic.WaitingTime("exponential", rate=1.0),
              "gamma": stochastic.WaitingTime("gamma", rate=2.0, shape=2.0)}
     for d in dims:

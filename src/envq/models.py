@@ -14,7 +14,10 @@ printed with +sz0 in its population term is this module's series at
 single-mode memory kernel never relaxes: it has a series, no degree.
 
 A tabulated memory kernel runs through ``volterra_solve``, one call of
-``qcore.blocked_volterra``, the solver of the renewal series too.
+``qcore.blocked_volterra``, the solver of the renewal series too.  Its
+arithmetic follows the kernel's samples: float64 for a real kernel,
+complex128 for a complex one, with the running sum taken in
+``longdouble`` or ``clongdouble`` to match.
 """
 
 from dataclasses import dataclass
@@ -150,8 +153,9 @@ def memory_c(p, t):
     step = p.tau_c / 100.0
     grid, c = volterra_solve(p.kernel_function(), max(t_max, step), step)
     import scipy.interpolate  # only this branch needs it; it is slow to import
-    # [()] unwraps a 0-d result to a scalar, as the ufuncs of the other kernels do
-    return scipy.interpolate.CubicSpline(grid, c)(t)[()]
+    # [()] unwraps a 0-d result to a scalar, as the ufuncs of the other kernels do;
+    # a real kernel gives a real c, handed on as complex128 like the closed forms
+    return scipy.interpolate.CubicSpline(grid, c)(t).astype(np.complex128)[()]
 
 
 def volterra_solve(kernel, t_max, step):
@@ -163,16 +167,29 @@ def volterra_solve(kernel, t_max, step):
     the rule for c and dc/dt = -int f c is c_k = r_k/lead - (h^2/lead)
     sum_{j=1}^{k-1} g_{k-j} c_j, with lead = 1 + h^2 f_0/4, g_l = f_0/2 +
     S_l + f_l/2, r_k = 1 - h^2 (S_k/2 + f_k/4) and S_l = sum_{m=1}^{l-1}
-    f_m: one ``qcore.blocked_volterra`` call.  S is summed in extended
-    precision; in float64 it carried up to 8e-14 of roundoff into c.
+    f_m: one ``qcore.blocked_volterra`` call.
+
+    The arithmetic follows the kernel's samples f(ts), checked once here
+    to be finite and of the grid's shape: a real kernel (or a complex one
+    whose imaginary parts are all zero) runs in float64 and gives a real
+    c, a complex kernel in complex128.  S is summed in extended precision,
+    ``longdouble`` for real samples and ``clongdouble`` for complex ones;
+    in float64 it carried up to 8e-14 of roundoff into c.
     """
     def run(h, n):
         ts = h * np.arange(n + 1)
-        f = np.asarray(kernel(ts), dtype=complex).astype(np.clongdouble)
-        below = np.concatenate([[0, 0], np.cumsum(f[1:-1])])  # S_l at l = 0..n
-        lead = 1.0 + h * h * complex(f[0]) / 4.0
-        g = (f[0] / 2 + below + f / 2).astype(complex)
-        r = ((1 - h * h * (below / 2 + f / 4)) / lead).astype(complex)
+        f = np.asarray(kernel(ts))
+        if f.shape != ts.shape:
+            raise ValueError(f"kernel samples have shape {f.shape}, not the grid's {ts.shape}")
+        real = not (np.iscomplexobj(f) and f.imag.any())
+        f = (f.real if real else f).astype(float if real else complex, copy=False)
+        if not np.isfinite(f).all():
+            raise ValueError(f"kernel sample at t = {ts[~np.isfinite(f)][0]:g} is not finite")
+        wide = f.astype(np.result_type(f, np.longdouble))
+        below = np.concatenate([[0, 0], np.cumsum(wide[1:-1])])  # S_l at l = 0..n
+        lead = 1.0 + h * h * f[0] / 4.0
+        g = (wide[0] / 2 + below + wide / 2).astype(f.dtype)
+        r = ((1 - h * h * (below / 2 + wide / 4)) / lead).astype(f.dtype)
         r[0] = 1.0
         return ts, qcore.blocked_volterra(r[None], g[None], np.array([[-h * h / lead]]))[0]
 

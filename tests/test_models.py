@@ -105,13 +105,49 @@ def reference_volterra_solve(kernel, t_max, step):
     (models.NonMarkovParams(0.7, 0.45), 3.0),
     (models.NonMarkovParams(1.3, 0.4), 6.0),
     (models.NonMarkovParams(1.0, kernel="single-mode", coupling=0.9), 5.0),
-], ids=["lorentzian-t8", "lorentzian-t3", "lorentzian-t6", "single-mode"])
+    (models.NonMarkovParams(1.0, 0.45, kernel="tabulated",
+                            kernel_func=lambda t: (1.0 / 0.9) * np.exp(-np.abs(t) / 0.45 - 2.0j * t)),
+     3.0),
+], ids=["lorentzian-t8", "lorentzian-t3", "lorentzian-t6", "single-mode", "detuned-t3"])
 def test_volterra_matches_array_loop(params, t_max):
     step = params.tau_c / 100.0
     grid, c = models.volterra_solve(params.kernel_function(), t_max, step)
     ref_grid, ref = reference_volterra_solve(params.kernel_function(), t_max, step)
     assert np.array_equal(grid, ref_grid)
     assert np.abs(c - ref).max() < 1e-14
+
+
+def test_volterra_arithmetic_follows_the_kernel():
+    # a complex kernel whose imaginary parts are all zero is a real kernel, to the bit
+    kernel = models.NonMarkovParams(0.7, 0.45).kernel_function()
+    grid, c = models.volterra_solve(kernel, 3.0, 0.0045)
+    grid_c, c_c = models.volterra_solve(lambda t: kernel(t) + 0j, 3.0, 0.0045)
+    assert c.dtype == np.float64 and c_c.dtype == np.float64
+    assert np.array_equal(grid, grid_c) and np.array_equal(c, c_c)
+    # integer samples are read as float64, not solved in integer arithmetic
+    ones = models.volterra_solve(lambda t: np.ones(t.shape, dtype=int), 3.0, 0.0045)[1]
+    assert np.array_equal(ones, models.volterra_solve(np.ones_like, 3.0, 0.0045)[1])
+    detuned = models.volterra_solve(lambda t: kernel(t) * np.exp(-2.0j * t), 3.0, 0.0045)[1]
+    assert detuned.dtype == np.complex128
+
+
+def test_tabulated_memory_c_is_complex128():
+    kernel = models.NonMarkovParams(0.7, 0.45).kernel_function()
+    p = models.NonMarkovParams(0.7, 0.45, kernel="tabulated", kernel_func=kernel)
+    assert type(models.memory_c(p, 1.3)) is np.complex128
+    c = models.memory_c(p, np.linspace(0.0, 3.0, 7))
+    assert c.dtype == np.complex128 and c.shape == (7,)
+
+
+@pytest.mark.parametrize("kernel, match", [
+    (lambda t: np.where(t > 1.0, np.nan, np.exp(-t)), r"kernel sample at t = 1\.0035 is not finite"),
+    (lambda t: np.where(t > 1.0, np.inf, np.exp(-t)) + 0j, r"kernel sample at t = 1\.0035 is not finite"),
+    (lambda t: 1.0, r"kernel samples have shape \(\), not the grid's \(668,\)"),
+    (lambda t: np.exp(-t[:-1]), r"kernel samples have shape \(667,\), not the grid's \(668,\)"),
+], ids=["nan", "inf", "scalar", "wrong-length"])
+def test_volterra_rejects_bad_kernel_samples(kernel, match):
+    with pytest.raises(ValueError, match=match):
+        models.volterra_solve(kernel, 3.0, 0.0045)
 
 
 def test_single_mode_kernel():
