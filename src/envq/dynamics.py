@@ -44,10 +44,14 @@ d-dimensional system is a d^2 x d^2 matrix G.  Each job has one route:
   costs one exponential plus matrix-vector products), is taken whenever a
   fitted cost model prices it below ``expm_multiply`` (Al-Mohy & Higham,
   SIAM J. Sci. Comput. 33 (2011)) on every step; otherwise each step is
-  one ``expm_multiply``.  All times map back to operators in one
-  vectorised call.  ``propagate`` is the one-point case, and
-  ``reduced_series`` the system marginal of a model dilated by an
-  auxiliary factor, such as the phase-type clock of a renewal model.
+  one ``expm_multiply``.  The exponentials of five or more distinct steps
+  of a block of at most 16 rows, as on a log grid, are built in one
+  batched Pade pass over the stack (``_step_exponentials``); a single
+  step keeps scipy's ``expm``, bit for bit, and so do larger blocks.
+  All times map back to operators in one vectorised call.  ``propagate``
+  is the one-point case, and ``reduced_series`` the system marginal of a
+  model dilated by an auxiliary factor, such as the phase-type clock of a
+  renewal model.
 * Stationary state.  ``stationary_state`` solves ``L y = 0`` with its first
   row replaced by the trace functional scaled to ``||L||_1``, by a dense
   real LU or by ``splu``.  Uniqueness is gated by the relative margin
@@ -55,6 +59,7 @@ d-dimensional system is a d^2 x d^2 matrix G.  Each job has one route:
   with the generator and ``D_Q`` is invariant under a rescaling of time.
 """
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -81,6 +86,21 @@ EXPM_NORM_SWITCH = 63.36
 # about log10(1/margin) digits, so 1e-10 keeps six.  A weak decay at rate
 # r against an O(1) Hamiltonian reads margin ~ r/2.
 STATIONARY_MARGIN = 1e-10
+# Numerators b_0..b_m of the [m/m] Pade approximants of exp at m = 3, 5, 7, 9
+# and 13, one row each, and log2 of the largest ||A||_1 at which each m keeps
+# the backward error below unit roundoff (Higham, SIAM J. Matrix Anal. Appl.
+# 26, 1179 (2005), Table 2.3)
+_PADE_DEGREES = np.array([3, 5, 7, 9, 13])
+_PADE = np.array([np.pad(b, (0, 14 - len(b))) for b in (
+    (120, 60, 12, 1),
+    (30240, 15120, 3360, 420, 30, 1),
+    (17297280, 8648640, 1995840, 277200, 25200, 1512, 56, 1),
+    (17643225600, 8821612800, 2075673600, 302702400, 30270240, 2162160, 110880, 3960, 90, 1),
+    (64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800, 129060195264000,
+     10559470521600, 670442572800, 33522128640, 1323241920, 40840800, 960960, 16380, 182, 1),
+)], dtype=float)
+_PADE_LOG2_THETA = np.log2([1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+                            2.097847961257068e0, 5.371920351148152e0])
 
 
 class LindbladModel:
@@ -406,15 +426,71 @@ def _expm_pays(a, norm, moving, distinct):
     return expm_cost <= np.sum(krylov)
 
 
+def _step_exponentials(a, norm, steps):
+    """exp(a dt) for every dt of ``steps``, in step order, for a dense real ``a``.
+
+    ``norm`` is ||a||_1 and every step is positive.  Five or more steps of
+    a block of at most 16 rows take one numpy pass over the stack, by
+    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+    (2005)): each step's Pade degree 3, 5, 7, 9 or 13 and, at degree 13,
+    its squarings s are read off log2(||a||_1 dt) against
+    ``_PADE_LOG2_THETA``.  The powers of a, scaled by a power of two to a
+    1-norm in [1/2, 1) so that none overflows, are formed once; U and V of
+    every step are one product of its coefficients with them, one batched
+    solve gives r = I + 2 (V - U)^-1 U, which is (V - U)^-1 (V + U) with
+    less roundoff, and each r is squared s times.  Fewer steps or a larger
+    block take one ``scipy.linalg.expm`` per step, so a single step (a
+    uniform grid) keeps scipy's bits.  Measured on one core, minimum of
+    9 runs, random n x n blocks of 1-norm 4, K steps log-spaced over
+    [0.04, 2], scipy per step against the pass: n = 4, K = 120: 1.49
+    against 0.15 ms; n = 16, K = 60: 1.27 against 0.47 ms; K = 4 about
+    even and K = 5 1.2x at n = 4 and 16; K = 1 29 us more.  Past n = 16
+    the batched solve dominates: n = 25 and 36 at K = 60 read 0.7-1.8x
+    over four sets, no steady gain.
+    """
+    n = a.shape[0]
+    if steps.size < 5 or n > 16:
+        return [scipy.linalg.expm(a * dt) for dt in steps]
+    # log2(x) as a sum, so that no product overflows; a zero block reads -inf
+    exponent = (math.log2(norm) if norm > 0.0 else -math.inf) + np.log2(steps)
+    degree = np.minimum(np.searchsorted(_PADE_LOG2_THETA, exponent), _PADE_DEGREES.size - 1)
+    squarings = np.maximum(np.ceil(exponent - _PADE_LOG2_THETA[-1]), 0.0).astype(int)
+    top = _PADE_DEGREES[degree.max()]
+    e = math.frexp(norm)[1]
+    # powers[k + 1 : 2k + 1] = powers[1 : k + 1] @ powers[k], so 13 powers take four products
+    powers = np.empty((top + 1, n, n))
+    powers[0] = np.eye(n)
+    powers[1] = np.ldexp(a, -e)
+    k = 1
+    while k < top:
+        m = min(k, top - k)
+        powers[k + 1:k + m + 1] = powers[1:m + 1] @ powers[k]
+        k += m
+    powers = powers.reshape(top + 1, n * n)
+    # step k's scaled matrix a dt_k / 2^s_k is this multiple of powers[1] = a / 2^e
+    scale = np.ldexp(steps, e - squarings)
+    coefficients = _PADE[degree, :top + 1] * scale[:, None] ** np.arange(top + 1)
+    u = (coefficients[:, 1::2] @ powers[1::2]).reshape(-1, n, n)
+    v = (coefficients[:, 0::2] @ powers[0::2]).reshape(-1, n, n)
+    r = np.linalg.solve(v - u, 2.0 * u)
+    np.einsum("kii->ki", r)[...] += 1.0
+    for i in range(squarings.max()):
+        late = squarings > i
+        square = r[late]
+        r[late] = square @ square
+    return r
+
+
 def propagate_series(g, x0, times):
     """exp(t G) applied to an operator at every time of an ascending grid.
 
     The operator is stepped from 0 to ``times[0]`` and then from one grid
     time to the next; steps that agree to 1e-12 of the longest share one
-    exponential.  A finite, Hermitian ``x0`` (else ValueError, see
-    ``_column``) is stepped as its one real coordinate column, by the
-    block of the real generator on the entries reachable from it (see
-    ``_reachable``); the others stay exactly 0.  ``times`` must be finite,
+    exponential, and the exponentials of all distinct steps are built
+    together (see ``_step_exponentials``).  A finite, Hermitian ``x0``
+    (else ValueError, see ``_column``) is stepped as its one real
+    coordinate column, by the block of the real generator on the entries
+    reachable from it (see ``_reachable``); the others stay exactly 0.  ``times`` must be finite,
     non-negative and ascending.  Returns an array of shape (len(times), d,
     d).  Forward generators must preserve the trace of ``x0`` to 1e-10
     (relative to max(1, |Tr x0|)) at every time; a violation, NaN
@@ -433,20 +509,18 @@ def propagate_series(g, x0, times):
         norm = _one_norm(a)
     v = y0[index]
     moving = steps > 0.0
-    first = np.unique(keys[moving], return_index=True)[1]
+    distinct, first = np.unique(keys[moving], return_index=True)
     use_expm = _expm_pays(a, norm, steps[moving], steps[moving][first])
-    if use_expm and scipy.sparse.issparse(a):
-        a = a.toarray()
-    exponentials = {}
+    if use_expm:
+        dense = a.toarray() if scipy.sparse.issparse(a) else a
+        exponentials = dict(zip(distinct, _step_exponentials(dense, norm, steps[moving][first])))
     ys = np.zeros((times.size, y0.shape[0]))
     for k, (dt, key) in enumerate(zip(steps, keys)):
         if dt > 0.0:
-            if not use_expm:
-                v = scipy.sparse.linalg.expm_multiply(a * dt, v)
-            else:
-                if key not in exponentials:
-                    exponentials[key] = scipy.linalg.expm(a * dt)
+            if use_expm:
                 v = exponentials[key] @ v
+            else:
+                v = scipy.sparse.linalg.expm_multiply(a * dt, v)
         ys[k, index] = v[:, 0]
     out = hermitian_operator(ys, g.dim)
     if g.kind == "forward" and out.size:

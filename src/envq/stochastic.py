@@ -194,6 +194,10 @@ def _noise_paths(process, t_max, dt, seed, paths):
     a = process.amplitude
     if process.family != "telegraph":
         n = int(np.ceil(t_max / dt))
+        # t_max / dt can round up past a whole number of steps; a last segment
+        # within the roundoff of dt (n - 1) is dropped, and the one before ends at t_max
+        if n > 1 and t_max - dt * (n - 1) <= 2.0 * n * np.finfo(float).eps * dt:
+            n -= 1
         durations = np.full(n, dt)
         durations[-1] = t_max - dt * (n - 1)
     if process.family == "ornstein-uhlenbeck":

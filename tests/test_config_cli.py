@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import envq
-from envq import cli, config, microscopic, models, qcore, quantumness, stochastic
+from envq import cli, config, dynamics, microscopic, models, qcore, quantumness, stochastic
 
 THERMAL_CFG = """
 [model]
@@ -268,6 +268,25 @@ def test_nan_series_is_a_model_error(tmp_path, capsys, text):
     assert cli.run(["qt", "--config", write(tmp_path, text), "--out", str(out)]) == 3
     assert "forward propagation changed the trace by nan" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_huge_rate_on_a_log_grid_relaxes_at_once(tmp_path, monkeypatch):
+    # every step of a log grid is distinct, so the series takes the batched
+    # Pade pass, whose powers of L are scaled by a power of two and do not
+    # overflow: scipy's expm, on the uniform grid above, reads NaN instead.
+    # At rate 1e150 the flow of I is 2 rho_ss from the first step on, and
+    # Q = Tr[(I/2) X_t] = 1
+    monkeypatch.setattr(config.RunConfig, "times", lambda self: np.concatenate(
+        [[0.0], np.geomspace(self.t_max / 50.0, self.t_max, self.steps - 1)]))
+    text = LINDBLAD_CFG.replace("rates = 1 1 1+0i", "rates = 1 1 1e150+0i")
+    out = tmp_path / "out.csv"
+    assert cli.run(["qt", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert rows.shape == (21, 2) and np.abs(rows[:, 1] - 1.0).max() <= 1e-15
+    cfg = config.load_config(write(tmp_path, text, "b.cfg"))
+    flow = dynamics.propagate_series(dynamics.liouvillian(config.build_model(cfg)[1]), np.eye(2),
+                                     cfg.times())
+    assert np.abs(flow[1:] - np.diag([0.0, 2.0])).max() <= 1e-149
 
 
 @pytest.mark.parametrize("command", ["qt", "dq"])

@@ -542,6 +542,90 @@ def test_expm_pays_prices_long_steps(d, x, expm_pays):
     assert dynamics._expm_pays(a, norm, steps, steps) == expm_pays
 
 
+def generator_block(n):
+    """A dense real generator block: the populations of a thermal qubit (n = 2),
+    or the real form of a random d = 2 or d = 4 model (n = 4, 16)."""
+    if n == 2:
+        return np.ascontiguousarray(dynamics.liouvillian(thermal_model()).real[np.ix_([0, 3], [0, 3])])
+    return dynamics.liouvillian(random_lindblad(np.random.default_rng(n), int(np.sqrt(n)))).real
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_step_exponentials_match_scipy(n):
+    # |a dt|_1 from 1e-9 to 1e3 runs every Pade degree and up to eight
+    # squarings through the batched pass; against scipy's expm the worst
+    # entry read 1.8e-14 (n = 2), about scipy's own error after its squarings
+    a = generator_block(n)
+    norm = dynamics._one_norm(a)
+    steps = np.geomspace(1e-9, 1e3, 121) / norm
+    got = dynamics._step_exponentials(a, norm, steps)
+    assert isinstance(got, np.ndarray) and got.shape == (steps.size, n, n)
+    for dt, e in zip(steps, got):
+        assert np.abs(e - scipy.linalg.expm(a * dt)).max() <= 5e-14
+    # a zero block, whose 1-norm has no logarithm, steps as the identity
+    zero = dynamics._step_exponentials(np.zeros((n, n)), 0.0, steps)
+    assert np.array_equal(zero, np.broadcast_to(np.eye(n), zero.shape))
+
+
+def test_step_exponentials_of_a_slow_decay_match_mpmath():
+    # a qubit that rotates under H and dephases at rate 0.002 is far from
+    # relaxed at |a dt|_1 = 1000, so each squaring shows; against a 40-digit
+    # exponential the pass read at most 1.8e-14 and scipy's expm 3.1e-13
+    mpmath = pytest.importorskip("mpmath")
+    model = dynamics.LindbladModel(np.array([[0.5, 0.3], [0.3, -0.5]]), [qcore.sigma_z], rates=[0.002])
+    a = dynamics.liouvillian(model).real
+    norm = dynamics._one_norm(a)
+    xs = np.array([0.5, 4.0, 20.0, 100.0, 630.0, 1000.0])
+    with mpmath.workdps(40):
+        for x, e in zip(xs, dynamics._step_exponentials(a, norm, xs / norm)):
+            exact = mpmath.expm(mpmath.matrix(a.tolist()) * (mpmath.mpf(x) / norm))
+            assert np.abs(e - np.array(exact.tolist(), dtype=float)).max() <= 5e-14
+
+
+def test_step_exponentials_keep_scipy_bits_where_the_pass_does_not_pay():
+    # fewer than five steps, or a block past 16 rows, take one scipy expm each
+    for a, steps in ((generator_block(16), np.array([0.1, 0.2, 0.4, 0.8])),
+                     (dynamics.liouvillian(random_lindblad(np.random.default_rng(5), 5)).real,
+                      0.1 * np.arange(1, 9))):
+        got = dynamics._step_exponentials(a, dynamics._one_norm(a), steps)
+        assert len(got) == steps.size
+        for dt, e in zip(steps, got):
+            assert np.array_equal(e, scipy.linalg.expm(a * dt))
+
+
+def test_step_exponential_repeats_the_two_qubit_dual_flow_to_mpmath():
+    # 80 steps of 0.1 of the dual flow of I on its reachable block, the README
+    # tour's grid, against a 40-digit exponential: the worst entry read 5.6e-16.
+    # The step is built among five, so that the batched pass builds it
+    mpmath = pytest.importorskip("mpmath")
+    g = dynamics.dual_liouvillian(models.TwoQubitParams(gamma=1.0, omega=1.0).lindblad_model())
+    y0 = dynamics._column(np.eye(4), 4)
+    index = dynamics._reachable(g.real, y0.any(axis=1))
+    a = np.ascontiguousarray(g.real[np.ix_(index, index)])
+    step = dynamics._step_exponentials(a, dynamics._one_norm(a), 0.1 * np.arange(1, 6))[0]
+    y = y0[index]
+    for _ in range(80):
+        y = step @ y
+    with mpmath.workdps(40):
+        exact = mpmath.expm(mpmath.matrix(a.tolist()) * 8) * mpmath.matrix(y0[index].tolist())
+        exact = np.array(exact.tolist(), dtype=float)
+    assert np.abs(y - exact).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_log_grid_matches_the_per_step_scipy_route(d):
+    # every step of a log grid is distinct, so the series of I takes the
+    # batched pass; the loop of one scipy expm per step read at most 6.7e-16 away
+    g = dynamics.liouvillian(random_lindblad(np.random.default_rng(50 + d), d))
+    times = time_grid("log", 2.0, 41)
+    y = qcore.vec(np.eye(d)).real[:, None]
+    for dt, out in zip(np.diff(times, prepend=0.0), dynamics.propagate_series(g, np.eye(d), times)):
+        if dt > 0.0:
+            y = scipy.linalg.expm(g.real * dt) @ y
+        m = qcore.unvec(y[:, 0], d)
+        assert np.abs(out - (0.5 * (m + m.T) + 0.5j * (m - m.T))).max() <= 1e-14
+
+
 def test_propagate_series_rejects_bad_grid():
     g = dynamics.liouvillian(thermal_model())
     rho = np.eye(2) / 2.0

@@ -80,6 +80,7 @@ def test_real_coordinates_are_an_isometry_that_carries_the_trace_pairing(d, seed
 @example(d=3, family="ornstein-uhlenbeck", seed=0, log_s=-9.0)
 @example(d=2, family="telegraph", seed=0, log_s=9.0)
 @example(d=3, family="gaussian-white", seed=0, log_s=9.0)
+@example(d=2, family="gaussian-white", seed=0, log_s=2.3719203511481517)
 def test_noise_q_is_one_on_every_clock(d, family, seed, log_s):
     # the same noisy dynamics on a clock s times faster: H -> s H, times, dt and
     # the correlation time / s, white amplitude * sqrt(s), colored amplitude * s

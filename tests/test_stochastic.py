@@ -56,6 +56,20 @@ def test_zero_amplitude_path_is_zero():
     assert np.abs(path.values).max() == 0.0
 
 
+def test_white_path_has_no_zero_length_last_segment():
+    # 0.14 / 0.02 rounds to 7.000000000000001, whose ceiling used to add an
+    # eighth segment of length 0.0, valued -inf after a divide-by-zero warning
+    proc = stochastic.NoiseProcess("gaussian-white", 0.5, 0.0, qcore.sigma_x)
+    path = stochastic.sample_noise_path(proc, 0.14, 0.02, 1, 0)
+    assert path.durations.size == 7 and path.durations.min() > 0.0
+    assert np.isfinite(path.values).all()
+    assert path.t_max == pytest.approx(0.14, abs=1e-15)
+    # the draws are those of any longer path on the same stream, step for step
+    longer = stochastic.sample_noise_path(proc, 0.15, 0.02, 1, 0)
+    assert np.array_equal(path.durations[:6], longer.durations[:6])
+    assert np.array_equal(path.values[:6], longer.values[:6])
+
+
 def test_same_seed_bitwise_identical():
     proc = stochastic.NoiseProcess("telegraph", 1.0, 0.5, qcore.sigma_z)
     a = stochastic.sample_noise_path(proc, 3.0, 0.05, seed=42, path_index=7)
