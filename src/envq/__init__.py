@@ -42,9 +42,7 @@ from .quantumness import (
     QuantumnessReport,
     QuantumnessSeries,
     degree_of_quantumness,
-    dq_geometric,
     q_series,
-    q_stationary,
     renormalized_degree,
     unitality_check,
 )

@@ -102,34 +102,6 @@ def q_series(model, rho0, times):
     return QuantumnessSeries(times, values, model.dim)
 
 
-def q_stationary(model, rho0):
-    """Stationary value of the propagated series, dim * Tr[rho_inf rho_0].
-
-    This is the t -> infinity limit of ``q_series`` whenever the
-    stationary state is unique, and reproduces the closed stationary
-    forms of the worked models.
-    """
-    rho_inf = dynamics.stationary_state(dynamics.liouvillian(model))
-    rho0 = state_matrix(rho0, model.dim)
-    return float(model.dim * np.trace(rho_inf.matrix @ rho0).real)
-
-
-def dq_geometric(stationary, rho0):
-    """Departure functional |dim * Tr[stationary rho_0] - 1|.
-
-    Pass the conjugated stationary state to evaluate the time-reversed
-    functional whose maximizer is the reported optimal state; pass the
-    stationary state itself for the propagated-limit departure.  Both
-    share the same maximum, dim * maxeig - 1.
-    """
-    stat = state_matrix(stationary)
-    rho0 = state_matrix(rho0)
-    if stat.shape != rho0.shape:
-        raise ValueError("state dimensions differ")
-    dim = stat.shape[0]
-    return float(abs(dim * np.trace(stat @ rho0).real - 1.0))
-
-
 def degree_of_quantumness(model):
     """Maximal asymptotic departure of Q from 1 over initial states of a
     Lindblad model: ``stationary_degree`` of its stationary state."""

@@ -7,32 +7,41 @@ collision channel with trace-preserving dual leaves the dual-chain
 trace invariant.  The non-unital collision channels exercised in the
 tests are deliberate counterexamples, not part of that guarantee.
 
-Randomness is counter-based: path p of seed s draws from the Philox
-stream keyed by the pair (s, p), the stream of Philox(key=s + 2**64 p),
-so results are independent of evaluation order and bitwise reproducible.
+Randomness is counter-based (Philox; Salmon, Moraes, Dror & Shaw,
+SC'11): path p of seed s draws from the stream of
+Philox(key=s + 2**64 p), so results are independent of evaluation order
+and bitwise reproducible.
 
 Monte Carlo runs in blocks of PATH_BLOCK paths, so memory does not grow
-with the path count.  One Philox generator is reset to each path's key
-with a zero counter; path_rng and sample_noise_path reach their single
-path the same way.  A noise block is padded to equal length with
-zero-length segments, and its unitaries are gathered at the requested
-times from the scan below, without cutting the paths.  At d = 2 every
-segment unitary is the closed form of _unitary_2x2 and every stacked
-product four elementwise products (_mul_2x2), since numpy's eigh and
-stacked matmul pay a LAPACK or BLAS call per 2 x 2 matrix; from d = 3 on
-they come from one batched eigh and np.matmul.  The chain of segment
+with the path count.  One block sampler serves every path: one Philox
+generator is reset to each path's key with a zero counter, and the path
+makes one sized draw into its row of a (paths, chunk) array.  A sized
+draw gives the values of as many single draws, so the rest runs once per
+block: the noise scaling, the Ornstein-Uhlenbeck recursion as one filter
+along the rows, and for telegraph switches and collisions, which are
+both renewal clocks, the running sums of the waits (np.cumsum adds in
+order, so the arrival times are bitwise those of one wait at a time)
+and the event counts.  A row whose chunk falls short of t_max is drawn
+again from its reset stream with a larger chunk.  A telegraph segment
+runs while its start is before t_max; a collision counts while it is at
+or before t_max.  path_rng and sample_noise_path reach a single path the
+same way.  A noise block is padded to equal length with zero-length
+segments, and its unitaries are gathered at the requested times from
+the scan below, without cutting the paths.  At d = 2 every segment
+unitary is the closed form of _unitary_2x2 and every stacked product
+four elementwise products (_mul_2x2), since numpy's eigh and stacked
+matmul pay a LAPACK or BLAS call per 2 x 2 matrix; from d = 3 on they
+come from one batched eigh and np.matmul.  The chain of segment
 unitaries is a two-level scan for all paths at once (_chain_prefix), so
 the unitaries at the requested times come out as one (paths, times, d, d)
 array without the full prefix array.
 Every Monte Carlo route has one reducer, _ensemble_moments, which merges
 the per-block means and spreads: stochastic_average_state feeds it the
 states U rho0 U^dag, stochastic_q the path pairings Tr[rho0 U U^dag]
-and the collisional Monte Carlo its chain snapshots.  A collisional
-path draws its waits in chunks and sums them with np.cumsum, which adds
-in order, so its collision times are bitwise those of one draw at a
-time.  The block's chain runs on the eigenbasis coordinates of
-_chain_snapshots, one (paths, d^2) x (d^2, d^2) product per collision.
-A collision at a grid time acts before the snapshot there.
+and the collisional Monte Carlo its chain snapshots.  The block's chain
+runs on the eigenbasis coordinates of _chain_snapshots, one
+(paths, d^2) x (d^2, d^2) product per collision.  A collision at a grid
+time acts before the snapshot there.
 
 A collisional chain runs in one of MODES, series or monte-carlo.  Each
 waiting family reads only its WAITING_FIELDS; a WaitingTime that sets
@@ -175,61 +184,120 @@ class NoisePath:
 
 
 def sample_noise_path(process, t_max, dt, seed, path_index=0):
-    """Reproducible single realization on [0, t_max].
+    """Reproducible single realization on [0, t_max], the one-path case of the block sampler.
 
     White noise is represented by per-step values whose time integrals
     carry the correct Wiener increments; the colored families hold the
     step rule dt <= correlation_time / 10.  Telegraph paths switch at
-    exact exponential-clock times.
+    exact exponential-clock times.  Path ``path_index`` gets the same
+    segments as in any block of the Monte Carlo engine.
     """
-    return next(_noise_paths(process, t_max, dt, seed, [operator.index(path_index)]))
+    durations, values, lengths = _noise_sampler(process, t_max, dt)(
+        seed, [operator.index(path_index)])
+    return NoisePath(np.array(durations[0, :lengths[0]]), np.array(values[0, :lengths[0]]))
 
 
-def _noise_paths(process, t_max, dt, seed, paths):
-    """Yield the NoisePath of every path index in ``paths``, as sample_noise_path draws it."""
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("t_max and dt must be positive")
+def _block_rows(seed, paths, width, draw):
+    """A (len(paths), width) array whose row i ``draw(rng, row)`` fills from the
+    start of the stream of path paths[i]."""
+    rows = np.empty((len(paths), width))
+    for rng, row in zip(_path_streams(seed, paths), rows):
+        draw(rng, row)
+    return rows
+
+
+def _renewal_block(seed, paths, draw, lead, scale, chunk, t_max):
+    """Leading draws, waits and arrival times of a renewal clock on every path of a block.
+
+    Row i is the stream of path paths[i] as ``draw`` fills it: ``lead``
+    leading draws, then standard waits, which ``scale`` multiplies.  A row
+    whose last arrival does not pass t_max is drawn again with twice the
+    chunk; the other rows get zero waits there, so their arrivals stay
+    past t_max.  Returns (head, waits, elapsed): (paths, lead),
+    (paths, chunk) and the running sums of the waits.
+    """
+    rows = _block_rows(seed, paths, lead + chunk, draw)
+    while True:
+        waits = scale * rows[:, lead:]
+        elapsed = np.cumsum(waits, axis=1)
+        short = np.flatnonzero(elapsed[:, -1] <= t_max)
+        if not short.size:
+            return rows[:, :lead], waits, elapsed
+        chunk *= 2
+        grown = np.zeros((len(paths), lead + chunk))
+        grown[:, :rows.shape[1]] = rows
+        grown[short] = _block_rows(seed, [paths[i] for i in short], lead + chunk, draw)
+        rows = grown
+
+
+def _noise_sampler(process, t_max, dt):
+    """The block sampler of ``process`` on [0, t_max] at step dt, set up once per run.
+
+    Returns sample(seed, paths) -> (durations, values, lengths): row i of
+    the (len(paths), segments) arrays is path paths[i], which has
+    lengths[i] segments and is padded past them with zero-length segments
+    of value 0.  White and Ornstein-Uhlenbeck paths share the step grid:
+    n segments of dt, the last ending at t_max.  A telegraph path starts
+    at the level of its first uniform draw and switches at the arrivals
+    of an exponential renewal clock; its last segment ends at t_max.
+    """
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (np.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
     if process.family != "gaussian-white" and dt > process.correlation_time / 10.0:
         raise ValueError("dt must not exceed correlation_time / 10 for colored noise")
     a = process.amplitude
-    if process.family != "telegraph":
-        n = int(np.ceil(t_max / dt))
-        # t_max / dt can round up past a whole number of steps; a last segment
-        # within the roundoff of dt (n - 1) is dropped, and the one before ends at t_max
-        if n > 1 and t_max - dt * (n - 1) <= 2.0 * n * np.finfo(float).eps * dt:
-            n -= 1
-        durations = np.full(n, dt)
-        durations[-1] = t_max - dt * (n - 1)
-    if process.family == "ornstein-uhlenbeck":
+    if process.family == "telegraph":
+        rate = 0.5 / process.correlation_time
+        chunk = int(2.0 * t_max * rate) + 2
+
+        def draw(rng, row):
+            row[0] = rng.random()
+            rng.standard_exponential(out=row[1:])
+
+        def sample(seed, paths):
+            first, waits, elapsed = _renewal_block(seed, paths, draw, 1, 1.0 / rate, chunk, t_max)
+            start = np.concatenate([np.zeros((len(paths), 1)), elapsed[:, :-1]], axis=1)
+            live = start < t_max
+            lengths = live.sum(axis=1)
+            m = lengths.max()
+            live, start = live[:, :m], start[:, :m]
+            durations = np.where(live, np.minimum(waits[:, :m], t_max - start), 0.0)
+            level = np.where(first < 0.5, 1.0, -1.0) * np.where(np.arange(m) % 2, -1.0, 1.0)
+            return durations, np.where(live, level * a, 0.0), lengths
+        return sample
+    n = int(np.ceil(t_max / dt))
+    # t_max / dt can round up past a whole number of steps; a last segment
+    # within the roundoff of dt (n - 1) is dropped, and the one before ends at t_max
+    if n > 1 and t_max - dt * (n - 1) <= 2.0 * n * np.finfo(float).eps * dt:
+        n -= 1
+    durations = np.full(n, dt)
+    durations[-1] = t_max - dt * (n - 1)
+    if process.family == "gaussian-white":
+        def values(z):
+            return a * z / np.sqrt(durations)
+    else:  # ornstein-uhlenbeck, exact discretization from stationarity
         # imported here: scipy.signal adds about 0.13 s to every import of envq
         from scipy.signal import lfilter
         decay = np.exp(-durations / process.correlation_time)
         kick = a * np.sqrt(1.0 - decay ** 2)
-    for rng in _path_streams(seed, paths):
-        if process.family == "telegraph":
-            rate = 0.5 / process.correlation_time
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            steps, values = [], []
-            elapsed = 0.0
-            while elapsed < t_max:
-                wait = rng.exponential(1.0 / rate)
-                step = min(wait, t_max - elapsed)
-                steps.append(step)
-                values.append(sign * a)
-                sign = -sign
-                elapsed += step
-            yield NoisePath(np.asarray(steps), np.asarray(values))
-        elif process.family == "gaussian-white":
-            yield NoisePath(durations, a * rng.standard_normal(n) / np.sqrt(durations))
-        else:  # ornstein-uhlenbeck, exact discretization from stationarity
-            # the start is drawn before the kicks, so a path's first k values
-            # do not depend on t_max
-            start = a * rng.standard_normal()
-            kicks = kick * rng.standard_normal(n)
-            # x[k+1] = decay x[k] + kicks[k]; only the steps before the last are
-            # read, and all of them last dt
-            yield NoisePath(durations, lfilter([1.0], [1.0, -decay[0]],
-                                               np.concatenate([[start], kicks[:-1]])))
+        # the start is drawn before the kicks, so a path's first k values do
+        # not depend on t_max; x[k+1] = decay x[k] + kick[k] z[k+1] is read
+        # for the steps before the last only, all of which last dt, so the
+        # last kick is never drawn
+        scale = np.concatenate([[a], kick[:-1]])
+
+        def values(z):
+            return lfilter([1.0], [1.0, -decay[0]], scale * z, axis=1)
+
+    def draw(rng, row):
+        rng.standard_normal(out=row)
+
+    def sample(seed, paths):
+        z = _block_rows(seed, paths, n, draw)
+        return np.broadcast_to(durations, z.shape), values(z), np.full(len(paths), n)
+    return sample
 
 
 def _unitary_2x2(h0, coupling, x, t):
@@ -268,14 +336,6 @@ def _path_blocks(n_paths):
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     return (range(s, min(s + PATH_BLOCK, n_paths)) for s in range(0, n_paths, PATH_BLOCK))
-
-
-def _padded(rows, fill):
-    """Stack 1-D rows of unequal length into one (len(rows), longest) array."""
-    out = np.full((len(rows), max(len(r) for r in rows)), fill, dtype=float)
-    for i, r in enumerate(rows):
-        out[i, :len(r)] = r
-    return out
 
 
 def _mul_2x2(a, b):
@@ -331,8 +391,9 @@ def _path_unitaries(process, h0, times, n_paths, seed, dt):
 
     A requested time belongs to the first segment ending no earlier than
     1e-12 t_max before it, a slack relative to the path length, so it
-    does not depend on the time unit; paths are padded to equal length
-    with zero-length segments, which no requested time reaches.  At d = 2
+    does not depend on the time unit; the block sampler pads paths to
+    equal length with zero-length segments, which no requested time
+    reaches.  At d = 2
     the segment unitaries are the closed form of ``_unitary_2x2``, since
     numpy's eigh costs about 1.3 us per 2 x 2 matrix, and every product is
     ``_mul_2x2``; from d = 3 on they come from one batched eigh of every
@@ -343,17 +404,17 @@ def _path_unitaries(process, h0, times, n_paths, seed, dt):
     the exact Hermitian parts that ``require_hermitian`` returns.
     """
     t_max = max(float(times.max()) if times.size else dt, dt)
-    for block in _path_blocks(n_paths):
-        paths = list(_noise_paths(process, t_max, dt, seed, block))
-        tau = _padded([path.durations for path in paths], 0.0)
+    blocks = _path_blocks(n_paths)
+    sample = _noise_sampler(process, t_max, dt)
+    eps = 1e-12 * t_max
+    for block in blocks:
+        tau, x, lengths = sample(seed, block)
         ends = np.cumsum(tau, axis=1)
-        starts = np.concatenate([np.zeros((len(paths), 1)), ends[:, :-1]], axis=1)
-        eps = 1e-12 * np.array([path.t_max for path in paths])
-        seg = (ends[:, None, :] + eps[:, None, None] < times[:, None]).sum(axis=2)
-        if np.any(seg >= np.array([[len(path.durations)] for path in paths])):
+        starts = np.concatenate([np.zeros((len(block), 1)), ends[:, :-1]], axis=1)
+        seg = (ends[:, None, :] + eps < times[:, None]).sum(axis=2)
+        if np.any(seg >= lengths[:, None]):
             raise ValueError("requested times extend beyond the sampled path")
-        x = _padded([path.values for path in paths], 0.0)
-        rows = np.arange(len(paths))[:, None]
+        rows = np.arange(len(block))[:, None]
         step = times - starts[rows, seg]
         if h0.shape[0] == 2:
             full = _unitary_2x2(h0, process.coupling, x, tau)
@@ -679,26 +740,28 @@ def _hit_slack(waiting):
     return 1e-12 * waiting.period if waiting.family == "deterministic" else 0.0
 
 
-def _event_times(waiting, rng, t_max):
-    """Collision times of one renewal path up to and including t_max.
+def _collision_times(waiting, t_max, seed, paths):
+    """Collision times of every path of a block, as (len(paths), m).
 
-    Deterministic waiting draws nothing: its times are the exact hits
-    k period up to t_max plus the hit slack.  Otherwise waits are drawn
-    in chunks of about twice the expected count.  A sized draw gives the
-    values of as many single draws, and np.cumsum adds in order from the
-    last time of the previous chunk, so the times are bitwise those of
-    adding one wait at a time.
+    Row i holds the collisions of path paths[i] up to t_max (plus the hit
+    slack), then later arrivals; m is the most collisions of any row.
+    Deterministic waiting draws nothing: every row is the exact hits
+    k period.  Otherwise the waits come from ``_renewal_block``, in chunks
+    of about twice the expected count, so the times are bitwise those of
+    adding one ``WaitingTime.sample`` at a time.
     """
     if waiting.family == "deterministic":
         n = int(np.floor((t_max + _hit_slack(waiting)) / waiting.period))
-        return waiting.period * np.arange(1, n + 1)
+        return np.broadcast_to(waiting.period * np.arange(1, n + 1), (len(paths), n))
+    if waiting.family == "exponential":
+        def draw(rng, row):
+            rng.standard_exponential(out=row)
+    else:
+        def draw(rng, row):
+            rng.standard_gamma(waiting.shape, out=row)
     chunk = int(2.0 * t_max / waiting.mean()) + 2
-    elapsed = np.cumsum(waiting.sample(rng, size=chunk))
-    while elapsed[-1] <= t_max:
-        more = waiting.sample(rng, size=chunk)
-        more[0] += elapsed[-1]
-        elapsed = np.concatenate([elapsed, np.cumsum(more)])
-    return elapsed[:np.searchsorted(elapsed, t_max, side="right")]
+    _, _, elapsed = _renewal_block(seed, paths, draw, 0, 1.0 / waiting.rate, chunk, t_max)
+    return elapsed[:, :(elapsed <= t_max).sum(axis=1).max()]
 
 
 def _phases(energies, u):
@@ -730,16 +793,16 @@ def _chain_snapshots(model, x0, times, n_paths, seed):
     z0 = p_dag @ vec(x0)
     slack = _hit_slack(model.waiting)
     for block in _path_blocks(n_paths):
-        events = [_event_times(model.waiting, rng, t_max) for rng in _path_streams(seed, block)]
+        events = _collision_times(model.waiting, t_max, seed, block)
         # time of the j-th collision, 0 for j = 0
-        hit = np.concatenate([np.zeros((len(block), 1)), _padded(events, 0.0)], axis=1)
+        hit = np.concatenate([np.zeros((len(block), 1)), events], axis=1)
         z = np.empty(hit.shape + z0.shape, dtype=complex)
         z[:, 0] = z0
         for j in range(1, hit.shape[1]):
             z[:, j] = (_phases(energies, hit[:, j] - hit[:, j - 1]) * z[:, j - 1]) @ e_eig.T
         rows = np.arange(len(block))[:, None]
         # collisions counted at each time: a hit counts from the first time t with hit <= t + slack
-        first = np.searchsorted(times + slack, _padded(events, np.inf), side="left")
+        first = np.searchsorted(times + slack, events, side="left")
         span = times.size + 1
         counts = np.bincount((rows * span + first).ravel(), minlength=len(block) * span)
         applied = counts.reshape(-1, span).cumsum(axis=1)[:, :-1]

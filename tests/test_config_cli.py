@@ -860,7 +860,8 @@ def test_cli_optimal_state_reaches_max(tmp_path):
     state = config.resolve_initial_state(cfg, kind, obj)
     m = obj.lindblad_model()
     report = quantumness.degree_of_quantumness(m)
-    q_inf = quantumness.q_stationary(m, state)
+    rho_inf = dynamics.stationary_state(dynamics.liouvillian(m))
+    q_inf = m.dim * np.trace(rho_inf.matrix @ state.matrix).real
     assert q_inf == pytest.approx(1.0 + report.dq, abs=1e-10)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from envq import dynamics, qcore, quantumness, stochastic
@@ -125,6 +125,68 @@ def test_ou_sampler_matches_step_loop(t_max, dt):
     for p in range(20):
         path = stochastic.sample_noise_path(proc, t_max, dt, seed=17, path_index=p)
         assert np.array_equal(path.values, reference_ou_values(proc, t_max, dt, 17, p))
+
+
+def reference_telegraph_path(process, t_max, seed, path_index):
+    """One switch at a time: the level of the first uniform draw, then
+    exponential waits, the last cut at t_max."""
+    rng = stochastic.path_rng(seed, path_index)
+    rate = 0.5 / process.correlation_time
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    steps, values = [], []
+    elapsed = 0.0
+    while elapsed < t_max:
+        step = min(rng.exponential(1.0 / rate), t_max - elapsed)
+        steps.append(step)
+        values.append(sign * process.amplitude)
+        sign = -sign
+        elapsed += step
+    return np.asarray(steps), np.asarray(values)
+
+
+def reference_noise_path(process, t_max, dt, seed, path_index):
+    """Durations and values of one path, drawn one path at a time."""
+    if process.family == "telegraph":
+        return reference_telegraph_path(process, t_max, seed, path_index)
+    n = int(np.ceil(t_max / dt))
+    durations = np.full(n, dt)
+    durations[-1] = t_max - dt * (n - 1)
+    if process.family == "ornstein-uhlenbeck":
+        return durations, reference_ou_values(process, t_max, dt, seed, path_index)
+    z = stochastic.path_rng(seed, path_index).standard_normal(n)
+    return durations, process.amplitude * z / np.sqrt(durations)
+
+
+BLOCK_PATHS = [1, stochastic.PATH_BLOCK - 1, stochastic.PATH_BLOCK, stochastic.PATH_BLOCK + 1, 300]
+
+
+@pytest.mark.parametrize("family", stochastic.NOISE_FAMILIES)
+def test_block_sampler_matches_one_path_at_a_time(family):
+    # t_max = 3 is 120 whole steps; telegraph paths at tau_c = 0.5 switch
+    # about three times, and some outgrow the first chunk of 8 waits
+    proc = stochastic.NoiseProcess(family, 1.3, 0.0 if family == "gaussian-white" else 0.5,
+                                   qcore.sigma_x)
+    t_max, dt, seed = 3.0, 0.025, 23
+    sample = stochastic._noise_sampler(proc, t_max, dt)
+    refs = [reference_noise_path(proc, t_max, dt, seed, p) for p in range(max(BLOCK_PATHS))]
+    longest = 0
+    for n_paths in BLOCK_PATHS:
+        for block in stochastic._path_blocks(n_paths):
+            durations, values, lengths = sample(seed, block)
+            assert durations.shape == values.shape == (len(block), lengths.max())
+            for row, p in enumerate(block):
+                ref_durations, ref_values = refs[p]
+                n = lengths[row]
+                assert np.array_equal(durations[row, :n], ref_durations)
+                assert np.array_equal(values[row, :n], ref_values)
+                # padding: zero-length segments of value 0
+                assert not durations[row, n:].any() and not values[row, n:].any()
+                longest = max(longest, n)
+                path = stochastic.sample_noise_path(proc, t_max, dt, seed, p)
+                assert np.array_equal(path.durations, ref_durations)
+                assert np.array_equal(path.values, ref_values)
+    if family == "telegraph":
+        assert longest > int(2.0 * t_max * 0.5 / proc.correlation_time) + 2
 
 
 def test_white_noise_integral_variance():
@@ -479,6 +541,17 @@ def test_noise_routes_validate_the_time_grid(route, times, message):
         route(process, qcore.sigma_z, QuantumState.maximally_mixed(2), times, 4, seed=1)
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("family", stochastic.NOISE_FAMILIES)
+@pytest.mark.parametrize("route", [stochastic.stochastic_q, stochastic.stochastic_average_state])
+def test_noise_routes_reject_a_bad_dt(route, family, dt):
+    # NaN used to run telegraph noise to Q = 1 and fail converting to an
+    # integer for the other families, as did inf for white noise
+    proc, h0 = noise_setup(family, "non-commuting")
+    with pytest.raises(ValueError, match=re.escape(f"dt must be finite and positive, got {dt}")):
+        route(proc, h0, QuantumState.maximally_mixed(2), [0.0, 0.5], 4, seed=1, dt=dt)
+
+
 @pytest.mark.parametrize("route", [stochastic.stochastic_q, stochastic.stochastic_average_state])
 def test_noise_coupling_of_another_dimension_is_rejected(route):
     # a 4x4 coupling on a 2x2 base Hamiltonian used to give Q = 1 from its 2x2 corner
@@ -557,21 +630,33 @@ def reference_hits(waiting, t_max):
     (stochastic.WaitingTime("gamma", rate=1.3, shape=3.5), False),
     (stochastic.WaitingTime("deterministic", period=0.3), False),
 ], ids=["exponential", "gamma-2", "gamma-3.5", "deterministic"])
-def test_event_times_match_scalar_loop(waiting, crosses):
+def test_event_times_match_scalar_loop(waiting, crosses, monkeypatch):
+    if waiting.family == "deterministic":
+        def no_streams(seed, paths):
+            raise AssertionError("deterministic waiting drew")
+        monkeypatch.setattr(stochastic, "_path_streams", no_streams)
     longest = 0
+    # 500 paths as well: gamma(2) paths outgrow their first chunk more rarely
+    path_counts = BLOCK_PATHS + [500]
     for t_max in (0.0, 0.5 * waiting.mean(), 3.0):
-        # _event_times draws in chunks of int(2 t_max / mean) + 2 waits
+        # the block draws chunks of int(2 t_max / mean) + 2 waits
         chunk = int(2.0 * t_max / waiting.mean()) + 2
-        for p in range(500):
-            rng = stochastic.path_rng(4, p)
-            got = stochastic._event_times(waiting, rng, t_max)
-            if waiting.family == "deterministic":
-                expect = reference_hits(waiting, t_max)
-                assert rng.random() == stochastic.path_rng(4, p).random()
-            else:
-                expect = reference_event_times(waiting, stochastic.path_rng(4, p), t_max)
-            assert got.dtype == expect.dtype and np.array_equal(got, expect)
-            longest = max(longest, got.size - chunk + 1)
+        if waiting.family == "deterministic":
+            refs = [reference_hits(waiting, t_max)] * max(path_counts)
+        else:
+            refs = [reference_event_times(waiting, stochastic.path_rng(4, p), t_max)
+                    for p in range(max(path_counts))]
+        for n_paths in path_counts:
+            for block in stochastic._path_blocks(n_paths):
+                got = stochastic._collision_times(waiting, t_max, 4, block)
+                assert got.shape == (len(block), max(refs[p].size for p in block))
+                for row, p in zip(got, block):
+                    expect = refs[p]
+                    assert row.dtype == expect.dtype
+                    assert np.array_equal(row[:expect.size], expect)
+                    # a row runs on with later arrivals, which no time counts
+                    assert (row[expect.size:] > t_max).all()
+                    longest = max(longest, expect.size - chunk + 1)
     assert (longest > 0) == crosses
 
 
@@ -1141,6 +1226,36 @@ def test_clock_keeps_the_trace_and_a_unital_chain_keeps_q_at_one(d, shape, unita
     if unital:
         q = stochastic.collisional_q(model, rho0, times).values
         assert np.abs(q - 1.0).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(d=st.integers(2, 3), law=st.sampled_from(["exponential", "gamma-integer", "gamma-real"]),
+       unital=st.booleans(), n_paths=st.integers(1, 2 * stochastic.PATH_BLOCK + 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(d=2, law="exponential", unital=True, n_paths=stochastic.PATH_BLOCK, seed=0)
+@example(d=2, law="gamma-real", unital=True, n_paths=stochastic.PATH_BLOCK + 1, seed=1)
+@example(d=3, law="gamma-integer", unital=False, n_paths=stochastic.PATH_BLOCK + 1, seed=2)
+def test_monte_carlo_keeps_a_unital_chain_at_one_and_q_in_bounds(d, law, unital, n_paths, seed):
+    rng = np.random.default_rng(seed)
+    rate = rng.uniform(0.5, 4.0)
+    waiting = {"exponential": lambda: stochastic.WaitingTime("exponential", rate=rate),
+               "gamma-integer": lambda: stochastic.WaitingTime("gamma", rate=rate,
+                                                               shape=float(rng.integers(2, 4))),
+               "gamma-real": lambda: stochastic.WaitingTime("gamma", rate=rate,
+                                                            shape=rng.uniform(1.0, 4.0))}[law]()
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    model = stochastic.CollisionalModel(h + h.conj().T, random_channel(rng, d, unital), waiting)
+    rho0 = qcore.random_state(d, rng)
+    times = np.linspace(0.0, rng.uniform(0.5, 4.0), 7)
+    q = stochastic.collisional_q(model, rho0, times, mode="monte-carlo", n_paths=n_paths,
+                                 seed=seed).values
+    assert q.min() >= 0.0 and q.max() <= d
+    if unital:
+        assert np.abs(q - 1.0).max() < 1e-12
+        # every path's chain keeps C_t[I] = I, so the paths agree
+        _, stderr = stochastic._monte_carlo_chain(model, np.eye(d, dtype=complex), times,
+                                                  n_paths, seed)
+        assert stderr.max() <= 1e-12
 
 
 def test_clock_model_needs_a_phase_type_wait():
