@@ -28,14 +28,13 @@ per path:
 * ``noise_paths``: white, Ornstein-Uhlenbeck and telegraph paths on [0, 2]
   at dt = 0.02 (correlation time 0.5), through ``sample_noise_path`` for
   one path and the block sampler for a block;
-* ``event_times``: the collision times of a block on [0, 3], exponential
-  (rate 1), gamma (shape 2, rate 2) and deterministic (period 0.6)
-  waiting;
 * ``path_unitaries``: the path unitaries of the same noise at 11 times,
   with a random H and coupling at d = 2, 4 and 12;
 * ``collisional_chain``: the collision chain of a random two-Kraus channel
   at 13 times on [0, 3], exponential (rate 1) and gamma (shape 2, rate 2)
-  waiting, at d = 2, 4 and 12.
+  waiting, at d = 2, 4 and 12;
+* ``event_times``: the collision times alone on [0, 3], the same two
+  waits and deterministic waiting (period 0.6), timed last.
 
 The ``renewal`` topic times the two product-trapezoid Volterra solves, both
 on ``qcore.blocked_volterra``, and the phase-type clock that replaces the
@@ -200,23 +199,6 @@ def random_hermitian(rng, d):
     return 0.5 * (h + h.conj().T) / np.sqrt(d)
 
 
-def block_samplers(stochastic):
-    """The noise and collision-time samplers of a block, as functions of
-    (process or waiting law, path indices) on [0, NOISE_T_MAX] and
-    [0, CHAIN_T_MAX].  A checkout from before the block sampler drew one
-    path at a time (``_noise_paths`` and ``_event_times``); its per-path
-    samplers are timed in their place."""
-    if hasattr(stochastic, "_noise_sampler"):
-        return (lambda process, paths: stochastic._noise_sampler(process, NOISE_T_MAX,
-                                                                 NOISE_DT)(SEED, paths),
-                lambda waiting, paths: stochastic._collision_times(waiting, CHAIN_T_MAX, SEED,
-                                                                   paths))
-    return (lambda process, paths: list(stochastic._noise_paths(process, NOISE_T_MAX, NOISE_DT,
-                                                                SEED, paths)),
-            lambda waiting, paths: [stochastic._event_times(waiting, rng, CHAIN_T_MAX)
-                                    for rng in stochastic._path_streams(SEED, paths)])
-
-
 def stochastic_ladder(dims, repeats):
     import numpy as np
     from envq import qcore, stochastic
@@ -232,7 +214,6 @@ def stochastic_ladder(dims, repeats):
               f"min {row['min_ms']:9.3f} ms  median {row['median_ms']:9.3f} ms  "
               f"{row['per_path_us']:9.1f} us/path", file=sys.stderr, flush=True)
 
-    noise_block, collision_block = block_samplers(stochastic)
     add("path_streams", "philox", None, 1, lambda: stochastic.path_rng(SEED, 0))
     add("path_streams", "philox", None, block,
         lambda: list(stochastic._path_streams(SEED, range(block))))
@@ -242,16 +223,12 @@ def stochastic_ladder(dims, repeats):
             lambda process=process: stochastic.sample_noise_path(process, NOISE_T_MAX,
                                                                  NOISE_DT, SEED))
         add("noise_paths", family, None, block,
-            lambda process=process: noise_block(process, range(block)))
-    waits = {"exponential": stochastic.WaitingTime("exponential", rate=1.0),
-             "gamma": stochastic.WaitingTime("gamma", rate=2.0, shape=2.0)}
-    for name, waiting in {**waits, "deterministic": stochastic.WaitingTime(
-            "deterministic", period=0.6)}.items():
-        for n in (1, block):
-            add("event_times", name, None, n,
-                lambda waiting=waiting, n=n: collision_block(waiting, range(n)))
+            lambda process=process: stochastic._noise_sampler(process, NOISE_T_MAX, NOISE_DT)(
+                SEED, range(block)))
     noise_times = np.linspace(0.0, NOISE_T_MAX, 11)
     chain_times = np.linspace(0.0, CHAIN_T_MAX, 13)
+    waits = {"exponential": stochastic.WaitingTime("exponential", rate=1.0),
+             "gamma": stochastic.WaitingTime("gamma", rate=2.0, shape=2.0)}
     for d in dims:
         rng = np.random.default_rng(200 + d)
         h0, coupling = random_hermitian(rng, d), random_hermitian(rng, d)
@@ -270,6 +247,14 @@ def stochastic_ladder(dims, repeats):
                 add("collisional_chain", name, d, n,
                     lambda model=model, n=n: list(stochastic._chain_snapshots(
                         model, x0, chain_times, n, SEED)))
+    # last: a row's time can depend on what ran before it in the process, so
+    # these rows come after the others, which keep their place in the run
+    for name, waiting in {**waits, "deterministic": stochastic.WaitingTime(
+            "deterministic", period=0.6)}.items():
+        for n in (1, block):
+            add("event_times", name, None, n,
+                lambda waiting=waiting, n=n: stochastic._collision_times(waiting, CHAIN_T_MAX, SEED,
+                                                                         range(n)))
     return rows
 
 

@@ -539,12 +539,20 @@ class WaitingTime:
             return self.shape / self.rate
         return self.period
 
-    def sample(self, rng, size=None):
+    def standard_waits(self, rng, out):
+        """Fill ``out`` with exponential or gamma waits in units of 1 / rate,
+        drawn in order from ``rng``; a sized draw gives the values of as many
+        single draws.  Deterministic waiting draws nothing and has none."""
         if self.family == "exponential":
-            return rng.exponential(1.0 / self.rate, size=size)
-        if self.family == "gamma":
-            return rng.gamma(self.shape, 1.0 / self.rate, size=size)
-        return np.full(size, self.period) if size is not None else self.period
+            return rng.standard_exponential(out=out)
+        return rng.standard_gamma(self.shape, out=out)
+
+    def sample(self, rng, size=None):
+        if self.family == "deterministic":
+            return np.full(size, self.period) if size is not None else self.period
+        # the scale times the standard draw, as rng.exponential and rng.gamma compute it
+        waits = (1.0 / self.rate) * self.standard_waits(rng, np.empty(1 if size is None else size))
+        return float(waits[0]) if size is None else waits
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -746,21 +754,17 @@ def _collision_times(waiting, t_max, seed, paths):
     Row i holds the collisions of path paths[i] up to t_max (plus the hit
     slack), then later arrivals; m is the most collisions of any row.
     Deterministic waiting draws nothing: every row is the exact hits
-    k period.  Otherwise the waits come from ``_renewal_block``, in chunks
-    of about twice the expected count, so the times are bitwise those of
-    adding one ``WaitingTime.sample`` at a time.
+    k period.  Otherwise the waits are ``WaitingTime.standard_waits`` scaled
+    by 1 / rate in ``_renewal_block``, in chunks of about twice the expected
+    count, so the times are bitwise those of adding one
+    ``WaitingTime.sample`` at a time.
     """
     if waiting.family == "deterministic":
         n = int(np.floor((t_max + _hit_slack(waiting)) / waiting.period))
         return np.broadcast_to(waiting.period * np.arange(1, n + 1), (len(paths), n))
-    if waiting.family == "exponential":
-        def draw(rng, row):
-            rng.standard_exponential(out=row)
-    else:
-        def draw(rng, row):
-            rng.standard_gamma(waiting.shape, out=row)
     chunk = int(2.0 * t_max / waiting.mean()) + 2
-    _, _, elapsed = _renewal_block(seed, paths, draw, 0, 1.0 / waiting.rate, chunk, t_max)
+    _, _, elapsed = _renewal_block(seed, paths, waiting.standard_waits, 0, 1.0 / waiting.rate,
+                                   chunk, t_max)
     return elapsed[:, :(elapsed <= t_max).sum(axis=1).max()]
 
 
