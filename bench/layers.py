@@ -52,8 +52,8 @@ second for exponential and integer-shape gamma waits, at t_max = 3, 6 and
   and gamma (shape 2, rate 2) waiting at the default step, at d = 2, 4 and
   12 (2 and 4 in smoke mode);
 * ``clock_chain``: the same chains through the clock model
-  (``stochastic.clock_model``), each run from a fresh ``CollisionalModel``,
-  so the clock's generator build is timed too.
+  (``stochastic.CollisionalModel.clock``), each run from a fresh
+  ``CollisionalModel``, so the clock's generator build is timed too.
 
 The ``cli`` topic times the whole pipeline on the six configs of the
 ``envq verify`` bundle (``acceptance._write_verify_bundle`` writes them,
@@ -84,6 +84,7 @@ the tests.
 """
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -146,19 +147,21 @@ def timed(fn, repeats):
     return {"min_ms": min(samples), "median_ms": statistics.median(samples), "repeats": repeats}
 
 
-def ladder(dims, repeats, oscillator):
+def add_row(rows, repeats, fn, **fields):
+    """Time ``fn`` and append its row: ``fields`` in the order given, then the
+    timings, then ``per_path_us`` when the fields include ``paths``."""
+    row = {**fields, **timed(fn, repeats)}
+    if "paths" in row:
+        row["per_path_us"] = 1e3 * row["min_ms"] / row["paths"]
+    rows.append(row)
+    label = " ".join(f"{key}={value}" for key, value in fields.items())
+    print(f"{label}  min {row['min_ms']:.3f} ms  median {row['median_ms']:.3f} ms",
+          file=sys.stderr, flush=True)
+
+
+def ladder(add, dims, oscillator):
     import numpy as np
     from envq import dynamics, models
-
-    rows = []
-
-    def add(layer, model, d, storage, fn, **extra):
-        row = {"layer": layer, "model": model, "dim": d, "storage": storage, **extra,
-               **timed(fn, repeats)}
-        rows.append(row)
-        print(f"{layer:17s} {model:16s} d={d:3d} {storage:6s} "
-              f"{extra.get('grid', ''):8s} min {row['min_ms']:9.3f} ms  "
-              f"median {row['median_ms']:9.3f} ms", file=sys.stderr, flush=True)
 
     cases = []
     for d in dims:
@@ -170,27 +173,34 @@ def ladder(dims, repeats, oscillator):
     for name, d, make in cases:
         g = dynamics.liouvillian(make())
         storage = "sparse" if g.is_sparse else "dense"
-        add("generator", name, d, storage, lambda make=make: dynamics.liouvillian(make()))
+        add(lambda make=make: dynamics.liouvillian(make()),
+            layer="generator", model=name, dim=d, storage=storage)
         eye = np.eye(d, dtype=complex)
         for kind, times in grids().items():
-            add("propagate_series", name, d, storage,
-                lambda g=g, eye=eye, times=times: dynamics.propagate_series(g, eye, times),
-                grid=kind, points=POINTS)
+            add(lambda g=g, eye=eye, times=times: dynamics.propagate_series(g, eye, times),
+                layer="propagate_series", model=name, dim=d, storage=storage, grid=kind,
+                points=POINTS)
         if name.startswith("oscillator"):
             gd = dynamics.dual_liouvillian(make())
             ground = np.zeros((d, d), dtype=complex)
             ground[0, 0] = 1.0
             for kind, times in grids().items():
-                add("propagate_series", name + "-dual", d, storage,
-                    lambda gd=gd, times=times: dynamics.propagate_series(gd, ground, times),
+                add(lambda gd=gd, times=times: dynamics.propagate_series(gd, ground, times),
+                    layer="propagate_series", model=name + "-dual", dim=d, storage=storage,
                     grid=kind, points=POINTS)
-        add("stationary_state", name, d, storage, lambda g=g: dynamics.stationary_state(g))
-    return rows
+        add(lambda g=g: dynamics.stationary_state(g),
+            layer="stationary_state", model=name, dim=d, storage=storage)
 
 
 def noise_process(stochastic, family, coupling):
     tau = 0.0 if family == "gaussian-white" else NOISE_TAU
     return stochastic.NoiseProcess(family, 0.6, tau, coupling)
+
+
+def waiting_laws(stochastic):
+    """The two renewal waits of the chain rows: exponential (rate 1) and gamma (2, 2)."""
+    return {"exponential": stochastic.WaitingTime("exponential", rate=1.0),
+            "gamma": stochastic.WaitingTime("gamma", rate=2.0, shape=2.0)}
 
 
 def random_hermitian(rng, d):
@@ -199,167 +209,137 @@ def random_hermitian(rng, d):
     return 0.5 * (h + h.conj().T) / np.sqrt(d)
 
 
-def stochastic_ladder(dims, repeats):
+def random_kraus_pair(rng, d):
+    """The two d x d blocks of a random 2d x d isometry, a two-Kraus channel."""
+    import numpy as np
+    iso = np.linalg.qr(rng.normal(size=(2 * d, d)) + 1j * rng.normal(size=(2 * d, d)))[0]
+    return [iso[:d], iso[d:]]
+
+
+def stochastic_ladder(add, dims):
     import numpy as np
     from envq import qcore, stochastic
 
-    rows = []
     block = stochastic.PATH_BLOCK
-
-    def add(layer, model, d, paths, fn):
-        row = {"layer": layer, "model": model, "dim": d, "paths": paths, **timed(fn, repeats)}
-        row["per_path_us"] = 1e3 * row["min_ms"] / paths
-        rows.append(row)
-        print(f"{layer:17s} {model:18s} d={str(d):4s} paths={paths:3d} "
-              f"min {row['min_ms']:9.3f} ms  median {row['median_ms']:9.3f} ms  "
-              f"{row['per_path_us']:9.1f} us/path", file=sys.stderr, flush=True)
-
-    add("path_streams", "philox", None, 1, lambda: stochastic.path_rng(SEED, 0))
-    add("path_streams", "philox", None, block,
-        lambda: list(stochastic._path_streams(SEED, range(block))))
+    add(lambda: stochastic.path_rng(SEED, 0),
+        layer="path_streams", model="philox", dim=None, paths=1)
+    add(lambda: list(stochastic._path_streams(SEED, range(block))),
+        layer="path_streams", model="philox", dim=None, paths=block)
     for family in stochastic.NOISE_FAMILIES:
         process = noise_process(stochastic, family, qcore.sigma_x)
-        add("noise_paths", family, None, 1,
-            lambda process=process: stochastic.sample_noise_path(process, NOISE_T_MAX,
-                                                                 NOISE_DT, SEED))
-        add("noise_paths", family, None, block,
-            lambda process=process: stochastic._noise_sampler(process, NOISE_T_MAX, NOISE_DT)(
-                SEED, range(block)))
+        add(lambda process=process: stochastic.sample_noise_path(
+            process, NOISE_T_MAX, NOISE_DT, SEED),
+            layer="noise_paths", model=family, dim=None, paths=1)
+        add(lambda process=process: stochastic._noise_sampler(process, NOISE_T_MAX, NOISE_DT)(
+            SEED, range(block)),
+            layer="noise_paths", model=family, dim=None, paths=block)
     noise_times = np.linspace(0.0, NOISE_T_MAX, 11)
     chain_times = np.linspace(0.0, CHAIN_T_MAX, 13)
-    waits = {"exponential": stochastic.WaitingTime("exponential", rate=1.0),
-             "gamma": stochastic.WaitingTime("gamma", rate=2.0, shape=2.0)}
+    waits = waiting_laws(stochastic)
     for d in dims:
         rng = np.random.default_rng(200 + d)
         h0, coupling = random_hermitian(rng, d), random_hermitian(rng, d)
         for family in stochastic.NOISE_FAMILIES:
             process = noise_process(stochastic, family, coupling)
             for n in (1, block):
-                add("path_unitaries", family, d, n,
-                    lambda process=process, n=n: list(stochastic._path_unitaries(
-                        process, h0, noise_times, n, SEED, NOISE_DT)))
-        iso = np.linalg.qr(rng.normal(size=(2 * d, d)) + 1j * rng.normal(size=(2 * d, d)))[0]
+                add(lambda process=process, n=n: list(stochastic._path_unitaries(
+                    process, h0, noise_times, n, SEED, NOISE_DT)),
+                    layer="path_unitaries", model=family, dim=d, paths=n)
+        kraus = random_kraus_pair(rng, d)
         x0 = np.eye(d, dtype=complex)
         for name, waiting in waits.items():
-            model = stochastic.CollisionalModel(random_hermitian(rng, d), [iso[:d], iso[d:]],
-                                                waiting)
+            model = stochastic.CollisionalModel(random_hermitian(rng, d), kraus, waiting)
             for n in (1, block):
-                add("collisional_chain", name, d, n,
-                    lambda model=model, n=n: list(stochastic._chain_snapshots(
-                        model, x0, chain_times, n, SEED)))
+                add(lambda model=model, n=n: list(stochastic._chain_snapshots(
+                    model, x0, chain_times, n, SEED)),
+                    layer="collisional_chain", model=name, dim=d, paths=n)
     # last: a row's time can depend on what ran before it in the process, so
     # these rows come after the others, which keep their place in the run
     for name, waiting in {**waits, "deterministic": stochastic.WaitingTime(
             "deterministic", period=0.6)}.items():
         for n in (1, block):
-            add("event_times", name, None, n,
-                lambda waiting=waiting, n=n: stochastic._collision_times(waiting, CHAIN_T_MAX, SEED,
-                                                                         range(n)))
-    return rows
+            add(lambda waiting=waiting, n=n: stochastic._collision_times(
+                waiting, CHAIN_T_MAX, SEED, range(n)),
+                layer="event_times", model=name, dim=None, paths=n)
 
 
-def renewal_ladder(dims, horizons, repeats):
+def renewal_ladder(add, dims, horizons):
     import numpy as np
     from envq import models, stochastic
-
-    rows = []
-
-    def add(layer, model, d, t_max, fn):
-        row = {"layer": layer, "model": model, "dim": d, "t_max": t_max, **timed(fn, repeats)}
-        rows.append(row)
-        print(f"{layer:15s} {model:11s} d={str(d):4s} t_max={t_max:3.0f} "
-              f"min {row['min_ms']:9.3f} ms  median {row['median_ms']:9.3f} ms",
-              file=sys.stderr, flush=True)
 
     kernel = models.NonMarkovParams(1.0, RENEWAL_TAU_C).kernel_function()
     tabulated = models.NonMarkovParams(1.0, RENEWAL_TAU_C, kernel="tabulated", kernel_func=kernel)
     for t_max in horizons:
-        add("volterra_solve", "lorentzian", None, t_max,
-            lambda t_max=t_max: models.volterra_solve(kernel, t_max, RENEWAL_TAU_C / 100.0))
-        add("memory_c", "tabulated", None, t_max,
-            lambda t=np.linspace(0.0, t_max, 31): models.memory_c(tabulated, t))
-    waits = {"exponential": stochastic.WaitingTime("exponential", rate=1.0),
-             "gamma": stochastic.WaitingTime("gamma", rate=2.0, shape=2.0)}
+        add(lambda t_max=t_max: models.volterra_solve(kernel, t_max, RENEWAL_TAU_C / 100.0),
+            layer="volterra_solve", model="lorentzian", dim=None, t_max=t_max)
+        add(lambda t=np.linspace(0.0, t_max, 31): models.memory_c(tabulated, t),
+            layer="memory_c", model="tabulated", dim=None, t_max=t_max)
     for d in dims:
         rng = np.random.default_rng(300 + d)
-        iso = np.linalg.qr(rng.normal(size=(2 * d, d)) + 1j * rng.normal(size=(2 * d, d)))[0]
+        kraus = random_kraus_pair(rng, d)
         h, x0 = random_hermitian(rng, d), np.eye(d, dtype=complex)
-        kraus = [iso[:d], iso[d:]]
-        for name, waiting in waits.items():
+        for name, waiting in waiting_laws(stochastic).items():
             model = stochastic.CollisionalModel(h, kraus, waiting)
             for t_max in horizons:
                 times = np.linspace(0.0, t_max, 13)
-                add("series_chain", name, d, t_max,
-                    lambda model=model, times=times: stochastic._series_chain(model, x0, times))
-                add("clock_chain", name, d, t_max,
-                    lambda waiting=waiting, times=times: stochastic._clock_chain(
-                        stochastic.CollisionalModel(h, kraus, waiting), x0, times))
-    return rows
+                add(lambda model=model, times=times: stochastic._series_chain(model, x0, times),
+                    layer="series_chain", model=name, dim=d, t_max=t_max)
+                add(lambda waiting=waiting, times=times: stochastic._clock_chain(
+                    stochastic.CollisionalModel(h, kraus, waiting), x0, times),
+                    layer="clock_chain", model=name, dim=d, t_max=t_max)
 
 
-def oracle_ladder(eigen_dims, joint_dims, repeats):
+def oracle_ladder(add, eigen_dims, joint_dims):
     import numpy as np
     from envq import microscopic, qcore
 
-    rows = []
-
-    def add(layer, size, fn, **dims):
-        row = {"layer": layer, **dims, **timed(fn, repeats)}
-        rows.append(row)
-        print(f"{layer:21s} {size:8s} min {row['min_ms']:9.3f} ms  "
-              f"median {row['median_ms']:9.3f} ms", file=sys.stderr, flush=True)
-
     for d in eigen_dims:
         h = random_hermitian(np.random.default_rng(400 + d), d)
-        add("hermitian_eigensystem", f"d={d}", lambda h=h: qcore.hermitian_eigensystem(h), dim=d)
+        add(lambda h=h: qcore.hermitian_eigensystem(h), layer="hermitian_eigensystem", dim=d)
     for ds, de in joint_dims:
         rng = np.random.default_rng(500 + ds * de)
         model = microscopic.random_joint_model(ds, de, rng)
         commuting = microscopic.random_joint_model(ds, de, rng, commuting=True)
         rho0 = qcore.random_state(ds, rng)
-        size, dims = f"{ds} x {de}", {"dim_s": ds, "dim_e": de}
-        add("unitary", size, lambda model=model: model.unitary(ORACLE_T), **dims)
-        add("quantumness_direct", size,
-            lambda model=model, rho0=rho0: microscopic.quantumness_direct(model, rho0, ORACLE_T),
-            **dims)
-        add("quantumness_via_dual", size,
-            lambda model=model, rho0=rho0: microscopic.quantumness_via_dual(model, rho0, ORACLE_T),
-            **dims)
-        add("ensemble_reduction", size,
-            lambda commuting=commuting: microscopic.hamiltonian_ensemble_reduction(commuting),
-            **dims)
-    return rows
+        dims = {"dim_s": ds, "dim_e": de}
+        add(lambda model=model: model.unitary(ORACLE_T), layer="unitary", **dims)
+        add(lambda model=model, rho0=rho0: microscopic.quantumness_direct(model, rho0, ORACLE_T),
+            layer="quantumness_direct", **dims)
+        add(lambda model=model, rho0=rho0: microscopic.quantumness_via_dual(model, rho0, ORACLE_T),
+            layer="quantumness_via_dual", **dims)
+        add(lambda commuting=commuting: microscopic.hamiltonian_ensemble_reduction(commuting),
+            layer="ensemble_reduction", **dims)
 
 
-def cli_ladder(repeats):
+def cli_ladder(add):
     import tempfile
     from envq import acceptance, cli, config
 
-    rows = []
-
-    def add(layer, name, fn):
-        row = {"layer": layer, "config": name, **timed(fn, repeats)}
-        rows.append(row)
-        print(f"{layer:12s} {str(name):18s} min {row['min_ms']:9.3f} ms  "
-              f"median {row['median_ms']:9.3f} ms", file=sys.stderr, flush=True)
-
-    add("build_parser", None, cli.build_parser)
+    add(cli.build_parser, layer="build_parser", config=None)
     with tempfile.TemporaryDirectory() as tmp:
         for out in acceptance._write_verify_bundle(tmp):
             cfg_path = out[:-len(".csv")] + ".cfg"
             name = os.path.basename(cfg_path)[:-len(".cfg")]
             argv = ["sweep" if "sweep" in name else "qt", "--config", cfg_path, "--out", out]
-            add("cli_run", name, lambda argv=argv: cli.run(argv))
-            add("load_config", name, lambda path=cfg_path: config.load_config(path))
+            add(lambda argv=argv: cli.run(argv), layer="cli_run", config=name)
+            add(lambda path=cfg_path: config.load_config(path), layer="load_config", config=name)
             cfg = config.load_config(cfg_path)
-            add("build_model", name, lambda cfg=cfg: config.build_model(cfg))
-    return rows
+            add(lambda cfg=cfg: config.build_model(cfg), layer="build_model", config=name)
+
+
+# topic: (ladder, its arguments after the row recorder, and those in smoke mode)
+TOPICS = {
+    "lindblad": (ladder, (DIMS, True), (SMOKE_DIMS, False)),
+    "stochastic": (stochastic_ladder, (STOCHASTIC_DIMS,), (SMOKE_DIMS,)),
+    "renewal": (renewal_ladder, (RENEWAL_DIMS, RENEWAL_T_MAX), (SMOKE_DIMS, SMOKE_RENEWAL_T_MAX)),
+    "cli": (cli_ladder, (), ()),
+    "oracle": (oracle_ladder, (EIGEN_DIMS, JOINT_DIMS), (SMOKE_DIMS, JOINT_DIMS[:2])),
+}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--topic", choices=("lindblad", "stochastic", "renewal", "cli", "oracle"),
-                        default="lindblad")
+    parser.add_argument("--topic", choices=tuple(TOPICS), default="lindblad")
     parser.add_argument("--smoke", action="store_true",
                         help="d <= 4 (joint dimension <= 8), no oscillator, one repeat; "
                              "print the JSON instead of writing it")
@@ -370,20 +350,10 @@ def main(argv=None):
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
     import scipy
-    repeats = 1 if args.smoke else REPEATS
-    if args.topic == "lindblad":
-        rows = ladder(SMOKE_DIMS if args.smoke else DIMS, repeats, oscillator=not args.smoke)
-    elif args.topic == "stochastic":
-        rows = stochastic_ladder(SMOKE_DIMS if args.smoke else STOCHASTIC_DIMS, repeats)
-    elif args.topic == "renewal":
-        rows = (renewal_ladder(SMOKE_DIMS, SMOKE_RENEWAL_T_MAX, repeats) if args.smoke
-                else renewal_ladder(RENEWAL_DIMS, RENEWAL_T_MAX, repeats))
-    elif args.topic == "oracle":
-        smoke = args.smoke
-        rows = oracle_ladder(SMOKE_DIMS if smoke else EIGEN_DIMS,
-                             JOINT_DIMS[:2] if smoke else JOINT_DIMS, repeats)
-    else:
-        rows = cli_ladder(repeats)
+    run, full, smoke = TOPICS[args.topic]
+    rows = []
+    run(functools.partial(add_row, rows, 1 if args.smoke else REPEATS),
+        *(smoke if args.smoke else full))
     record = {
         "topic": args.topic,
         "python": platform.python_version(),

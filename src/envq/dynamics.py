@@ -583,10 +583,10 @@ def _bordered_lu(g, scale):
             lu = scipy.sparse.linalg.splu(a)
         except RuntimeError as exc:
             raise DegenerateSteadyStateError(f"bordered generator is singular: {exc}") from None
-        return lu.solve, lambda b: lu.solve(b, trans="T"), float(abs(a).sum(axis=0).max())
+        return lu.solve, lambda b: lu.solve(b, trans="T"), _one_norm(a)
     a = np.array(g.real, dtype=float)
     a[0] = trace_row
-    a_norm = float(np.abs(a).sum(axis=0).max())
+    a_norm = _one_norm(a)
     getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (a,))
     lu, piv, info = getrf(a, overwrite_a=True)
     if info > 0:

@@ -39,19 +39,9 @@ def _sinch(x):
 # ---------------------------------------------------------------------------
 # thermal two-level system
 
-@dataclass(frozen=True)
-class ThermalTlsParams:
-    """Two-level emitter in a thermal bath: decay rate and beta*hw0."""
-
-    gamma: float
-    beta_hw0: float
-    dim = 2
-
-    def __post_init__(self):
-        # beta_hw0 = inf is the zero-temperature limit
-        qcore.require_finite_parameters(self, "gamma")
-        if not (self.gamma > 0 and self.beta_hw0 >= 0):
-            raise ValueError("gamma must be positive and beta_hw0 nonnegative")
+class _ThermalRates:
+    """Thermal occupation and the down and up rates of a mode of decay rate
+    ``gamma`` at inverse temperature ``beta_hw0``."""
 
     @property
     def n_th(self):
@@ -68,6 +58,21 @@ class ThermalTlsParams:
     @property
     def zeta(self):
         return self.gamma * self.n_th
+
+
+@dataclass(frozen=True)
+class ThermalTlsParams(_ThermalRates):
+    """Two-level emitter in a thermal bath: decay rate and beta*hw0."""
+
+    gamma: float
+    beta_hw0: float
+    dim = 2
+
+    def __post_init__(self):
+        # beta_hw0 = inf is the zero-temperature limit
+        qcore.require_finite_parameters(self, "gamma")
+        if not (self.gamma > 0 and self.beta_hw0 >= 0):
+            raise ValueError("gamma must be positive and beta_hw0 nonnegative")
 
     def lindblad_model(self):
         return dynamics.LindbladModel(
@@ -451,7 +456,7 @@ def twoqubit_reduced(p):
 # damped harmonic oscillator at finite temperature
 
 @dataclass(frozen=True)
-class OscillatorParams:
+class OscillatorParams(_ThermalRates):
     """Thermal oscillator: decay gamma, beta*hw0, Fock-space cutoff."""
 
     gamma: float
@@ -475,18 +480,6 @@ class OscillatorParams:
     @classmethod
     def from_n_th(cls, gamma, n_th, n_max=60):
         return cls(gamma, float(np.log((n_th + 1.0) / n_th)), n_max)
-
-    @property
-    def n_th(self):
-        return 1.0 / np.expm1(self.beta_hw0)
-
-    @property
-    def kappa(self):
-        return self.gamma * (self.n_th + 1.0)
-
-    @property
-    def zeta(self):
-        return self.gamma * self.n_th
 
     @property
     def dim(self):

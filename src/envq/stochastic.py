@@ -56,11 +56,12 @@ exact.  A gamma wait of shape k and rate r is k exponential stages of
 rate r in a row, a phase-type law (Neuts, Matrix-Geometric Solutions in
 Stochastic Models, 1981), and the exponential wait is the case k = 1.
 So the renewal model is exactly a Lindblad model on clock (x) system
-(Budini, PRA 74, 053815 (2006)), which ``clock_model`` builds: the clock
-advances a stage at rate r, and leaves its last stage through the
-collision.  The chain is C_t[x] = Tr_clock e^{tL}[|1><1| (x) x], one
-``dynamics.reduced_series`` call, which on a uniform grid takes one
-exponential whatever the horizon.  It steps from one requested time to
+(Budini, PRA 74, 053815 (2006)), which ``CollisionalModel.clock``
+builds: the clock advances a stage at rate r, and leaves its last stage
+through the collision.  The chain is
+C_t[x] = Tr_clock e^{tL}[|1><1| (x) x], one ``dynamics.reduced_series``
+call, which on a uniform grid takes one exponential whatever the
+horizon.  It steps from one requested time to
 the next, as ``quantumness.q_series`` does, so a time's value depends on
 the other requested times at roundoff (about 1e-15), not bit for bit.
 
@@ -206,16 +207,19 @@ def _block_rows(seed, paths, width, draw):
     return rows
 
 
-def _renewal_block(seed, paths, draw, lead, scale, chunk, t_max):
+def _renewal_block(seed, paths, draw, lead, waiting, t_max):
     """Leading draws, waits and arrival times of a renewal clock on every path of a block.
 
     Row i is the stream of path paths[i] as ``draw`` fills it: ``lead``
-    leading draws, then standard waits, which ``scale`` multiplies.  A row
-    whose last arrival does not pass t_max is drawn again with twice the
-    chunk; the other rows get zero waits there, so their arrivals stay
-    past t_max.  Returns (head, waits, elapsed): (paths, lead),
-    (paths, chunk) and the running sums of the waits.
+    leading draws, then the standard waits of ``waiting``, which 1 / rate
+    scales.  The first chunk holds twice the expected count of waits up to
+    t_max, plus 2.  A row whose last arrival does not pass t_max is drawn
+    again with twice the chunk; the other rows get zero waits there, so
+    their arrivals stay past t_max.  Returns (head, waits, elapsed):
+    (paths, lead), (paths, chunk) and the running sums of the waits.
     """
+    chunk = int(2.0 * t_max / waiting.mean()) + 2
+    scale = 1.0 / waiting.rate
     rows = _block_rows(seed, paths, lead + chunk, draw)
     while True:
         waits = scale * rows[:, lead:]
@@ -249,15 +253,14 @@ def _noise_sampler(process, t_max, dt):
         raise ValueError("dt must not exceed correlation_time / 10 for colored noise")
     a = process.amplitude
     if process.family == "telegraph":
-        rate = 0.5 / process.correlation_time
-        chunk = int(2.0 * t_max * rate) + 2
+        clock = WaitingTime("exponential", rate=0.5 / process.correlation_time)
 
         def draw(rng, row):
             row[0] = rng.random()
-            rng.standard_exponential(out=row[1:])
+            clock.standard_waits(rng, row[1:])
 
         def sample(seed, paths):
-            first, waits, elapsed = _renewal_block(seed, paths, draw, 1, 1.0 / rate, chunk, t_max)
+            first, waits, elapsed = _renewal_block(seed, paths, draw, 1, clock, t_max)
             start = np.concatenate([np.zeros((len(paths), 1)), elapsed[:, :-1]], axis=1)
             live = start < t_max
             lengths = live.sum(axis=1)
@@ -599,8 +602,17 @@ class CollisionalModel:
         return p, p.conj().T
 
     @cached_property
-    def _clock(self):
-        """The phase-type clock model of ``clock_model``, built once."""
+    def clock(self):
+        """The renewal model as a ``LindbladModel`` on clock (x) system, built once.
+
+        A wait of k exponential stages of rate r (k = 1 for exponential
+        waiting, k = shape for gamma waiting with an integer shape) gives the
+        model on C^k (x) C^d with Hamiltonian I_k (x) H and, each at rate r,
+        the jumps |j+1><j| (x) I for j < k and |1><k| (x) T for each Kraus
+        operator T of the collision.  Its marginal from the clock state |1><1|
+        is the renewal chain.  Deterministic waiting and a non-integer gamma
+        shape have no finite clock and raise ValueError.
+        """
         w = self.waiting
         k = _clock_stages(w)
         if k is None:
@@ -633,24 +645,9 @@ def _clock_stages(waiting):
     return None
 
 
-def clock_model(model):
-    """The renewal model as a ``LindbladModel`` on clock (x) system.
-
-    A wait of k exponential stages of rate r (k = 1 for exponential
-    waiting, k = shape for gamma waiting with an integer shape) gives the
-    model on C^k (x) C^d with Hamiltonian I_k (x) H and, each at rate r,
-    the jumps |j+1><j| (x) I for j < k and |1><k| (x) T for each Kraus
-    operator T of the collision.  Its marginal from the clock state |1><1|
-    is the renewal chain.  It is built once per ``CollisionalModel``.
-    Deterministic waiting and a non-integer gamma shape have no finite
-    clock and raise ValueError.
-    """
-    return model._clock
-
-
 def _clock_chain(model, x0, times):
-    """C_t[x0] = Tr_clock e^{tL}[|1><1| (x) x0] through ``clock_model``, as (times, d, d)."""
-    clock = clock_model(model)
+    """C_t[x0] = Tr_clock e^{tL}[|1><1| (x) x0] through ``model.clock``, as (times, d, d)."""
+    clock = model.clock
     start = np.zeros((clock.dim // model.dim,) * 2)
     start[0, 0] = 1.0
     return dynamics.reduced_series(clock, start, x0, times)
@@ -755,16 +752,13 @@ def _collision_times(waiting, t_max, seed, paths):
     slack), then later arrivals; m is the most collisions of any row.
     Deterministic waiting draws nothing: every row is the exact hits
     k period.  Otherwise the waits are ``WaitingTime.standard_waits`` scaled
-    by 1 / rate in ``_renewal_block``, in chunks of about twice the expected
-    count, so the times are bitwise those of adding one
-    ``WaitingTime.sample`` at a time.
+    by 1 / rate in ``_renewal_block``, so the times are bitwise those of
+    adding one ``WaitingTime.sample`` at a time.
     """
     if waiting.family == "deterministic":
         n = int(np.floor((t_max + _hit_slack(waiting)) / waiting.period))
         return np.broadcast_to(waiting.period * np.arange(1, n + 1), (len(paths), n))
-    chunk = int(2.0 * t_max / waiting.mean()) + 2
-    _, _, elapsed = _renewal_block(seed, paths, waiting.standard_waits, 0, 1.0 / waiting.rate,
-                                   chunk, t_max)
+    _, _, elapsed = _renewal_block(seed, paths, waiting.standard_waits, 0, waiting, t_max)
     return elapsed[:, :(elapsed <= t_max).sum(axis=1).max()]
 
 
@@ -818,9 +812,10 @@ def _monte_carlo_chain(model, x0, times, n_paths, seed):
     """Average of the random collision chain applied to x0.
 
     Returns (means, stderr) with stderr the aggregate elementwise
-    standard-error scale sqrt(sum_ij Var / n_paths).
+    standard-error scale sqrt(sum_ij Var / n_paths).  ``times`` pass the
+    ``qcore.time_grid`` gate.
     """
-    times = np.asarray(times, dtype=float)
+    times = qcore.time_grid(times)
     return _ensemble_moments(_chain_snapshots(model, x0, times, n_paths, seed))
 
 
@@ -862,9 +857,9 @@ def collisional_q(model, rho0, times, mode="series", n_paths=None, seed=None,
 
     Series mode takes one route per waiting law.  Exponential and
     integer-shape gamma waits run the exact phase-type clock
-    (``clock_model``), whose value at a time depends on the other
-    requested times at roundoff only; a gamma wait of non-integer shape
-    runs the product-trapezoid renewal solve on a grid of spacing
+    (``CollisionalModel.clock``), whose value at a time depends on the
+    other requested times at roundoff only; a gamma wait of non-integer
+    shape runs the product-trapezoid renewal solve on a grid of spacing
     ``step`` (default mean wait / 100), with its second-order quadrature
     error; deterministic waiting runs its one exact path, as in Monte
     Carlo mode.  ``step`` is validated for every law and read by the

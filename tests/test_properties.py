@@ -48,6 +48,22 @@ def random_hermitian(rng, d):
     return a + a.conj().T
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+       s=st.sampled_from([1e-9, 1e-3, 1e3, 1e9]))
+def test_degree_of_a_random_model_is_invariant_under_time_rescaling(d, seed, s):
+    rng = np.random.default_rng(seed)
+    jumps = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d for _ in range(2)]
+    model = dynamics.LindbladModel(random_hermitian(rng, d) / (2 * d), jumps,
+                                   rates=rng.uniform(0.3, 1.0, size=2))
+    fast = rescaled(model, s)
+    dq = quantumness.degree_of_quantumness(model).dq
+    assert abs(quantumness.degree_of_quantumness(fast).dq - dq) <= 1e-12
+    # QuantumnessSeries raises BoundViolationError outside [0, dim]
+    series = quantumness.q_series(fast, qcore.random_state(d, rng), TIMES / s).values
+    assert series.min() >= 0.0 and series.max() <= d
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(d=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.0, 3.0))
 def test_real_coordinates_are_an_isometry_that_carries_the_trace_pairing(d, seed, t):
@@ -157,7 +173,9 @@ def test_oracle_direct_equals_oracle_dual(dim_s, dim_e, commuting, seed, t):
     model = microscopic.random_joint_model(dim_s, dim_e, rng, commuting=commuting)
     rho0 = qcore.random_state(dim_s, rng)
     direct = microscopic.quantumness_direct(model, rho0, t)
-    assert abs(microscopic.quantumness_via_dual(model, rho0, t) - direct) <= 1e-12 * dim_s
+    # quantumness_via_dual raises BoundViolationError outside [0, dim_s]
+    dual = microscopic.quantumness_via_dual(model, rho0, t)
+    assert 0.0 <= dual <= dim_s and abs(dual - direct) <= 1e-12 * dim_s
 
 
 def degenerate_commuting_bath(rng, dim_s, dim_e, levels, repeat):
@@ -194,3 +212,33 @@ def test_ensemble_reduction_of_a_degenerate_bath_reconstructs_the_reduced_state(
                          @ qcore.matrix_exponential(1j * hk * t)) for w, hk in pairs)
         exact = microscopic.reduced_state(model, rho0, t).matrix
         assert np.abs(recon - exact).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(2, 3), law=st.sampled_from(["exponential", "gamma-integer", "gamma-real"]),
+       unital=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(d=3, law="gamma-real", unital=False, seed=0)
+@example(d=3, law="gamma-real", unital=True, seed=0)
+def test_collisional_series_keeps_q_in_bounds_and_a_unital_chain_at_one(d, law, unital, seed):
+    # the series mode's routes: the clock for exponential and integer-shape
+    # gamma waits, the trapezoid at its default step for the other shapes
+    rng = np.random.default_rng(seed)
+    rate = rng.uniform(0.5, 4.0)
+    waiting = {"exponential": lambda: stochastic.WaitingTime("exponential", rate=rate),
+               "gamma-integer": lambda: stochastic.WaitingTime("gamma", rate=rate,
+                                                               shape=float(rng.integers(2, 4))),
+               "gamma-real": lambda: stochastic.WaitingTime("gamma", rate=rate,
+                                                            shape=rng.uniform(1.0, 4.0))}[law]()
+    if unital:  # a random unitary mixture
+        kraus = [np.sqrt(p) * np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+                 for p in rng.dirichlet(np.ones(2))]
+    else:  # the two blocks of a random isometry
+        iso = np.linalg.qr(rng.normal(size=(2 * d, d)) + 1j * rng.normal(size=(2 * d, d)))[0]
+        kraus = [iso[:d], iso[d:]]
+    model = stochastic.CollisionalModel(random_hermitian(rng, d), kraus, waiting)
+    times = np.linspace(0.0, rng.uniform(0.5, 4.0), 7)
+    # QuantumnessSeries raises BoundViolationError outside [0, dim]
+    q = stochastic.collisional_q(model, qcore.random_state(d, rng), times).values
+    assert q.min() >= 0.0 and q.max() <= d
+    if unital:
+        assert np.abs(q - 1.0).max() < 1e-12

@@ -541,6 +541,18 @@ def test_noise_routes_validate_the_time_grid(route, times, message):
         route(process, qcore.sigma_z, QuantumState.maximally_mixed(2), times, 4, seed=1)
 
 
+@pytest.mark.parametrize("times, message", [
+    ([1.0, 0.5], "times must be ascending: 0.5 follows 1.0"),
+    ([-1.0, 0.5], "times must be finite and non-negative, got -1.0"),
+    ([np.nan, 1.0], "times must be finite and non-negative, got nan"),
+], ids=["descending", "negative", "nan"])
+def test_monte_carlo_chain_validates_the_time_grid(times, message):
+    # a descending or negative grid used to run to traces of 2, and NaN
+    # failed converting to an integer inside numpy
+    with pytest.raises(ValueError, match=message):
+        stochastic._monte_carlo_chain(exp_model(), np.eye(2, dtype=complex), times, 8, seed=1)
+
+
 @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
 @pytest.mark.parametrize("family", stochastic.NOISE_FAMILIES)
 @pytest.mark.parametrize("route", [stochastic.stochastic_q, stochastic.stochastic_average_state])
@@ -1266,10 +1278,9 @@ def test_clock_model_needs_a_phase_type_wait():
     ):
         model = stochastic.CollisionalModel(h, kraus, waiting)
         with pytest.raises(ValueError, match=f"{message} has no phase-type clock"):
-            stochastic.clock_model(model)
+            model.clock
     model = stochastic.CollisionalModel(h, kraus, CLOCK_WAITING["gamma5"])
-    clock = stochastic.clock_model(model)
-    assert clock is stochastic.clock_model(model) and clock.dim == 10
+    assert model.clock is model.clock and model.clock.dim == 10
 
 
 def test_non_integer_shape_keeps_the_trapezoid_bits():
