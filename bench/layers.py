@@ -14,10 +14,14 @@ The ``lindblad`` topic times each layer on random Lindblad models at d = 2,
 4, 12 and 24 (two dense jump operators, generator column-sum norm 4) and on
 the thermal oscillator truncated at n_max = 61 (sparse, d = 62):
 
-* ``generator``: a fresh ``LindbladModel`` and its forward generator;
+* ``generator``: a fresh ``LindbladModel`` and the real form of its forward
+  generator, which is built on that first read;
 * ``propagate_series``: e^{tL}[I] on a 21-point uniform grid and a 21-point
   log grid over [0, 2] (the oscillator also runs its dual from the ground
   state, the ``oscillator_q_numeric`` route);
+* ``q_series``: ``quantumness.q_series`` of I/d on the uniform grid, each
+  run on a fresh model, so that it includes whatever generator build the
+  series needs (none for the oscillator, which steps its diagonal sector);
 * ``stationary_state``: the bordered solve with its uniqueness margin.
 
 The ``stochastic`` topic times the Monte Carlo engine for one path and for
@@ -161,7 +165,7 @@ def add_row(rows, repeats, fn, **fields):
 
 def ladder(add, dims, oscillator):
     import numpy as np
-    from envq import dynamics, models
+    from envq import dynamics, models, quantumness
 
     cases = []
     for d in dims:
@@ -173,7 +177,7 @@ def ladder(add, dims, oscillator):
     for name, d, make in cases:
         g = dynamics.liouvillian(make())
         storage = "sparse" if g.is_sparse else "dense"
-        add(lambda make=make: dynamics.liouvillian(make()),
+        add(lambda make=make: dynamics.liouvillian(make()).real,
             layer="generator", model=name, dim=d, storage=storage)
         eye = np.eye(d, dtype=complex)
         for kind, times in grids().items():
@@ -188,6 +192,9 @@ def ladder(add, dims, oscillator):
                 add(lambda gd=gd, times=times: dynamics.propagate_series(gd, ground, times),
                     layer="propagate_series", model=name + "-dual", dim=d, storage=storage,
                     grid=kind, points=POINTS)
+        add(lambda make=make, state=eye / d, times=grids()["uniform"]:
+            quantumness.q_series(make(), state, times),
+            layer="q_series", model=name, dim=d, storage=storage, grid="uniform", points=POINTS)
         add(lambda g=g: dynamics.stationary_state(g),
             layer="stationary_state", model=name, dim=d, storage=storage)
 

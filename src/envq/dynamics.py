@@ -23,40 +23,49 @@ d-dimensional system is a d^2 x d^2 matrix G.  Each job has one route:
   entries can be non-zero (a bound read off its Kronecker factors) and
   sparse otherwise: below that fill the sparse form is the smaller one
   and its products and LU are the cheaper ones.  That bound is the only
-  storage switch.  A sparse L is summed from the COO triplets of the
+  storage switch.  A model derives J, its jump pairs and that bound once
+  (``_Kronecker``).  A sparse L is summed from the COO triplets of the
   Kronecker terms of G in one ``csr_matrix`` call; a dense L is formed
   from Re G and Im G, assembled with two real products over the jump
-  pairs.  A model builds its forward and dual ``Superoperator`` once
-  each, on first use, so their finiteness check and norm run once per
-  model; the dual shares the forward real form as its transpose.  A
-  ``Superoperator`` is constructed from a real form only and keeps the
-  storage it is given; the complex ``Superoperator.matrix`` is rebuilt
-  from it on request.
-* Propagation.  ``propagate_series`` first closes the support of the
-  initial coordinates under the stored non-zero pattern of L.  That set S
-  is invariant under every ``exp(t L)``, so when it is a proper subset the
-  series runs on the principal block ``L[S, S]`` (stored by fill) and is
+  pairs.  A model's forward and dual ``Superoperator`` are made once each
+  and build their real form on its first read of ``real`` (a
+  stationary state, a spectrum, ``matrix``, a dense model's propagation),
+  so its finiteness check and norm run once per model; the dual shares
+  the forward real form as its transpose.  A ``Superoperator`` made from
+  a real form keeps the storage it is given; the complex
+  ``Superoperator.matrix`` is rebuilt from it on request.
+* Propagation.  ``propagate_series`` steps the initial coordinates on the
+  set S that their support reaches, one breadth-first search from the
+  support (``_reached``).  S is invariant under every ``exp(t L)``, so
+  when it is a proper subset the series runs on the principal block
+  ``L[S, S]`` (stored by fill, its entries checked finite) and is
   scattered back into zeros; a phase-covariant dissipator keeps a
   diagonal operator diagonal, so the thermal oscillator's d^2 space
-  shrinks to d (Albert & Jiang, PRA 89, 022118 (2014)).  The series steps
-  from one grid time to the next.  One ``expm(L dt)`` per distinct step,
-  densified and reused for every repeat of that step (a uniform grid
-  costs one exponential plus matrix-vector products), is taken whenever a
-  fitted cost model prices it below ``expm_multiply`` (Al-Mohy & Higham,
-  SIAM J. Sci. Comput. 33 (2011)) on every step; otherwise each step is
-  one ``expm_multiply``.  The exponentials of five or more distinct steps
-  of a block of at most 16 rows, as on a log grid, are built in one
-  batched Pade pass over the stack (``_step_exponentials``); a single
-  step keeps scipy's ``expm``, bit for bit, and so do larger blocks.
-  All times map back to operators in one vectorised call.  ``propagate``
-  is the one-point case, and ``reduced_series`` the system marginal of a
-  model dilated by an auxiliary factor, such as the phase-type clock of a
-  renewal model.
+  shrinks to d (Albert & Jiang, PRA 89, 022118 (2014)).  A model stored
+  sparse searches the pattern of its Kronecker terms and assembles only
+  ``L[S, S]`` from J and the jump pairs (``_model_sector``), so its real
+  form is built only when S is the whole space; every other generator
+  searches the stored pattern of its real form and slices the block out.
+  The series steps from one grid time to the next.  One ``expm(L dt)``
+  per distinct step, densified and reused for every repeat of that step
+  (a uniform grid costs one exponential plus matrix-vector products), is
+  taken whenever a fitted cost model prices it below ``expm_multiply``
+  (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)) on every step;
+  otherwise each step is one ``expm_multiply``.  The exponentials of
+  five or more distinct steps of a block of at most 16 rows, as on a log
+  grid, are built in one batched Pade pass over the stack
+  (``_step_exponentials``); a single step keeps scipy's ``expm``, bit
+  for bit, and so do larger blocks.  All times map back to operators in
+  one vectorised call.  ``propagate`` is the one-point case, and
+  ``reduced_series`` the system marginal of a model dilated by an
+  auxiliary factor, such as the phase-type clock of a renewal model.
 * Stationary state.  ``stationary_state`` solves ``L y = 0`` with its first
   row replaced by the trace functional scaled to ``||L||_1``, by a dense
   real LU or by ``splu``.  Uniqueness is gated by the relative margin
   ``1/(||A||_1 ||A^-1||_1)`` of that bordered matrix, so every gate scales
   with the generator and ``D_Q`` is invariant under a rescaling of time.
+  ``||A^-1||_1`` is estimated on the LU: by one LAPACK ``gecon`` call on a
+  dense A, by ``onenormest`` on a sparse one.
 """
 
 import math
@@ -112,8 +121,8 @@ class LindbladModel:
     operators already absorb their rates.
     Every operator must be at least 1 x 1 and every entry of every input
     finite; ``h_bar`` and the rate matrix are kept as their exact
-    Hermitian parts.  The generators are built once, on first use, so the
-    inputs must not change after that.
+    Hermitian parts.  Its Kronecker factors and generators are derived
+    once, on first use, so the inputs must not change after that.
     """
 
     def __init__(self, h_bar, jump_ops, rates=None):
@@ -141,16 +150,89 @@ class LindbladModel:
         return self.h_bar.shape[0]
 
     @cached_property
+    def _kronecker(self):
+        return _Kronecker(self)
+
+    @cached_property
     def _forward(self):
-        """Forward generator, its real form stored by fill and read-only, built on first use."""
-        gen = _generator(self, None)
-        _freeze(gen)
-        return Superoperator(gen, self.dim, "forward")
+        return _ModelGenerator(self._kronecker, "forward")
 
     @cached_property
     def _dual(self):
-        """Dual generator, whose real form is the transpose (a view) of the forward one."""
-        return Superoperator(self._forward.real.T, self.dim, "dual")
+        return _ModelGenerator(self._kronecker, "dual", self._forward)
+
+
+class _Kronecker:
+    """The Kronecker factors of a model's generator, derived once from its inputs.
+
+    G = I (x) J + conj(J) (x) I + sum a_mu_nu conj(V_nu) (x) V_mu with
+    J = -i h_bar - M/2, M = sum a_mu_nu V_nu^dag V_mu.  ``pairs`` holds
+    (a_mu_nu, conj(V_nu), V_mu) over the non-zero rates, and ``sparse``
+    whether G is stored sparse: a bound on its non-zero count, read off the
+    factors, falls below ``DENSE_FILL`` of its d^4 entries.  It holds no
+    reference to the model, whose generators hold it.
+    """
+
+    def __init__(self, model):
+        d = self.dim = model.dim
+        self.pairs = [(model.rates[mu, nu], model.jump_ops[nu].conj(), model.jump_ops[mu])
+                      for mu, nu in zip(*np.nonzero(model.rates))]
+        j = -1j * model.h_bar
+        for a, v_nu, v_mu in self.pairs:
+            j = j - 0.5 * a * (v_nu.T @ v_mu)
+        self.j = j
+        nz = np.count_nonzero
+        bound = 2 * d * nz(j) + sum(nz(v_nu) * nz(v_mu) for _, v_nu, v_mu in self.pairs)
+        self.sparse = bound < DENSE_FILL * d ** 4
+        self._adjacency = {}
+
+    @cached_property
+    def terms(self):
+        """G's diagonal and its Kronecker terms, each held by its factors' non-zero entries.
+
+        G = diag(diagonal) + sum scale kron(A, B), where ``diagonal`` holds
+        the part J[r, r] + conj(J[c, c]) that I (x) J and conj(J) (x) I put
+        at r + d c, and the terms are I (x) J and conj(J) (x) I off J's
+        diagonal and the jump pairs.  Each term is (scale, A's na and B's nb
+        non-zero values, rows, cols), rows and cols being the (na, nb) vec
+        indices r + d c and r' + d c' of the entries scale A[c, c'] B[r, r'].  The scale multiplies last, so a
+        real-rate pair conj(V) (x) V and its mirror under P hold exactly
+        conjugate values.
+        """
+        d, j = self.dim, self.j
+        k = np.arange(d)
+        r, r2, vals = _entries(j)
+        off = r != r2
+        j_off = r[off], r2[off], vals[off]
+        eye = k, k, np.ones(d)
+        factors = [(1.0, eye, j_off), (1.0, (*j_off[:2], j_off[2].conj()), eye),
+                   *((a, _entries(v_nu), _entries(v_mu)) for a, v_nu, v_mu in self.pairs)]
+        terms = [(scale, a_vals, b_vals, r + d * c[:, None], r2 + d * c2[:, None])
+                 for scale, (c, c2, a_vals), (r, r2, b_vals) in factors]
+        jd = np.diag(j)
+        return (jd[None, :] + jd.conj()[:, None]).ravel(), terms
+
+    @cached_property
+    def transpose(self):
+        """P as an index map (``_transpose_index``)."""
+        return _transpose_index(self.dim)
+
+    def adjacency(self, dual):
+        """Adjacency lists (indptr, indices) of the Kronecker terms' pattern, built once per flow.
+
+        For the forward flow node j lists every row i of a term entry
+        G[i, j], which column j feeds; the dual flow reverses those edges.
+        G's diagonal adds only self-loops and is left out.
+        """
+        if dual not in self._adjacency:
+            _, terms = self.terms
+            rows = np.concatenate([term[3].ravel() for term in terms])
+            cols = np.concatenate([term[4].ravel() for term in terms])
+            tails, heads = (rows, cols) if dual else (cols, rows)
+            indptr = np.zeros(self.dim ** 2 + 1, dtype=np.int64)
+            np.cumsum(np.bincount(tails, minlength=self.dim ** 2), out=indptr[1:])
+            self._adjacency[dual] = indptr, heads[np.argsort(tails)]
+        return self._adjacency[dual]
 
 
 class Superoperator:
@@ -173,11 +255,15 @@ class Superoperator:
                              f"not a {real.dtype} matrix")
         if real.shape != (dim * dim, dim * dim):
             raise ValueError(f"superoperator shape {real.shape} != ({dim * dim}, {dim * dim})")
-        if not np.isfinite(real.data if scipy.sparse.issparse(real) else real).all():
-            raise ValueError("superoperator has a non-finite entry")
-        self.real = real
         self.dim = dim
         self.kind = kind  # "forward", "dual" or None
+        self.real = self._checked(real)
+
+    def _checked(self, real):
+        """``real``, a real form or a block of one, once every stored entry is finite."""
+        if not np.isfinite(real.data if scipy.sparse.issparse(real) else real).all():
+            raise ValueError("superoperator has a non-finite entry")
+        return real
 
     @property
     def is_sparse(self):
@@ -204,9 +290,68 @@ class Superoperator:
         """G[X] for a Hermitian X; raises ValueError unless X passes ``_column``."""
         return hermitian_operator((self.real @ _column(operator, self.dim))[:, 0], self.dim)
 
+    def _sector(self, support):
+        """The entries reachable from a boolean ``support`` and the generator on them.
+
+        Returns (index, block, ||block||_1): the closure of ``support``
+        under the stored pattern of ``real`` (see ``_reachable``) and the
+        principal block ``real[index, index]`` stored by fill, or
+        (slice(None), ``real``, ``norm``) when that closure is everything.
+        """
+        index = _reachable(self.real, support)
+        if index is None:
+            return slice(None), self.real, self.norm
+        block = _by_fill(self.real[np.ix_(index, index)])
+        return index, block, _one_norm(block)
+
+
+class _ModelGenerator(Superoperator):
+    """The forward or dual generator of a ``LindbladModel``, held as its Kronecker factors.
+
+    The real form is built by ``_generator``, stored by fill and frozen, on
+    its first read; the dual's is the transpose of the forward one's.  A
+    model that the fill bound stores sparse propagates without it: its
+    sector is searched on the pattern of the Kronecker terms and only the
+    block on it is assembled (``_model_sector``), unless that sector is
+    the whole space.
+    """
+
+    def __init__(self, kronecker, kind, forward=None):
+        self._kronecker = kronecker
+        self._forward = forward  # the dual's forward generator
+        self.dim = kronecker.dim
+        self.kind = kind
+
+    @cached_property
+    def real(self):
+        if self.kind == "dual":
+            return self._checked(self._forward.real.T)
+        gen = self._checked(_generator(self, None))
+        _freeze(gen)
+        return gen
+
+    @property
+    def is_sparse(self):
+        return self._kronecker.sparse
+
+    def _sector(self, support):
+        if not self.is_sparse or support.all():
+            return super()._sector(support)
+        found = _model_sector(self._kronecker, support, self.kind == "dual")
+        if found is None:
+            return slice(None), self.real, self.norm
+        index, block = found
+        block = _by_fill(self._checked(block.T if self.kind == "dual" else block))
+        return index, block, _one_norm(block)
+
+
+def _column_sums(a):
+    """Column sums of |a|, for a dense array or a scipy sparse matrix."""
+    return np.asarray(abs(a).sum(axis=0)).ravel()
+
 
 def _one_norm(a):
-    return float(abs(a).sum(axis=0).max()) if a.shape[0] else 0.0
+    return float(_column_sums(a).max()) if a.shape[0] else 0.0
 
 
 def _freeze(a):
@@ -220,18 +365,21 @@ def _transpose_index(d):
     return k % d * d + k // d
 
 
-def _real_csr(rows, cols, vals, d):
+def _real_csr(rows, cols, vals, transpose):
     """CSR L from COO triplets of G, duplicates summed in one call.
 
-    A triplet (i, j, v) adds Re v at (i, j) and Im v at (i, P j).
+    A triplet (i, j, v) adds Re v at (i, j) and Im v at (i, transpose[j]),
+    where ``transpose`` is P on the indices kept (``_transpose_index`` for
+    the whole space).
     """
+    n = transpose.size
     vals = np.asarray(vals, dtype=complex)
     re, im = vals.real != 0, vals.imag != 0
     real = scipy.sparse.csr_matrix(
         (np.concatenate([vals.real[re], vals.imag[im]]),
          (np.concatenate([rows[re], rows[im]]),
-          np.concatenate([cols[re], _transpose_index(d)[cols[im]]]))),
-        shape=(d * d, d * d),
+          np.concatenate([cols[re], transpose[cols[im]]]))),
+        shape=(n, n),
     )
     real.eliminate_zeros()
     return real
@@ -269,29 +417,20 @@ def _column(x, dim):
 def _generator(model, sparse):
     """Forward generator in real coordinates, L = Re G + Im(G P).
 
-    G = I (x) J + conj(J) (x) I + sum a_mu_nu conj(V_nu) (x) V_mu with
-    J = -i h_bar - M/2, M = sum a_mu_nu V_nu^dag V_mu.  ``sparse=None``
-    stores it dense when a bound on its non-zero count, read off the
-    Kronecker factors, reaches ``DENSE_FILL`` of its d^4 entries.  Sparse L
-    is summed from the COO triplets of G in one ``csr_matrix`` call; dense
-    L is formed from Re G and Im G, whose pair terms come from two real
-    products over the jump pairs, so no complex d^4 array is formed.
+    ``model`` is a ``LindbladModel`` or one of its generators; G is summed
+    from the Kronecker factors both carry as ``_kronecker``, and
+    ``sparse=None`` stores it as their fill bound says.  Sparse L is summed
+    from the COO triplets of G in one ``csr_matrix`` call (``_sparse_real``);
+    dense L is formed from Re G and Im G, whose pair terms come from two
+    real products over the jump pairs, so no complex d^4 array is formed.
     """
     d = model.dim
-    pairs = [(model.rates[mu, nu], model.jump_ops[nu].conj(), model.jump_ops[mu])
-             for mu, nu in zip(*np.nonzero(model.rates))]
-    j = -1j * model.h_bar
-    for a, v_nu, v_mu in pairs:
-        j = j - 0.5 * a * (v_nu.T @ v_mu)
+    kronecker = model._kronecker
+    j, pairs = kronecker.j, kronecker.pairs
     if sparse is None:
-        nz = np.count_nonzero
-        bound = 2 * d * nz(j) + sum(nz(v_nu) * nz(v_mu) for _, v_nu, v_mu in pairs)
-        sparse = bound < DENSE_FILL * d ** 4
+        sparse = kronecker.sparse
     if sparse:
-        eye = np.eye(d)
-        triplets = [_kron_triplets(eye, j, d), _kron_triplets(j.conj(), eye, d),
-                    *(_kron_triplets(v_nu, v_mu, d, a) for a, v_nu, v_mu in pairs)]
-        return _real_csr(*(np.concatenate(t) for t in zip(*triplets)), d)
+        return _sparse_real(kronecker, np.ones(d * d, dtype=bool))
     # re and im are Re G and Im G with [c, r, c', r'] the entry between vec
     # indices r + d c and r' + d c'.  The pairs add a conj(V_nu)[c, c'] V_mu[r, r']:
     # one complex product over the pairs, taken as two real ones so that no
@@ -310,22 +449,39 @@ def _generator(model, sparse):
     return (re + im.transpose(0, 1, 3, 2)).reshape(d * d, d * d)
 
 
-def _kron_triplets(a, b, d, scale=1.0):
-    """COO triplets of scale * kron(a, b): scale (a[c, c'] b[r, r']) at (r + d c, r' + d c').
+def _entries(m):
+    """Row indices, column indices and values of the non-zero entries of a matrix."""
+    r, c = np.nonzero(m)
+    return r, c, m[r, c]
 
-    The scale multiplies last, so a real-rate pair conj(V) (x) V and its
-    mirror under P hold exactly conjugate values.
+
+def _sparse_real(kronecker, reached):
+    """L[S, S] as CSR, S the indices where a P-closed boolean ``reached`` is True.
+
+    Summed in one ``_real_csr`` call from the entries of G (``_Kronecker.terms``)
+    whose row and column both lie in S, their values formed for those
+    entries only; an all-True ``reached`` gives the whole sparse L.
     """
-    (c, c2), (r, r2) = np.nonzero(a), np.nonzero(b)
-    vals = (scale * np.multiply.outer(a[c, c2], b[r, r2])).ravel()
-    return ((r + d * c[:, None]).ravel(), (r2 + d * c2[:, None]).ravel(), vals)
+    d = kronecker.dim
+    diagonal, terms = kronecker.terms
+    index = np.flatnonzero(reached)
+    position = np.zeros(d * d, dtype=np.int64)
+    position[index] = np.arange(index.size)
+    rows, cols, vals = [np.arange(index.size)], [np.arange(index.size)], [diagonal[index]]
+    for scale, a_vals, b_vals, term_rows, term_cols in terms:
+        ca, rb = np.nonzero(reached[term_rows] & reached[term_cols])
+        rows.append(position[term_rows[ca, rb]])
+        cols.append(position[term_cols[ca, rb]])
+        vals.append(scale * (a_vals[ca] * b_vals[rb]))
+    return _real_csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                     position[kronecker.transpose[index]])
 
 
 def liouvillian(model):
     """Forward generator of d(rho)/dt; annihilates the trace functional.
 
-    It is the model's generator, built once and stored by ``DENSE_FILL``:
-    every call returns the same read-only Superoperator."""
+    Every call returns the model's one Superoperator, whose read-only
+    real form is built and stored by ``DENSE_FILL`` on its first read."""
     return model._forward
 
 
@@ -350,6 +506,22 @@ def _by_fill(a):
     return a if np.count_nonzero(a) >= full else scipy.sparse.csr_matrix(a)
 
 
+def _reached(indptr, indices, support):
+    """Boolean closure of ``support`` along adjacency lists: node k feeds indices[indptr[k]:indptr[k + 1]].
+
+    One breadth-first search, from a virtual node joined to every index of
+    the support; duplicate edges and self-loops are harmless.
+    """
+    n = support.size
+    sources = np.flatnonzero(support)
+    graph = scipy.sparse.csr_matrix(
+        (np.ones(indices.size + sources.size), np.concatenate([indices, sources]),
+         np.append(indptr, indptr[-1] + sources.size)), shape=(n + 1, n + 1))
+    reached = support.copy()
+    reached[breadth_first_order(graph, n, return_predecessors=False)[1:]] = True
+    return reached
+
+
 def _reachable(a, support):
     """Indices that the stored pattern of ``a`` reaches from a boolean ``support``.
 
@@ -362,15 +534,8 @@ def _reachable(a, support):
     if reached.all():
         return None
     if scipy.sparse.issparse(a):
-        n = reached.size
         csc = a.tocsc()
-        sources = np.flatnonzero(reached)
-        # one breadth-first search from a virtual node n joined to every source
-        indptr = np.append(csc.indptr, csc.indptr[-1] + sources.size)
-        indices = np.concatenate([csc.indices, sources])
-        graph = scipy.sparse.csr_matrix((np.ones(indices.size), indices, indptr),
-                                        shape=(n + 1, n + 1))
-        reached[breadth_first_order(graph, n, return_predecessors=False)[1:]] = True
+        reached = _reached(csc.indptr, csc.indices, reached)
     else:
         frontier = np.flatnonzero(reached)
         while frontier.size:
@@ -380,11 +545,36 @@ def _reachable(a, support):
     return None if reached.all() else np.flatnonzero(reached)
 
 
+def _model_sector(kronecker, support, dual):
+    """The sector of a model's generator reachable from ``support``, and the block on it.
+
+    The search runs on the pattern of G's Kronecker terms (``_Kronecker.terms``),
+    not on a built real form: column j of G feeds row i for every term
+    entry G[i, j] (G's diagonal adds only self-loops), and the dual flow
+    reverses those edges.  L = Re G + Im(G P) also feeds row i from column
+    P j; the pattern of G is mapped onto itself by P (conj(G) = P G P, and
+    the rate matrix is Hermitian), so a start closed under P, support | P
+    support, has a closure S under G's pattern that is closed under P and
+    invariant under L and under L.T.  Returns None when S is the whole
+    space, else S and the forward block L[S, S] (``_sparse_real``).
+    """
+    reached = _reached(*kronecker.adjacency(dual), support | support[kronecker.transpose])
+    if reached.all():
+        return None
+    return np.flatnonzero(reached), _sparse_real(kronecker, reached)
+
+
 def _shifted_one_norm(a):
-    """||a - mu I||_1 with mu = tr(a) / n, the norm scipy's expm_multiply gates on."""
-    n = a.shape[0]
-    eye = scipy.sparse.identity(n, format="csr") if scipy.sparse.issparse(a) else np.eye(n)
-    return _one_norm(a - (a.diagonal().sum() / n) * eye)
+    """||a - mu I||_1 with mu = tr(a) / n, the norm scipy's expm_multiply gates on.
+
+    The column sums of |a| with |a_jj - mu| in place of |a_jj|, so no
+    shifted copy of ``a`` is formed.
+    """
+    if not a.shape[0]:
+        return 0.0
+    diagonal = a.diagonal()
+    shift = diagonal.sum() / a.shape[0]
+    return float((_column_sums(a) - np.abs(diagonal) + np.abs(diagonal - shift)).max())
 
 
 def _expm_pays(a, norm, moving, distinct):
@@ -490,23 +680,23 @@ def propagate_series(g, x0, times):
     together (see ``_step_exponentials``).  A finite, Hermitian ``x0``
     (else ValueError, see ``_column``) is stepped as its one real
     coordinate column, by the block of the real generator on the entries
-    reachable from it (see ``_reachable``); the others stay exactly 0.  ``times`` must be finite,
-    non-negative and ascending.  Returns an array of shape (len(times), d,
-    d).  Forward generators must preserve the trace of ``x0`` to 1e-10
-    (relative to max(1, |Tr x0|)) at every time; a violation, NaN
-    included, signals a broken generator.
+    reachable from it; the others stay exactly 0.  A model stored sparse
+    finds those entries on the pattern of its Kronecker terms and
+    assembles only their block (``_model_sector``), without building its
+    real form; any other generator searches its real form (``_reachable``)
+    and slices the block out.  The core below takes that block, its
+    1-norm and the entries' index from ``Superoperator._sector``.
+    ``times`` must be finite, non-negative and ascending.  Returns an array
+    of shape (len(times), d, d).  Forward generators must preserve the
+    trace of ``x0`` to 1e-10 (relative to max(1, |Tr x0|)) at every time;
+    a violation, NaN included, signals a broken generator.
     """
     y0 = _column(x0, g.dim)
     times = qcore.time_grid(times)
     steps = np.diff(times, prepend=0.0)
     longest = steps.max(initial=0.0)
     keys = np.round(steps / longest, 12) if longest > 0.0 else steps
-    index = _reachable(g.real, y0.any(axis=1))
-    if index is None:
-        a, norm, index = g.real, g.norm, slice(None)
-    else:
-        a = _by_fill(g.real[np.ix_(index, index)])
-        norm = _one_norm(a)
+    index, a, norm = g._sector(y0.any(axis=1))
     v = y0[index]
     moving = steps > 0.0
     distinct, first = np.unique(keys[moving], return_index=True)
@@ -571,11 +761,16 @@ def spectral_gap(g):
 def _bordered_lu(g, scale):
     """LU of the real generator with row 0 replaced by ``scale`` times the trace functional.
 
-    Returns (solve, transpose_solve, ||A||_1); raises DegenerateSteadyStateError
-    when A is exactly singular.  Row 0 is the (0, 0) population equation,
-    which trace preservation makes minus the sum of the other population
-    rows.  The trace functional keeps its vec form in real coordinates.
+    Returns (solve, margin), the margin being 1/(||A||_1 ||A^-1||_1) with
+    ||A^-1||_1 estimated on the LU by the t = 1 Hager-Higham estimator:
+    LAPACK's ``gecon`` on a dense A, ``onenormest(t=1)`` on a sparse one
+    (deterministic, and off numpy's global random state).  Raises
+    DegenerateSteadyStateError when A is exactly singular.  Row 0 is the
+    (0, 0) population equation, which trace preservation makes minus the
+    sum of the other population rows.  The trace functional keeps its vec
+    form in real coordinates.
     """
+    n = g.dim ** 2
     trace_row = scale * qcore.vec(np.eye(g.dim))
     if g.is_sparse:
         a = scipy.sparse.vstack([scipy.sparse.csr_matrix(trace_row), g.real[1:]], format="csc")
@@ -583,18 +778,25 @@ def _bordered_lu(g, scale):
             lu = scipy.sparse.linalg.splu(a)
         except RuntimeError as exc:
             raise DegenerateSteadyStateError(f"bordered generator is singular: {exc}") from None
-        return lu.solve, lambda b: lu.solve(b, trans="T"), _one_norm(a)
+        def transpose_solve(b):
+            return lu.solve(b, trans="T")
+
+        inverse = scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=lu.solve, rmatvec=transpose_solve, matmat=lu.solve,
+            rmatmat=transpose_solve, dtype=float,
+        )
+        return lu.solve, 1.0 / (_one_norm(a) * scipy.sparse.linalg.onenormest(inverse, t=1))
     a = np.array(g.real, dtype=float)
     a[0] = trace_row
     a_norm = _one_norm(a)
-    getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (a,))
+    getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (a,))
     lu, piv, info = getrf(a, overwrite_a=True)
     if info > 0:
         raise DegenerateSteadyStateError(
             f"bordered generator is singular: pivot {info} is exactly zero"
         )
-    return (lambda b: scipy.linalg.lu_solve((lu, piv), b),
-            lambda b: scipy.linalg.lu_solve((lu, piv), b, trans=1), a_norm)
+    margin, _ = gecon(lu, a_norm, norm="1")
+    return lambda b: scipy.linalg.lu_solve((lu, piv), b), margin
 
 
 def stationary_state(g):
@@ -603,26 +805,19 @@ def stationary_state(g):
     Solves L y = 0 in real coordinates with one row replaced by the trace
     functional (see ``_bordered_lu``).  Raises DegenerateSteadyStateError
     when that bordered matrix A is singular or its uniqueness margin
-    1/(||A||_1 ||A^-1||_1), with ||A^-1||_1 estimated on the LU, falls
-    below ``STATIONARY_MARGIN``, since the degree of quantumness is only
-    defined for dynamics whose stationary state is independent of the
-    initial condition.  The residual max|L[rho]| must stay below
-    ``1e-9 * ||L||_1``.
+    1/(||A||_1 ||A^-1||_1), with ||A^-1||_1 estimated on the LU (one
+    LAPACK ``gecon`` call when A is dense), falls below
+    ``STATIONARY_MARGIN``, since the degree of quantumness is only defined
+    for dynamics whose stationary state is independent of the initial
+    condition.  The residual max|L[rho]| must stay below ``1e-9 * ||L||_1``.
     """
-    n = g.dim ** 2
     scale = g.norm or 1.0
-    solve, transpose_solve, a_norm = _bordered_lu(g, scale)
-    inverse = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=solve, rmatvec=transpose_solve, matmat=solve, rmatmat=transpose_solve,
-        dtype=float,
-    )
-    # t=1 keeps the estimate deterministic and off numpy's global random state
-    margin = 1.0 / (a_norm * scipy.sparse.linalg.onenormest(inverse, t=1))
+    solve, margin = _bordered_lu(g, scale)
     if not margin >= STATIONARY_MARGIN:
         raise DegenerateSteadyStateError(
             f"stationary state is not unique: margin {margin:.3e} below {STATIONARY_MARGIN:.0e}"
         )
-    rhs = np.zeros(n)
+    rhs = np.zeros(g.dim ** 2)
     rhs[0] = scale
     rho = hermitian_operator(solve(rhs), g.dim)
     rho = rho / np.trace(rho).real

@@ -321,8 +321,11 @@ class QuantumState:
 
     Hermiticity is gated by ``require_hermitian`` at ``tol`` (a state's
     entries are at most 1, so the gate is ``tol``), the trace must be 1 to
-    ``tol`` and the minimum eigenvalue must not fall below ``-tol``.  The
-    stored ``matrix`` is the exact Hermitian part of the input.
+    ``tol`` and the minimum eigenvalue must not fall below ``-tol``.  That
+    last gate is one Cholesky factorization of m + tol I; the eigenvalues
+    are computed only when it fails, to name the minimum or to pass a
+    state that sits within roundoff of the bound.  The stored ``matrix``
+    is the exact Hermitian part of the input.
     """
 
     def __init__(self, matrix, tol=VALID_TOL):
@@ -330,9 +333,12 @@ class QuantumState:
         tr = np.trace(m)
         if abs(tr - 1.0) > tol:
             raise ValueError(f"state trace {tr} is not 1")
-        min_eig = np.linalg.eigvalsh(m).min()
-        if min_eig < -tol:
-            raise ValueError(f"state not positive semidefinite (min eigenvalue {min_eig:.3e})")
+        # m + tol I has a Cholesky factor (LAPACK zpotrf, info 0) when no
+        # eigenvalue of m falls below -tol; only a failed one pays for the spectrum
+        if scipy.linalg.lapack.zpotrf(m + tol * np.eye(m.shape[0]), lower=1, clean=0)[1]:
+            min_eig = np.linalg.eigvalsh(m).min()
+            if min_eig < -tol:
+                raise ValueError(f"state not positive semidefinite (min eigenvalue {min_eig:.3e})")
         self.matrix = m
 
     @property

@@ -163,6 +163,51 @@ def test_forward_and_dual_flows_pair_through_the_trace(d, sparse, seed, t):
     assert abs(lhs - rhs) <= 1e-12 * d * np.abs(a).max()
 
 
+def phase_covariant_model(rng, d, shift, raising):
+    """Random diagonal H, a lowering jump that moves a level down by ``shift`` and,
+    when ``raising``, a jump that moves it up by as much."""
+    jumps = [np.diag(rng.normal(size=d - shift) + 1j * rng.normal(size=d - shift), k)
+             for k in ((shift, -shift) if raising else (shift,))]
+    return dynamics.LindbladModel(np.diag(rng.normal(size=d)), jumps,
+                                  rates=rng.uniform(0.3, 1.0, size=len(jumps)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(8, 16), shift=st.integers(1, 3), raising=st.booleans(), dual=st.booleans(),
+       start=st.sampled_from(["identity", "bands", "level"]),
+       bands=st.sets(st.integers(0, 3), min_size=1, max_size=2), level=st.integers(0, 15),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(d=16, shift=1, raising=True, dual=True, start="identity", bands={0}, level=0, seed=0)
+@example(d=8, shift=3, raising=True, dual=False, start="bands", bands={1, 3}, level=0, seed=0)
+@example(d=12, shift=2, raising=False, dual=True, start="level", bands={0}, level=4, seed=0)
+@example(d=12, shift=2, raising=False, dual=False, start="level", bands={0}, level=8, seed=0)
+def test_sector_route_of_a_phase_covariant_model_matches_the_dense_exponential(
+        d, shift, raising, dual, start, bands, level, seed):
+    # a phase-covariant model keeps every band |n><n + b| of an operator in
+    # place, so the flow of I, of a random operator on a few bands or of one
+    # level |n><n| runs on a sector, which the fill bound's sparse storage
+    # searches on the Kronecker pattern; without the raising jump the forward
+    # flow of a level only falls and its dual only climbs.  Each must match
+    # one scipy expm of the dense real form and leave the other bands exactly 0
+    rng = np.random.default_rng(seed)
+    model = phase_covariant_model(rng, d, shift, raising)
+    g = dynamics.dual_liouvillian(model) if dual else dynamics.liouvillian(model)
+    assert g.is_sparse
+    offset = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+    on_bands = np.isin(offset, list(bands) if start == "bands" else [0])
+    x0 = {"identity": np.eye(d),
+          "bands": np.where(on_bands, random_hermitian(rng, d), 0.0),
+          "level": np.diag(np.arange(d) == level % d).astype(float)}[start]
+    times = np.concatenate([[0.0], np.geomspace(0.02, 2.0, 4)])
+    real = dynamics._generator(model, False)
+    real = real.T if dual else real
+    y0 = dynamics.real_coordinates(x0)
+    for t, x in zip(times, dynamics.propagate_series(g, x0, times)):
+        exact = dynamics.hermitian_operator(scipy.linalg.expm(real * t) @ y0, d)
+        assert np.abs(x - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
+        assert not x[~on_bands].any()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(dim_s=st.integers(2, 3), dim_e=st.integers(2, 4), commuting=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.0, 4.0))
