@@ -11,8 +11,9 @@ Usage, from the repository root:
     python bench/layers.py --src OTHER/src --out other.json   # time another checkout
 
 The ``lindblad`` topic times each layer on random Lindblad models at d = 2,
-4, 12 and 24 (two dense jump operators, generator column-sum norm 4) and on
-the thermal oscillator truncated at n_max = 61 (sparse, d = 62):
+4, 12, 24 and 48 (two dense jump operators, generator column-sum norm 4) and
+on the thermal oscillator truncated at n_max = 61 (sparse, d = 62); d = 48
+has no ``stationary_state`` row:
 
 * ``generator``: a fresh ``LindbladModel`` and the real form of its forward
   generator, which is built on that first read;
@@ -101,6 +102,7 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIMS = (2, 4, 12, 24)
+LARGE_DIMS = (48,)  # generator, propagation and q_series rows only: no stationary solve
 SMOKE_DIMS = (2, 4)
 OSCILLATOR_CUTOFF = 61
 GENERATOR_NORM = 4.0
@@ -163,12 +165,12 @@ def add_row(rows, repeats, fn, **fields):
           file=sys.stderr, flush=True)
 
 
-def ladder(add, dims, oscillator):
+def ladder(add, dims, oscillator, large_dims=()):
     import numpy as np
     from envq import dynamics, models, quantumness
 
     cases = []
-    for d in dims:
+    for d in (*dims, *large_dims):
         h, jumps, rates = random_inputs(d, seed=100 + d)
         cases.append((f"random-d{d}", d, lambda h=h, j=jumps, r=rates: dynamics.LindbladModel(h, j, rates=r)))
     if oscillator:
@@ -195,8 +197,9 @@ def ladder(add, dims, oscillator):
         add(lambda make=make, state=eye / d, times=grids()["uniform"]:
             quantumness.q_series(make(), state, times),
             layer="q_series", model=name, dim=d, storage=storage, grid="uniform", points=POINTS)
-        add(lambda g=g: dynamics.stationary_state(g),
-            layer="stationary_state", model=name, dim=d, storage=storage)
+        if d not in large_dims:
+            add(lambda g=g: dynamics.stationary_state(g),
+                layer="stationary_state", model=name, dim=d, storage=storage)
 
 
 def noise_process(stochastic, family, coupling):
@@ -336,7 +339,7 @@ def cli_ladder(add):
 
 # topic: (ladder, its arguments after the row recorder, and those in smoke mode)
 TOPICS = {
-    "lindblad": (ladder, (DIMS, True), (SMOKE_DIMS, False)),
+    "lindblad": (ladder, (DIMS, True, LARGE_DIMS), (SMOKE_DIMS, False)),
     "stochastic": (stochastic_ladder, (STOCHASTIC_DIMS,), (SMOKE_DIMS,)),
     "renewal": (renewal_ladder, (RENEWAL_DIMS, RENEWAL_T_MAX), (SMOKE_DIMS, SMOKE_RENEWAL_T_MAX)),
     "cli": (cli_ladder, (), ()),

@@ -49,9 +49,13 @@ d-dimensional system is a d^2 x d^2 matrix G.  Each job has one route:
   The series steps from one grid time to the next.  One ``expm(L dt)``
   per distinct step, densified and reused for every repeat of that step
   (a uniform grid costs one exponential plus matrix-vector products), is
-  taken whenever a fitted cost model prices it below ``expm_multiply``
-  (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)) on every step;
-  otherwise each step is one ``expm_multiply``.  The exponentials of
+  taken whenever a fitted cost model prices it below the truncated-Taylor
+  action of the block (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+  (2011), Alg. 3.2) on every step; otherwise each step is that action
+  (``_TaylorAction``).  The action is set up once per block (trace shift,
+  shifted 1-norm and, past condition (3.13), power-norm estimates), so a
+  step costs only its products; it needs of the block only ``a @ v``,
+  ``a.T @ v``, its diagonal and its column sums.  The exponentials of
   five or more distinct steps of a block of at most 16 rows, as on a log
   grid, are built in one batched Pade pass over the stack
   (``_step_exponentials``); a single step keeps scipy's ``expm``, bit
@@ -87,10 +91,13 @@ from .qcore import (
 )
 
 DENSE_FILL = 1.0 / 16.0      # generators at least this full are stored dense
-# scipy's expm_multiply estimates norms of matrix powers past this shifted
-# |A dt|_1 for one column: 2 ell p_max (p_max + 3) theta_55 / 55 with
+# The Taylor action estimates norms of powers of the shifted block past this
+# |(a - mu I) dt|_1 for one column: 2 ell p_max (p_max + 3) theta_55 / 55 with
 # ell = 2, p_max = 8 (Al-Mohy and Higham 2011, condition (3.13))
 EXPM_NORM_SWITCH = 63.36
+# Fitted costs of the Taylor action in nanoseconds (see ``_expm_pays``): per
+# step, per product, and per product and stored entry, dense then sparse
+_ACTION_COSTS = {False: (5.6e4, 2.3e3, 0.06), True: (1.2e5, 4.2e3, 4.0)}
 # Uniqueness gate on 1/cond_1 of the bordered generator: the solve loses
 # about log10(1/margin) digits, so 1e-10 keeps six.  A weak decay at rate
 # r against an O(1) Hamiltonian reads margin ~ r/2.
@@ -110,6 +117,21 @@ _PADE = np.array([np.pad(b, (0, 14 - len(b))) for b in (
 )], dtype=float)
 _PADE_LOG2_THETA = np.log2([1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
                             2.097847961257068e0, 5.371920351148152e0])
+# Degrees m of the truncated Taylor series and theta_m, the largest ||A t / s||_1
+# at which s steps of degree m keep the backward error of exp(t A) below unit
+# roundoff (m <= 30: Higham and Al-Mohy, Acta Numer. 19, 159 (2010), Table
+# A.3; m = 35..55: Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011),
+# Table 3.1)
+_TAYLOR_DEGREES = np.array([*range(1, 31), 35, 40, 45, 50, 55])
+_TAYLOR_THETA = np.array([
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2, 1.44e-1,
+    2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09, 1.26, 1.44,
+    1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31, 3.54,
+    4.7, 6.0, 7.2, 8.5, 9.9])
+# The pairs (p, m) that (3.11) searches past (3.13), p-major as there: 2 <= p <= 8
+# and m >= p (p - 1) - 1, as indices p - 2 into the alphas and k into the table
+_POWER_P, _POWER_K = np.array([(p - 2, k) for p in range(2, 9)
+                               for k, m in enumerate(_TAYLOR_DEGREES) if m >= p * (p - 1) - 1]).T
 
 
 class LindbladModel:
@@ -577,43 +599,131 @@ def _shifted_one_norm(a):
     return float((_column_sums(a) - np.abs(diagonal) + np.abs(diagonal - shift)).max())
 
 
-def _expm_pays(a, norm, moving, distinct):
-    """Whether one dense expm per distinct step beats expm_multiply on every step.
+class _TaylorAction:
+    """exp(t a) v for a real block ``a``, by the truncated Taylor series, set up once.
+
+    This is Algorithm 3.2 of Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
+    488 (2011), split into what depends on the block and what depends on
+    the step.  Set up once per block, each on first use: the trace shift
+    mu = tr(a) / n, the exact 1-norm of a - mu I (``_shifted_one_norm``;
+    the shifted block is never formed, each product is a v - mu v) and,
+    for the first step past condition (3.13), the estimates d_p = ||(a - mu I)^p||_1^(1/p) for
+    p = 2..9, which do not depend on the step since d_p(t A) = t d_p(A).
+    They come from ``onenormest`` with t = 1, which draws nothing from
+    numpy's global random state, so the series does not depend on it.
+    ``plan`` picks each step's degree m and sub-step count s from the theta
+    table, and ``step`` runs at most s m products.  The block enters only
+    through ``a @ v``, ``a.T @ v``, its diagonal and its column sums.
+    """
+
+    def __init__(self, a):
+        self.a = a
+        self.mu = float(a.diagonal().sum()) / a.shape[0] if a.shape[0] else 0.0
+
+    @cached_property
+    def norm(self):
+        return _shifted_one_norm(self.a)
+
+    @cached_property
+    def alphas(self):
+        """alpha_p = max(d_p, d_{p+1}) for p = 2..8."""
+        a, mu = self.a, self.mu
+        shifted = scipy.sparse.linalg.LinearOperator(
+            a.shape, matvec=lambda x: a @ x - mu * x, rmatvec=lambda x: a.T @ x - mu * x,
+            dtype=float)
+        d = np.array([scipy.sparse.linalg.onenormest(shifted ** p, t=1) ** (1.0 / p)
+                      for p in range(2, 10)])
+        return np.maximum(d[:-1], d[1:])
+
+    def plan(self, steps):
+        """Degree m and sub-step count s of every step of ``steps``, as two integer arrays.
+
+        Up to condition (3.13) each step minimises m s over the table with
+        s = ceil(||(a - mu I) dt||_1 / theta_m); past it over the pairs (p, m)
+        of (3.11), with s = ceil(alpha_p dt / theta_m), at least 1.  Ties go
+        to the first in table order.  A zero step or block gets m = 0, s = 1.
+        """
+        x = self.norm * steps
+        scalings = np.ceil(x[:, None] / _TAYLOR_THETA)
+        k = np.argmin(_TAYLOR_DEGREES * scalings, axis=1)
+        degrees, scalings = _TAYLOR_DEGREES[k], scalings[np.arange(k.size), k]
+        far = x > EXPM_NORM_SWITCH
+        if far.any():
+            power = np.ceil(steps[far, None] * self.alphas[_POWER_P] / _TAYLOR_THETA[_POWER_K])
+            j = np.argmin(_TAYLOR_DEGREES[_POWER_K] * power, axis=1)
+            degrees[far] = _TAYLOR_DEGREES[_POWER_K[j]]
+            scalings[far] = np.maximum(power[np.arange(j.size), j], 1.0)
+        degrees[x == 0.0], scalings[x == 0.0] = 0, 1.0
+        return degrees, scalings.astype(int)
+
+    def step(self, v, t, m, s):
+        """exp(t a) v by s sub-steps of at most m Taylor terms (``plan``'s m and s for t).
+
+        A sub-step stops adding terms once its last two fall below unit
+        roundoff of the partial sum, in the infinity norm.  That norm is
+        read only once the two terms fall below unit roundoff of its upper
+        bound, the sum of the terms' norms.
+        """
+        a, mu = self.a, self.mu
+        if not m:
+            return math.exp(t * mu) * v
+        eta = math.exp(t * mu / s)
+        for _ in range(s):
+            f = v.copy()
+            c1 = bound = np.abs(v).max()
+            for j in range(1, m + 1):
+                w = a @ v
+                w -= mu * v
+                w *= t / (s * j)
+                v = w
+                c2 = np.abs(v).max()
+                f += v
+                bound += c2
+                if c1 + c2 <= 2.0 ** -53 * bound and c1 + c2 <= 2.0 ** -53 * np.abs(f).max():
+                    break
+                c1 = c2
+            f *= eta
+            v = f
+        return v
+
+
+def _expm_pays(a, norm, action, moving, distinct):
+    """Whether one dense expm per distinct step beats the Taylor action on every step.
 
     ``a`` is a real generator block stepping one coordinate column,
-    ``moving`` holds every positive step and ``distinct`` one step per
-    exponential the expm route would build.  Costs are in nanoseconds,
-    fitted to scipy on one core for float64 matrices: dense n x n with
-    n = 4..576 and sparse ones with 518..15068 stored entries (minimum of
-    9-25 runs, two sessions; each fit is within 0.48-1.65x of every
-    measurement).  A dense expm costs 1.9e4 + 25 n^2 + 0.34 n^3, plus
-    0.06 n^3 for each of its ceil(log2(|a dt|_1 / 5.37)) squarings;
-    densifying a sparse ``a`` costs 0.45 n^2 and one product with the
-    exponential 1.2e3 + 0.25 n^2.  One expm_multiply call at x = |a dt|_1
-    costs 1.7e5 + 7 n^2 + x (2.5e4 + 0.29 n^2) when dense and 9.3e5
-    + 58 nnz + x (8.9e4 + 6.7 nnz) when sparse.  Past |(a - mu I) dt|_1
-    = EXPM_NORM_SWITCH, mu = tr(a) / n, scipy first estimates the 1-norms
-    of powers of a and then needs fewer products: such a call costs 2.4e6
-    + 84 n^2 + 1.2e4 x when dense and 8.5e6 + 1370 nnz + x (7.0e4 + 4.8 nnz)
-    when sparse.
+    ``action`` its ``_TaylorAction``, ``moving`` holds every positive step
+    and ``distinct`` one step per exponential the expm route would build.
+    Costs are in nanoseconds, fitted on one core for float64 matrices.  A
+    dense expm costs 1.9e4 + 25 n^2 + 0.34 n^3, plus 0.06 n^3 for each of
+    its ceil(log2(|a dt|_1 / 5.37)) squarings; densifying a sparse ``a``
+    costs 0.45 n^2 and one product with the exponential 1.2e3 + 0.25 n^2.
+    The action costs its worst-case product count, the sum of m s over the
+    steps (``_TaylorAction.plan``), times 2.3e3 + 0.06 n^2 per product plus
+    5.6e4 per step when dense, and 4.2e3 + 4.0 nnz per product plus 1.2e5 per
+    step when sparse (fitted to ``propagate_series`` on dense blocks with
+    n = 9..400 and sparse oscillator blocks with 184..2576 stored entries,
+    within 0.5-1.5x; past n ~ 400 a dense product leaves the cache and costs
+    about 0.33 n^2, where the action wins by far).  Past (3.13) the
+    power-norm estimates come first, about 2e6 plus 220 products; when expm
+    costs less than those alone, it is taken before they run.
     """
     n = a.shape[0]
     sparse = scipy.sparse.issparse(a)
     squarings = np.maximum(np.ceil(np.log2(np.maximum(norm * distinct, 1e-300) / 5.37)), 0.0)
     expm_cost = (np.sum(1.9e4 + 25.0 * n ** 2 + (0.34 + 0.06 * squarings) * n ** 3)
                  + moving.size * (1.2e3 + 0.25 * n ** 2) + sparse * 0.45 * n ** 2)
-    x = norm * moving
-    if sparse:
-        krylov = 9.3e5 + 58.0 * a.nnz + x * (8.9e4 + 6.7 * a.nnz)
-    else:
-        krylov = 1.7e5 + 7.0 * n ** 2 + x * (2.5e4 + 0.29 * n ** 2)
-    # the shifted norm is at most twice the norm, so below half the switch it is not needed
-    if 2.0 * x.max(initial=0.0) > EXPM_NORM_SWITCH:
-        estimated = _shifted_one_norm(a) * moving > EXPM_NORM_SWITCH
-        xe = x[estimated]
-        krylov[estimated] = (8.5e6 + 1370.0 * a.nnz + xe * (7.0e4 + 4.8 * a.nnz) if sparse
-                             else 2.4e6 + 84.0 * n ** 2 + 1.2e4 * xe)
-    return expm_cost <= np.sum(krylov)
+    per_step, per_product, per_entry = _ACTION_COSTS[sparse]
+    product = per_product + per_entry * (a.nnz if sparse else n ** 2)
+    action_cost = moving.size * per_step
+    if expm_cost <= action_cost:
+        return True  # without reading the action's norm or plan
+    if action.norm * moving.max(initial=0.0) > EXPM_NORM_SWITCH:
+        # the power-norm estimates come first, and cost about that on their own
+        action_cost += 2.0e6 + 220 * product
+        if expm_cost <= action_cost:
+            return True
+    degrees, scalings = action.plan(moving)
+    return expm_cost <= action_cost + product * np.dot(degrees, scalings)
 
 
 def _step_exponentials(a, norm, steps):
@@ -685,7 +795,10 @@ def propagate_series(g, x0, times):
     assembles only their block (``_model_sector``), without building its
     real form; any other generator searches its real form (``_reachable``)
     and slices the block out.  The core below takes that block, its
-    1-norm and the entries' index from ``Superoperator._sector``.
+    1-norm and the entries' index from ``Superoperator._sector``, and
+    steps it either by reused exponentials or by the block's
+    ``_TaylorAction``, set up once for the whole grid, whichever
+    ``_expm_pays`` prices lower.
     ``times`` must be finite, non-negative and ascending.  Returns an array
     of shape (len(times), d, d).  Forward generators must preserve the
     trace of ``x0`` to 1e-10 (relative to max(1, |Tr x0|)) at every time;
@@ -700,17 +813,17 @@ def propagate_series(g, x0, times):
     v = y0[index]
     moving = steps > 0.0
     distinct, first = np.unique(keys[moving], return_index=True)
-    use_expm = _expm_pays(a, norm, steps[moving], steps[moving][first])
-    if use_expm:
+    action = _TaylorAction(a)
+    if _expm_pays(a, norm, action, steps[moving], steps[moving][first]):
         dense = a.toarray() if scipy.sparse.issparse(a) else a
         exponentials = dict(zip(distinct, _step_exponentials(dense, norm, steps[moving][first])))
+        plan = None
+    else:
+        plan = zip(*action.plan(steps[moving]))  # (m, s) of each positive step, in order
     ys = np.zeros((times.size, y0.shape[0]))
     for k, (dt, key) in enumerate(zip(steps, keys)):
         if dt > 0.0:
-            if use_expm:
-                v = exponentials[key] @ v
-            else:
-                v = scipy.sparse.linalg.expm_multiply(a * dt, v)
+            v = exponentials[key] @ v if plan is None else action.step(v, dt, *next(plan))
         ys[k, index] = v[:, 0]
     out = hermitian_operator(ys, g.dim)
     if g.kind == "forward" and out.size:
@@ -786,7 +899,8 @@ def _bordered_lu(g, scale):
             rmatmat=transpose_solve, dtype=float,
         )
         return lu.solve, 1.0 / (_one_norm(a) * scipy.sparse.linalg.onenormest(inverse, t=1))
-    a = np.array(g.real, dtype=float)
+    # one Fortran-ordered copy, which getrf factors in place
+    a = np.array(g.real, dtype=float, order="F")
     a[0] = trace_row
     a_norm = _one_norm(a)
     getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (a,))

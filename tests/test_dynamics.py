@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
@@ -612,18 +614,23 @@ def test_propagate_series_whole_closure_keeps_the_full_route(d, grid):
     # from I a random generator reaches every entry, so the series is the
     # full-space route bit for bit: the real generator L steps the one real
     # coordinate column of I, with exponentials reused on the uniform d = 4
-    # grid and one expm_multiply per step on the d = 12 log grid, and each
-    # column maps back through X = sym(Y) + i anti(Y)
+    # grid and the Taylor action of L, set up once, applied step by step on
+    # the d = 12 log grid, and each column maps back through
+    # X = sym(Y) + i anti(Y)
     rng = np.random.default_rng(20 + d)
     g = dynamics.liouvillian(random_lindblad(rng, d))
     assert not g.is_sparse and g.real.dtype == np.float64
     times = np.arange(41) * 0.0625 if grid == "uniform" else time_grid(grid, 2.0, 41)
     y = qcore.vec(np.eye(d)).real[:, None]
     step = scipy.linalg.expm(g.real * 0.0625)
+    action = dynamics._TaylorAction(g.real)
     for dt, out in zip(np.diff(times, prepend=0.0), dynamics.propagate_series(g, np.eye(d), times)):
         if dt > 0.0:
-            y = (step @ y if grid == "uniform"
-                 else scipy.sparse.linalg.expm_multiply(g.real * dt, y))
+            if grid == "uniform":
+                y = step @ y
+            else:
+                (m,), (s,) = action.plan(np.array([dt]))
+                y = action.step(y, dt, m, s)
         m = qcore.unvec(y[:, 0], d)
         assert np.array_equal(out, 0.5 * (m + m.T) + 0.5j * (m - m.T))
 
@@ -631,16 +638,106 @@ def test_propagate_series_whole_closure_keeps_the_full_route(d, grid):
 @pytest.mark.parametrize("d, x, expm_pays", [(8, 100.0, True), (16, 150.0, False)])
 def test_expm_pays_prices_long_steps(d, x, expm_pays):
     # one step at |A dt|_1 = x on a dense real generator, past the shifted
-    # norm where scipy's expm_multiply estimates norms of matrix powers.  On
-    # one core (minimum-median of 15 runs), at n = 64 Krylov took 3.0-3.5 ms
-    # and expm 0.30-0.33 ms; at n = 256, with five squarings in expm, Krylov
-    # took 6.5-7.1 ms and expm 11.0-12.0 ms.
+    # norm where the Taylor action estimates norms of matrix powers, both
+    # plans (m, s) = (55, 2).  On one core (minimum-median of 15 runs, the
+    # action with its set-up and estimates), at n = 64 the action took
+    # 2.67-2.73 ms and expm 0.22-0.23 ms; at n = 256, with five squarings in
+    # expm, the action took 5.1-5.3 ms and expm 9.7-10.1 ms.
     a = dynamics.liouvillian(random_lindblad(np.random.default_rng(40 + d), d)).real
     assert a.dtype == np.float64
     norm = dynamics._one_norm(a)
     steps = np.array([x / norm])
-    assert dynamics._shifted_one_norm(a) * steps[0] > dynamics.EXPM_NORM_SWITCH
-    assert dynamics._expm_pays(a, norm, steps, steps) == expm_pays
+    action = dynamics._TaylorAction(a)
+    assert action.norm * steps[0] > dynamics.EXPM_NORM_SWITCH
+    assert dynamics._expm_pays(a, norm, action, steps, steps) == expm_pays
+
+
+def taylor_series(a, v, times):
+    """exp(t a) v at every time of an ascending grid, by the Taylor action stepped point to point."""
+    action = dynamics._TaylorAction(a)
+    steps = np.diff(times, prepend=0.0)
+    out = []
+    for dt, m, s in zip(steps, *action.plan(steps)):
+        v = action.step(v, dt, m, s)
+        out.append(v)
+    return out
+
+
+def assert_matches_expm(a, v, times, rtol):
+    dense = a.toarray() if scipy.sparse.issparse(a) else a
+    for t, got in zip(times, taylor_series(a, v, times)):
+        exact = scipy.linalg.expm(dense * t) @ v
+        assert np.abs(got - exact).max() <= rtol * max(np.abs(exact).max(), 1e-300)
+
+
+@pytest.mark.parametrize("d", [12, 24])
+def test_taylor_action_matches_expm_on_dense_generators(d):
+    a = dynamics.liouvillian(random_lindblad(np.random.default_rng(70 + d), d)).real
+    v = qcore.vec(np.eye(d)).real[:, None]
+    assert_matches_expm(a, v, time_grid("log", 2.0, 6), 1e-13)
+
+
+def test_taylor_action_matches_expm_on_the_sparse_oscillator():
+    # the full space of the n_max = 40 oscillator, from an off-diagonal start
+    g = dynamics.liouvillian(models.OscillatorParams(0.7, 2.85, 40).lindblad_model())
+    assert g.is_sparse
+    x0 = np.zeros((g.dim, g.dim), dtype=complex)
+    x0[0, 1] = x0[1, 0] = 0.5
+    v = dynamics.real_coordinates(x0)[:, None]
+    assert_matches_expm(g.real.tocsr(), v, [0.0, 0.05, 0.3], 1e-13)
+
+
+def test_taylor_action_past_the_norm_switch_matches_expm():
+    # a 16 x 16 block at |A t|_1 = 150: past condition (3.13) the power-norm
+    # estimates cut the worst-case product count from 55 x 13 = 715, which
+    # the shifted norm alone would take, to 55 x 4
+    a = generator_block(16)
+    action = dynamics._TaylorAction(a)
+    t = 150.0 / dynamics._one_norm(a)
+    assert action.norm * t > dynamics.EXPM_NORM_SWITCH
+    (m,), (s,) = action.plan(np.array([t]))
+    assert (m, s) == (55, 4)
+    v = qcore.vec(np.eye(4)).real[:, None]
+    assert_matches_expm(a, v, [t], 1e-13)
+
+
+def test_taylor_action_of_shifted_zero_and_zero_step_blocks():
+    v = np.array([[0.3], [0.7]])
+    # a trace far from 0, which the shift carries: against e^{-50 t} expm(b t)
+    b = generator_block(2)
+    for t, got in zip([0.1, 1.0], taylor_series(b - 50.0 * np.eye(2), v, [0.1, 1.0])):
+        exact = np.exp(-50.0 * t) * (scipy.linalg.expm(b * t) @ v)
+        assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+    action = dynamics._TaylorAction(np.zeros((2, 2)))
+    m, s = action.plan(np.array([0.0, 1.0]))
+    assert list(m) == [0, 0] and list(s) == [1, 1]
+    assert np.array_equal(action.step(v, 1.0, 0, 1), v)
+    a = generator_block(16)
+    action = dynamics._TaylorAction(a)
+    (m,), (s,) = action.plan(np.array([0.0]))
+    w = np.ones((16, 1))
+    assert (m, s) == (0, 1) and np.array_equal(action.step(w, 0.0, m, s), w)
+
+
+def test_propagate_series_bits_do_not_depend_on_numpy_global_random_state():
+    # the power-norm estimates run onenormest with t = 1, which draws nothing
+    g = dynamics.liouvillian(random_lindblad(np.random.default_rng(57), 4))
+    times = [0.0, 150.0 / g.norm, 300.0 / g.norm]
+    series = []
+    for seed in (1, 2, 3):
+        np.random.seed(seed)
+        series.append(dynamics.propagate_series(g, np.eye(4), times))
+    assert all(np.array_equal(series[0], other) for other in series[1:])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(d=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
+       raw=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=5))
+def test_taylor_action_matches_expm_on_random_generators(d, seed, raw):
+    a = dynamics.liouvillian(random_lindblad(np.random.default_rng(seed), d)).real
+    times = np.cumsum(raw) / dynamics._one_norm(a)
+    v = np.random.default_rng(seed + 1).normal(size=(d * d, 1))
+    assert_matches_expm(a, v, times, 1e-12)
 
 
 def test_shifted_one_norm_is_the_norm_of_the_shifted_matrix():
