@@ -43,21 +43,22 @@ d-dimensional system is a d^2 x d^2 matrix G.  Each job has one route:
   diagonal operator diagonal, so the thermal oscillator's d^2 space
   shrinks to d (Albert & Jiang, PRA 89, 022118 (2014)).  A model stored
   sparse searches the pattern of its Kronecker terms and assembles only
-  ``L[S, S]`` from J and the jump pairs (``_model_sector``), so its real
-  form is built only when S is the whole space; every other generator
-  searches the stored pattern of its real form and slices the block out.
-  The series steps from one grid time to the next.  One ``expm(L dt)``
-  per distinct step, densified and reused for every repeat of that step
-  (a uniform grid costs one exponential plus matrix-vector products), is
-  taken whenever a fitted cost model prices it below the truncated-Taylor
-  action of the block (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-  (2011), Alg. 3.2) on every step; otherwise each step is that action
-  (``_TaylorAction``).  The action is set up once per block (trace shift,
-  shifted 1-norm and, past condition (3.13), power-norm estimates), so a
-  step costs only its products; it needs of the block only ``a @ v``,
-  ``a.T @ v``, its diagonal and its column sums.  The exponentials of
-  five or more distinct steps of a block of at most 16 rows, as on a log
-  grid, are built in one batched Pade pass over the stack
+  ``L[S, S]`` from J and the jump pairs (``_ModelGenerator._sector``),
+  so its real form is built only when S is the whole space; every other
+  generator searches the stored pattern of its real form and slices the
+  block out.  The series steps from one grid time to the next.  One
+  ``expm(L dt)`` per distinct step, densified and reused for every
+  repeat of that step (a uniform grid costs one exponential plus
+  matrix-vector products), is taken whenever a fitted cost model prices
+  it below the truncated-Taylor action of the block (Al-Mohy & Higham,
+  SIAM J. Sci. Comput. 33, 488 (2011), Alg. 3.2) on every step;
+  otherwise each step is that action (``_TaylorAction``).  The action is
+  set up once per block (trace shift and shifted 1-norm), and every
+  step's degree and sub-step count come from that norm alone, so a step
+  costs only its products; it needs of the block only ``a @ v``, its
+  diagonal and its column sums.  The exponentials of five or more
+  distinct steps of a block of at most 16 rows, as on a log grid, are
+  built in one batched Pade pass over the stack
   (``_step_exponentials``); a single step keeps scipy's ``expm``, bit
   for bit, and so do larger blocks.  All times map back to operators in
   one vectorised call.  ``propagate`` is the one-point case, and
@@ -68,8 +69,9 @@ d-dimensional system is a d^2 x d^2 matrix G.  Each job has one route:
   real LU or by ``splu``.  Uniqueness is gated by the relative margin
   ``1/(||A||_1 ||A^-1||_1)`` of that bordered matrix, so every gate scales
   with the generator and ``D_Q`` is invariant under a rescaling of time.
-  ``||A^-1||_1`` is estimated on the LU: by one LAPACK ``gecon`` call on a
-  dense A, by ``onenormest`` on a sparse one.
+  ``||A^-1||_1`` is estimated on the LU (``_bordered_lu``): by one LAPACK
+  ``gecon`` call on a dense A, by the same Hager-Higham estimator on a
+  sparse one.
 """
 
 import math
@@ -91,10 +93,6 @@ from .qcore import (
 )
 
 DENSE_FILL = 1.0 / 16.0      # generators at least this full are stored dense
-# The Taylor action estimates norms of powers of the shifted block past this
-# |(a - mu I) dt|_1 for one column: 2 ell p_max (p_max + 3) theta_55 / 55 with
-# ell = 2, p_max = 8 (Al-Mohy and Higham 2011, condition (3.13))
-EXPM_NORM_SWITCH = 63.36
 # Fitted costs of the Taylor action in nanoseconds (see ``_expm_pays``): per
 # step, per product, and per product and stored entry, dense then sparse
 _ACTION_COSTS = {False: (5.6e4, 2.3e3, 0.06), True: (1.2e5, 4.2e3, 4.0)}
@@ -128,10 +126,6 @@ _TAYLOR_THETA = np.array([
     2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09, 1.26, 1.44,
     1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31, 3.54,
     4.7, 6.0, 7.2, 8.5, 9.9])
-# The pairs (p, m) that (3.11) searches past (3.13), p-major as there: 2 <= p <= 8
-# and m >= p (p - 1) - 1, as indices p - 2 into the alphas and k into the table
-_POWER_P, _POWER_K = np.array([(p - 2, k) for p in range(2, 9)
-                               for k, m in enumerate(_TAYLOR_DEGREES) if m >= p * (p - 1) - 1]).T
 
 
 class LindbladModel:
@@ -320,22 +314,28 @@ class Superoperator:
         principal block ``real[index, index]`` stored by fill, or
         (slice(None), ``real``, ``norm``) when that closure is everything.
         """
-        index = _reachable(self.real, support)
+        return self._block(_reachable(self.real, support))
+
+    def _block(self, index, block=None):
+        """``_sector``'s return for the sector ``index``, None for the whole space.
+
+        ``block`` defaults to ``real[index, index]``, a slice of the checked
+        real form; an assembled one comes checked."""
         if index is None:
             return slice(None), self.real, self.norm
-        block = _by_fill(self.real[np.ix_(index, index)])
+        block = _by_fill(self.real[np.ix_(index, index)] if block is None else block)
         return index, block, _one_norm(block)
 
 
 class _ModelGenerator(Superoperator):
     """The forward or dual generator of a ``LindbladModel``, held as its Kronecker factors.
 
-    The real form is built by ``_generator``, stored by fill and frozen, on
-    its first read; the dual's is the transpose of the forward one's.  A
-    model that the fill bound stores sparse propagates without it: its
-    sector is searched on the pattern of the Kronecker terms and only the
-    block on it is assembled (``_model_sector``), unless that sector is
-    the whole space.
+    The real form is built on its first read, by ``_sparse_real`` when the
+    fill bound stores the model sparse and by ``_dense_real`` otherwise,
+    and frozen; the dual's is the transpose of the forward one's.  A model
+    stored sparse propagates without it: its sector is searched on the
+    pattern of the Kronecker terms and only the block on it is assembled
+    (``_sector``), unless that sector is the whole space.
     """
 
     def __init__(self, kronecker, kind, forward=None):
@@ -348,7 +348,9 @@ class _ModelGenerator(Superoperator):
     def real(self):
         if self.kind == "dual":
             return self._checked(self._forward.real.T)
-        gen = self._checked(_generator(self, None))
+        kronecker = self._kronecker
+        gen = self._checked(_sparse_real(kronecker, np.ones(self.dim ** 2, dtype=bool))
+                            if kronecker.sparse else _dense_real(kronecker))
         _freeze(gen)
         return gen
 
@@ -357,14 +359,28 @@ class _ModelGenerator(Superoperator):
         return self._kronecker.sparse
 
     def _sector(self, support):
-        if not self.is_sparse or support.all():
+        """``Superoperator._sector``, searched on the Kronecker pattern when stored sparse.
+
+        A model stored sparse does not search a built real form: column j
+        of G feeds row i for every term entry G[i, j] (``_Kronecker.adjacency``;
+        G's diagonal adds only self-loops), and the dual flow reverses those
+        edges.  L = Re G + Im(G P) also feeds row i from column P j; the
+        pattern of G is mapped onto itself by P (conj(G) = P G P, and the
+        rate matrix is Hermitian), so a start closed under P, support | P
+        support, has a closure S under G's pattern that is closed under P
+        and invariant under L and under L.T.  Only the forward block
+        L[S, S] is assembled (``_sparse_real``), and the dual takes its
+        transpose.
+        """
+        kronecker = self._kronecker
+        if not kronecker.sparse or support.all():
             return super()._sector(support)
-        found = _model_sector(self._kronecker, support, self.kind == "dual")
-        if found is None:
-            return slice(None), self.real, self.norm
-        index, block = found
-        block = _by_fill(self._checked(block.T if self.kind == "dual" else block))
-        return index, block, _one_norm(block)
+        dual = self.kind == "dual"
+        reached = _reached(*kronecker.adjacency(dual), support | support[kronecker.transpose])
+        if reached.all():
+            return self._block(None)
+        block = _sparse_real(kronecker, reached)
+        return self._block(np.flatnonzero(reached), self._checked(block.T if dual else block))
 
 
 def _column_sums(a):
@@ -436,23 +452,13 @@ def _column(x, dim):
     return real_coordinates(x)[:, None]
 
 
-def _generator(model, sparse):
-    """Forward generator in real coordinates, L = Re G + Im(G P).
+def _dense_real(kronecker):
+    """The whole forward generator in real coordinates, L = Re G + Im(G P), as a dense array.
 
-    ``model`` is a ``LindbladModel`` or one of its generators; G is summed
-    from the Kronecker factors both carry as ``_kronecker``, and
-    ``sparse=None`` stores it as their fill bound says.  Sparse L is summed
-    from the COO triplets of G in one ``csr_matrix`` call (``_sparse_real``);
-    dense L is formed from Re G and Im G, whose pair terms come from two
-    real products over the jump pairs, so no complex d^4 array is formed.
+    L is formed from Re G and Im G, summed from the Kronecker factors
+    (``_sparse_real`` builds the CSR form).
     """
-    d = model.dim
-    kronecker = model._kronecker
-    j, pairs = kronecker.j, kronecker.pairs
-    if sparse is None:
-        sparse = kronecker.sparse
-    if sparse:
-        return _sparse_real(kronecker, np.ones(d * d, dtype=bool))
+    d, j, pairs = kronecker.dim, kronecker.j, kronecker.pairs
     # re and im are Re G and Im G with [c, r, c', r'] the entry between vec
     # indices r + d c and r' + d c'.  The pairs add a conj(V_nu)[c, c'] V_mu[r, r']:
     # one complex product over the pairs, taken as two real ones so that no
@@ -567,25 +573,6 @@ def _reachable(a, support):
     return None if reached.all() else np.flatnonzero(reached)
 
 
-def _model_sector(kronecker, support, dual):
-    """The sector of a model's generator reachable from ``support``, and the block on it.
-
-    The search runs on the pattern of G's Kronecker terms (``_Kronecker.terms``),
-    not on a built real form: column j of G feeds row i for every term
-    entry G[i, j] (G's diagonal adds only self-loops), and the dual flow
-    reverses those edges.  L = Re G + Im(G P) also feeds row i from column
-    P j; the pattern of G is mapped onto itself by P (conj(G) = P G P, and
-    the rate matrix is Hermitian), so a start closed under P, support | P
-    support, has a closure S under G's pattern that is closed under P and
-    invariant under L and under L.T.  Returns None when S is the whole
-    space, else S and the forward block L[S, S] (``_sparse_real``).
-    """
-    reached = _reached(*kronecker.adjacency(dual), support | support[kronecker.transpose])
-    if reached.all():
-        return None
-    return np.flatnonzero(reached), _sparse_real(kronecker, reached)
-
-
 def _shifted_one_norm(a):
     """||a - mu I||_1 with mu = tr(a) / n, the norm scipy's expm_multiply gates on.
 
@@ -604,16 +591,12 @@ class _TaylorAction:
 
     This is Algorithm 3.2 of Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
     488 (2011), split into what depends on the block and what depends on
-    the step.  Set up once per block, each on first use: the trace shift
-    mu = tr(a) / n, the exact 1-norm of a - mu I (``_shifted_one_norm``;
-    the shifted block is never formed, each product is a v - mu v) and,
-    for the first step past condition (3.13), the estimates d_p = ||(a - mu I)^p||_1^(1/p) for
-    p = 2..9, which do not depend on the step since d_p(t A) = t d_p(A).
-    They come from ``onenormest`` with t = 1, which draws nothing from
-    numpy's global random state, so the series does not depend on it.
-    ``plan`` picks each step's degree m and sub-step count s from the theta
-    table, and ``step`` runs at most s m products.  The block enters only
-    through ``a @ v``, ``a.T @ v``, its diagonal and its column sums.
+    the step.  Set up once per block: the trace shift mu = tr(a) / n and,
+    on first use, the exact 1-norm of a - mu I (``_shifted_one_norm``; the
+    shifted block is never formed, each product is a v - mu v).  ``plan``
+    picks each step's degree m and sub-step count s from that norm and the
+    theta table, and ``step`` runs at most s m products.  The block enters
+    only through ``a @ v``, its diagonal and its column sums.
     """
 
     def __init__(self, a):
@@ -624,35 +607,17 @@ class _TaylorAction:
     def norm(self):
         return _shifted_one_norm(self.a)
 
-    @cached_property
-    def alphas(self):
-        """alpha_p = max(d_p, d_{p+1}) for p = 2..8."""
-        a, mu = self.a, self.mu
-        shifted = scipy.sparse.linalg.LinearOperator(
-            a.shape, matvec=lambda x: a @ x - mu * x, rmatvec=lambda x: a.T @ x - mu * x,
-            dtype=float)
-        d = np.array([scipy.sparse.linalg.onenormest(shifted ** p, t=1) ** (1.0 / p)
-                      for p in range(2, 10)])
-        return np.maximum(d[:-1], d[1:])
-
     def plan(self, steps):
         """Degree m and sub-step count s of every step of ``steps``, as two integer arrays.
 
-        Up to condition (3.13) each step minimises m s over the table with
-        s = ceil(||(a - mu I) dt||_1 / theta_m); past it over the pairs (p, m)
-        of (3.11), with s = ceil(alpha_p dt / theta_m), at least 1.  Ties go
-        to the first in table order.  A zero step or block gets m = 0, s = 1.
+        Each step minimises m s over the table with s = ceil(||(a - mu I)
+        dt||_1 / theta_m); ties go to the first in table order.  A zero
+        step or block gets m = 0, s = 1.
         """
         x = self.norm * steps
         scalings = np.ceil(x[:, None] / _TAYLOR_THETA)
         k = np.argmin(_TAYLOR_DEGREES * scalings, axis=1)
         degrees, scalings = _TAYLOR_DEGREES[k], scalings[np.arange(k.size), k]
-        far = x > EXPM_NORM_SWITCH
-        if far.any():
-            power = np.ceil(steps[far, None] * self.alphas[_POWER_P] / _TAYLOR_THETA[_POWER_K])
-            j = np.argmin(_TAYLOR_DEGREES[_POWER_K] * power, axis=1)
-            degrees[far] = _TAYLOR_DEGREES[_POWER_K[j]]
-            scalings[far] = np.maximum(power[np.arange(j.size), j], 1.0)
         degrees[x == 0.0], scalings[x == 0.0] = 0, 1.0
         return degrees, scalings.astype(int)
 
@@ -703,9 +668,7 @@ def _expm_pays(a, norm, action, moving, distinct):
     step when sparse (fitted to ``propagate_series`` on dense blocks with
     n = 9..400 and sparse oscillator blocks with 184..2576 stored entries,
     within 0.5-1.5x; past n ~ 400 a dense product leaves the cache and costs
-    about 0.33 n^2, where the action wins by far).  Past (3.13) the
-    power-norm estimates come first, about 2e6 plus 220 products; when expm
-    costs less than those alone, it is taken before they run.
+    about 0.33 n^2, where the action wins by far).
     """
     n = a.shape[0]
     sparse = scipy.sparse.issparse(a)
@@ -717,11 +680,6 @@ def _expm_pays(a, norm, action, moving, distinct):
     action_cost = moving.size * per_step
     if expm_cost <= action_cost:
         return True  # without reading the action's norm or plan
-    if action.norm * moving.max(initial=0.0) > EXPM_NORM_SWITCH:
-        # the power-norm estimates come first, and cost about that on their own
-        action_cost += 2.0e6 + 220 * product
-        if expm_cost <= action_cost:
-            return True
     degrees, scalings = action.plan(moving)
     return expm_cost <= action_cost + product * np.dot(degrees, scalings)
 
@@ -792,11 +750,11 @@ def propagate_series(g, x0, times):
     coordinate column, by the block of the real generator on the entries
     reachable from it; the others stay exactly 0.  A model stored sparse
     finds those entries on the pattern of its Kronecker terms and
-    assembles only their block (``_model_sector``), without building its
-    real form; any other generator searches its real form (``_reachable``)
-    and slices the block out.  The core below takes that block, its
-    1-norm and the entries' index from ``Superoperator._sector``, and
-    steps it either by reused exponentials or by the block's
+    assembles only their block (``_ModelGenerator._sector``), without
+    building its real form; any other generator searches its real form
+    (``_reachable``) and slices the block out.  The core below takes that
+    block, its 1-norm and the entries' index from ``Superoperator._sector``,
+    and steps it either by reused exponentials or by the block's
     ``_TaylorAction``, set up once for the whole grid, whichever
     ``_expm_pays`` prices lower.
     ``times`` must be finite, non-negative and ascending.  Returns an array

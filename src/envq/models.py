@@ -214,20 +214,24 @@ def nonmarkov_q(p, sz0, t):
 
 
 def _require_relaxing(p):
+    """Raise ValueError unless |c_t| is known to decay to 0, as only the lorentzian kernel's does."""
     if p.kernel == "single-mode":
         raise ValueError("the single-mode kernel never relaxes (c_t = cos(coupling t)), "
                          "so it has no stationary state and no degree of quantumness")
+    if p.kernel == "tabulated":
+        raise ValueError("a tabulated kernel need not relax (a gap in its spectral density "
+                         "can keep |c_t| from 0), so it has no degree of quantumness")
 
 
 def nonmarkov_dq(p):
-    """The degree of quantumness is maximal for this family, once the decay relaxes."""
+    """The degree of quantumness is maximal for the lorentzian kernel, whose decay relaxes."""
     _require_relaxing(p)
     return 1.0
 
 
 def nonmarkov_report(p):
-    """Closed-form QuantumnessReport: zero-temperature decay relaxes every
-    state to the ground state |1><1|."""
+    """Closed-form QuantumnessReport: zero-temperature decay through the
+    lorentzian kernel relaxes every state to the ground state |1><1|."""
     _require_relaxing(p)
     return quantumness.stationary_degree(QuantumState(np.diag([0.0, 1.0])))
 

@@ -25,7 +25,9 @@ def rand_herm(rng, d):
 
 def stored(model, sparse):
     """Forward and dual generators of a model, built in the given storage."""
-    real = dynamics._generator(model, sparse)
+    kronecker = model._kronecker
+    real = (dynamics._sparse_real(kronecker, np.ones(model.dim ** 2, dtype=bool)) if sparse
+            else dynamics._dense_real(kronecker))
     return (dynamics.Superoperator(real, model.dim, "forward"),
             dynamics.Superoperator(real.T, model.dim, "dual"))
 
@@ -323,19 +325,28 @@ def test_sparse_dense_generators_agree():
     assert np.abs(dense_d.matrix - sparse_d.matrix.toarray()).max() < 1e-14
 
 
+def record_whole_builds(monkeypatch, calls):
+    """Append "dense" or "sparse" to ``calls`` at every build of a whole real form."""
+    dense, sparse = dynamics._dense_real, dynamics._sparse_real
+
+    def sparse_build(kronecker, reached):
+        if reached.all():
+            calls.append("sparse")
+        return sparse(kronecker, reached)
+
+    monkeypatch.setattr(dynamics, "_dense_real", lambda kronecker: calls.append("dense") or dense(kronecker))
+    monkeypatch.setattr(dynamics, "_sparse_real", sparse_build)
+
+
 def test_model_builds_its_generator_once(monkeypatch):
     calls, checked = [], []
-    build, check = dynamics._generator, dynamics.Superoperator._checked
-
-    def counted(model, sparse):
-        calls.append(sparse)
-        return build(model, sparse)
+    check = dynamics.Superoperator._checked
 
     def counted_check(self, real):
         checked.append((self.kind, real.shape[0]))  # the finiteness check of a real form or block
         return check(self, real)
 
-    monkeypatch.setattr(dynamics, "_generator", counted)
+    record_whole_builds(monkeypatch, calls)
     monkeypatch.setattr(dynamics.Superoperator, "_checked", counted_check)
     rng = np.random.default_rng(12)
     for model in (random_lindblad(rng, 3), models.OscillatorParams(0.7, 2.85, 11).lindblad_model()):
@@ -349,7 +360,7 @@ def test_model_builds_its_generator_once(monkeypatch):
         assert dynamics.liouvillian(model) is g and dynamics.dual_liouvillian(model) is gd
         forward = g.dense() if g.is_sparse else g.matrix
         assert np.array_equal(gd.dense(), forward.conj().T)
-        assert calls == [None]
+        assert calls == ["sparse" if g.is_sparse else "dense"]
         # each whole real form is checked once, on its first read; the sparse
         # oscillator's two flows ran on their diagonal sectors, each block
         # checked as it was assembled
@@ -497,8 +508,7 @@ def test_sparse_oscillator_routes_run_on_the_sector_without_the_generator(tmp_pa
     ground = QuantumState.pure(qcore.ket(p.dim, 0))
     rho0 = qcore.random_state(p.dim, np.random.default_rng(n_max))
     calls, numeric = [], models.oscillator_q_numeric
-    build = dynamics._generator
-    monkeypatch.setattr(dynamics, "_generator", lambda *args: calls.append(args) or build(*args))
+    record_whole_builds(monkeypatch, calls)
 
     def captured(*args):
         calls.append("qt")
@@ -637,18 +647,17 @@ def test_propagate_series_whole_closure_keeps_the_full_route(d, grid):
 
 @pytest.mark.parametrize("d, x, expm_pays", [(8, 100.0, True), (16, 150.0, False)])
 def test_expm_pays_prices_long_steps(d, x, expm_pays):
-    # one step at |A dt|_1 = x on a dense real generator, past the shifted
-    # norm where the Taylor action estimates norms of matrix powers, both
-    # plans (m, s) = (55, 2).  On one core (minimum-median of 15 runs, the
-    # action with its set-up and estimates), at n = 64 the action took
-    # 2.67-2.73 ms and expm 0.22-0.23 ms; at n = 256, with five squarings in
-    # expm, the action took 5.1-5.3 ms and expm 9.7-10.1 ms.
+    # one long step at |A dt|_1 = x on a dense real generator, planned from
+    # the shifted 1-norm alone: (m, s) = (50, 11) at n = 64 and (55, 15) at
+    # n = 256.  On one core (minimum-median of 15 runs, the action with its
+    # set-up), at n = 64 the action took 1.46-1.52 ms and expm 0.22-0.23 ms;
+    # at n = 256, with five squarings in expm, the action took 4.2-4.3 ms
+    # and expm 10.2-11.9 ms.
     a = dynamics.liouvillian(random_lindblad(np.random.default_rng(40 + d), d)).real
     assert a.dtype == np.float64
     norm = dynamics._one_norm(a)
     steps = np.array([x / norm])
     action = dynamics._TaylorAction(a)
-    assert action.norm * steps[0] > dynamics.EXPM_NORM_SWITCH
     assert dynamics._expm_pays(a, norm, action, steps, steps) == expm_pays
 
 
@@ -688,15 +697,13 @@ def test_taylor_action_matches_expm_on_the_sparse_oscillator():
 
 
 def test_taylor_action_past_the_norm_switch_matches_expm():
-    # a 16 x 16 block at |A t|_1 = 150: past condition (3.13) the power-norm
-    # estimates cut the worst-case product count from 55 x 13 = 715, which
-    # the shifted norm alone would take, to 55 x 4
+    # a 16 x 16 block at |A t|_1 = 150, far past theta_55 = 9.9: the plan
+    # comes from the shifted 1-norm alone, 13 sub-steps of degree 55
     a = generator_block(16)
     action = dynamics._TaylorAction(a)
     t = 150.0 / dynamics._one_norm(a)
-    assert action.norm * t > dynamics.EXPM_NORM_SWITCH
     (m,), (s,) = action.plan(np.array([t]))
-    assert (m, s) == (55, 4)
+    assert (m, s) == (55, 13)
     v = qcore.vec(np.eye(4)).real[:, None]
     assert_matches_expm(a, v, [t], 1e-13)
 
@@ -720,7 +727,8 @@ def test_taylor_action_of_shifted_zero_and_zero_step_blocks():
 
 
 def test_propagate_series_bits_do_not_depend_on_numpy_global_random_state():
-    # the power-norm estimates run onenormest with t = 1, which draws nothing
+    # long steps, |A dt|_1 = 150: the plan reads only the exact shifted
+    # 1-norm, and nothing on the route draws from numpy's global random state
     g = dynamics.liouvillian(random_lindblad(np.random.default_rng(57), 4))
     times = [0.0, 150.0 / g.norm, 300.0 / g.norm]
     series = []
@@ -732,7 +740,7 @@ def test_propagate_series_bits_do_not_depend_on_numpy_global_random_state():
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(d=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
-       raw=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=5))
+       raw=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=5))
 def test_taylor_action_matches_expm_on_random_generators(d, seed, raw):
     a = dynamics.liouvillian(random_lindblad(np.random.default_rng(seed), d)).real
     times = np.cumsum(raw) / dynamics._one_norm(a)

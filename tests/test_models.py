@@ -183,11 +183,18 @@ def test_nonmarkov_q():
 
 
 def test_nonmarkov_single_mode_has_no_degree():
-    p = models.NonMarkovParams(1.0, kernel="single-mode", coupling=0.9)
-    with pytest.raises(ValueError, match="single-mode kernel never relaxes"):
-        models.nonmarkov_dq(p)
-    with pytest.raises(ValueError, match="single-mode kernel never relaxes"):
-        models.nonmarkov_report(p)
+    # neither a single-mode kernel nor a tabulated one is known to relax: a
+    # tabulated lorentzian does, but nothing checks that, and a gap in the
+    # spectral density can keep |c_t| away from 0
+    lorentzian = models.NonMarkovParams(1.0, 2.0).kernel_function()
+    for p, match in ((models.NonMarkovParams(1.0, kernel="single-mode", coupling=0.9),
+                      "single-mode kernel never relaxes"),
+                     (models.NonMarkovParams(1.0, kernel="tabulated", kernel_func=lorentzian),
+                      "tabulated kernel need not relax")):
+        with pytest.raises(ValueError, match=match):
+            models.nonmarkov_dq(p)
+        with pytest.raises(ValueError, match=match):
+            models.nonmarkov_report(p)
     assert models.nonmarkov_report(models.NonMarkovParams(1.0, 2.0)).dq == pytest.approx(1.0)
 
 

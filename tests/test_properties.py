@@ -154,7 +154,8 @@ def test_forward_and_dual_flows_pair_through_the_trace(d, sparse, seed, t):
     jumps = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
              * (rng.random(size=(d, d)) < 0.5) / d for _ in range(2)]
     model = dynamics.LindbladModel(random_hermitian(rng, d) / (2 * d), jumps, rates=[0.6, 0.3])
-    real = dynamics._generator(model, sparse)
+    real = (dynamics._sparse_real(model._kronecker, np.ones(d * d, dtype=bool)) if sparse
+            else dynamics._dense_real(model._kronecker))
     forward = dynamics.Superoperator(real, d, "forward")
     dual = dynamics.Superoperator(real.T, d, "dual")
     a, rho = random_hermitian(rng, d), qcore.random_state(d, rng).matrix
@@ -199,7 +200,7 @@ def test_sector_route_of_a_phase_covariant_model_matches_the_dense_exponential(
           "bands": np.where(on_bands, random_hermitian(rng, d), 0.0),
           "level": np.diag(np.arange(d) == level % d).astype(float)}[start]
     times = np.concatenate([[0.0], np.geomspace(0.02, 2.0, 4)])
-    real = dynamics._generator(model, False)
+    real = dynamics._dense_real(model._kronecker)
     real = real.T if dual else real
     y0 = dynamics.real_coordinates(x0)
     for t, x in zip(times, dynamics.propagate_series(g, x0, times)):
