@@ -403,26 +403,6 @@ def _transpose_index(d):
     return k % d * d + k // d
 
 
-def _real_csr(rows, cols, vals, transpose):
-    """CSR L from COO triplets of G, duplicates summed in one call.
-
-    A triplet (i, j, v) adds Re v at (i, j) and Im v at (i, transpose[j]),
-    where ``transpose`` is P on the indices kept (``_transpose_index`` for
-    the whole space).
-    """
-    n = transpose.size
-    vals = np.asarray(vals, dtype=complex)
-    re, im = vals.real != 0, vals.imag != 0
-    real = scipy.sparse.csr_matrix(
-        (np.concatenate([vals.real[re], vals.imag[im]]),
-         (np.concatenate([rows[re], rows[im]]),
-          np.concatenate([cols[re], transpose[cols[im]]]))),
-        shape=(n, n),
-    )
-    real.eliminate_zeros()
-    return real
-
-
 def real_coordinates(x):
     """Real coordinates vec(Re X + Im X) of a Hermitian X, or of each of a stack.
 
@@ -486,9 +466,10 @@ def _entries(m):
 def _sparse_real(kronecker, reached):
     """L[S, S] as CSR, S the indices where a P-closed boolean ``reached`` is True.
 
-    Summed in one ``_real_csr`` call from the entries of G (``_Kronecker.terms``)
+    Summed in one ``csr_matrix`` call from the entries of G (``_Kronecker.terms``)
     whose row and column both lie in S, their values formed for those
-    entries only; an all-True ``reached`` gives the whole sparse L.
+    entries only; an all-True ``reached`` gives the whole sparse L.  An
+    entry v of G at (i, j) adds Re v at (i, j) and Im v at (i, P j).
     """
     d = kronecker.dim
     diagonal, terms = kronecker.terms
@@ -501,8 +482,15 @@ def _sparse_real(kronecker, reached):
         rows.append(position[term_rows[ca, rb]])
         cols.append(position[term_cols[ca, rb]])
         vals.append(scale * (a_vals[ca] * b_vals[rb]))
-    return _real_csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-                     position[kronecker.transpose[index]])
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    re, im = vals.real != 0, vals.imag != 0
+    transpose = position[kronecker.transpose[index]]
+    real = scipy.sparse.csr_matrix(
+        (np.concatenate([vals.real[re], vals.imag[im]]),
+         (np.concatenate([rows[re], rows[im]]), np.concatenate([cols[re], transpose[cols[im]]]))),
+        shape=(index.size, index.size))
+    real.eliminate_zeros()
+    return real
 
 
 def liouvillian(model):
@@ -573,27 +561,14 @@ def _reachable(a, support):
     return None if reached.all() else np.flatnonzero(reached)
 
 
-def _shifted_one_norm(a):
-    """||a - mu I||_1 with mu = tr(a) / n, the norm scipy's expm_multiply gates on.
-
-    The column sums of |a| with |a_jj - mu| in place of |a_jj|, so no
-    shifted copy of ``a`` is formed.
-    """
-    if not a.shape[0]:
-        return 0.0
-    diagonal = a.diagonal()
-    shift = diagonal.sum() / a.shape[0]
-    return float((_column_sums(a) - np.abs(diagonal) + np.abs(diagonal - shift)).max())
-
-
 class _TaylorAction:
     """exp(t a) v for a real block ``a``, by the truncated Taylor series, set up once.
 
     This is Algorithm 3.2 of Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
     488 (2011), split into what depends on the block and what depends on
     the step.  Set up once per block: the trace shift mu = tr(a) / n and,
-    on first use, the exact 1-norm of a - mu I (``_shifted_one_norm``; the
-    shifted block is never formed, each product is a v - mu v).  ``plan``
+    on first use, the exact 1-norm of a - mu I (``norm``; the shifted
+    block is never formed, each product is a v - mu v).  ``plan``
     picks each step's degree m and sub-step count s from that norm and the
     theta table, and ``step`` runs at most s m products.  The block enters
     only through ``a @ v``, its diagonal and its column sums.
@@ -605,7 +580,11 @@ class _TaylorAction:
 
     @cached_property
     def norm(self):
-        return _shifted_one_norm(self.a)
+        """||a - mu I||_1: the column sums of |a| with |a_jj - mu| in place of |a_jj|."""
+        if not self.a.shape[0]:
+            return 0.0
+        diagonal = self.a.diagonal()
+        return float((_column_sums(self.a) - np.abs(diagonal) + np.abs(diagonal - self.mu)).max())
 
     def plan(self, steps):
         """Degree m and sub-step count s of every step of ``steps``, as two integer arrays.

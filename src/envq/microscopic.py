@@ -21,6 +21,7 @@ from .qcore import (
     state_matrix,
     tensor_product,
 )
+from .quantumness import trace_pairing
 
 MAX_JOINT_DIM = 64
 COMM_TOL = 1e-10  # [H, I x sigma0] and off-diagonal blocks that count as zero, relative to max|H|
@@ -101,7 +102,7 @@ def quantumness_direct(model, rho0, t):
     [0, dim_s] by more than ``qcore.BOUND_TOL`` raise BoundViolationError.
     """
     conj = _rotated_system(model, model.unitary(t), rho0)
-    q = np.trace(conj @ model.sigma0_joint).real
+    q = trace_pairing(conj, model.sigma0_joint)
     qcore.require_q_bounds(q, model.dim_s)
     return float(q)
 
@@ -129,8 +130,7 @@ def split_contributions(model, rho0, t):
     conj = _rotated_system(model, u, rho0)
     sig = model.sigma0_joint
     delta = u @ sig @ u.conj().T - sig
-    first = np.trace(conj @ sig).real
-    second = np.trace(conj @ delta).real
+    first, second = trace_pairing(conj, np.array([sig, delta]))
     if not abs(first + second - 1.0) <= 1e-10:
         raise RuntimeError(f"splitting sum {first + second} deviates from 1")
     return float(first), float(second)
@@ -151,7 +151,7 @@ def q_derivative(model, rho0, t, n):
     for _ in range(n):
         comm = h @ comm - comm @ h
     conj = _rotated_system(model, model.unitary(t), rho0)
-    return float((1j ** n * np.trace(conj @ comm)).real)
+    return float(trace_pairing(conj, 1j ** n * comm))
 
 
 def _environment_blocks(rest4, basis):

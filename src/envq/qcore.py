@@ -4,12 +4,14 @@ Conventions fixed here for the whole package:
 
 * operators are dense ``numpy`` complex arrays in row-major semantic order;
 * the operator algebra has one copy, which no other module re-derives:
-  ``vec``/``unvec`` stack columns (Fortran order) over leading axes, so
-  that ``vec(A X B) = kron(B.T, A) @ vec(X)``; ``superoperator`` is the
+  ``tensor_product`` is the Kronecker product; ``vec``/``unvec`` stack
+  columns (Fortran order) over leading axes, so that
+  ``vec(A X B) = kron(B.T, A) @ vec(X)``; ``superoperator`` is the
   channel sum_K kron(conj K, K) on vec(X); ``spectral_unitary`` is
-  exp(-i t H) from an eigensystem; and ``quantumness.trace_pairing`` is
-  the pairing Re Tr[rho0 X] of every Q_t route.  Only the real-form
-  kernels of ``dynamics`` write the vec index layout themselves;
+  exp(-i t H) from an eigensystem, and ``matrix_exponential`` reads it;
+  and ``quantumness.trace_pairing`` is the pairing Re Tr[rho0 X] of
+  every Q_t route, the joint-space oracle's included.  Only the
+  real-form kernels of ``dynamics`` write the vec index layout themselves;
 * validity checks use tolerance ``1e-10``, reconstruction checks
   ``1e-9`` and the ``[0, dim]`` bound on computed Q values ``1e-8``;
 * a Hermitian eigensystem is the pair ``(w, v)`` of ``np.linalg.eigh``,
@@ -169,7 +171,7 @@ def unvec(v, dim=None):
 
 def superoperator(kraus):
     """sum_K kron(conj K, K), the matrix of X -> sum_K K X K^dag on vec(X)."""
-    return sum(np.kron(k.conj(), k) for k in kraus)
+    return sum(tensor_product(k.conj(), k) for k in kraus)
 
 
 def trace_distance(a, b):
@@ -182,8 +184,11 @@ def trace_distance(a, b):
 # core operations
 
 def tensor_product(a, b):
-    """Kronecker product a (x) b."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product a (x) b of two matrices, as a complex array: np.kron's
+    products, formed in one broadcast multiply."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def partial_trace(m, dims, keep):
@@ -216,10 +221,9 @@ def matrix_exponential(m):
     herm = np.abs(m - m.conj().T).max() <= 1e-13 * scale
     anti = np.abs(m + m.conj().T).max() <= 1e-13 * scale
     if herm or anti:
+        # exp(m) = exp(-i t h): h = m at t = i, h = -i m at t = -1
         h = m if herm else -1j * m
-        w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-        phase = np.exp(w) if herm else np.exp(1j * w)
-        return (v * phase) @ v.conj().T
+        return spectral_unitary(*np.linalg.eigh(0.5 * (h + h.conj().T)), 1j if herm else -1)
     return scipy.linalg.expm(m)
 
 
@@ -260,7 +264,7 @@ def concurrence(rho):
         raise ValueError(f"concurrence needs a 4x4 two-qubit state, got {m.shape}")
     yy = tensor_product(sigma_y, sigma_y)
     w, v = np.linalg.eigh(m)
-    if abs(np.trace(m @ m).real - 1.0) < 1e-12:  # pure
+    if abs((w * w).sum() - 1.0) < 1e-12:  # pure: Tr[m^2] from the spectrum
         return float(abs(v[:, -1] @ yy @ v[:, -1]))
     sqrt_m = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     r = sqrt_m @ (yy @ m.conj() @ yy) @ sqrt_m

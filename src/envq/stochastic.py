@@ -90,7 +90,7 @@ import scipy.special
 
 from . import dynamics, qcore, quantumness
 from .qcore import (
-    QuantumState, as_operator, require_hermitian, state_matrix, unvec, vec,
+    QuantumState, as_operator, require_hermitian, state_matrix, tensor_product, unvec, vec,
 )
 
 NOISE_FAMILIES = ("gaussian-white", "ornstein-uhlenbeck", "telegraph")
@@ -619,9 +619,10 @@ class CollisionalModel:
             shape = f" of shape {w.shape}" if w.family == "gamma" else ""
             raise ValueError(f"{w.family} waiting{shape} has no phase-type clock")
         stage = np.eye(k)
-        jumps = [np.kron(np.outer(stage[j + 1], stage[j]), np.eye(self.dim)) for j in range(k - 1)]
-        jumps += [np.kron(np.outer(stage[0], stage[k - 1]), t) for t in self.collision]
-        return dynamics.LindbladModel(np.kron(stage, self.free_hamiltonian), jumps,
+        jumps = [tensor_product(np.outer(stage[j + 1], stage[j]), np.eye(self.dim))
+                 for j in range(k - 1)]
+        jumps += [tensor_product(np.outer(stage[0], stage[k - 1]), t) for t in self.collision]
+        return dynamics.LindbladModel(tensor_product(stage, self.free_hamiltonian), jumps,
                                       rates=np.full(len(jumps), w.rate))
 
     @cached_property

@@ -224,6 +224,24 @@ def test_oracle_direct_equals_oracle_dual(dim_s, dim_e, commuting, seed, t):
     assert 0.0 <= dual <= dim_s and abs(dual - direct) <= 1e-12 * dim_s
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dim_s=st.sampled_from([2, 3]), dim_e=st.integers(2, 8), commuting=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.0, 4.0))
+def test_oracle_is_unital_on_commuting_baths_and_its_routes_agree(dim_s, dim_e, commuting,
+                                                                  seed, t):
+    # a bath that commutes with H (a Hamiltonian ensemble) is classical:
+    # U^dag (I x sigma0) U = I x sigma0, so both routes read Q = 1; any other
+    # bath gives the two routes one value, criterion 1's 1e-10
+    rng = np.random.default_rng(seed)
+    model = microscopic.random_joint_model(dim_s, dim_e, rng, commuting=commuting)
+    rho0 = qcore.random_state(dim_s, rng)
+    direct = microscopic.quantumness_direct(model, rho0, t)
+    dual = microscopic.quantumness_via_dual(model, rho0, t)
+    if commuting:
+        assert abs(direct - 1.0) <= 1e-10 and abs(dual - 1.0) <= 1e-10
+    assert abs(direct - dual) <= 1e-10
+
+
 def degenerate_commuting_bath(rng, dim_s, dim_e, levels, repeat):
     """A JointModel whose sigma0 has at most ``levels`` distinct eigenvalues, with bath-diagonal
     coupling in a random eigenbasis; ``repeat`` makes two conditional Hamiltonians coincide."""

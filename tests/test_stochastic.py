@@ -306,6 +306,32 @@ def test_white_noise_dephasing_matches_lindblad():
         assert qcore.trace_distance(states[k], exact) <= 3.0 * stderr[k]
 
 
+def test_telegraph_average_matches_the_two_state_auxiliary():
+    # telegraph noise of amplitude a and switching rate 1/(2 tau_c) is a
+    # classical two-state auxiliary: H = |+><+| (x) (H0 + aC) + |-><-| (x) (H0 - aC),
+    # flips |-+><+-| (x) I at that rate, start I/2 (x) rho0 (Kubo 1963)
+    amp, tau_c = 1.3, 0.5
+    h0 = 0.45 * qcore.sigma_z + 0.3 * qcore.sigma_x
+    rho0 = QuantumState(np.array([[0.8, 0.1], [0.1, 0.2]]))
+    times = np.linspace(0.0, 2.0, 11)
+    proc = stochastic.NoiseProcess("telegraph", amp, tau_c, qcore.sigma_x)
+    n_paths = 2000
+    states, stderr = stochastic.stochastic_average_state(proc, h0, rho0, times, n_paths, seed=11)
+    up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    h = qcore.tensor_product(up, h0 + amp * qcore.sigma_x) + qcore.tensor_product(
+        down, h0 - amp * qcore.sigma_x)
+    flips = [qcore.tensor_product(qcore.sigma_plus, np.eye(2)),
+             qcore.tensor_product(qcore.sigma_minus, np.eye(2))]
+    auxiliary = dynamics.LindbladModel(h, flips, rates=[0.5 / tau_c] * 2)
+    exact = dynamics.reduced_series(auxiliary, np.eye(2) / 2, rho0.matrix, times)
+    deviation = np.abs(np.array(states) - exact).max(axis=(1, 2))
+    # at t = 0 every path holds rho0, and the mean is off it only by the
+    # roundoff of summing the paths one after another (1.7e-15 here), which
+    # the reported standard error (4e-17) leaves out
+    assert deviation[0] <= n_paths * np.finfo(float).eps
+    assert np.all(deviation[1:] <= 6.0 * stderr[1:])
+
+
 def reference_path_unitaries(h0, coupling, path, times):
     """Per-path, per-segment expm loop the batched engine must reproduce."""
     out = np.empty((len(times),) + h0.shape, dtype=complex)
@@ -1281,6 +1307,28 @@ def test_clock_model_needs_a_phase_type_wait():
             model.clock
     model = stochastic.CollisionalModel(h, kraus, CLOCK_WAITING["gamma5"])
     assert model.clock is model.clock and model.clock.dim == 10
+
+
+@pytest.mark.parametrize("shape", [1, 2, 5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_clock_operators_are_the_kron_build(d, shape):
+    # the clock's Hamiltonian and jumps bit for bit against np.kron, stage
+    # transitions first, then one jump per Kraus operator
+    rng = np.random.default_rng(10 * d + shape)
+    waiting = (stochastic.WaitingTime("exponential", rate=2.0) if shape == 1
+               else stochastic.WaitingTime("gamma", rate=2.0, shape=float(shape)))
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    model = stochastic.CollisionalModel(h + h.conj().T, random_channel(rng, d, False), waiting)
+    stage = np.eye(shape)
+    jumps = [np.kron(np.outer(stage[j + 1], stage[j]), np.eye(d)) for j in range(shape - 1)]
+    jumps += [np.kron(np.outer(stage[0], stage[shape - 1]), t) for t in model.collision]
+    reference = dynamics.LindbladModel(np.kron(stage, model.free_hamiltonian), jumps,
+                                       rates=np.full(len(jumps), 2.0))
+    clock = model.clock
+    assert np.array_equal(clock.h_bar, reference.h_bar)
+    assert len(clock.jump_ops) == len(jumps)
+    assert all(np.array_equal(a, b) for a, b in zip(clock.jump_ops, reference.jump_ops))
+    assert np.array_equal(clock.rates, reference.rates)
 
 
 def test_non_integer_shape_keeps_the_trapezoid_bits():
